@@ -237,12 +237,24 @@ class QTable:
             obj = json.loads(text)
         except json.JSONDecodeError as exc:
             raise ParseError(f"invalid Q-table JSON: {exc}") from None
-        if "actions" not in obj or "entries" not in obj:
+        if not isinstance(obj, dict) or "actions" not in obj or "entries" not in obj:
             raise ParseError("Q-table JSON needs 'actions' and 'entries'")
+        if not isinstance(obj["actions"], list) or not isinstance(obj["entries"], list):
+            raise ParseError("Q-table 'actions' and 'entries' must be lists")
         table = cls(tuple(obj["actions"]))
-        for entry in obj["entries"]:
-            key = FeatureKey(entry["key"][0], bool(entry["key"][1]), entry["key"][2])
-            table.values[key] = list(entry["values"])
+        for i, entry in enumerate(obj["entries"]):
+            if not isinstance(entry, dict):
+                raise ParseError(f"Q-table entry {i} must be an object")
+            key, values = entry.get("key"), entry.get("values")
+            if (not isinstance(key, list) or len(key) != len(FeatureKey._fields)
+                    or not all(isinstance(x, int) for x in key)):
+                raise ParseError(f"Q-table entry {i}: 'key' must be a list of "
+                                 f"{len(FeatureKey._fields)} integers")
+            if (not isinstance(values, list) or len(values) != len(table.actions)
+                    or not all(isinstance(x, (int, float)) for x in values)):
+                raise ParseError(f"Q-table entry {i}: 'values' must be a list of "
+                                 f"{len(table.actions)} numbers")
+            table.values[FeatureKey(key[0], bool(key[1]), key[2])] = list(values)
         return table
 
 

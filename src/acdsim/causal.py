@@ -16,7 +16,7 @@ from __future__ import annotations
 import json
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, replace
 from enum import Enum
 
 import numpy as np
@@ -47,10 +47,6 @@ class VarId:
 
     def __str__(self) -> str:
         return self.name if self.slice is None else f"{self.name}@{self.slice}"
-
-
-def var_key(v: VarId) -> str:
-    return str(v)
 
 
 def parse_var(text: str) -> VarId:
@@ -316,6 +312,13 @@ class DbnSpec:
         if self.schedule is not None:
             return self.schedule
         return tuple(t % 2 == 0 for t in range(self.slices))
+
+    def with_slices(self, slices: int) -> "DbnSpec":
+        """The same spec unrolled over `slices` slices, an explicit schedule
+        tiled to the new length."""
+        schedule = (tuple(self.schedule[i % len(self.schedule)] for i in range(slices))
+                    if self.schedule else None)
+        return replace(self, slices=slices, schedule=schedule)
 
 
 def _noisy_or_weight(singleton: float, spontaneous: float) -> float:
@@ -683,9 +686,9 @@ def model_to_obj(m: Cgm) -> dict:
             {"name": v.name, "slice": v.slice, "latent": v in m.latent}
             for v in m.variables
         ],
-        "parents": {var_key(v): [var_key(p) for p in m.parents.get(v, ())]
+        "parents": {str(v): [str(p) for p in m.parents.get(v, ())]
                     for v in m.variables},
-        "cpts": {var_key(v): list(m.cpts[v]) for v in m.variables},
+        "cpts": {str(v): list(m.cpts[v]) for v in m.variables},
     }
 
 
@@ -745,6 +748,8 @@ def load_spec(text: str) -> DbnSpec:
         obj = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid DBN spec JSON: {exc}") from None
+    if not isinstance(obj, dict):
+        raise ParseError("DBN spec must be a JSON object")
     try:
         topology = Topology(obj["topology"])
     except (KeyError, ValueError):
@@ -752,13 +757,24 @@ def load_spec(text: str) -> DbnSpec:
                          "confounded-c") from None
     if "slices" not in obj or not isinstance(obj["slices"], int):
         raise ParseError("DBN spec needs an integer 'slices'")
-    params = DbnParams(**obj.get("params", {}))
+    params = obj.get("params", {})
+    if not isinstance(params, dict):
+        raise ParseError("DBN spec 'params' must be an object")
+    known = {f.name for f in fields(DbnParams)}
+    for key, value in params.items():
+        if key not in known:
+            raise ParseError(f"unknown DBN param '{key}' (want one of "
+                             f"{', '.join(sorted(known))})")
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            raise ParseError(f"DBN param '{key}' must be a number")
     schedule = obj.get("schedule")
+    if schedule is not None and not isinstance(schedule, list):
+        raise ParseError("DBN spec 'schedule' must be a list or null")
     return DbnSpec(
         topology=topology,
         slices=obj["slices"],
         schedule=tuple(bool(x) for x in schedule) if schedule is not None else None,
-        params=params,
+        params=DbnParams(**params),
         per_slice_confounder=bool(obj.get("per_slice_confounder", False)),
     )
 

@@ -15,7 +15,6 @@ import io
 import json
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import replace
 from importlib import resources
 
 from . import __version__
@@ -87,6 +86,15 @@ def _print_result(value: float):
     sys.stdout.write(format(value, "#.12g") + "\n")
 
 
+def _map_seeds(fn, common: tuple, seeds: list[int], parallel: int) -> list:
+    """[fn(*common, seed) for seed in seeds], over `parallel` worker processes
+    when `parallel` > 1; results keep seed order either way."""
+    if parallel <= 1:
+        return [fn(*common, seed) for seed in seeds]
+    with ProcessPoolExecutor(max_workers=parallel) as pool:
+        return list(pool.map(fn, *[[c] * len(seeds) for c in common], seeds))
+
+
 # ---------------------------------------------------------------------------
 # Subcommands
 # ---------------------------------------------------------------------------
@@ -151,13 +159,8 @@ def cmd_evaluate(args) -> int:
     qtable_text = _read(args.qtable)
     agents.QTable.load(qtable_text)
     seeds = [args.seed + i for i in range(args.episodes)]
-    if args.parallel > 1:
-        with ProcessPoolExecutor(max_workers=args.parallel) as pool:
-            rows = list(pool.map(_evaluate_episode,
-                                 [scenario_text] * len(seeds),
-                                 [qtable_text] * len(seeds), seeds))
-    else:
-        rows = [_evaluate_episode(scenario_text, qtable_text, s) for s in seeds]
+    rows = _map_seeds(_evaluate_episode, (scenario_text, qtable_text), seeds,
+                      args.parallel)
     for i, row in enumerate(rows):
         row["episode"] = i
     summary = {
@@ -226,11 +229,7 @@ def cmd_detect(args) -> int:
     seq = detect.extract_indicators(log, noise, args.seed)
     if args.indicators_out:
         _write(args.indicators_out, detect.sequence_to_csv(seq))
-    spec = _load_dbn_spec(args.dbn)
-    spec = replace(spec, slices=len(seq.frames),
-                   schedule=(tuple(spec.schedule[i % len(spec.schedule)]
-                                   for i in range(len(seq.frames)))
-                             if spec.schedule else None))
+    spec = _load_dbn_spec(args.dbn).with_slices(len(seq.frames))
     malign = causal.build_topology(spec)
     benign = detect.benign_model_like(malign)
     result = detect.classify(seq, benign, malign, noise, threshold=args.threshold)
@@ -278,12 +277,7 @@ def cmd_loop(args) -> int:
     seeds = [args.seed + i for i in range(args.episodes)]
     common = (scenario_text, spec_text, args.autonomy, args.tau, args.window,
               args.lookahead, args.noise, args.approve)
-    if args.parallel > 1:
-        with ProcessPoolExecutor(max_workers=args.parallel) as pool:
-            reports = list(pool.map(_run_loop_episode,
-                                    *[[c] * len(seeds) for c in common], seeds))
-    else:
-        reports = [_run_loop_episode(*common, s) for s in seeds]
+    reports = _map_seeds(_run_loop_episode, common, seeds, args.parallel)
     if args.episodes == 1:
         _write(args.out, json.dumps(reports[0], sort_keys=True, indent=2) + "\n")
     else:

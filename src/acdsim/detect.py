@@ -17,7 +17,7 @@ from __future__ import annotations
 import json
 import random
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import Iterable, NamedTuple
 
 from . import __version__
 from ._util import sha256_hex
@@ -85,21 +85,36 @@ class DetectionResult:
 # Indicator extraction
 # ---------------------------------------------------------------------------
 
+class TruthTracker:
+    """Noise-free tactic bits step by step, from the entry set and the events.
+
+    Tracks the compromised set the beaconing bit needs without reading game
+    state: entry nodes start compromised, successful attempts add a node and
+    restores remove one.
+    """
+
+    def __init__(self, entry):
+        self.compromised = set(entry)
+
+    def step(self, t: int, events) -> dict:
+        """Bits for the step that started at `t` and produced `events`."""
+        bits = {
+            "Z": int(t % BEACON_PERIOD == 0 and bool(self.compromised)),
+            "X": int(any(e.kind == "attempt" for e in events)),
+            "Y": int(any(e.kind == "loot" for e in events)),
+        }
+        for e in events:
+            if e.kind == "restore":
+                self.compromised.discard(e.node)
+            elif e.kind == "attempt" and e.outcome == "success":
+                self.compromised.add(e.node)
+        return bits
+
+
 def ground_truth_bits(log: EpisodeLog) -> list[dict]:
     """Noise-free tactic bits per step, reconstructed from the event stream."""
-    compromised = set(log.scenario.attacker.entry)
-    out = []
-    for rec in log.steps:
-        beaconing = rec.t % BEACON_PERIOD == 0 and bool(compromised)
-        attempts = any(e.kind == "attempt" for e in rec.outcome.events)
-        loots = any(e.kind == "loot" for e in rec.outcome.events)
-        out.append({"Z": int(beaconing), "X": int(attempts), "Y": int(loots)})
-        for e in rec.outcome.events:
-            if e.kind == "restore":
-                compromised.discard(e.node)
-            elif e.kind == "attempt" and e.outcome == "success":
-                compromised.add(e.node)
-    return out
+    tracker = TruthTracker(log.scenario.attacker.entry)
+    return [tracker.step(rec.t, rec.outcome.events) for rec in log.steps]
 
 
 def apply_noise(bits: dict, noise: EmissionNoise, rng: random.Random) -> dict:
@@ -158,14 +173,15 @@ def _model_slices(m: Cgm) -> int:
     return max(slices) + 1
 
 
-def _sequence_evidence(m: Cgm, seq: IndicatorSequence) -> dict:
-    """Evidence on the model's emission variables for each observed bit."""
-    evidence = {}
+def emission_evidence(m: Cgm, frames: Iterable[tuple[int, dict]]) -> dict:
+    """Evidence on the model's emission variables from (slice, bits) pairs;
+    bits of tactics the model lacks at that slice are left out."""
     tactic_vars = {(v.name, v.slice) for v in m.variables}
-    for frame in seq.frames:
+    evidence = {}
+    for t, bits in frames:
         for tactic in TACTICS:
-            if (tactic, frame.t) in tactic_vars:
-                evidence[emission_var(VarId(tactic, frame.t))] = frame.bits[tactic]
+            if (tactic, t) in tactic_vars:
+                evidence[emission_var(VarId(tactic, t))] = bits[tactic]
     return evidence
 
 
@@ -179,7 +195,8 @@ def sequence_loglik(m: Cgm, seq: IndicatorSequence, emission: EmissionNoise) -> 
         raise SpecError(f"model has {_model_slices(m)} slices but the sequence "
                         f"has {len(seq.frames)} frames")
     extended = attach_emissions(m, emission.miss, emission.false_pos)
-    return DbnEngine(extended).loglik(_sequence_evidence(extended, seq))
+    evidence = emission_evidence(extended, ((f.t, f.bits) for f in seq.frames))
+    return DbnEngine(extended).loglik(evidence)
 
 
 def benign_model_like(m: Cgm) -> Cgm:
@@ -206,7 +223,8 @@ def classify(seq: IndicatorSequence, benign: Cgm, malign: Cgm,
         llr = ll_malign - ll_benign
 
     extended = attach_emissions(malign, emission.miss, emission.false_pos)
-    posteriors = smooth(extended, _sequence_evidence(extended, seq))
+    posteriors = smooth(extended,
+                        emission_evidence(extended, ((f.t, f.bits) for f in seq.frames)))
     trace = []
     for t in range(len(seq.frames)):
         row = {}

@@ -422,9 +422,6 @@ class EpisodeLog:
     def terminal_cause(self) -> str:
         return self.final["terminal"]
 
-    def length(self) -> int:
-        return len(self.steps)
-
     def time_to_target(self) -> int:
         """Step count until target compromise; episode length when it never fell."""
         return self.final["t"]

@@ -1,22 +1,26 @@
-"""Closed detection/mitigation loop.
+"""Closed detection/mitigation loop, run as a defender policy.
 
-During a live episode: extract noisy indicator frames step by step, smooth
-them under the malign tactic model over a sliding window, and when any tactic
-posterior crosses the threshold, pick the intervention that minimizes the
-predicted end-of-lookahead collection risk and map it to a concrete defender
-action, gated by the configured autonomy level.
+`LoopDefender` is an ordinary defender policy for `game.run_episode`. After
+each step it turns the step's events into ground-truth tactic bits, adds
+indicator noise and keeps the frame. Before each step it smooths the last
+`window` frames under the malign tactic model over a sliding window; when any
+tactic posterior crosses the threshold it picks the intervention that
+minimizes the predicted end-of-lookahead collection risk and maps it to a
+concrete defender action, gated by the configured autonomy level. Otherwise
+it plays the no-op.
 
-The loop's indicator noise consumes a labelled RNG stream separate from the
-game engine's, so loop logs replay exactly like plain episode logs. At the
-advise level the trajectory is byte-identical to a plain episode with the
-no-op defender and the same seed.
+The indicator noise consumes a labelled RNG stream separate from the game
+engine's, so loop logs replay exactly like plain episode logs. At the advise
+level the policy only observes and always plays the no-op, so the trajectory
+is byte-identical to a plain episode with the no-op defender and the same
+seed.
 """
 
 from __future__ import annotations
 
 import json
 import random
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 from typing import Protocol
 
@@ -32,27 +36,22 @@ from .causal import (
     attach_emissions,
     build_topology,
     do_transform,
-    emission_var,
     interventional,
 )
-from .detect import TACTICS, BEACON_PERIOD, EmissionNoise, apply_noise
-from .errors import ParseError, SpecError, ZeroEvidenceError
+from .detect import TACTICS, EmissionNoise, TruthTracker, apply_noise, emission_evidence
+from .errors import SpecError, ZeroEvidenceError
 from .game import (
     NOP,
     DefenderAction,
     DefenderView,
     EpisodeLog,
-    StepRecord,
-    assemble_log,
-    attacker_view,
-    defender_view,
+    StepOutcome,
     episode_to_jsonl,
-    init,
     isolate,
     restore,
-    step,
+    run_episode,
 )
-from .agents import LateralAttacker, NopDefender, hottest_node
+from .agents import LateralAttacker, hottest_node
 from .netmodel import Scenario
 
 
@@ -162,6 +161,13 @@ def extract_episode_jsonl(text: str) -> str:
 # Intervention selection
 # ---------------------------------------------------------------------------
 
+def _cheapest_plan(candidates: list[Assignment], risks: list[float]) -> InterventionPlan:
+    """The candidate with the least risk; first declared wins ties."""
+    best = min(range(len(risks)), key=risks.__getitem__)
+    return InterventionPlan(do=candidates[best], predicted_risk=risks[best],
+                            rationale=tuple(zip(candidates, risks)))
+
+
 def select_intervention(m: Cgm, evidence: Assignment, candidates,
                         horizon_slice: int) -> InterventionPlan:
     """Minimize p(Y at `horizon_slice` = 1 | evidence, do) over the candidate
@@ -169,18 +175,9 @@ def select_intervention(m: Cgm, evidence: Assignment, candidates,
     if not candidates:
         raise SpecError("candidate intervention list is empty")
     target = {VarId("Y", horizon_slice): 1}
-    risks = []
-    for cand in candidates:
-        risks.append(interventional(m, target, dict(cand or {}), evidence))
-    best = 0
-    for i in range(1, len(risks)):
-        if risks[i] < risks[best]:
-            best = i
-    return InterventionPlan(
-        do=dict(candidates[best] or {}),
-        predicted_risk=risks[best],
-        rationale=tuple((dict(c or {}), r) for c, r in zip(candidates, risks)),
-    )
+    candidates = [dict(cand or {}) for cand in candidates]
+    risks = [interventional(m, target, cand, evidence) for cand in candidates]
+    return _cheapest_plan(candidates, risks)
 
 
 def map_intervention_to_action(plan: InterventionPlan, view: DefenderView) -> DefenderAction:
@@ -213,12 +210,9 @@ class _ModelCache:
     def _extended(self, slices: int) -> Cgm:
         key = ("model", slices)
         if key not in self._store:
-            base = self.cfg.dbn.schedule
-            schedule = (tuple(base[i % len(base)] for i in range(slices))
-                        if base else None)
-            spec = replace(self.cfg.dbn, slices=slices, schedule=schedule)
             self._store[key] = attach_emissions(
-                build_topology(spec), self.cfg.emission.miss, self.cfg.emission.false_pos)
+                build_topology(self.cfg.dbn.with_slices(slices)),
+                self.cfg.emission.miss, self.cfg.emission.false_pos)
         return self._store[key]
 
     def detect_engine(self, w: int) -> tuple[Cgm, DbnEngine]:
@@ -237,109 +231,101 @@ class _ModelCache:
             self._store[key] = (model, DbnEngine(model))
         return self._store[key]
 
+    def plan(self, window: list[dict]) -> InterventionPlan:
+        """`select_intervention` over the lookahead model, on cached engines."""
+        w = len(window)
+        target = {VarId("Y", w + self.cfg.lookahead - 1): 1}
+        candidates = [{VarId(cand[0], w): cand[1]} if cand is not None else {}
+                      for cand in self.cfg.candidates]
+        risks = []
+        for assignment in candidates:
+            model, engine = self.select_engine(w, assignment)
+            conditioning = emission_evidence(model, enumerate(window))
+            conditioning.update(assignment)
+            risks.append(engine.conditional(target, conditioning))
+        return _cheapest_plan(candidates, risks)
 
-def _window_evidence(window: list[dict], model: Cgm) -> Assignment:
-    present = {(v.name, v.slice) for v in model.variables}
-    evidence: Assignment = {}
-    for i, bits in enumerate(window):
-        for tactic in TACTICS:
-            if (tactic, i) in present:
-                evidence[emission_var(VarId(tactic, i))] = bits[tactic]
-    return evidence
 
-
-def run_loop(s: Scenario, cfg: LoopConfig, seed: int,
-             approval: ApprovalHook | None = None) -> LoopReport:
-    """Run one episode under the loop; deterministic given (scenario, cfg, seed).
+class LoopDefender:
+    """Defender policy for `run_episode` that detects and intervenes.
 
     Each step smooths the last `window` indicator frames under the malign
     model; when the highest tactic posterior reaches tau, an intervention plan
     is built and, subject to autonomy (and the approval hook at confirm), its
-    mapped action replaces the base no-op defender action for that step.
+    mapped action replaces the no-op for that step. `frames`, `detections`
+    and `interventions` record what it saw and did.
     """
-    if not 1 <= cfg.window <= 16:
-        raise SpecError(f"window must be in 1..16, got {cfg.window}")
-    if cfg.lookahead < 1:
-        raise SpecError("lookahead must be >= 1")
-    if not cfg.candidates:
-        raise SpecError("candidate intervention list is empty")
 
-    st = init(s, seed)
-    def_rng = random.Random(child_seed(seed, "defender"))
-    atk_rng = random.Random(child_seed(seed, "attacker"))
-    ind_rng = random.Random(child_seed(seed, "indicators"))
-    base = NopDefender()
-    attacker = LateralAttacker(s.attacker.spread)
-    cache = _ModelCache(cfg)
+    def __init__(self, s: Scenario, cfg: LoopConfig, seed: int,
+                 approval: ApprovalHook | None = None):
+        if not 1 <= cfg.window <= 16:
+            raise SpecError(f"window must be in 1..16, got {cfg.window}")
+        if cfg.lookahead < 1:
+            raise SpecError("lookahead must be >= 1")
+        if not cfg.candidates:
+            raise SpecError("candidate intervention list is empty")
+        self.cfg = cfg
+        self.approval = approval
+        self.truth = TruthTracker(s.attacker.entry)
+        self.noise_rng = random.Random(child_seed(seed, "indicators"))
+        self.cache = _ModelCache(cfg)
+        self.frames: list[dict] = []
+        self.detections: list[dict] = []
+        self.interventions: list[dict] = []
+        self._t = 0
 
-    frames: list[dict] = []
-    detections: list[dict] = []
-    interventions: list[dict] = []
-    records: list[StepRecord] = []
+    def act(self, view: DefenderView, rng) -> DefenderAction:
+        self._t = view.t
+        if not self.frames:
+            return NOP
+        window = self.frames[-self.cfg.window:]
+        model, engine = self.cache.detect_engine(len(window))
+        try:
+            posteriors = engine.posteriors(emission_evidence(model, enumerate(window)))
+        except ZeroEvidenceError:
+            posteriors = {}
+        tactic_post = {str(v): p for v, p in posteriors.items()
+                       if v.name in TACTICS and v.slice is not None}
+        max_post = max(tactic_post.values(), default=0.0)
+        self.detections.append({
+            "t": view.t,
+            "posteriors": dict(sorted(tactic_post.items())),
+            "max_tactic_posterior": max_post,
+        })
+        if max_post < self.cfg.tau:
+            return NOP
 
-    while st.terminal is None:
-        dview = defender_view(st)
-        action = base.act(dview, def_rng)
-
-        plan = None
-        if frames:
-            w = min(cfg.window, len(frames))
-            window = frames[-w:]
-            model, engine = cache.detect_engine(w)
-            evidence = _window_evidence(window, model)
-            try:
-                posteriors = engine.posteriors(evidence)
-            except ZeroEvidenceError:
-                posteriors = {}
-            tactic_post = {str(v): p for v, p in posteriors.items()
-                           if v.name in TACTICS and v.slice is not None}
-            max_post = max(tactic_post.values(), default=0.0)
-            detections.append({
-                "t": st.t,
-                "posteriors": dict(sorted(tactic_post.items())),
-                "max_tactic_posterior": max_post,
-            })
-            if max_post >= cfg.tau:
-                plan = _build_plan(cache, cfg, window)
-
+        plan = self.cache.plan(window)
         approved = None
-        applied = False
-        if plan is not None:
-            if cfg.autonomy is AutonomyLevel.AUTO:
-                action = map_intervention_to_action(plan, dview)
-                applied = True
-            elif cfg.autonomy is AutonomyLevel.CONFIRM:
-                approved = bool(approval.approve(plan)) if approval is not None else False
-                if approved:
-                    action = map_intervention_to_action(plan, dview)
-                    applied = True
-            interventions.append({
-                "t": st.t,
-                "plan": plan.to_obj(),
-                "approved": approved,
-                "applied": applied,
-                "action": {"kind": action.kind, "node": action.node} if applied else None,
-            })
+        if self.cfg.autonomy is AutonomyLevel.CONFIRM:
+            approved = self.approval is not None and bool(self.approval.approve(plan))
+        applied = self.cfg.autonomy is AutonomyLevel.AUTO or bool(approved)
+        action = map_intervention_to_action(plan, view) if applied else NOP
+        self.interventions.append({
+            "t": view.t,
+            "plan": plan.to_obj(),
+            "approved": approved,
+            "applied": applied,
+            "action": {"kind": action.kind, "node": action.node} if applied else None,
+        })
+        return action
 
-        aview = attacker_view(st)
-        atk_action = attacker.act(aview, atk_rng)
-        t_before = st.t
-        z_truth = t_before % BEACON_PERIOD == 0 and bool(st.compromised)
-        st, outcome = step(st, action, atk_action)
-        truth = {
-            "Z": int(z_truth),
-            "X": int(any(e.kind == "attempt" for e in outcome.events)),
-            "Y": int(any(e.kind == "loot" for e in outcome.events)),
-        }
-        frames.append(apply_noise(truth, cfg.emission, ind_rng))
-        records.append(StepRecord(t_before, action, atk_action, outcome))
+    def observe(self, outcome: StepOutcome) -> None:
+        bits = self.truth.step(self._t, outcome.events)
+        self.frames.append(apply_noise(bits, self.cfg.emission, self.noise_rng))
 
-    log = assemble_log(s, seed, st, records)
+
+def run_loop(s: Scenario, cfg: LoopConfig, seed: int,
+             approval: ApprovalHook | None = None) -> LoopReport:
+    """Run one episode under the loop; deterministic given (scenario, cfg, seed)."""
+    defender = LoopDefender(s, cfg, seed, approval)
+    log = run_episode(s, defender, LateralAttacker(s.attacker.spread), seed)
+    interventions = defender.interventions
     return LoopReport(
         log=log,
         autonomy=cfg.autonomy,
         tau=cfg.tau,
-        detections=tuple(detections),
+        detections=tuple(defender.detections),
         interventions=tuple(interventions),
         summary={
             "terminal": log.final["terminal"],
@@ -350,39 +336,3 @@ def run_loop(s: Scenario, cfg: LoopConfig, seed: int,
             "applied": sum(1 for i in interventions if i["applied"]),
         },
     )
-
-
-def _build_plan(cache: _ModelCache, cfg: LoopConfig, window: list[dict]) -> InterventionPlan:
-    """Cached-engine twin of `select_intervention` over the lookahead model."""
-    w = len(window)
-    horizon_slice = w + cfg.lookahead - 1
-    target = {VarId("Y", horizon_slice): 1}
-    risks = []
-    instantiated = []
-    for cand in cfg.candidates:
-        assignment = {VarId(cand[0], w): cand[1]} if cand is not None else {}
-        instantiated.append(assignment)
-        model, engine = cache.select_engine(w, assignment)
-        evidence = _window_evidence(window, model)
-        conditioning = dict(evidence)
-        conditioning.update(assignment)
-        risks.append(engine.conditional(target, conditioning))
-    best = 0
-    for i in range(1, len(risks)):
-        if risks[i] < risks[best]:
-            best = i
-    return InterventionPlan(
-        do=instantiated[best],
-        predicted_risk=risks[best],
-        rationale=tuple((c, r) for c, r in zip(instantiated, risks)),
-    )
-
-
-def parse_loop_report(text: str) -> dict:
-    try:
-        obj = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"invalid loop report JSON: {exc}") from None
-    if "episode_jsonl" not in obj:
-        raise ParseError("loop report missing embedded episode log")
-    return obj

@@ -73,6 +73,12 @@ class TestBuildTopology:
         spec = DbnSpec(Topology.CONFOUNDED_C, 4)
         assert spec.effective_schedule() == (True, False, True, False)
 
+    def test_with_slices_tiles_explicit_schedule(self):
+        spec = DbnSpec(Topology.CONFOUNDED_C, 2, schedule=(False, True))
+        assert spec.with_slices(5).schedule == (False, True, False, True, False)
+        assert spec.with_slices(5).slices == 5
+        assert DbnSpec(Topology.CHAIN_A, 8).with_slices(3).schedule is None
+
     def test_per_slice_confounder_flag(self):
         m = build_topology(DbnSpec(Topology.CONFOUNDED_C, 2, schedule=(False, False),
                                    per_slice_confounder=True))

@@ -176,6 +176,21 @@ class TestLoop:
         assert run(["loop", "--autonomy", "sentient",
                     "--out", str(tmp_path / "r.json")]) == 2
 
+    @pytest.mark.parametrize("spec", [
+        {"topology": "chain-a", "slices": 8, "params": {"bogus": 1}},
+        {"topology": "chain-a", "slices": 8, "params": {"persistence": "high"}},
+        {"topology": "chain-a", "slices": 8, "params": [0.9]},
+        {"topology": "chain-a", "slices": 8, "schedule": 1},
+        ["chain-a", 8],
+    ])
+    def test_malformed_dbn_spec_exits_2(self, tmp_path, capsys, spec):
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(spec))
+        assert run(["loop", "--dbn", str(path), "--out", str(tmp_path / "r.json")]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert json.loads(err[0])["error"]["type"] == "ParseError"
+
     def test_loop_parallel_matches_serial(self, tmp_path):
         serial, parallel = tmp_path / "s.json", tmp_path / "p.json"
         base = ["loop", "--autonomy", "auto", "--seed", "6", "--episodes", "2"]
@@ -200,6 +215,22 @@ class TestEvaluate:
         lines = csv_out.read_text().splitlines()
         assert lines[1] == "episode,seed,steps,return,terminal,time_to_target"
         assert len(lines) == 5
+
+    @pytest.mark.parametrize("doc", [
+        {"actions": ["nop"], "entries": [{"key": [1], "values": [0.0]}]},
+        {"actions": ["nop"], "entries": [{"key": [1, 0, 0]}]},
+        {"actions": ["nop"], "entries": [{"key": [1, 0, 0], "values": [0.0, 1.0]}]},
+        {"actions": ["nop"], "entries": {"key": [1, 0, 0], "values": [0.0]}},
+        {"actions": ["nop"], "entries": [[1, 0, 0]]},
+    ])
+    def test_malformed_qtable_exits_2(self, tmp_path, chain3_path, capsys, doc):
+        qt = tmp_path / "q.json"
+        qt.write_text(json.dumps(doc))
+        assert run(["evaluate", "--scenario", chain3_path, "--qtable", str(qt),
+                    "--episodes", "1"]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert json.loads(err[0])["error"]["type"] == "ParseError"
 
     def test_parallel_matches_serial(self, tmp_path, chain3_path):
         qt = tmp_path / "q.json"

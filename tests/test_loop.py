@@ -23,6 +23,7 @@ from acdsim.loop import (
     AutonomyLevel,
     InterventionPlan,
     LoopConfig,
+    LoopDefender,
     NeverApprove,
     ScriptedApprover,
     extract_episode_jsonl,
@@ -162,11 +163,20 @@ class TestRunLoop:
     def test_loop_frames_reproducible_from_log(self, enterprise):
         """The report's episode log plus the labelled stream seed regenerate
         exactly the indicator frames the loop acted on."""
-        cfg = LoopConfig(autonomy=AutonomyLevel.AUTO)
         seed = 17
-        report = run_loop(enterprise, cfg, seed)
-        seq = extract_indicators(report.log, cfg.emission, child_seed(seed, "indicators"))
-        assert len(seq.frames) == report.log.final["t"]
+        for autonomy in AutonomyLevel:
+            cfg = LoopConfig(autonomy=autonomy)
+            report = run_loop(enterprise, cfg, seed,
+                              approval=ScriptedApprover([True, False]))
+            policy = LoopDefender(enterprise, cfg, seed,
+                                  approval=ScriptedApprover([True, False]))
+            log = run_episode(enterprise, policy,
+                              LateralAttacker(enterprise.attacker.spread), seed)
+            assert episode_to_jsonl(log) == episode_to_jsonl(report.log)
+            seq = extract_indicators(report.log, cfg.emission,
+                                     child_seed(seed, "indicators"))
+            assert [f.bits for f in seq.frames] == policy.frames
+            assert len(policy.frames) == report.log.final["t"]
 
     def test_plan_optimality_reproducible(self, enterprise):
         """Every recorded plan re-derives bit-for-bit from the causal module."""

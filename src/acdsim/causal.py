@@ -34,6 +34,7 @@ from .errors import (
 ENUMERATION_LIMIT = 20
 SLICE_STATE_LIMIT = 8   # max state variables per slice for the engine
 ENGINE_PREFERENCE = 12  # conditionals route to the engine above this many free vars
+SMOOTH_SLICE_LIMIT = 16
 
 
 # ---------------------------------------------------------------------------
@@ -101,17 +102,34 @@ class Cgm:
         object.__setattr__(self, "order", self._topological())
 
     def _topological(self) -> tuple[VarId, ...]:
-        remaining = {v: set(self.parents.get(v, ())) for v in self.variables}
-        out: list[VarId] = []
-        pending = list(self.variables)
-        while pending:
-            progress = [v for v in pending if not (remaining[v] - set(out))]
-            if not progress:
-                raise SpecError("parent relation contains a cycle")
-            for v in progress:
-                out.append(v)
-            pending = [v for v in pending if v not in set(progress)]
-        return tuple(out)
+        """Variables by (longest-path depth, declaration index), in O(V + E).
+
+        Depth 0 holds the parentless variables and depth d those whose
+        deepest parent sits at depth d - 1. `DbnEngine` lays out its state
+        bits in this order, so it must not change.
+        """
+        index = {v: i for i, v in enumerate(self.variables)}
+        children: list[list[int]] = [[] for _ in self.variables]
+        waiting = []
+        for i, v in enumerate(self.variables):
+            ps = self.parents.get(v, ())
+            waiting.append(len(ps))
+            for p in ps:
+                children[index[p]].append(i)
+        depth = [0] * len(self.variables)
+        ready = [i for i, n in enumerate(waiting) if n == 0]
+        for i in ready:  # Kahn's algorithm; `ready` grows while it is walked
+            for c in children[i]:
+                depth[c] = max(depth[c], depth[i] + 1)
+                waiting[c] -= 1
+                if waiting[c] == 0:
+                    ready.append(c)
+        if len(ready) < len(self.variables):
+            raise SpecError("parent relation contains a cycle")
+        waves: list[list[VarId]] = [[] for _ in range(max(depth, default=-1) + 1)]
+        for v, d in zip(self.variables, depth):
+            waves[d].append(v)
+        return tuple(v for wave in waves for v in wave)
 
     def has(self, v: VarId) -> bool:
         return v in self.cpts
@@ -489,19 +507,37 @@ class DbnEngine:
         for svars in self.slice_vars:
             for i, v in enumerate(svars):
                 self.pos[v] = i
+        # Equal arrays are stored once: slices share their layouts, and the
+        # transition matrices of most slices are equal.
+        interned: dict = {}
+
+        def intern(a: np.ndarray) -> np.ndarray:
+            return interned.setdefault((a.dtype.str, a.shape, a.tobytes()), a)
+
         # bit value of each variable per state index, LSB = first variable
         self.bits: list[np.ndarray] = []
         for svars in self.slice_vars:
-            size = 2 ** len(svars)
-            states = np.arange(size)
-            self.bits.append(np.stack([(states >> i) & 1 for i in range(len(svars))]))
+            states = np.arange(2 ** len(svars))
+            self.bits.append(intern(np.stack([(states >> i) & 1 for i in range(len(svars))])))
+        # per slice variable: the 0/1 evidence mask of each value over its
+        # slice's states, and the states where it is 1
+        self._value_masks: dict[VarId, dict[int, np.ndarray]] = {}
+        self._on_states: dict[VarId, np.ndarray] = {}
+        for t, svars in enumerate(self.slice_vars):
+            for i, v in enumerate(svars):
+                bit = self.bits[t][i]
+                self._value_masks[v] = {value: intern((bit == value).astype(float))
+                                        for value in (0, 1)}
+                self._on_states[v] = intern(np.flatnonzero(bit))
         self._global_assignments = self._enumerate_globals()
+        self._log_priors = [math.log(p) if p > 0.0 else None
+                            for p in map(self._global_prior, self._global_assignments)]
         # per global assignment: initial weights and transition matrices
         self._init: list[np.ndarray] = []
         self._trans: list[list[np.ndarray]] = []
         for g in self._global_assignments:
-            self._init.append(self._slice_factor(0, g))
-            self._trans.append([self._slice_factor(t, g) for t in range(1, self.T)])
+            self._init.append(intern(self._slice_factor(0, g)))
+            self._trans.append([intern(self._slice_factor(t, g)) for t in range(1, self.T)])
 
     def _enumerate_globals(self) -> list[dict]:
         out = [{}]
@@ -554,99 +590,153 @@ class DbnEngine:
             factor = factor * np.where(cur == 1, p1, 1.0 - p1)
         return factor
 
-    def _masks(self, evidence: Assignment) -> tuple[list[np.ndarray], dict]:
-        masks = [np.ones(2 ** len(svars)) for svars in self.slice_vars]
-        global_ev: dict = {}
-        for v, value in evidence.items():
+    def _masks(self, assignment: Assignment) -> dict[int, np.ndarray] | None:
+        """Per-slice 0/1 masks of the assignment's slice variables; None when
+        it gives a variable a value outside 0/1. Masks are shared arrays."""
+        masks: dict[int, np.ndarray] = {}
+        for v, value in assignment.items():
             if v.slice is None:
-                global_ev[v] = value
-            else:
-                masks[v.slice] = masks[v.slice] * (self.bits[v.slice][self.pos[v]] == value)
-        return masks, global_ev
+                continue
+            mask = self._value_masks[v].get(value)
+            if mask is None:
+                return None
+            masks[v.slice] = masks[v.slice] * mask if v.slice in masks else mask
+        return masks
 
-    def _forward_backward(self, evidence: Assignment):
-        """Per consistent global assignment: (log p(e | g) + log prior, gammas)."""
-        masks, global_ev = self._masks(evidence)
-        results = []
-        for gi, g in enumerate(self._global_assignments):
-            if any(g[v] != value for v, value in global_ev.items()):
-                continue
-            prior = self._global_prior(g)
-            if prior == 0.0:
-                continue
-            alpha = [self._init[gi] * masks[0]]
-            scales = []
-            dead = False
-            for t in range(1, self.T):
-                nxt = (alpha[-1] @ self._trans[gi][t - 1]) * masks[t]
-                c = alpha[-1].sum()
-                if c == 0.0:
-                    dead = True
-                    break
-                scales.append(c)
-                alpha.append(nxt / c)
-            if not dead:
-                c_last = alpha[-1].sum()
-                if c_last == 0.0:
-                    dead = True
-                else:
-                    scales.append(c_last)
-                    alpha[-1] = alpha[-1] / c_last
-            if dead:
-                continue
-            loglik = sum(math.log(c) for c in scales)
-            beta = [np.ones(2 ** len(svars)) for svars in self.slice_vars]
-            for t in range(self.T - 2, -1, -1):
-                beta[t] = self._trans[gi][t] @ (masks[t + 1] * beta[t + 1])
-                s = beta[t].max()
-                if s > 0:
-                    beta[t] = beta[t] / s
-            gammas = []
-            for t in range(self.T):
-                gamma = alpha[t] * beta[t]
-                total = gamma.sum()
-                gammas.append(gamma / total if total > 0 else gamma)
-            results.append((g, math.log(prior) + loglik, gammas))
-        return results
+    def _consistent(self, evidence: Assignment) -> list[int]:
+        """Global assignments of nonzero prior that agree with the evidence."""
+        global_ev = [(v, value) for v, value in evidence.items() if v.slice is None]
+        return [gi for gi, g in enumerate(self._global_assignments)
+                if self._log_priors[gi] is not None
+                and all(g[v] == value for v, value in global_ev)]
+
+    def _forward(self, gi: int, masks: dict):
+        """Scaled forward filter under global assignment `gi`: (alphas,
+        log p(e, g)), the last alpha normalized; None when the evidence is
+        impossible under `gi`."""
+        trans = self._trans[gi]
+        alphas = [self._init[gi] * masks[0] if 0 in masks else self._init[gi]]
+        scales = []
+        for t in range(1, self.T):
+            c = alphas[-1].sum()
+            if c == 0.0:
+                return None
+            nxt = alphas[-1] @ trans[t - 1]
+            alphas.append((nxt * masks[t] if t in masks else nxt) / c)
+            scales.append(c)
+        c = alphas[-1].sum()
+        if c == 0.0:
+            return None
+        scales.append(c)
+        alphas[-1] = alphas[-1] / c
+        return alphas, self._log_priors[gi] + sum(math.log(c) for c in scales)
+
+    def _filtered(self, evidence: Assignment) -> list[tuple[int, np.ndarray, float]]:
+        """(gi, final filtered alpha, log p(e, g)) per global assignment the
+        evidence is possible under."""
+        masks = self._masks(evidence)
+        if masks is None:
+            return []
+        out = []
+        for gi in self._consistent(evidence):
+            fwd = self._forward(gi, masks)
+            if fwd is not None:
+                out.append((gi, fwd[0][-1], fwd[1]))
+        return out
 
     def loglik(self, evidence: Assignment) -> float:
-        """log p(evidence); -inf when the evidence is impossible."""
-        results = self._forward_backward(evidence)
-        if not results:
+        """log p(evidence); -inf when the evidence is impossible. Forward only."""
+        logs = [lw for _, _, lw in self._filtered(evidence)]
+        if not logs:
             return float("-inf")
-        logs = [lw for _, lw, _ in results]
         top = max(logs)
         return top + math.log(sum(math.exp(lw - top) for lw in logs))
 
     def posteriors(self, evidence: Assignment) -> dict:
         """p(var = 1 | evidence) for every variable in the model."""
-        results = self._forward_backward(evidence)
+        masks = self._masks(evidence)
+        results = []
+        for gi in self._consistent(evidence) if masks is not None else ():
+            fwd = self._forward(gi, masks)
+            if fwd is None:
+                continue
+            alphas, lw = fwd
+            trans = self._trans[gi]
+            beta = [None] * self.T
+            beta[-1] = np.ones(alphas[-1].shape)
+            for t in range(self.T - 2, -1, -1):
+                nxt = beta[t + 1] * masks[t + 1] if t + 1 in masks else beta[t + 1]
+                beta[t] = trans[t] @ nxt
+                s = beta[t].max()
+                if s > 0:
+                    beta[t] = beta[t] / s
+            gammas = []
+            for alpha, b in zip(alphas, beta):
+                gamma = alpha * b
+                total = gamma.sum()
+                gammas.append(gamma / total if total > 0 else gamma)
+            results.append((self._global_assignments[gi], lw, gammas))
         if not results:
             raise ZeroEvidenceError("conditioning event has probability zero")
-        logs = [lw for _, lw, _ in results]
-        top = max(logs)
-        weights = [math.exp(lw - top) for lw in logs]
-        total = sum(weights)
-        weights = [w / total for w in weights]
+        weights = _normalized_weights([lw for _, lw, _ in results])
         out: dict = {}
         for v in self.globals:
             out[v] = sum(w for w, (g, _, _) in zip(weights, results) if g[v] == 1)
         for t, svars in enumerate(self.slice_vars):
-            for i, v in enumerate(svars):
-                mask = self.bits[t][i] == 1
-                out[v] = sum(w * g3[t][mask].sum()
+            for v in svars:
+                on = self._on_states[v]
+                out[v] = sum(w * g3[t][on].sum()
                              for w, (_, _, g3) in zip(weights, results))
         return out
 
     def conditional(self, target: Assignment, evidence: Assignment) -> float:
+        """p(target | evidence).
+
+        A target wholly in the last slice is read off one forward filter: the
+        final filtered alphas, weighted over the global assignments. Any other
+        target takes the ratio of two likelihoods.
+        """
         joint = _merged(target, evidence)
         if joint is None:
             return 0.0
+        if target and all(v.slice == self.T - 1 for v in target):
+            filtered = self._filtered(evidence)
+            if not filtered:
+                raise ZeroEvidenceError("conditioning event has probability zero")
+            on = self._masks(target)
+            if on is None:
+                return 0.0
+            weights = _normalized_weights([lw for _, _, lw in filtered])
+            return sum(w * (alpha * on[self.T - 1]).sum()
+                       for w, (_, alpha, _) in zip(weights, filtered))
         ll_e = self.loglik(evidence)
         if ll_e == float("-inf"):
             raise ZeroEvidenceError("conditioning event has probability zero")
         ll_j = self.loglik(joint)
         return math.exp(ll_j - ll_e) if ll_j != float("-inf") else 0.0
+
+
+def _normalized_weights(logs: list[float]) -> list[float]:
+    top = max(logs)
+    weights = [math.exp(lw - top) for lw in logs]
+    total = sum(weights)
+    return [w / total for w in weights]
+
+
+def smoothing_engine(m: Cgm, evidence: Assignment) -> DbnEngine | None:
+    """The engine `smooth` runs on, built after the evidence checks and the
+    16-slice limit; None for a model without time-indexed variables."""
+    _check_assignment(m, evidence, "evidence")
+    for v in evidence:
+        if v in m.latent:
+            raise LatentEvidenceError(f"cannot observe latent {v}")
+    slices = [v.slice for v in m.variables if v.slice is not None]
+    if not slices:
+        return None
+    T = max(slices) + 1
+    if T > SMOOTH_SLICE_LIMIT:
+        raise TooLargeError(f"smoothing supports at most {SMOOTH_SLICE_LIMIT} slices, got {T}")
+    return DbnEngine(m)
 
 
 def smooth(m: Cgm, evidence: Assignment) -> dict:
@@ -655,15 +745,8 @@ def smooth(m: Cgm, evidence: Assignment) -> dict:
     Slice-structured models (up to 16 slices) run through the engine; tiny
     unstructured models fall back to enumeration.
     """
-    _check_assignment(m, evidence, "evidence")
-    for v in evidence:
-        if v in m.latent:
-            raise LatentEvidenceError(f"cannot observe latent {v}")
-    if any(v.slice is not None for v in m.variables):
-        T = max(v.slice for v in m.variables if v.slice is not None) + 1
-        if T > 16:
-            raise TooLargeError(f"smoothing supports at most 16 slices, got {T}")
-        engine = DbnEngine(m)
+    engine = smoothing_engine(m, evidence)
+    if engine is not None:
         post = engine.posteriors(evidence)
         return {v: p for v, p in post.items() if v not in evidence}
     hidden = [v for v in m.variables if v not in evidence]
@@ -701,13 +784,26 @@ def load_model(text: str) -> Cgm:
         obj = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid model JSON: {exc}") from None
+    if not isinstance(obj, dict):
+        raise ParseError("model JSON must be an object")
     for key in ("variables", "parents", "cpts"):
         if key not in obj:
             raise ParseError(f"model JSON missing '{key}'")
+    if not isinstance(obj["variables"], list) or not all(
+            isinstance(entry, dict) for entry in obj["variables"]):
+        raise ParseError("model 'variables' must be a list of objects")
+    for key in ("parents", "cpts"):
+        if not isinstance(obj[key], dict):
+            raise ParseError(f"model '{key}' must be an object")
     variables = []
     latent = set()
     for entry in obj["variables"]:
-        v = VarId(entry["name"], entry.get("slice"))
+        name, slice_ = entry.get("name"), entry.get("slice")
+        if not isinstance(name, str) or not name:
+            raise ParseError(f"model variable needs a non-empty string 'name': {entry}")
+        if slice_ is not None and (isinstance(slice_, bool) or not isinstance(slice_, int)):
+            raise ParseError(f"model variable '{name}' has a non-integer 'slice'")
+        v = VarId(name, slice_)
         variables.append(v)
         if entry.get("latent"):
             latent.add(v)

@@ -28,7 +28,7 @@ from .causal import (
     attach_emissions,
     emission_var,
     sample,
-    smooth,
+    smoothing_engine,
 )
 from .errors import ParseError, SpecError
 from .game import EpisodeLog, episode_to_jsonl
@@ -185,17 +185,24 @@ def emission_evidence(m: Cgm, frames: Iterable[tuple[int, dict]]) -> dict:
     return evidence
 
 
+def _emission_model(m: Cgm, seq: IndicatorSequence,
+                    emission: EmissionNoise) -> tuple[Cgm, dict]:
+    """The model extended with emission variables, and the sequence as
+    evidence on them."""
+    if _model_slices(m) != len(seq.frames):
+        raise SpecError(f"model has {_model_slices(m)} slices but the sequence "
+                        f"has {len(seq.frames)} frames")
+    extended = attach_emissions(m, emission.miss, emission.false_pos)
+    return extended, emission_evidence(extended, ((f.t, f.bits) for f in seq.frames))
+
+
 def sequence_loglik(m: Cgm, seq: IndicatorSequence, emission: EmissionNoise) -> float:
     """Exact log p(sequence | model), summing over hidden tactic trajectories.
 
     Observed bits are emitted from their tactic variables with the stated flip
     probabilities. Returns -inf for sequences the model cannot produce.
     """
-    if _model_slices(m) != len(seq.frames):
-        raise SpecError(f"model has {_model_slices(m)} slices but the sequence "
-                        f"has {len(seq.frames)} frames")
-    extended = attach_emissions(m, emission.miss, emission.false_pos)
-    evidence = emission_evidence(extended, ((f.t, f.bits) for f in seq.frames))
+    extended, evidence = _emission_model(m, seq, emission)
     return DbnEngine(extended).loglik(evidence)
 
 
@@ -215,16 +222,19 @@ def classify(seq: IndicatorSequence, benign: Cgm, malign: Cgm,
              emission: EmissionNoise, threshold: float = 0.0) -> DetectionResult:
     """Label a sequence by log-likelihood ratio, with the smoothed posterior
     of every tactic under the malign model as supporting trace."""
-    ll_malign = sequence_loglik(malign, seq, emission)
-    ll_benign = sequence_loglik(benign, seq, emission)
+    extended, evidence = _emission_model(malign, seq, emission)
+    benign_extended, benign_evidence = _emission_model(benign, seq, emission)
+    # one engine for the malign likelihood and the smoothing; the smoothing
+    # checks and slice limit run before any likelihood work
+    engine = smoothing_engine(extended, evidence)
+    ll_malign = engine.loglik(evidence)
+    ll_benign = DbnEngine(benign_extended).loglik(benign_evidence)
     if ll_malign == float("-inf") and ll_benign == float("-inf"):
         llr = 0.0
     else:
         llr = ll_malign - ll_benign
 
-    extended = attach_emissions(malign, emission.miss, emission.false_pos)
-    posteriors = smooth(extended,
-                        emission_evidence(extended, ((f.t, f.bits) for f in seq.frames)))
+    posteriors = engine.posteriors(evidence)
     trace = []
     for t in range(len(seq.frames)):
         row = {}

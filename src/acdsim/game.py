@@ -522,25 +522,32 @@ def parse_episode_jsonl(text: str) -> EpisodeLog:
         body = [json.loads(ln) for ln in lines[1:]]
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON in episode log: {exc}") from None
-    if "scenario" not in header or "seed" not in header:
-        raise ParseError("episode log header missing scenario or seed")
+    if not isinstance(header, dict) or any(
+            key not in header for key in ("scenario", "scenario_sha256", "seed")):
+        raise ParseError("episode log header needs scenario, scenario_sha256 and seed")
     scenario = scenario_from_obj(header["scenario"])
-    if "final" not in body[-1]:
+    if not isinstance(body[-1], dict) or "final" not in body[-1]:
         raise ParseError("episode log missing final summary line")
     final = body[-1]["final"]
+    if not isinstance(final, dict) or "t" not in final or "terminal" not in final:
+        raise ParseError("episode log final summary needs 't' and 'terminal'")
     records = []
-    for obj in body[:-1]:
-        d = obj["def"]
-        records.append(StepRecord(
-            t=obj["t"],
-            defender=DefenderAction(d["kind"], d.get("node"), d.get("duration", 1)),
-            attacker=AttackerAction(frozenset(obj["atk"]["attempts"])),
-            outcome=StepOutcome(
-                reward=obj["reward"],
-                events=tuple(_event_from_obj(e) for e in obj["events"]),
-                terminal_cause=None,
-            ),
-        ))
+    for i, obj in enumerate(body[:-1]):
+        try:
+            d = obj["def"]
+            records.append(StepRecord(
+                t=obj["t"],
+                defender=DefenderAction(d["kind"], d.get("node"), d.get("duration", 1)),
+                attacker=AttackerAction(frozenset(obj["atk"]["attempts"])),
+                outcome=StepOutcome(
+                    reward=obj["reward"],
+                    events=tuple(_event_from_obj(e) for e in obj["events"]),
+                    terminal_cause=None,
+                ),
+            ))
+        except (KeyError, TypeError, AttributeError) as exc:
+            raise ParseError(f"episode log step line {i + 1} is malformed: "
+                             f"{type(exc).__name__} {exc}") from None
     if records:
         last = records[-1]
         records[-1] = StepRecord(last.t, last.defender, last.attacker,

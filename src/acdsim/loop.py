@@ -14,10 +14,17 @@ engine's, so loop logs replay exactly like plain episode logs. At the advise
 level the policy only observes and always plays the no-op, so the trajectory
 is byte-identical to a plain episode with the no-op defender and the same
 seed.
+
+The models and inference engines the loop queries are built once per
+process, on first use, and shared by every episode and configuration: the
+cache is keyed by value (DBN spec unrolled to the model's slices, emission
+noise, intervention) and no query mutates an engine, so a report never
+depends on what the process ran before it.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import random
 from dataclasses import dataclass
@@ -200,36 +207,34 @@ def map_intervention_to_action(plan: InterventionPlan, view: DefenderView) -> De
 # The loop
 # ---------------------------------------------------------------------------
 
+@functools.lru_cache(maxsize=256)
+def _engine(spec: DbnSpec, emission: EmissionNoise, do: tuple) -> tuple[Cgm, DbnEngine]:
+    """The emission-extended model of `spec`, mutilated by the `do` pairs,
+    and its engine. Cached process-wide: the key is the arguments' values and
+    engines are never mutated, so a result does not depend on what ran before."""
+    model = attach_emissions(build_topology(spec), emission.miss, emission.false_pos)
+    if do:
+        model = do_transform(model, dict(do))
+    return model, DbnEngine(model)
+
+
 class _ModelCache:
-    """Per-window-length engines; models only depend on (spec, emission, w)."""
+    """One loop configuration's view of the process-wide engine cache.
+
+    Engines are keyed by value, (spec unrolled to the model's slices,
+    emission noise, intervention), so every episode and every configuration
+    with equal values shares them, in this process only.
+    """
 
     def __init__(self, cfg: LoopConfig):
         self.cfg = cfg
-        self._store: dict = {}
-
-    def _extended(self, slices: int) -> Cgm:
-        key = ("model", slices)
-        if key not in self._store:
-            self._store[key] = attach_emissions(
-                build_topology(self.cfg.dbn.with_slices(slices)),
-                self.cfg.emission.miss, self.cfg.emission.false_pos)
-        return self._store[key]
 
     def detect_engine(self, w: int) -> tuple[Cgm, DbnEngine]:
-        key = ("detect", w)
-        if key not in self._store:
-            model = self._extended(w)
-            self._store[key] = (model, DbnEngine(model))
-        return self._store[key]
+        return _engine(self.cfg.dbn.with_slices(w), self.cfg.emission, ())
 
     def select_engine(self, w: int, candidate: Assignment | None) -> tuple[Cgm, DbnEngine]:
-        key = ("select", w, tuple(sorted(((str(v), val) for v, val in (candidate or {}).items()))))
-        if key not in self._store:
-            model = self._extended(w + self.cfg.lookahead)
-            if candidate:
-                model = do_transform(model, candidate)
-            self._store[key] = (model, DbnEngine(model))
-        return self._store[key]
+        return _engine(self.cfg.dbn.with_slices(w + self.cfg.lookahead), self.cfg.emission,
+                       tuple(sorted((candidate or {}).items(), key=lambda kv: str(kv[0]))))
 
     def plan(self, window: list[dict]) -> InterventionPlan:
         """`select_intervention` over the lookahead model, on cached engines."""

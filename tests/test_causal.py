@@ -5,6 +5,8 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from acdsim.causal import (
     Cgm,
@@ -13,6 +15,7 @@ from acdsim.causal import (
     DbnSpec,
     Topology,
     VarId,
+    _merged,
     attach_emissions,
     build_topology,
     do_transform,
@@ -400,3 +403,152 @@ class TestModelIO:
         from acdsim.errors import ParseError
         with pytest.raises(ParseError, match="ambiguous"):
             parse_assignment(m, "Y=1")
+
+
+def wave_order(variables, parents) -> tuple:
+    """The wave-by-wave order `Cgm` computed before its O(V + E) sort, kept
+    as the oracle: each wave takes, in declaration order, every pending
+    variable whose parents were all placed in earlier waves."""
+    out: list = []
+    pending = list(variables)
+    while pending:
+        placed = set(out)
+        wave = [v for v in pending if set(parents.get(v, ())) <= placed]
+        if not wave:
+            raise SpecError("parent relation contains a cycle")
+        out += wave
+        pending = [v for v in pending if v not in set(wave)]
+    return tuple(out)
+
+
+@st.composite
+def parent_relations(draw, cyclic: bool):
+    """(variables, parents) of a random DAG in shuffled declaration order;
+    with `cyclic`, one back edge closes a cycle (possibly a self-loop)."""
+    n = draw(st.integers(1, 12))
+    variables = [VarId(f"V{i}", draw(st.none() | st.integers(0, 3))) for i in range(n)]
+    rank = draw(st.permutations(range(n)))  # a hidden topological order
+    parents = {}
+    for i, v in enumerate(variables):
+        earlier = [variables[j] for j in range(n) if rank[j] < rank[i]]
+        chosen = draw(st.lists(st.sampled_from(earlier), unique=True)) if earlier else []
+        if chosen or draw(st.booleans()):
+            parents[v] = tuple(chosen)
+    if cyclic:
+        k = draw(st.integers(0, n - 1))
+        i = draw(st.sampled_from([j for j in range(n) if rank[j] <= rank[k]]))
+        if i != k and variables[i] not in parents.get(variables[k], ()):
+            parents[variables[k]] = (*parents.get(variables[k], ()), variables[i])
+        parents[variables[i]] = (*parents.get(variables[i], ()), variables[k])
+    return variables, parents
+
+
+def cpts_for(variables, parents) -> dict:
+    return {v: (0.5,) * 2 ** len(parents.get(v, ())) for v in variables}
+
+
+class TestTopologicalOrder:
+    @settings(max_examples=300, deadline=None)
+    @given(parent_relations(cyclic=False))
+    def test_equals_wave_order_on_random_dags(self, relation):
+        variables, parents = relation
+        m = Cgm(variables=tuple(variables), parents=parents,
+                cpts=cpts_for(variables, parents))
+        assert m.order == wave_order(variables, parents)
+
+    @settings(max_examples=200, deadline=None)
+    @given(parent_relations(cyclic=True))
+    def test_cycle_raises_spec_error(self, relation):
+        variables, parents = relation
+        with pytest.raises(SpecError, match="cycle"):
+            wave_order(variables, parents)
+        with pytest.raises(SpecError, match="cycle"):
+            Cgm(variables=tuple(variables), parents=parents,
+                cpts=cpts_for(variables, parents))
+
+    def test_built_topologies_keep_wave_order(self):
+        for topology in Topology:
+            for per_slice in (False, True):
+                m = attach_emissions(build_topology(
+                    DbnSpec(topology, 6, per_slice_confounder=per_slice)), 0.2, 0.05)
+                assert m.order == wave_order(m.variables, m.parents)
+
+
+# CPT entries of exactly 0 and 1: no spontaneous activation, certain
+# persistence and confounding, exact detection of active tactics
+HARD = DbnParams(spontaneous=0.0, persistence=1.0, edge_strength=0.8,
+                 root_activation=0.5, confounder_prior=0.5, confounder_strength=1.0)
+
+
+def last_slice_models():
+    """(name, model) for chain-a, fork-b and confounded-c with one global U
+    and with a U per slice, under soft and 0/1 parameters, plus one model
+    mutilated the way the loop's plans are."""
+    out = []
+    for topology, per_slice in ((Topology.CHAIN_A, False), (Topology.FORK_B, False),
+                                (Topology.CONFOUNDED_C, False), (Topology.CONFOUNDED_C, True)):
+        for params, miss, false_pos in ((DbnParams(), 0.2, 0.05), (HARD, 0.0, 0.1),
+                                        (HARD, 0.0, 0.0)):
+            spec = DbnSpec(topology, 4, params=params, per_slice_confounder=per_slice)
+            m = attach_emissions(build_topology(spec), miss, false_pos)
+            out.append((f"{topology.value}/{per_slice}/{miss}/{false_pos}", m))
+    chain = attach_emissions(build_topology(DbnSpec(Topology.CHAIN_A, 5, params=HARD)), 0.0, 0.1)
+    out.append(("chain-a/do", do_transform(chain, {VarId("X", 3): 0})))
+    return out
+
+
+class TestSinglePassConditional:
+    def test_equals_loglik_ratio(self, monkeypatch):
+        rng = random.Random(11)
+        cases = []
+        for name, m in last_slice_models():
+            engine = DbnEngine(m)
+            last = [v for v in m.variables if v.slice == engine.T - 1]
+            observed = [v for v in m.variables if v.name.endswith("_obs")]
+            for _ in range(40):
+                evidence = {v: rng.randrange(2) for v in observed if rng.random() < 0.6}
+                target = {v: rng.randrange(2) for v in rng.sample(last, rng.randint(1, 3))}
+                ll_e = engine.loglik(evidence)
+                joint = _merged(target, evidence)
+                if ll_e == float("-inf"):
+                    expected = ZeroEvidenceError if joint is not None else 0.0
+                elif joint is None:
+                    expected = 0.0
+                else:
+                    ll_j = engine.loglik(joint)
+                    expected = math.exp(ll_j - ll_e) if ll_j != float("-inf") else 0.0
+                cases.append((name, engine, target, evidence, expected))
+
+        def no_loglik(self, evidence):
+            raise AssertionError("a last-slice target must not take the two-pass route")
+
+        monkeypatch.setattr(DbnEngine, "loglik", no_loglik)
+        zero_evidence = exact_zero = 0
+        for name, engine, target, evidence, expected in cases:
+            if expected is ZeroEvidenceError:
+                zero_evidence += 1
+                with pytest.raises(ZeroEvidenceError):
+                    engine.conditional(target, evidence)
+                continue
+            got = engine.conditional(target, evidence)
+            exact_zero += expected == 0.0
+            assert got == pytest.approx(expected, abs=1e-12), (name, target, evidence)
+        # the 0/1 tables produced impossible evidence and impossible targets
+        assert zero_evidence > 0 and exact_zero > 0
+
+    def test_impossible_evidence_raises(self):
+        m = attach_emissions(build_topology(DbnSpec(Topology.CHAIN_A, 3)), 0.0, 0.0)
+        X0 = VarId("X", 0)
+        with pytest.raises(ZeroEvidenceError):
+            DbnEngine(m).conditional({VarId("Y", 2): 1}, {X0: 0, emission_var(X0): 1})
+
+    def test_contradictory_target_is_zero(self):
+        m = attach_emissions(build_topology(DbnSpec(Topology.CHAIN_A, 3)), 0.0, 0.0)
+        engine = DbnEngine(m)
+        Y2 = VarId("Y", 2)
+        assert engine.conditional({Y2: 1}, {Y2: 0}) == 0.0
+        # contradictory even when the evidence itself is impossible
+        X0 = VarId("X", 0)
+        assert engine.conditional({Y2: 1}, {Y2: 0, X0: 0, emission_var(X0): 1}) == 0.0
+        # a target the evidence rules out, without contradicting it
+        assert engine.conditional({emission_var(Y2): 1}, {Y2: 0}) == 0.0

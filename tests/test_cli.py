@@ -94,6 +94,36 @@ class TestReplay:
         assert run(["replay", "--log", str(out)]) == 4
 
 
+def assert_one_parse_error(capsys):
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert json.loads(err[0])["error"]["type"] == "ParseError"
+
+
+# (line, key path) of each required field of an episode log: line 0 is the
+# header, line 1 the first step
+LOG_FIELDS = [(1, ("def",)), (1, ("atk",)), (1, ("atk", "attempts")), (1, ("t",)),
+              (1, ("events",)), (1, ("reward",)), (0, ("scenario_sha256",))]
+
+
+@pytest.mark.parametrize("command", ["replay", "detect"])
+@pytest.mark.parametrize("line,path", LOG_FIELDS, ids=[".".join(p) for _, p in LOG_FIELDS])
+def test_log_missing_field_exits_2(tmp_path, capsys, command, line, path):
+    log_path = tmp_path / "log.jsonl"
+    assert run(["simulate", "--seed", "5", "--out", str(log_path)]) == 0
+    lines = log_path.read_text().splitlines()
+    obj = json.loads(lines[line])
+    owner = obj
+    for key in path[:-1]:
+        owner = owner[key]
+    del owner[path[-1]]
+    lines[line] = json.dumps(obj, sort_keys=True, separators=(",", ":"))
+    log_path.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert run([command, "--log", str(log_path)]) == 2
+    assert_one_parse_error(capsys)
+
+
 class TestCausal:
     def test_observational_prints_12_significant_digits(self, chain_model_path, capsys):
         assert run(["causal", "observational", "--model", chain_model_path,
@@ -126,6 +156,22 @@ class TestCausal:
     def test_bad_query_exits_2(self, chain_model_path):
         assert run(["causal", "marginal", "--model", chain_model_path,
                     "--query", "NOPE=1"]) == 2
+
+    @pytest.mark.parametrize("doc", [
+        {"variables": [{"slice": 0}], "parents": {}, "cpts": {}},
+        {"variables": [{"name": 3}], "parents": {}, "cpts": {}},
+        {"variables": [{"name": "X", "slice": "0"}], "parents": {}, "cpts": {}},
+        {"variables": ["X"], "parents": {}, "cpts": {}},
+        {"variables": {"X": {}}, "parents": {}, "cpts": {}},
+        {"variables": [{"name": "X"}], "parents": [], "cpts": {"X": [0.5]}},
+        {"variables": [{"name": "X"}], "parents": {}, "cpts": [[0.5]]},
+        [{"name": "X"}],
+    ])
+    def test_malformed_model_exits_2(self, tmp_path, capsys, doc):
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(doc))
+        assert run(["causal", "marginal", "--model", str(path), "--query", "X=1"]) == 2
+        assert_one_parse_error(capsys)
 
     def test_latent_do_exits_3(self, tmp_path, confounded_example):
         path = tmp_path / "conf.json"

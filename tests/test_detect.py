@@ -7,6 +7,7 @@ import math
 import pytest
 
 from acdsim.agents import LateralAttacker, NopDefender, PassingAttacker
+from acdsim import causal
 from acdsim.causal import Cgm, DbnSpec, Topology, VarId, build_topology
 from acdsim.detect import (
     EmissionNoise,
@@ -21,7 +22,7 @@ from acdsim.detect import (
     sequence_loglik,
     sequence_to_csv,
 )
-from acdsim.errors import SpecError
+from acdsim.errors import SpecError, TooLargeError
 from acdsim.game import NOP, restore, run_episode
 from acdsim.netmodel import load_scenario
 
@@ -191,6 +192,35 @@ class TestClassify:
         for row in result.posterior_trace:
             assert set(row) == {"Z", "X", "Y"}
             assert all(0.0 <= p <= 1.0 for p in row.values())
+
+    def test_one_malign_engine_for_likelihood_and_smoothing(self, models_t4, monkeypatch):
+        benign, malign = models_t4
+        built = []
+        init = causal.DbnEngine.__init__
+
+        def counting_init(self, m):
+            built.append(m)
+            init(self, m)
+
+        monkeypatch.setattr(causal.DbnEngine, "__init__", counting_init)
+        seq = make_sequence([(1, 0, 1), (0, 0, 0), (1, 1, 1), (0, 1, 0)])
+        expected_llr = (sequence_loglik(malign, seq, EmissionNoise())
+                        - sequence_loglik(benign, seq, EmissionNoise()))
+        built.clear()
+        result = classify(seq, benign, malign, EmissionNoise())
+        assert len(built) == 2  # one malign, one benign
+        assert result.llr == expected_llr
+
+    def test_too_long_refused_before_likelihood_work(self, monkeypatch):
+        malign = build_topology(DbnSpec(Topology.CHAIN_A, 17))
+
+        def no_engine(self, m):
+            raise AssertionError("no engine may be built for a refused sequence")
+
+        monkeypatch.setattr(causal.DbnEngine, "__init__", no_engine)
+        seq = make_sequence([(0, 1, 0)] * 17)
+        with pytest.raises(TooLargeError, match="smoothing supports at most 16 slices, got 17"):
+            classify(seq, benign_model_like(malign), malign, EmissionNoise())
 
     def test_result_json_shape(self, models_t4):
         benign, malign = models_t4

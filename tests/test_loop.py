@@ -1,10 +1,15 @@
 """Intervention selection, action mapping, and the closed loop."""
 
 import json
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
+import acdsim
 from acdsim._util import child_seed
 from acdsim.agents import LateralAttacker, NopDefender
 from acdsim.causal import (
@@ -204,6 +209,45 @@ class TestRunLoop:
             for (_, risk), recorded in zip(plan.rationale, recorded_risks):
                 assert risk == pytest.approx(recorded, abs=1e-12)
             assert plan.to_obj()["do"] == record["plan"]["do"]
+
+    def test_engine_cache_keeps_reports_independent_of_run_order(self, enterprise):
+        # engines are cached per process and keyed by value: a seed's report
+        # must not depend on what the process ran before it. Each config is
+        # an expression, evaluated here and in a fresh interpreter.
+        names = ("from acdsim.causal import DbnSpec, Topology; "
+                 "from acdsim.detect import EmissionNoise; "
+                 "from acdsim.loop import AutonomyLevel, LoopConfig")
+        base = "LoopConfig(autonomy=AutonomyLevel.AUTO"
+        configs = {
+            "base": base + ")",
+            "lookahead": base + ", lookahead=3)",
+            "emission": base + ", emission=EmissionNoise(0.1, 0.1))",
+            "topology": base + ", dbn=DbnSpec(Topology.FORK_B, slices=8))",
+        }
+        script = ("import sys; from acdsim.cli import default_scenario_path; "
+                  "from acdsim.loop import run_loop; "
+                  "from acdsim.netmodel import load_scenario; " + names + "; "
+                  "s = load_scenario(open(default_scenario_path()).read()); "
+                  "sys.stdout.write(run_loop(s, eval(sys.argv[1]), 5).to_json())")
+        env = dict(os.environ, PYTHONPATH=str(Path(acdsim.__file__).resolve().parents[1]))
+        procs = {name: subprocess.Popen([sys.executable, "-c", script, expr], env=env,
+                                        stdout=subprocess.PIPE, text=True)
+                 for name, expr in configs.items()}
+        fresh = {name: proc.communicate(timeout=300)[0] for name, proc in procs.items()}
+        assert all(proc.returncode == 0 for proc in procs.values())
+        assert json.loads(fresh["base"])["interventions"]  # the loop planned and acted
+
+        scope: dict = {}
+        exec(names, scope)
+        cfgs = {name: eval(expr, scope) for name, expr in configs.items()}
+        for seed in range(5):
+            run_loop(enterprise, cfgs["base"], seed)
+        assert run_loop(enterprise, cfgs["base"], 5).to_json() == fresh["base"]
+        for name, cfg in cfgs.items():
+            for seed in range(3):
+                run_loop(enterprise, cfg, seed)
+            assert run_loop(enterprise, cfg, 5).to_json() == fresh[name], name
+            assert run_loop(enterprise, cfgs["base"], 5).to_json() == fresh["base"], name
 
     def test_bad_window_rejected(self, enterprise):
         with pytest.raises(SpecError, match="window"):

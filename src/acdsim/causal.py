@@ -8,7 +8,8 @@ Enumeration answers any query with at most 20 free variables. Slice-structured
 models (every non-global variable carries a time index, parents restricted to
 the same slice, the previous slice, or parentless globals) additionally get an
 exact forward-backward engine, so conditioning and smoothing stay cheap on
-long unrollings; both routes compute the same sums.
+long unrollings; both routes compute the same sums. The engine folds the
+globals into every slice's state, so the unrolled model is a single chain.
 """
 
 from __future__ import annotations
@@ -465,12 +466,18 @@ def attach_emissions(m: Cgm, miss: float, false_pos: float) -> Cgm:
 # ---------------------------------------------------------------------------
 
 class DbnEngine:
-    """Exact inference on slice-structured models.
+    """Exact inference on slice-structured models, as one chain.
 
-    Enumerates joint assignments of each slice as its state space, enumerates
-    parentless global variables outright, and runs scaled forward-backward.
-    Computes the identical sums to full enumeration, without the exponential
-    blow-up in the number of slices.
+    Each slice's state is the joint assignment of its own variables (the low
+    bits, in topological order) and of the parentless global variables (the
+    bits after them). The globals' prior enters slice 0's initial vector, an
+    identity factor carries their values from each slice to the next, and
+    evidence on a global masks slice 0 (static nodes as part of every
+    slice's hidden state, Murphy 2002, ch. 3). One scaled forward filter
+    then answers likelihoods and last-slice conditionals, and a backward
+    pass on top of it gives the posteriors. Computes the identical sums to
+    full enumeration, without the exponential blow-up in the number of
+    slices.
     """
 
     def __init__(self, m: Cgm):
@@ -503,7 +510,10 @@ class DbnEngine:
                     if parent.slice not in (t, t - 1):
                         raise TooLargeError(
                             f"model is not slice-structured: {v} depends on {parent}")
-        self.pos: dict[VarId, int] = {}
+        # row of each variable in its slice's bit layout below; the globals
+        # are the last rows of every slice, so theirs count from the end
+        self.pos: dict[VarId, int] = {g: j - len(self.globals)
+                                      for j, g in enumerate(self.globals)}
         for svars in self.slice_vars:
             for i, v in enumerate(svars):
                 self.pos[v] = i
@@ -514,114 +524,83 @@ class DbnEngine:
         def intern(a: np.ndarray) -> np.ndarray:
             return interned.setdefault((a.dtype.str, a.shape, a.tobytes()), a)
 
-        # bit value of each variable per state index, LSB = first variable
+        # bit value of each state variable per state index, LSB = first
+        # variable; the slice's own variables, then the globals
         self.bits: list[np.ndarray] = []
         for svars in self.slice_vars:
-            states = np.arange(2 ** len(svars))
-            self.bits.append(intern(np.stack([(states >> i) & 1 for i in range(len(svars))])))
-        # per slice variable: the 0/1 evidence mask of each value over its
-        # slice's states, and the states where it is 1
-        self._value_masks: dict[VarId, dict[int, np.ndarray]] = {}
-        self._on_states: dict[VarId, np.ndarray] = {}
-        for t, svars in enumerate(self.slice_vars):
-            for i, v in enumerate(svars):
-                bit = self.bits[t][i]
-                self._value_masks[v] = {value: intern((bit == value).astype(float))
-                                        for value in (0, 1)}
-                self._on_states[v] = intern(np.flatnonzero(bit))
-        self._global_assignments = self._enumerate_globals()
-        self._log_priors = [math.log(p) if p > 0.0 else None
-                            for p in map(self._global_prior, self._global_assignments)]
-        # per global assignment: initial weights and transition matrices
-        self._init: list[np.ndarray] = []
-        self._trans: list[list[np.ndarray]] = []
-        for g in self._global_assignments:
-            self._init.append(intern(self._slice_factor(0, g)))
-            self._trans.append([intern(self._slice_factor(t, g)) for t in range(1, self.T)])
+            n = len(svars) + len(self.globals)
+            states = np.arange(2 ** n)
+            self.bits.append(intern(np.stack([(states >> i) & 1 for i in range(n)])))
+        # per variable, globals first: the slice whose states it is read off
+        # (slice 0 for a global) with the states where it is 1, and with the
+        # 0/1 evidence mask of each value over those states
+        self._on_states: dict[VarId, tuple[int, np.ndarray]] = {}
+        self._value_masks: dict[VarId, tuple[int, dict[int, np.ndarray]]] = {}
+        for v in self.globals + [v for svars in self.slice_vars for v in svars]:
+            t = v.slice if v.slice is not None else 0
+            bit = self.bits[t][self.pos[v]]
+            self._on_states[v] = (t, intern(np.flatnonzero(bit)))
+            self._value_masks[v] = (t, {value: intern((bit == value).astype(float))
+                                        for value in (0, 1)})
+        self._init = intern(self._slice_factor(0))
+        self._trans = [intern(self._slice_factor(t)) for t in range(1, self.T)]
 
-    def _enumerate_globals(self) -> list[dict]:
-        out = [{}]
-        for v in self.globals:
-            nxt = []
-            for g in out:
-                for value in (0, 1):
-                    g2 = dict(g)
-                    g2[v] = value
-                    nxt.append(g2)
-            out = nxt
-        return out
-
-    def _global_prior(self, g: dict) -> float:
-        prior = 1.0
-        for v in self.globals:
-            p1 = self.m.cpts[v][0]
-            prior *= p1 if g[v] == 1 else 1.0 - p1
-        return prior
-
-    def _slice_factor(self, t: int, g: dict) -> np.ndarray:
-        """Joint factor for slice t: vector at t = 0, else (prev, cur) matrix."""
-        svars = self.slice_vars[t]
-        cur_bits = self.bits[t]
+    def _slice_factor(self, t: int) -> np.ndarray:
+        """Joint factor for slice t: vector at t = 0, else (prev, cur) matrix.
+        At t = 0 it holds the globals' prior, later the identity on them."""
         if t == 0:
-            shape: tuple = (cur_bits.shape[1],)
-            prev_bits = None
+            shape: tuple = (self.bits[0].shape[1],)
         else:
-            prev_bits = self.bits[t - 1]
-            shape = (prev_bits.shape[1], cur_bits.shape[1])
+            shape = (self.bits[t - 1].shape[1], self.bits[t].shape[1])
+
+        def bit(s: int, v: VarId) -> np.ndarray:
+            """`v`'s value in slice s (t or t - 1), over the factor's shape."""
+            b = self.bits[s][self.pos[v]]
+            if t == 0:
+                return b
+            return np.broadcast_to(b[None, :] if s == t else b[:, None], shape)
+
         factor = np.ones(shape)
-        for i, v in enumerate(svars):
-            ps = self.m.parents.get(v, ())
+        for v in self.slice_vars[t]:
             row = np.zeros(shape, dtype=np.int64)
-            for parent in ps:
-                if parent.slice is None:
-                    bit = np.full(shape, g[parent], dtype=np.int64)
-                elif parent.slice == t:
-                    bit = cur_bits[self.pos[parent]]
-                    if t > 0:
-                        bit = np.broadcast_to(bit[None, :], shape)
-                else:
-                    bit = prev_bits[self.pos[parent]]
-                    bit = np.broadcast_to(bit[:, None], shape)
-                row = (row << 1) | bit
+            for parent in self.m.parents.get(v, ()):
+                row = (row << 1) | bit(t - 1 if parent.slice == t - 1 else t, parent)
             p1 = np.asarray(self.m.cpts[v])[row]
-            cur = cur_bits[i]
-            if t > 0:
-                cur = np.broadcast_to(cur[None, :], shape)
-            factor = factor * np.where(cur == 1, p1, 1.0 - p1)
+            factor = factor * np.where(bit(t, v) == 1, p1, 1.0 - p1)
+        for g in self.globals:
+            if t == 0:
+                p1 = self.m.cpts[g][0]
+                factor = factor * np.where(bit(0, g) == 1, p1, 1.0 - p1)
+            else:
+                factor = factor * (bit(t - 1, g) == bit(t, g))
         return factor
 
     def _masks(self, assignment: Assignment) -> dict[int, np.ndarray] | None:
-        """Per-slice 0/1 masks of the assignment's slice variables; None when
-        it gives a variable a value outside 0/1. Masks are shared arrays."""
+        """Per-slice 0/1 masks of the assignment, a global's on slice 0;
+        None when it gives a variable a value outside 0/1. Masks are shared
+        arrays."""
         masks: dict[int, np.ndarray] = {}
         for v, value in assignment.items():
-            if v.slice is None:
-                continue
-            mask = self._value_masks[v].get(value)
+            t, by_value = self._value_masks[v]
+            mask = by_value.get(value)
             if mask is None:
                 return None
-            masks[v.slice] = masks[v.slice] * mask if v.slice in masks else mask
+            masks[t] = masks[t] * mask if t in masks else mask
         return masks
 
-    def _consistent(self, evidence: Assignment) -> list[int]:
-        """Global assignments of nonzero prior that agree with the evidence."""
-        global_ev = [(v, value) for v, value in evidence.items() if v.slice is None]
-        return [gi for gi, g in enumerate(self._global_assignments)
-                if self._log_priors[gi] is not None
-                and all(g[v] == value for v, value in global_ev)]
-
-    def _forward(self, gi: int, masks: dict):
-        """Scaled forward filter under global assignment `gi`: (alphas,
-        log p(e, g)), the last alpha normalized; None when the evidence is
-        impossible under `gi`."""
-        trans = self._trans[gi]
-        alphas = [self._init[gi] * masks[0] if 0 in masks else self._init[gi]]
+    def _forward(self, evidence: Assignment):
+        """Scaled forward filter: (masks, alphas, log p(e)), the last alpha
+        normalized; None when the evidence is impossible."""
+        masks = self._masks(evidence)
+        if masks is None:
+            return None
+        alphas = [self._init * masks[0] if 0 in masks else self._init]
         scales = []
         for t in range(1, self.T):
             c = alphas[-1].sum()
             if c == 0.0:
                 return None
-            nxt = alphas[-1] @ trans[t - 1]
+            nxt = alphas[-1] @ self._trans[t - 1]
             alphas.append((nxt * masks[t] if t in masks else nxt) / c)
             scales.append(c)
         c = alphas[-1].sum()
@@ -629,98 +608,57 @@ class DbnEngine:
             return None
         scales.append(c)
         alphas[-1] = alphas[-1] / c
-        return alphas, self._log_priors[gi] + sum(math.log(c) for c in scales)
-
-    def _filtered(self, evidence: Assignment) -> list[tuple[int, np.ndarray, float]]:
-        """(gi, final filtered alpha, log p(e, g)) per global assignment the
-        evidence is possible under."""
-        masks = self._masks(evidence)
-        if masks is None:
-            return []
-        out = []
-        for gi in self._consistent(evidence):
-            fwd = self._forward(gi, masks)
-            if fwd is not None:
-                out.append((gi, fwd[0][-1], fwd[1]))
-        return out
+        return masks, alphas, sum(math.log(c) for c in scales)
 
     def loglik(self, evidence: Assignment) -> float:
         """log p(evidence); -inf when the evidence is impossible. Forward only."""
-        logs = [lw for _, _, lw in self._filtered(evidence)]
-        if not logs:
-            return float("-inf")
-        top = max(logs)
-        return top + math.log(sum(math.exp(lw - top) for lw in logs))
+        fwd = self._forward(evidence)
+        return fwd[2] if fwd is not None else float("-inf")
 
     def posteriors(self, evidence: Assignment) -> dict:
-        """p(var = 1 | evidence) for every variable in the model."""
-        masks = self._masks(evidence)
-        results = []
-        for gi in self._consistent(evidence) if masks is not None else ():
-            fwd = self._forward(gi, masks)
-            if fwd is None:
-                continue
-            alphas, lw = fwd
-            trans = self._trans[gi]
-            beta = [None] * self.T
-            beta[-1] = np.ones(alphas[-1].shape)
-            for t in range(self.T - 2, -1, -1):
-                nxt = beta[t + 1] * masks[t + 1] if t + 1 in masks else beta[t + 1]
-                beta[t] = trans[t] @ nxt
-                s = beta[t].max()
-                if s > 0:
-                    beta[t] = beta[t] / s
-            gammas = []
-            for alpha, b in zip(alphas, beta):
-                gamma = alpha * b
-                total = gamma.sum()
-                gammas.append(gamma / total if total > 0 else gamma)
-            results.append((self._global_assignments[gi], lw, gammas))
-        if not results:
+        """p(var = 1 | evidence) for every variable in the model, globals first."""
+        fwd = self._forward(evidence)
+        if fwd is None:
             raise ZeroEvidenceError("conditioning event has probability zero")
-        weights = _normalized_weights([lw for _, lw, _ in results])
-        out: dict = {}
-        for v in self.globals:
-            out[v] = sum(w for w, (g, _, _) in zip(weights, results) if g[v] == 1)
-        for t, svars in enumerate(self.slice_vars):
-            for v in svars:
-                on = self._on_states[v]
-                out[v] = sum(w * g3[t][on].sum()
-                             for w, (_, _, g3) in zip(weights, results))
-        return out
+        masks, alphas, _ = fwd
+        beta = [None] * self.T
+        beta[-1] = np.ones(alphas[-1].shape)
+        for t in range(self.T - 2, -1, -1):
+            nxt = beta[t + 1] * masks[t + 1] if t + 1 in masks else beta[t + 1]
+            beta[t] = self._trans[t] @ nxt
+            s = beta[t].max()
+            if s > 0:
+                beta[t] = beta[t] / s
+        gammas = []
+        for alpha, b in zip(alphas, beta):
+            gamma = alpha * b
+            total = gamma.sum()
+            gammas.append(gamma / total if total > 0 else gamma)
+        return {v: gammas[t][on].sum() for v, (t, on) in self._on_states.items()}
 
     def conditional(self, target: Assignment, evidence: Assignment) -> float:
         """p(target | evidence).
 
-        A target wholly in the last slice is read off one forward filter: the
-        final filtered alphas, weighted over the global assignments. Any other
-        target takes the ratio of two likelihoods.
+        A target wholly in the last slice is read off the final filtered
+        alpha of one forward filter. Any other target takes the ratio of two
+        likelihoods.
         """
         joint = _merged(target, evidence)
         if joint is None:
             return 0.0
         if target and all(v.slice == self.T - 1 for v in target):
-            filtered = self._filtered(evidence)
-            if not filtered:
+            fwd = self._forward(evidence)
+            if fwd is None:
                 raise ZeroEvidenceError("conditioning event has probability zero")
             on = self._masks(target)
             if on is None:
                 return 0.0
-            weights = _normalized_weights([lw for _, _, lw in filtered])
-            return sum(w * (alpha * on[self.T - 1]).sum()
-                       for w, (_, alpha, _) in zip(weights, filtered))
+            return (fwd[1][-1] * on[self.T - 1]).sum()
         ll_e = self.loglik(evidence)
         if ll_e == float("-inf"):
             raise ZeroEvidenceError("conditioning event has probability zero")
         ll_j = self.loglik(joint)
         return math.exp(ll_j - ll_e) if ll_j != float("-inf") else 0.0
-
-
-def _normalized_weights(logs: list[float]) -> list[float]:
-    top = max(logs)
-    weights = [math.exp(lw - top) for lw in logs]
-    total = sum(weights)
-    return [w / total for w in weights]
 
 
 def smoothing_engine(m: Cgm, evidence: Assignment) -> DbnEngine | None:
@@ -733,10 +671,14 @@ def smoothing_engine(m: Cgm, evidence: Assignment) -> DbnEngine | None:
     slices = [v.slice for v in m.variables if v.slice is not None]
     if not slices:
         return None
-    T = max(slices) + 1
+    check_smoothing_slices(max(slices) + 1)
+    return DbnEngine(m)
+
+
+def check_smoothing_slices(T: int) -> None:
+    """Refuse to smooth over more than 16 slices."""
     if T > SMOOTH_SLICE_LIMIT:
         raise TooLargeError(f"smoothing supports at most {SMOOTH_SLICE_LIMIT} slices, got {T}")
-    return DbnEngine(m)
 
 
 def smooth(m: Cgm, evidence: Assignment) -> dict:
@@ -814,6 +756,11 @@ def load_model(text: str) -> Cgm:
                 for k, rows in obj["cpts"].items()}
     except (TypeError, ValueError) as exc:
         raise ParseError(f"bad model tables: {exc}") from None
+    declared = set(variables)
+    for key, table in (("parents", parents), ("cpts", cpts)):
+        for v in table:
+            if v not in declared:
+                raise ParseError(f"model '{key}' names undeclared variable '{v}'")
     return Cgm(variables=tuple(variables), parents=parents, cpts=cpts,
                latent=frozenset(latent))
 

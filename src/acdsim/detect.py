@@ -26,6 +26,7 @@ from .causal import (
     DbnEngine,
     VarId,
     attach_emissions,
+    check_smoothing_slices,
     emission_var,
     sample,
     smoothing_engine,
@@ -176,22 +177,25 @@ def _model_slices(m: Cgm) -> int:
 def emission_evidence(m: Cgm, frames: Iterable[tuple[int, dict]]) -> dict:
     """Evidence on the model's emission variables from (slice, bits) pairs;
     bits of tactics the model lacks at that slice are left out."""
-    tactic_vars = {(v.name, v.slice) for v in m.variables}
     evidence = {}
     for t, bits in frames:
         for tactic in TACTICS:
-            if (tactic, t) in tactic_vars:
-                evidence[emission_var(VarId(tactic, t))] = bits[tactic]
+            v = VarId(tactic, t)
+            if m.has(v):
+                evidence[emission_var(v)] = bits[tactic]
     return evidence
+
+
+def _check_frames(m: Cgm, seq: IndicatorSequence) -> None:
+    if _model_slices(m) != len(seq.frames):
+        raise SpecError(f"model has {_model_slices(m)} slices but the sequence "
+                        f"has {len(seq.frames)} frames")
 
 
 def _emission_model(m: Cgm, seq: IndicatorSequence,
                     emission: EmissionNoise) -> tuple[Cgm, dict]:
     """The model extended with emission variables, and the sequence as
-    evidence on them."""
-    if _model_slices(m) != len(seq.frames):
-        raise SpecError(f"model has {_model_slices(m)} slices but the sequence "
-                        f"has {len(seq.frames)} frames")
+    evidence on them; `_check_frames` has passed."""
     extended = attach_emissions(m, emission.miss, emission.false_pos)
     return extended, emission_evidence(extended, ((f.t, f.bits) for f in seq.frames))
 
@@ -202,6 +206,7 @@ def sequence_loglik(m: Cgm, seq: IndicatorSequence, emission: EmissionNoise) -> 
     Observed bits are emitted from their tactic variables with the stated flip
     probabilities. Returns -inf for sequences the model cannot produce.
     """
+    _check_frames(m, seq)
     extended, evidence = _emission_model(m, seq, emission)
     return DbnEngine(extended).loglik(evidence)
 
@@ -222,10 +227,12 @@ def classify(seq: IndicatorSequence, benign: Cgm, malign: Cgm,
              emission: EmissionNoise, threshold: float = 0.0) -> DetectionResult:
     """Label a sequence by log-likelihood ratio, with the smoothed posterior
     of every tactic under the malign model as supporting trace."""
+    _check_frames(malign, seq)
+    _check_frames(benign, seq)
+    check_smoothing_slices(len(seq.frames))  # before any model is built
     extended, evidence = _emission_model(malign, seq, emission)
     benign_extended, benign_evidence = _emission_model(benign, seq, emission)
-    # one engine for the malign likelihood and the smoothing; the smoothing
-    # checks and slice limit run before any likelihood work
+    # one engine for the malign likelihood and the smoothing
     engine = smoothing_engine(extended, evidence)
     ll_malign = engine.loglik(evidence)
     ll_benign = DbnEngine(benign_extended).loglik(benign_evidence)
@@ -256,13 +263,13 @@ def sample_indicator_sequence(m: Cgm, emission: EmissionNoise, seed: int) -> Ind
     extended = attach_emissions(m, emission.miss, emission.false_pos)
     draw = sample(extended, 1, seed)[0]
     T = _model_slices(m)
-    tactic_vars = {(v.name, v.slice) for v in m.variables}
     frames = []
     for t in range(T):
         bits = {}
         for tactic in TACTICS:
-            if (tactic, t) in tactic_vars:
-                bits[tactic] = draw[emission_var(VarId(tactic, t))]
+            v = VarId(tactic, t)
+            if m.has(v):
+                bits[tactic] = draw[emission_var(v)]
             else:
                 bits[tactic] = 0
         frames.append(IndicatorFrame(t=t, bits=bits))

@@ -3,6 +3,7 @@
 import itertools
 import math
 import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -39,6 +40,7 @@ from acdsim.errors import (
     TooLargeError,
     ZeroEvidenceError,
 )
+from acdsim.detect import benign_model_like
 
 from .conftest import oracle_conditional, oracle_joint, oracle_marginal, random_dag_model
 
@@ -552,3 +554,89 @@ class TestSinglePassConditional:
         assert engine.conditional({Y2: 1}, {Y2: 0, X0: 0, emission_var(X0): 1}) == 0.0
         # a target the evidence rules out, without contradicting it
         assert engine.conditional({emission_var(Y2): 1}, {Y2: 0}) == 0.0
+
+
+def oracle_posteriors(m: Cgm, evidence: dict) -> tuple[float, dict]:
+    """p(evidence) and p(v = 1 | evidence) for every variable, summed over
+    every full assignment that agrees with the evidence."""
+    pe = 0.0
+    on = {v: 0.0 for v in m.variables}
+    for bits in itertools.product((0, 1), repeat=len(m.variables)):
+        assignment = dict(zip(m.variables, bits))
+        if any(assignment[v] != value for v, value in evidence.items()):
+            continue
+        p = oracle_joint(m, assignment)
+        pe += p
+        for v, value in assignment.items():
+            if value:
+                on[v] += p
+    return pe, {v: p / pe for v, p in on.items()} if pe > 0 else {}
+
+
+def confounded3(params: DbnParams, miss: float, false_pos: float) -> Cgm:
+    return attach_emissions(build_topology(DbnSpec(Topology.CONFOUNDED_C, 3, params=params)),
+                            miss, false_pos)
+
+
+class TestEngineEdges:
+    """The global U of confounded-c at the edges, against enumeration."""
+
+    def check(self, m: Cgm, evidence: dict):
+        engine = DbnEngine(m)
+        pe, expected = oracle_posteriors(m, evidence)
+        Y2 = VarId("Y", 2)
+        if pe == 0.0:
+            assert engine.loglik(evidence) == float("-inf")
+            with pytest.raises(ZeroEvidenceError):
+                engine.posteriors(evidence)
+            with pytest.raises(ZeroEvidenceError):
+                engine.conditional({Y2: 1}, evidence)
+            return
+        assert math.exp(engine.loglik(evidence)) == pytest.approx(pe, rel=1e-10)
+        post = engine.posteriors(evidence)
+        by_slice = sorted((v for v in m.order if v.slice is not None), key=lambda v: v.slice)
+        assert list(post) == [VarId("U")] + by_slice  # globals first
+        for v, p in post.items():
+            assert p == pytest.approx(expected[v], abs=1e-12), v
+        assert engine.conditional({Y2: 1}, evidence) == pytest.approx(expected[Y2], abs=1e-12)
+
+    def random_evidence(self, m: Cgm, seed: int, observed=None) -> list[dict]:
+        rng = random.Random(seed)
+        obs = [v for v in m.variables if v.name.endswith("_obs")] + list(observed or ())
+        return [{v: rng.randrange(2) for v in obs if rng.random() < 0.6} for _ in range(4)]
+
+    def test_evidence_impossible_under_one_value_of_u(self):
+        m = confounded3(HARD, 0.0, 0.1)
+        U = VarId("U")
+        X1_obs, Y0_obs = emission_var(VarId("X", 1)), emission_var(VarId("Y", 0))
+        # U = 1 forces every X and Y on, and with no misses X_obs@1 = 0 rules it out
+        self.check(m, {X1_obs: 0, Y0_obs: 1})
+        assert DbnEngine(m).posteriors({X1_obs: 0, Y0_obs: 1})[U] == 0.0
+        for evidence in self.random_evidence(m, 1):
+            self.check(m, evidence)
+
+    @pytest.mark.parametrize("prior", [0.0, 1.0])
+    def test_confounder_prior_at_the_edges(self, prior):
+        m = confounded3(replace(DbnParams(), confounder_prior=prior), 0.2, 0.05)
+        for evidence in self.random_evidence(m, 2):
+            self.check(m, evidence)
+        assert DbnEngine(m).posteriors({})[VarId("U")] == prior
+
+    def test_observed_global(self):
+        hidden = confounded3(DbnParams(), 0.2, 0.05)
+        m = Cgm(variables=hidden.variables, parents=hidden.parents, cpts=hidden.cpts)
+        U = VarId("U")
+        for evidence in self.random_evidence(m, 3, observed=[U]):
+            self.check(m, evidence)
+        for value in (0, 1):
+            self.check(m, {U: value, emission_var(VarId("Y", 1)): 1})
+
+    def test_sixteen_slices_far_below_the_smallest_double(self):
+        benign = benign_model_like(build_topology(DbnSpec(Topology.CHAIN_A, 16)))
+        m = attach_emissions(benign, 0.2, 1e-30)
+        evidence = {emission_var(v): 1 for v in benign.variables}
+        assert len(evidence) == 48
+        engine = DbnEngine(m)
+        assert engine.loglik(evidence) == pytest.approx(48 * math.log(1e-30), rel=1e-12)
+        assert all(p == 0.0 for v, p in engine.posteriors(evidence).items()
+                   if v in benign.variables)

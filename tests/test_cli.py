@@ -166,6 +166,8 @@ class TestCausal:
         {"variables": [{"name": "X"}], "parents": [], "cpts": {"X": [0.5]}},
         {"variables": [{"name": "X"}], "parents": {}, "cpts": [[0.5]]},
         [{"name": "X"}],
+        {"variables": [{"name": "X"}], "parents": {}, "cpts": {"X": [0.5], "B": [0.3]}},
+        {"variables": [{"name": "X"}], "parents": {"B": []}, "cpts": {"X": [0.5]}},
     ])
     def test_malformed_model_exits_2(self, tmp_path, capsys, doc):
         path = tmp_path / "model.json"

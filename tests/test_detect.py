@@ -7,7 +7,7 @@ import math
 import pytest
 
 from acdsim.agents import LateralAttacker, NopDefender, PassingAttacker
-from acdsim import causal
+from acdsim import causal, detect
 from acdsim.causal import Cgm, DbnSpec, Topology, VarId, build_topology
 from acdsim.detect import (
     EmissionNoise,
@@ -217,7 +217,11 @@ class TestClassify:
         def no_engine(self, m):
             raise AssertionError("no engine may be built for a refused sequence")
 
+        def no_extension(m, miss, false_pos):
+            raise AssertionError("no emission model may be built for a refused sequence")
+
         monkeypatch.setattr(causal.DbnEngine, "__init__", no_engine)
+        monkeypatch.setattr(detect, "attach_emissions", no_extension)
         seq = make_sequence([(0, 1, 0)] * 17)
         with pytest.raises(TooLargeError, match="smoothing supports at most 16 slices, got 17"):
             classify(seq, benign_model_like(malign), malign, EmissionNoise())

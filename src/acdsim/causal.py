@@ -33,7 +33,7 @@ from .errors import (
 )
 
 ENUMERATION_LIMIT = 20
-SLICE_STATE_LIMIT = 8   # max state variables per slice for the engine
+SLICE_STATE_LIMIT = 8   # max own (non-global) variables per slice; globals add to it
 ENGINE_PREFERENCE = 12  # conditionals route to the engine above this many free vars
 SMOOTH_SLICE_LIMIT = 16
 
@@ -468,11 +468,12 @@ def attach_emissions(m: Cgm, miss: float, false_pos: float) -> Cgm:
 class DbnEngine:
     """Exact inference on slice-structured models, as one chain.
 
-    Each slice's state is the joint assignment of its own variables (the low
-    bits, in topological order) and of the parentless global variables (the
-    bits after them). The globals' prior enters slice 0's initial vector, an
-    identity factor carries their values from each slice to the next, and
-    evidence on a global masks slice 0 (static nodes as part of every
+    Each slice's state is the joint assignment of the parentless global
+    variables and of the slice's own variables, held as an array indexed
+    [globals, own]. The globals' prior enters slice 0's initial array,
+    every transition is a stack of one (previous, current) block per global
+    assignment, so their values carry over unchanged from slice to slice,
+    and evidence on a global masks slice 0 (static nodes as part of every
     slice's hidden state, Murphy 2002, ch. 3). One scaled forward filter
     then answers likelihoods and last-slice conditionals, and a backward
     pass on top of it gives the posteriors. Computes the identical sums to
@@ -510,10 +511,7 @@ class DbnEngine:
                     if parent.slice not in (t, t - 1):
                         raise TooLargeError(
                             f"model is not slice-structured: {v} depends on {parent}")
-        # row of each variable in its slice's bit layout below; the globals
-        # are the last rows of every slice, so theirs count from the end
-        self.pos: dict[VarId, int] = {g: j - len(self.globals)
-                                      for j, g in enumerate(self.globals)}
+        self.pos: dict[VarId, int] = {g: j for j, g in enumerate(self.globals)}
         for svars in self.slice_vars:
             for i, v in enumerate(svars):
                 self.pos[v] = i
@@ -524,55 +522,59 @@ class DbnEngine:
         def intern(a: np.ndarray) -> np.ndarray:
             return interned.setdefault((a.dtype.str, a.shape, a.tobytes()), a)
 
-        # bit value of each state variable per state index, LSB = first
-        # variable; the slice's own variables, then the globals
-        self.bits: list[np.ndarray] = []
-        for svars in self.slice_vars:
-            n = len(svars) + len(self.globals)
-            states = np.arange(2 ** n)
-            self.bits.append(intern(np.stack([(states >> i) & 1 for i in range(n)])))
-        # per variable, globals first: the slice whose states it is read off
-        # (slice 0 for a global) with the states where it is 1, and with the
-        # 0/1 evidence mask of each value over those states
-        self._on_states: dict[VarId, tuple[int, np.ndarray]] = {}
+        def layout(n: int) -> np.ndarray:
+            """Bit value of each of n variables per state index, LSB = first."""
+            return intern((np.arange(2 ** n)[None, :] >> np.arange(n)[:, None]) & 1)
+
+        self.global_bits = layout(len(self.globals))
+        self.bits: list[np.ndarray] = [layout(len(svars)) for svars in self.slice_vars]
+        # per variable, globals first: its slice (None for a global) with the
+        # states where it is 1, and the slice its evidence masks (0 for a
+        # global) with the 0/1 mask of each value, shaped to broadcast over
+        # the [globals, own] state array
+        self._on_states: dict[VarId, tuple[int | None, np.ndarray]] = {}
         self._value_masks: dict[VarId, tuple[int, dict[int, np.ndarray]]] = {}
         for v in self.globals + [v for svars in self.slice_vars for v in svars]:
-            t = v.slice if v.slice is not None else 0
-            bit = self.bits[t][self.pos[v]]
-            self._on_states[v] = (t, intern(np.flatnonzero(bit)))
-            self._value_masks[v] = (t, {value: intern((bit == value).astype(float))
-                                        for value in (0, 1)})
+            if v.slice is None:
+                bit, t, shape = self.global_bits[self.pos[v]], 0, (-1, 1)
+            else:
+                bit, t, shape = self.bits[v.slice][self.pos[v]], v.slice, (1, -1)
+            self._on_states[v] = (v.slice, intern(np.flatnonzero(bit)))
+            self._value_masks[v] = (t, {
+                value: intern((bit == value).astype(float).reshape(shape)) for value in (0, 1)})
         self._init = intern(self._slice_factor(0))
         self._trans = [intern(self._slice_factor(t)) for t in range(1, self.T)]
 
     def _slice_factor(self, t: int) -> np.ndarray:
-        """Joint factor for slice t: vector at t = 0, else (prev, cur) matrix.
-        At t = 0 it holds the globals' prior, later the identity on them."""
+        """Joint factor for slice t: at t = 0 the globals' prior times slice
+        0's CPTs, indexed [globals, cur]; later the transition, indexed
+        [globals, prev, cur]. The globals axis has length 1 when the factor
+        does not depend on them."""
         if t == 0:
-            shape: tuple = (self.bits[0].shape[1],)
+            shape: tuple = (1, self.bits[0].shape[1])
         else:
-            shape = (self.bits[t - 1].shape[1], self.bits[t].shape[1])
+            shape = (1, self.bits[t - 1].shape[1], self.bits[t].shape[1])
 
-        def bit(s: int, v: VarId) -> np.ndarray:
-            """`v`'s value in slice s (t or t - 1), over the factor's shape."""
-            b = self.bits[s][self.pos[v]]
+        def bit(v: VarId) -> np.ndarray:
+            """`v`'s value, on the factor's axis for its slice."""
+            if v.slice is None:
+                return self.global_bits[self.pos[v]].reshape((-1,) + (1,) * (len(shape) - 1))
+            b = self.bits[v.slice][self.pos[v]]
             if t == 0:
-                return b
-            return np.broadcast_to(b[None, :] if s == t else b[:, None], shape)
+                return b[None, :]
+            return b[None, None, :] if v.slice == t else b[None, :, None]
 
         factor = np.ones(shape)
         for v in self.slice_vars[t]:
-            row = np.zeros(shape, dtype=np.int64)
+            row = 0
             for parent in self.m.parents.get(v, ()):
-                row = (row << 1) | bit(t - 1 if parent.slice == t - 1 else t, parent)
+                row = (row << 1) | bit(parent)
             p1 = np.asarray(self.m.cpts[v])[row]
-            factor = factor * np.where(bit(t, v) == 1, p1, 1.0 - p1)
-        for g in self.globals:
-            if t == 0:
+            factor = factor * np.where(bit(v) == 1, p1, 1.0 - p1)
+        if t == 0:
+            for g in self.globals:
                 p1 = self.m.cpts[g][0]
-                factor = factor * np.where(bit(0, g) == 1, p1, 1.0 - p1)
-            else:
-                factor = factor * (bit(t - 1, g) == bit(t, g))
+                factor = factor * np.where(bit(g) == 1, p1, 1.0 - p1)
         return factor
 
     def _masks(self, assignment: Assignment) -> dict[int, np.ndarray] | None:
@@ -600,7 +602,7 @@ class DbnEngine:
             c = alphas[-1].sum()
             if c == 0.0:
                 return None
-            nxt = alphas[-1] @ self._trans[t - 1]
+            nxt = np.matmul(alphas[-1][:, None, :], self._trans[t - 1])[:, 0, :]
             alphas.append((nxt * masks[t] if t in masks else nxt) / c)
             scales.append(c)
         c = alphas[-1].sum()
@@ -625,7 +627,7 @@ class DbnEngine:
         beta[-1] = np.ones(alphas[-1].shape)
         for t in range(self.T - 2, -1, -1):
             nxt = beta[t + 1] * masks[t + 1] if t + 1 in masks else beta[t + 1]
-            beta[t] = self._trans[t] @ nxt
+            beta[t] = np.matmul(self._trans[t], nxt[:, :, None])[:, :, 0]
             s = beta[t].max()
             if s > 0:
                 beta[t] = beta[t] / s
@@ -634,7 +636,10 @@ class DbnEngine:
             gamma = alpha * b
             total = gamma.sum()
             gammas.append(gamma / total if total > 0 else gamma)
-        return {v: gammas[t][on].sum() for v, (t, on) in self._on_states.items()}
+        # marginals over the globals' states and over each slice's own
+        margs = {None: gammas[0].sum(axis=1)}
+        margs.update((t, gamma.sum(axis=0)) for t, gamma in enumerate(gammas))
+        return {v: margs[t][on].sum() for v, (t, on) in self._on_states.items()}
 
     def conditional(self, target: Assignment, evidence: Assignment) -> float:
         """p(target | evidence).

@@ -578,13 +578,29 @@ def confounded3(params: DbnParams, miss: float, false_pos: float) -> Cgm:
                             miss, false_pos)
 
 
-class TestEngineEdges:
-    """The global U of confounded-c at the edges, against enumeration."""
+def three_globals() -> Cgm:
+    """Slices of 2, 3 and 1 variables over three parentless globals (A
+    latent), each slice variable reading a different pair of them."""
+    A, B, C = VarId("A"), VarId("B"), VarId("C")
+    P = [VarId("P", t) for t in range(3)]
+    Q0, Q1, R1 = VarId("Q", 0), VarId("Q", 1), VarId("R", 1)
+    parents = {A: (), B: (), C: (),
+               P[0]: (A,), Q0: (P[0], B),
+               P[1]: (P[0], A, C), Q1: (Q0, B), R1: (P[1], C),
+               P[2]: (P[1], B)}
+    cpts = {v: tuple(0.05 + 0.9 * ((7 * i + 3 * k) % 11) / 10 for k in range(2 ** len(ps)))
+            for i, (v, ps) in enumerate(parents.items())}
+    m = Cgm(variables=tuple(parents), parents=parents, cpts=cpts, latent=frozenset({A}))
+    return attach_emissions(m, 0.1, 0.2)
 
-    def check(self, m: Cgm, evidence: dict):
+
+class TestEngineEdges:
+    """Parentless globals at the edges, against enumeration."""
+
+    def check(self, m: Cgm, evidence: dict, target: VarId = VarId("Y", 2)):
         engine = DbnEngine(m)
         pe, expected = oracle_posteriors(m, evidence)
-        Y2 = VarId("Y", 2)
+        Y2 = target
         if pe == 0.0:
             assert engine.loglik(evidence) == float("-inf")
             with pytest.raises(ZeroEvidenceError):
@@ -595,7 +611,8 @@ class TestEngineEdges:
         assert math.exp(engine.loglik(evidence)) == pytest.approx(pe, rel=1e-10)
         post = engine.posteriors(evidence)
         by_slice = sorted((v for v in m.order if v.slice is not None), key=lambda v: v.slice)
-        assert list(post) == [VarId("U")] + by_slice  # globals first
+        globals_ = [v for v in m.variables if v.slice is None]
+        assert list(post) == globals_ + by_slice  # globals first
         for v, p in post.items():
             assert p == pytest.approx(expected[v], abs=1e-12), v
         assert engine.conditional({Y2: 1}, evidence) == pytest.approx(expected[Y2], abs=1e-12)
@@ -640,3 +657,43 @@ class TestEngineEdges:
         assert engine.loglik(evidence) == pytest.approx(48 * math.log(1e-30), rel=1e-12)
         assert all(p == 0.0 for v, p in engine.posteriors(evidence).items()
                    if v in benign.variables)
+
+    def test_three_globals_on_different_slice_sizes(self):
+        m = three_globals()
+        A, B, C, P2 = VarId("A"), VarId("B"), VarId("C"), VarId("P", 2)
+        assert [v for v in m.variables if v.slice is None] == [A, B, C]
+        self.check(m, {}, P2)
+        for evidence in self.random_evidence(m, 4):
+            self.check(m, evidence, P2)
+        for evidence in self.random_evidence(m, 5, observed=[B, C]):
+            self.check(m, evidence, P2)
+        self.check(m, {B: 1, emission_var(VarId("R", 1)): 0}, P2)
+        self.check(m, {A: 0, C: 1, emission_var(P2): 1}, P2)
+
+    def test_many_globals_cost_what_their_blocks_cost(self):
+        """Twelve globals over slices of four variables: stored factors hold
+        at most one (prev, cur) block per global assignment, and globals no
+        variable reads leave every answer as it is without them."""
+        small = three_globals()
+        extra = [VarId(f"G{j}") for j in range(9)]
+        m = Cgm(variables=tuple(extra) + small.variables,
+                parents={**small.parents, **{g: () for g in extra}},
+                cpts={**small.cpts, **{g: (0.1 * (j + 1),) for j, g in enumerate(extra)}},
+                latent=small.latent)
+        engine = DbnEngine(m)
+        blocks = 2 ** len(engine.globals)
+        assert blocks == 2 ** 12
+        sizes = [2 ** len(svars) for svars in engine.slice_vars]
+        assert engine._init.shape == (blocks, sizes[0])
+        for t, factor in enumerate(engine._trans, start=1):
+            assert factor.shape[1:] == (sizes[t - 1], sizes[t])
+            assert factor.shape[0] in (1, blocks)
+        evidence = {emission_var(VarId("Q", 1)): 1, VarId("B"): 0}
+        pe, expected = oracle_posteriors(small, evidence)
+        assert math.exp(engine.loglik(evidence)) == pytest.approx(pe, rel=1e-10)
+        post = engine.posteriors(evidence)
+        for v, p in post.items():
+            want = expected[v] if v in expected else m.cpts[v][0]
+            assert p == pytest.approx(want, abs=1e-12), v
+        P2 = VarId("P", 2)
+        assert engine.conditional({P2: 1}, evidence) == pytest.approx(expected[P2], abs=1e-12)

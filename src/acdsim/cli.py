@@ -11,15 +11,17 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from dataclasses import fields
 from importlib import resources
 
 from . import __version__
 from . import agents, causal, detect, game, loop, netmodel
-from .errors import AcdError, ParseError, ReplayMismatchError, ValidationError
+from .errors import AcdError, ParseError, ReplayMismatchError, SpecError, ValidationError
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -82,17 +84,25 @@ def _parse_noise(text: str) -> detect.EmissionNoise:
         raise ParseError(f"bad --noise values '{text}'") from None
 
 
+def _mean(values: list) -> float:
+    return sum(values) / len(values) if values else 0.0
+
+
 def _print_result(value: float):
     sys.stdout.write(format(value, "#.12g") + "\n")
 
 
 def _map_seeds(fn, common: tuple, seeds: list[int], parallel: int) -> list:
-    """[fn(*common, seed) for seed in seeds], over `parallel` worker processes
-    when `parallel` > 1; results keep seed order either way."""
-    if parallel <= 1:
+    """[fn(*common, seed) for seed in seeds], over up to `parallel` worker
+    processes, never more than there are seeds; results keep seed order
+    either way. Tasks go out in about four chunks per worker, and a chunk
+    pickles the parsed objects in `common` once, not once per seed."""
+    workers = min(parallel, len(seeds))
+    if workers <= 1:
         return [fn(*common, seed) for seed in seeds]
-    with ProcessPoolExecutor(max_workers=parallel) as pool:
-        return list(pool.map(fn, *[[c] * len(seeds) for c in common], seeds))
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(fn, *[[c] * len(seeds) for c in common], seeds,
+                             chunksize=-(-len(seeds) // (4 * workers))))
 
 
 # ---------------------------------------------------------------------------
@@ -138,11 +148,8 @@ def cmd_train(args) -> int:
     return EXIT_OK
 
 
-def _evaluate_episode(scenario_text: str, qtable_text: str, seed: int) -> dict:
-    scenario = netmodel.load_scenario(scenario_text)
-    table = agents.QTable.load(qtable_text)
-    agent = agents.QDefender(table, training=False)
-    log = game.run_episode(scenario, agent,
+def _evaluate_episode(scenario: netmodel.Scenario, table: agents.QTable, seed: int) -> dict:
+    log = game.run_episode(scenario, agents.QDefender(table, training=False),
                            agents.LateralAttacker(scenario.attacker.spread), seed)
     return {
         "seed": seed,
@@ -154,23 +161,18 @@ def _evaluate_episode(scenario_text: str, qtable_text: str, seed: int) -> dict:
 
 
 def cmd_evaluate(args) -> int:
-    scenario_text = _read(args.scenario or default_scenario_path())
-    netmodel.load_scenario(scenario_text)  # fail fast on config errors
-    qtable_text = _read(args.qtable)
-    agents.QTable.load(qtable_text)
+    scenario = _load_scenario(args)
+    table = agents.QTable.load(_read(args.qtable))
     seeds = [args.seed + i for i in range(args.episodes)]
-    rows = _map_seeds(_evaluate_episode, (scenario_text, qtable_text), seeds,
-                      args.parallel)
+    rows = _map_seeds(_evaluate_episode, (scenario, table), seeds, args.parallel)
     for i, row in enumerate(rows):
         row["episode"] = i
     summary = {
         "episodes": len(rows),
-        "mean_return": sum(r["return"] for r in rows) / len(rows) if rows else 0.0,
-        "mean_steps": sum(r["steps"] for r in rows) / len(rows) if rows else 0.0,
-        "compromise_rate": (sum(1 for r in rows if r["terminal"] == game.TARGET_COMPROMISED)
-                            / len(rows) if rows else 0.0),
-        "mean_time_to_target": (sum(r["time_to_target"] for r in rows) / len(rows)
-                                if rows else 0.0),
+        "mean_return": _mean([r["return"] for r in rows]),
+        "mean_steps": _mean([r["steps"] for r in rows]),
+        "compromise_rate": _mean([r["terminal"] == game.TARGET_COMPROMISED for r in rows]),
+        "mean_time_to_target": _mean([r["time_to_target"] for r in rows]),
     }
     if args.format == "csv":
         buf = io.StringIO()
@@ -189,12 +191,8 @@ def cmd_evaluate(args) -> int:
 
 def cmd_causal(args) -> int:
     if args.causal_cmd == "build":
-        params = causal.DbnParams(
-            spontaneous=args.spontaneous, persistence=args.persistence,
-            edge_strength=args.edge_strength, root_activation=args.root_activation,
-            confounder_prior=args.confounder_prior,
-            confounder_strength=args.confounder_strength,
-        )
+        params = causal.DbnParams(**{f.name: getattr(args, f.name)
+                                     for f in fields(causal.DbnParams)})
         schedule = None
         if args.schedule:
             schedule = tuple(tok.strip() in ("1", "true") for tok in args.schedule.split(","))
@@ -237,47 +235,41 @@ def cmd_detect(args) -> int:
     return EXIT_OK
 
 
-def _run_loop_episode(scenario_text: str, spec_text: str | None, autonomy: str,
-                      tau: float, window: int, lookahead: int, noise: str,
-                      approve: str, seed: int) -> dict:
-    scenario = netmodel.load_scenario(scenario_text)
-    dbn = causal.load_spec(spec_text) if spec_text else causal.DbnSpec(
-        causal.Topology.CHAIN_A, slices=8)
-    cfg = loop.LoopConfig(
-        autonomy=loop.AutonomyLevel(autonomy), tau=tau, dbn=dbn,
-        emission=_parse_noise(noise), window=window, lookahead=lookahead,
-    )
-    hook = _make_approver(approve)
-    report = loop.run_loop(scenario, cfg, seed, approval=hook)
-    return report.to_obj()
-
-
-def _make_approver(spec: str):
+def _load_approver(spec: str):
+    """A picklable factory of fresh approval hooks for `--approve`."""
     if spec == "always":
-        return loop.AlwaysApprove()
+        return loop.AlwaysApprove
     if spec == "never":
-        return loop.NeverApprove()
+        return loop.NeverApprove
     if spec.startswith("file:"):
         decisions = json.loads(_read(spec[5:]))
         if not isinstance(decisions, list):
             raise ParseError("approval file must be a JSON array of booleans")
-        return loop.ScriptedApprover(decisions)
+        return functools.partial(loop.ScriptedApprover, decisions)
     raise ParseError(f"unknown approver '{spec}' (want always, never or file:PATH)")
 
 
+def _run_loop_episode(scenario: netmodel.Scenario, cfg: loop.LoopConfig, new_approver,
+                      seed: int) -> dict:
+    # a fresh hook per episode: every episode starts at the first decision
+    return loop.run_loop(scenario, cfg, seed, approval=new_approver()).to_obj()
+
+
 def cmd_loop(args) -> int:
-    scenario_text = _read(args.scenario or default_scenario_path())
-    netmodel.load_scenario(scenario_text)
-    spec_text = _read(args.dbn) if args.dbn else None
-    if spec_text:
-        causal.load_spec(spec_text)
-    loop.AutonomyLevel(args.autonomy)
-    _make_approver(args.approve)
+    scenario = _load_scenario(args)
+    dbn = _load_dbn_spec(args.dbn)
+    new_approver = _load_approver(args.approve)
+    noise = _parse_noise(args.noise)
+    try:
+        cfg = loop.LoopConfig(autonomy=loop.AutonomyLevel(args.autonomy), tau=args.tau,
+                              dbn=dbn, emission=noise, window=args.window,
+                              lookahead=args.lookahead)
+    except SpecError as exc:
+        raise ParseError(f"bad loop option: {exc}") from None
 
     seeds = [args.seed + i for i in range(args.episodes)]
-    common = (scenario_text, spec_text, args.autonomy, args.tau, args.window,
-              args.lookahead, args.noise, args.approve)
-    reports = _map_seeds(_run_loop_episode, common, seeds, args.parallel)
+    reports = _map_seeds(_run_loop_episode, (scenario, cfg, new_approver), seeds,
+                         args.parallel)
     if args.episodes == 1:
         _write(args.out, json.dumps(reports[0], sort_keys=True, indent=2) + "\n")
     else:
@@ -286,8 +278,7 @@ def cmd_loop(args) -> int:
     summary = {
         "version": __version__,
         "episodes": len(reports),
-        "mean_time_to_target": sum(r["summary"]["time_to_target"] for r in reports)
-        / len(reports),
+        "mean_time_to_target": _mean([r["summary"]["time_to_target"] for r in reports]),
         "proposed": sum(r["summary"]["proposed"] for r in reports),
         "applied": sum(r["summary"]["applied"] for r in reports),
     }
@@ -317,6 +308,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"acdsim {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
+    learning = agents.LearningParams()
+    loop_cfg = loop.LoopConfig()
+
     p = sub.add_parser("simulate", help="run one episode and write its log")
     p.add_argument("--scenario", help="scenario JSON (default: bundled enterprise8)")
     p.add_argument("--seed", type=int, default=0)
@@ -330,13 +324,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("train", help="train the tabular Q defender")
     p.add_argument("--scenario")
-    p.add_argument("--episodes", type=int, default=10_000)
+    p.add_argument("--episodes", type=int, default=learning.episodes)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--alpha", type=float, default=0.1)
-    p.add_argument("--gamma", type=float, default=0.95)
-    p.add_argument("--epsilon-start", type=float, default=1.0)
-    p.add_argument("--epsilon-end", type=float, default=0.05)
-    p.add_argument("--epsilon-decay", type=float, default=0.995)
+    p.add_argument("--alpha", type=float, default=learning.alpha)
+    p.add_argument("--gamma", type=float, default=learning.gamma)
+    p.add_argument("--epsilon-start", type=float, default=learning.epsilon_start)
+    p.add_argument("--epsilon-end", type=float, default=learning.epsilon_end)
+    p.add_argument("--epsilon-decay", type=float, default=learning.epsilon_decay)
     p.add_argument("--out", required=True, help="Q-table JSON")
     p.add_argument("--curve", help="learning curve CSV (episode,return)")
     p.set_defaults(func=cmd_train)
@@ -358,12 +352,8 @@ def build_parser() -> argparse.ArgumentParser:
                    choices=[t.value for t in causal.Topology])
     b.add_argument("--slices", type=int, required=True)
     b.add_argument("--schedule", help="confounded-c: comma list of 0/1 per slice")
-    b.add_argument("--spontaneous", type=float, default=0.02)
-    b.add_argument("--persistence", type=float, default=0.95)
-    b.add_argument("--edge-strength", type=float, default=0.8)
-    b.add_argument("--root-activation", type=float, default=0.8)
-    b.add_argument("--confounder-prior", type=float, default=0.5)
-    b.add_argument("--confounder-strength", type=float, default=0.8)
+    for f in fields(causal.DbnParams):  # --spontaneous, --persistence, --edge-strength, ...
+        b.add_argument("--" + f.name.replace("_", "-"), type=float, default=f.default)
     b.add_argument("--out", default=None)
     for name, needs in (("marginal", "query"), ("observational", "target"),
                         ("do", "target")):
@@ -381,7 +371,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("detect", help="classify an episode log benign vs malign")
     p.add_argument("--log", required=True, help="episode JSON-lines (or loop report)")
     p.add_argument("--dbn", help="DBN spec JSON (default: chain-a defaults)")
-    p.add_argument("--noise", default="0.2,0.05", help="miss,false_pos")
+    p.add_argument("--noise", default=",".join(map(str, detect.EmissionNoise())),
+                   help="miss,false_pos")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--threshold", type=float, default=0.0)
     p.add_argument("--indicators-out", help="also write the indicator CSV")
@@ -391,12 +382,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("loop", help="run the closed detection/mitigation loop")
     p.add_argument("--scenario")
     p.add_argument("--dbn", help="DBN spec JSON (default: chain-a defaults)")
-    p.add_argument("--autonomy", default="advise",
+    p.add_argument("--autonomy", default=loop_cfg.autonomy.value,
                    choices=[a.value for a in loop.AutonomyLevel])
-    p.add_argument("--tau", type=float, default=0.8)
-    p.add_argument("--window", type=int, default=8)
-    p.add_argument("--lookahead", type=int, default=2)
-    p.add_argument("--noise", default="0.2,0.05")
+    p.add_argument("--tau", type=float, default=loop_cfg.tau)
+    p.add_argument("--window", type=int, default=loop_cfg.window)
+    p.add_argument("--lookahead", type=int, default=loop_cfg.lookahead)
+    p.add_argument("--noise", default=",".join(map(str, loop_cfg.emission)))
     p.add_argument("--approve", default="never",
                    help="confirm level: always | never | file:decisions.json")
     p.add_argument("--seed", type=int, default=0)

@@ -446,12 +446,6 @@ def run_episode(s: Scenario, defender, attacker, seed: int,
         defender.observe(outcome)
         attacker.observe(outcome)
         records.append(StepRecord(t_before, d, a, outcome))
-    return assemble_log(s, seed, st, records)
-
-
-def assemble_log(s: Scenario, seed: int, st: GameState,
-                 records: list[StepRecord]) -> EpisodeLog:
-    """Build the episode log from a finished state and its step records."""
     return EpisodeLog(
         scenario=s,
         scenario_sha256=scenario_digest(s),
@@ -501,10 +495,17 @@ def episode_to_jsonl(log: EpisodeLog) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _typed(value, kind: type, what: str):
+    """`value` if it has JSON type `kind` (bools are not ints), else ParseError."""
+    if isinstance(value, kind) and not (kind is int and isinstance(value, bool)):
+        return value
+    raise ParseError(f"{what} must be {kind.__name__}, got {value!r}")
+
+
 def _event_from_obj(obj: dict) -> Event:
     return Event(
-        kind=obj["kind"],
-        node=obj["node"],
+        kind=_typed(obj["kind"], str, "event kind"),
+        node=_typed(obj["node"], int, "event node"),
         outcome=obj.get("outcome"),
         creds=tuple(obj.get("creds", ())),
         result=obj.get("result"),
@@ -531,21 +532,28 @@ def parse_episode_jsonl(text: str) -> EpisodeLog:
     final = body[-1]["final"]
     if not isinstance(final, dict) or "t" not in final or "terminal" not in final:
         raise ParseError("episode log final summary needs 't' and 'terminal'")
+    _typed(header["seed"], int, "episode log header seed")
+    _typed(final["t"], int, "episode log final t")
     records = []
     for i, obj in enumerate(body[:-1]):
         try:
             d = obj["def"]
+            node = d.get("node")
             records.append(StepRecord(
-                t=obj["t"],
-                defender=DefenderAction(d["kind"], d.get("node"), d.get("duration", 1)),
-                attacker=AttackerAction(frozenset(obj["atk"]["attempts"])),
+                t=_typed(obj["t"], int, "t"),
+                defender=DefenderAction(_typed(d["kind"], str, "def.kind"),
+                                        None if node is None else _typed(node, int, "def.node"),
+                                        _typed(d.get("duration", 1), int, "def.duration")),
+                attacker=AttackerAction(frozenset(
+                    _typed(n, int, "attempt")
+                    for n in _typed(obj["atk"]["attempts"], list, "atk.attempts"))),
                 outcome=StepOutcome(
                     reward=obj["reward"],
                     events=tuple(_event_from_obj(e) for e in obj["events"]),
                     terminal_cause=None,
                 ),
             ))
-        except (KeyError, TypeError, AttributeError) as exc:
+        except (KeyError, TypeError, AttributeError, ParseError) as exc:
             raise ParseError(f"episode log step line {i + 1} is malformed: "
                              f"{type(exc).__name__} {exc}") from None
     if records:
@@ -563,21 +571,32 @@ def parse_episode_jsonl(text: str) -> EpisodeLog:
     )
 
 
+class _Recorded:
+    """A policy that plays back one side's recorded actions, in order."""
+
+    def __init__(self, actions):
+        self._actions = iter(actions)
+
+    def act(self, view, rng):
+        action = next(self._actions, None)
+        if action is None:
+            raise ReplayMismatchError("replay ran past the last recorded step")
+        return action
+
+    def observe(self, outcome) -> None:
+        pass
+
+
 def replay_episode(log: EpisodeLog) -> EpisodeLog:
     """Re-run the engine with the recorded action streams."""
     if log.final["terminal"] == HORIZON_REACHED:
         horizon = log.final["t"]
     else:
         horizon = max(log.scenario.horizon, len(log.steps))
-    st = init(log.scenario, log.seed, horizon)
-    records: list[StepRecord] = []
-    for rec in log.steps:
-        if st.terminal is not None:
-            raise ReplayMismatchError(f"recorded step at t={rec.t} after termination")
-        t_before = st.t
-        st, outcome = step(st, rec.defender, rec.attacker)
-        records.append(StepRecord(t_before, rec.defender, rec.attacker, outcome))
-    return assemble_log(log.scenario, log.seed, st, records)
+    return run_episode(log.scenario,
+                       _Recorded(rec.defender for rec in log.steps),
+                       _Recorded(rec.attacker for rec in log.steps),
+                       log.seed, horizon)
 
 
 def verify_replay(text: str) -> bool:

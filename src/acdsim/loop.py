@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import functools
 import json
+import math
 import random
 from dataclasses import dataclass
 from enum import Enum
@@ -125,6 +126,16 @@ class LoopConfig:
     window: int = 8
     lookahead: int = 2
 
+    def __post_init__(self):
+        if not 1 <= self.window <= 16:
+            raise SpecError(f"window must be in 1..16, got {self.window}")
+        if self.lookahead < 1:
+            raise SpecError("lookahead must be >= 1")
+        if math.isnan(self.tau):
+            raise SpecError("tau must be a number, got nan")
+        if not self.candidates:
+            raise SpecError("candidate intervention list is empty")
+
 
 @dataclass(frozen=True)
 class LoopReport:
@@ -218,37 +229,20 @@ def _engine(spec: DbnSpec, emission: EmissionNoise, do: tuple) -> tuple[Cgm, Dbn
     return model, DbnEngine(model)
 
 
-class _ModelCache:
-    """One loop configuration's view of the process-wide engine cache.
-
-    Engines are keyed by value, (spec unrolled to the model's slices,
-    emission noise, intervention), so every episode and every configuration
-    with equal values shares them, in this process only.
-    """
-
-    def __init__(self, cfg: LoopConfig):
-        self.cfg = cfg
-
-    def detect_engine(self, w: int) -> tuple[Cgm, DbnEngine]:
-        return _engine(self.cfg.dbn.with_slices(w), self.cfg.emission, ())
-
-    def select_engine(self, w: int, candidate: Assignment | None) -> tuple[Cgm, DbnEngine]:
-        return _engine(self.cfg.dbn.with_slices(w + self.cfg.lookahead), self.cfg.emission,
-                       tuple(sorted((candidate or {}).items(), key=lambda kv: str(kv[0]))))
-
-    def plan(self, window: list[dict]) -> InterventionPlan:
-        """`select_intervention` over the lookahead model, on cached engines."""
-        w = len(window)
-        target = {VarId("Y", w + self.cfg.lookahead - 1): 1}
-        candidates = [{VarId(cand[0], w): cand[1]} if cand is not None else {}
-                      for cand in self.cfg.candidates]
-        risks = []
-        for assignment in candidates:
-            model, engine = self.select_engine(w, assignment)
-            conditioning = emission_evidence(model, enumerate(window))
-            conditioning.update(assignment)
-            risks.append(engine.conditional(target, conditioning))
-        return _cheapest_plan(candidates, risks)
+def _plan(cfg: LoopConfig, window: list[dict]) -> InterventionPlan:
+    """`select_intervention` over the lookahead model, on cached engines."""
+    w = len(window)
+    target = {VarId("Y", w + cfg.lookahead - 1): 1}
+    candidates = [{VarId(cand[0], w): cand[1]} if cand is not None else {}
+                  for cand in cfg.candidates]
+    risks = []
+    for assignment in candidates:
+        model, engine = _engine(cfg.dbn.with_slices(w + cfg.lookahead), cfg.emission,
+                                tuple(sorted(assignment.items(), key=lambda kv: str(kv[0]))))
+        conditioning = emission_evidence(model, enumerate(window))
+        conditioning.update(assignment)
+        risks.append(engine.conditional(target, conditioning))
+    return _cheapest_plan(candidates, risks)
 
 
 class LoopDefender:
@@ -263,17 +257,10 @@ class LoopDefender:
 
     def __init__(self, s: Scenario, cfg: LoopConfig, seed: int,
                  approval: ApprovalHook | None = None):
-        if not 1 <= cfg.window <= 16:
-            raise SpecError(f"window must be in 1..16, got {cfg.window}")
-        if cfg.lookahead < 1:
-            raise SpecError("lookahead must be >= 1")
-        if not cfg.candidates:
-            raise SpecError("candidate intervention list is empty")
         self.cfg = cfg
         self.approval = approval
         self.truth = TruthTracker(s.attacker.entry)
         self.noise_rng = random.Random(child_seed(seed, "indicators"))
-        self.cache = _ModelCache(cfg)
         self.frames: list[dict] = []
         self.detections: list[dict] = []
         self.interventions: list[dict] = []
@@ -284,7 +271,7 @@ class LoopDefender:
         if not self.frames:
             return NOP
         window = self.frames[-self.cfg.window:]
-        model, engine = self.cache.detect_engine(len(window))
+        model, engine = _engine(self.cfg.dbn.with_slices(len(window)), self.cfg.emission, ())
         try:
             posteriors = engine.posteriors(emission_evidence(model, enumerate(window)))
         except ZeroEvidenceError:
@@ -300,7 +287,7 @@ class LoopDefender:
         if max_post < self.cfg.tau:
             return NOP
 
-        plan = self.cache.plan(window)
+        plan = _plan(self.cfg, window)
         approved = None
         if self.cfg.autonomy is AutonomyLevel.CONFIRM:
             approved = self.approval is not None and bool(self.approval.approve(plan))

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from acdsim import agents, causal, cli, netmodel
 from acdsim.causal import save_model
 from acdsim.cli import main
 from .conftest import chain3_doc
@@ -25,6 +26,18 @@ def chain_model_path(tmp_path, chain_example):
 
 def run(args):
     return main(args)
+
+
+@pytest.fixture
+def input_calls(monkeypatch):
+    """Names every file read and every scenario, Q-table and DBN spec parse, in order."""
+    calls = []
+    for owner, name in ((cli, "_read"), (netmodel, "load_scenario"),
+                        (agents.QTable, "load"), (causal, "load_spec")):
+        fn = getattr(owner, name)
+        monkeypatch.setattr(owner, name,
+                            lambda *a, fn=fn, name=name, **kw: calls.append(name) or fn(*a, **kw))
+    return calls
 
 
 class TestSimulate:
@@ -106,9 +119,9 @@ LOG_FIELDS = [(1, ("def",)), (1, ("atk",)), (1, ("atk", "attempts")), (1, ("t",)
               (1, ("events",)), (1, ("reward",)), (0, ("scenario_sha256",))]
 
 
-@pytest.mark.parametrize("command", ["replay", "detect"])
-@pytest.mark.parametrize("line,path", LOG_FIELDS, ids=[".".join(p) for _, p in LOG_FIELDS])
-def test_log_missing_field_exits_2(tmp_path, capsys, command, line, path):
+def write_edited_log(tmp_path, line, path, edit) -> str:
+    """A seed-5 nop episode log whose `line` (0 the header, 1 the first step,
+    -1 the final summary) has `edit(owner, key)` applied at key `path`."""
     log_path = tmp_path / "log.jsonl"
     assert run(["simulate", "--seed", "5", "--out", str(log_path)]) == 0
     lines = log_path.read_text().splitlines()
@@ -116,11 +129,37 @@ def test_log_missing_field_exits_2(tmp_path, capsys, command, line, path):
     owner = obj
     for key in path[:-1]:
         owner = owner[key]
-    del owner[path[-1]]
+    edit(owner, path[-1])
     lines[line] = json.dumps(obj, sort_keys=True, separators=(",", ":"))
     log_path.write_text("\n".join(lines) + "\n")
+    return str(log_path)
+
+
+@pytest.mark.parametrize("command", ["replay", "detect"])
+@pytest.mark.parametrize("line,path", LOG_FIELDS, ids=[".".join(p) for _, p in LOG_FIELDS])
+def test_log_missing_field_exits_2(tmp_path, capsys, command, line, path):
+    log_path = write_edited_log(tmp_path, line, path, lambda owner, key: owner.pop(key))
     capsys.readouterr()
-    assert run([command, "--log", str(log_path)]) == 2
+    assert run([command, "--log", log_path]) == 2
+    assert_one_parse_error(capsys)
+
+
+# (line, key path, wrong-typed value) of typed fields of an episode log
+LOG_TYPES = [(0, ("seed",), [1]), (0, ("seed",), True), (1, ("t",), "a"),
+             (1, ("events", 0, "kind"), 1), (1, ("events", 0, "node"), [1]),
+             (1, ("def", "kind"), ["nop"]), (1, ("def", "node"), "0"),
+             (1, ("def", "duration"), "x"), (1, ("atk", "attempts"), "12"),
+             (1, ("atk", "attempts"), [1.5]), (-1, ("final", "t"), "5")]
+
+
+@pytest.mark.parametrize("command", ["replay", "detect"])
+@pytest.mark.parametrize("line,path,value", LOG_TYPES,
+                         ids=[f"{'.'.join(map(str, p))}={v!r}" for _, p, v in LOG_TYPES])
+def test_log_wrong_type_exits_2(tmp_path, capsys, command, line, path, value):
+    log_path = write_edited_log(tmp_path, line, path,
+                                lambda owner, key: owner.__setitem__(key, value))
+    capsys.readouterr()
+    assert run([command, "--log", log_path]) == 2
     assert_one_parse_error(capsys)
 
 
@@ -246,6 +285,47 @@ class TestLoop:
         assert run(base + ["--parallel", "2", "--out", str(parallel)]) == 0
         assert serial.read_bytes() == parallel.read_bytes()
 
+    def test_every_episode_starts_at_the_first_approval(self, tmp_path):
+        decisions = [True, False, True]
+        approve = tmp_path / "decisions.json"
+        approve.write_text(json.dumps(decisions))
+        serial, parallel = tmp_path / "s.json", tmp_path / "p.json"
+        base = ["loop", "--autonomy", "confirm", "--approve", f"file:{approve}",
+                "--seed", "0", "--episodes", "3"]
+        assert run(base + ["--out", str(serial)]) == 0
+        assert run(base + ["--parallel", "2", "--out", str(parallel)]) == 0
+        assert serial.read_bytes() == parallel.read_bytes()
+        reports = json.loads(serial.read_text())["reports"]
+        for report in reports:
+            approved = [i["approved"] for i in report["interventions"]]
+            assert len(approved) > len(decisions)
+            assert approved == decisions + [False] * (len(approved) - len(decisions))
+
+    def test_zero_episodes(self, tmp_path, capsys):
+        out = tmp_path / "r.json"
+        assert run(["loop", "--episodes", "0", "--out", str(out)]) == 0
+        assert json.loads(out.read_text())["reports"] == []
+        summary = json.loads(capsys.readouterr().out)
+        assert summary["episodes"] == 0 and summary["mean_time_to_target"] == 0.0
+
+    @pytest.mark.parametrize("option", [("--window", "0"), ("--window", "17"),
+                                        ("--window", "40"), ("--lookahead", "0"),
+                                        ("--tau", "nan")])
+    def test_out_of_range_option_exits_2(self, tmp_path, capsys, option):
+        assert run(["loop", *option, "--out", str(tmp_path / "r.json")]) == 2
+        assert_one_parse_error(capsys)
+        assert not (tmp_path / "r.json").exists()
+
+    def test_inputs_parsed_once(self, tmp_path, input_calls):
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({"topology": "chain-a", "slices": 8}))
+        approve = tmp_path / "decisions.json"
+        approve.write_text("[true]")
+        assert run(["loop", "--autonomy", "confirm", "--dbn", str(spec),
+                    "--approve", f"file:{approve}", "--episodes", "3",
+                    "--out", str(tmp_path / "r.json")]) == 0
+        assert input_calls == ["_read", "load_scenario", "_read", "load_spec", "_read"]
+
 
 class TestEvaluate:
     def test_json_and_csv_outputs(self, tmp_path, chain3_path, capsys):
@@ -291,6 +371,46 @@ class TestEvaluate:
              "--episodes", "4", "--seed", "9", "--parallel", "2",
              "--out", str(parallel)])
         assert serial.read_bytes() == parallel.read_bytes()
+
+
+    def test_inputs_parsed_once(self, tmp_path, chain3_path, input_calls):
+        qt = tmp_path / "q.json"
+        run(["train", "--scenario", chain3_path, "--episodes", "20", "--out", str(qt)])
+        input_calls.clear()
+        assert run(["evaluate", "--scenario", chain3_path, "--qtable", str(qt),
+                    "--episodes", "3", "--out", str(tmp_path / "e.json")]) == 0
+        assert input_calls == ["_read", "load_scenario", "_read", "load"]
+
+
+class RecordingExecutor:
+    """Stands in for ProcessPoolExecutor: records its size, maps in process."""
+
+    sizes: list = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, *iterables, chunksize=1):
+        return map(fn, *iterables)
+
+
+@pytest.mark.parametrize("episodes,sizes", [(2, [2]), (1, []), (0, [])])
+def test_parallel_workers_capped_at_episode_count(tmp_path, chain3_path, monkeypatch,
+                                                  episodes, sizes):
+    qt = tmp_path / "q.json"
+    run(["train", "--scenario", chain3_path, "--episodes", "20", "--out", str(qt)])
+    monkeypatch.setattr(RecordingExecutor, "sizes", [])
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingExecutor)
+    assert run(["evaluate", "--scenario", chain3_path, "--qtable", str(qt),
+                "--episodes", str(episodes), "--parallel", "64",
+                "--out", str(tmp_path / "e.json")]) == 0
+    assert RecordingExecutor.sizes == sizes
 
 
 class TestUsageErrors:

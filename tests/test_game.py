@@ -2,11 +2,12 @@
 
 import json
 import random
+from dataclasses import replace
 
 import pytest
 
 from acdsim.agents import LateralAttacker, NopDefender, PassingAttacker, RandomDefender
-from acdsim.errors import IllegalActionError, TerminalStateError
+from acdsim.errors import IllegalActionError, ReplayMismatchError, TerminalStateError
 from acdsim.game import (
     HORIZON_REACHED,
     NOP,
@@ -21,6 +22,7 @@ from acdsim.game import (
     isolate,
     parse_episode_jsonl,
     patch,
+    replay_episode,
     restore,
     run_episode,
     scan,
@@ -270,4 +272,17 @@ class TestReplay:
         tampered = json.loads(lines[1])
         tampered["reward"] = tampered["reward"] + 1.0
         lines[1] = json.dumps(tampered, sort_keys=True, separators=(",", ":"))
+        assert not verify_replay("\n".join(lines) + "\n")
+
+    @pytest.mark.parametrize("horizon,terminal", [(None, TARGET_COMPROMISED),
+                                                  (1, HORIZON_REACHED)])
+    def test_replay_past_the_record_is_a_mismatch(self, chain3, horizon, terminal):
+        log = run_episode(chain3, NopDefender(), LateralAttacker(1), seed=13,
+                          horizon_override=horizon)
+        assert log.final["terminal"] == terminal
+        assert replay_episode(log) == log
+        with pytest.raises(ReplayMismatchError, match="past the last recorded step"):
+            replay_episode(replace(log, steps=log.steps[:-1]))
+        lines = episode_to_jsonl(log).splitlines()
+        del lines[-2]
         assert not verify_replay("\n".join(lines) + "\n")

@@ -255,6 +255,13 @@ class TestRunLoop:
         with pytest.raises(SpecError, match="window"):
             run_loop(enterprise, LoopConfig(window=17), seed=0)
 
+    @pytest.mark.parametrize("kwargs,message", [({"lookahead": 0}, "lookahead"),
+                                                ({"tau": float("nan")}, "tau"),
+                                                ({"candidates": ()}, "candidate")])
+    def test_bad_config_rejected_when_built(self, kwargs, message):
+        with pytest.raises(SpecError, match=message):
+            LoopConfig(**kwargs)
+
     def test_report_json_shape(self, enterprise):
         report = run_loop(enterprise, LoopConfig(autonomy=AutonomyLevel.ADVISE), seed=0)
         obj = json.loads(report.to_json())

@@ -47,7 +47,7 @@ from .causal import (
     interventional,
 )
 from .detect import TACTICS, EmissionNoise, TruthTracker, apply_noise, emission_evidence
-from .errors import SpecError, ZeroEvidenceError
+from .errors import ParseError, SpecError, ZeroEvidenceError
 from .game import (
     NOP,
     DefenderAction,
@@ -162,8 +162,8 @@ class LoopReport:
 
 
 def extract_episode_jsonl(text: str) -> str:
-    """Pull the embedded episode log out of a loop report, or pass through
-    a plain JSON-lines log unchanged."""
+    """Pull the embedded episode log out of a one-episode loop report, or
+    pass through a plain JSON-lines log unchanged."""
     stripped = text.lstrip()
     if stripped.startswith("{") and "\n" in stripped:
         try:
@@ -172,6 +172,8 @@ def extract_episode_jsonl(text: str) -> str:
             return text
         if isinstance(obj, dict) and "episode_jsonl" in obj:
             return obj["episode_jsonl"]
+        if isinstance(obj, dict) and "reports" in obj:
+            raise ParseError("a multi-episode loop report holds no single episode log")
     return text
 
 

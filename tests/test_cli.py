@@ -249,6 +249,16 @@ class TestLoop:
         assert out1.read_bytes() == out2.read_bytes()
         assert run(["replay", "--log", str(out1)]) == 0
 
+    @pytest.mark.parametrize("command", ["replay", "detect"])
+    def test_multi_episode_report_is_refused(self, tmp_path, capsys, command):
+        out = tmp_path / "r.json"
+        assert run(["loop", "--autonomy", "auto", "--episodes", "2", "--seed", "4",
+                    "--out", str(out)]) == 0
+        capsys.readouterr()
+        assert run([command, "--log", str(out)]) == 2
+        err = json.loads(capsys.readouterr().err)["error"]
+        assert err["type"] == "ParseError" and "multi-episode" in err["message"]
+
     def test_loop_confirm_with_approval_file(self, tmp_path):
         decisions = tmp_path / "decisions.json"
         decisions.write_text("[true, true, false]")

@@ -9,7 +9,8 @@ models (every non-global variable carries a time index, parents restricted to
 the same slice, the previous slice, or parentless globals) additionally get an
 exact forward-backward engine, so conditioning and smoothing stay cheap on
 long unrollings; both routes compute the same sums. The engine folds the
-globals into every slice's state, so the unrolled model is a single chain.
+globals into every slice's state, so the unrolled model is a single chain,
+and takes noisy observations of slice variables as per-slice likelihoods.
 """
 
 from __future__ import annotations
@@ -474,7 +475,9 @@ class DbnEngine:
     every transition is a stack of one (previous, current) block per global
     assignment, so their values carry over unchanged from slice to slice,
     and evidence on a global masks slice 0 (static nodes as part of every
-    slice's hidden state, Murphy 2002, ch. 3). One scaled forward filter
+    slice's hidden state, Murphy 2002, ch. 3). Queries take optional
+    per-slice `likelihoods` (from `frame_likelihoods`), multiplied into each
+    slice with its evidence masks. One scaled forward filter
     then answers likelihoods and last-slice conditionals, and a backward
     pass on top of it gives the posteriors. Computes the identical sums to
     full enumeration, without the exponential blow-up in the number of
@@ -577,56 +580,79 @@ class DbnEngine:
                 factor = factor * np.where(bit(g) == 1, p1, 1.0 - p1)
         return factor
 
-    def _masks(self, assignment: Assignment) -> dict[int, np.ndarray] | None:
-        """Per-slice 0/1 masks of the assignment, a global's on slice 0;
-        None when it gives a variable a value outside 0/1. Masks are shared
-        arrays."""
-        masks: dict[int, np.ndarray] = {}
+    def frame_likelihoods(self, frames, miss: float, false_pos: float) -> list[np.ndarray]:
+        """Frame i, {name: observed bit}, as slice i's likelihood array: each
+        bit is the variable's copy flipped as in `attach_emissions`, summed
+        out into p(bit | variable) (virtual evidence, Pearl 1988, 2.2.2).
+        Names the slice lacks, and latent variables, are skipped."""
+        if not (0.0 <= miss <= 1.0 and 0.0 <= false_pos <= 1.0):
+            raise SpecError(f"emission noise must be in [0,1], got {miss}, {false_pos}")
+        if len(frames) > self.T:
+            raise SpecError(f"{len(frames)} frames for a model of {self.T} slices")
+        # observed bit -> [p(bit | variable = 0), p(bit | variable = 1)]
+        emit = {0: np.array([1.0 - false_pos, miss]), 1: np.array([false_pos, 1.0 - miss])}
+        impossible = np.zeros(2)  # a bit outside 0/1
+        out = []
+        for t, frame in enumerate(frames):
+            lik = np.ones((1, self.bits[t].shape[1]))
+            for name, bit in frame.items():
+                v = VarId(name, t)
+                if v in self.pos and v not in self.m.latent:
+                    lik = lik * emit.get(bit, impossible)[self.bits[t][self.pos[v]]]
+            out.append(lik)
+        return out
+
+    def _weights(self, assignment: Assignment, likelihoods) -> dict[int, np.ndarray] | None:
+        """Per-slice products of the assignment's 0/1 masks, a global's on
+        slice 0, and of the likelihoods; None for a value outside 0/1."""
+        weights: dict[int, np.ndarray] = {}
         for v, value in assignment.items():
             t, by_value = self._value_masks[v]
             mask = by_value.get(value)
             if mask is None:
                 return None
-            masks[t] = masks[t] * mask if t in masks else mask
-        return masks
+            weights[t] = weights[t] * mask if t in weights else mask
+        for t, lik in enumerate(likelihoods):
+            weights[t] = weights[t] * lik if t in weights else lik
+        return weights
 
-    def _forward(self, evidence: Assignment):
-        """Scaled forward filter: (masks, alphas, log p(e)), the last alpha
+    def _forward(self, evidence: Assignment, likelihoods):
+        """Scaled forward filter: (weights, alphas, log p(e)), the last alpha
         normalized; None when the evidence is impossible."""
-        masks = self._masks(evidence)
-        if masks is None:
+        weights = self._weights(evidence, likelihoods)
+        if weights is None:
             return None
-        alphas = [self._init * masks[0] if 0 in masks else self._init]
+        alphas = [self._init * weights[0] if 0 in weights else self._init]
         scales = []
         for t in range(1, self.T):
             c = alphas[-1].sum()
             if c == 0.0:
                 return None
             nxt = np.matmul(alphas[-1][:, None, :], self._trans[t - 1])[:, 0, :]
-            alphas.append((nxt * masks[t] if t in masks else nxt) / c)
+            alphas.append((nxt * weights[t] if t in weights else nxt) / c)
             scales.append(c)
         c = alphas[-1].sum()
         if c == 0.0:
             return None
         scales.append(c)
         alphas[-1] = alphas[-1] / c
-        return masks, alphas, sum(math.log(c) for c in scales)
+        return weights, alphas, sum(math.log(c) for c in scales)
 
-    def loglik(self, evidence: Assignment) -> float:
+    def loglik(self, evidence: Assignment, likelihoods=()) -> float:
         """log p(evidence); -inf when the evidence is impossible. Forward only."""
-        fwd = self._forward(evidence)
+        fwd = self._forward(evidence, likelihoods)
         return fwd[2] if fwd is not None else float("-inf")
 
-    def posteriors(self, evidence: Assignment) -> dict:
+    def posteriors(self, evidence: Assignment, likelihoods=()) -> dict:
         """p(var = 1 | evidence) for every variable in the model, globals first."""
-        fwd = self._forward(evidence)
+        fwd = self._forward(evidence, likelihoods)
         if fwd is None:
             raise ZeroEvidenceError("conditioning event has probability zero")
-        masks, alphas, _ = fwd
+        weights, alphas, _ = fwd
         beta = [None] * self.T
         beta[-1] = np.ones(alphas[-1].shape)
         for t in range(self.T - 2, -1, -1):
-            nxt = beta[t + 1] * masks[t + 1] if t + 1 in masks else beta[t + 1]
+            nxt = beta[t + 1] * weights[t + 1] if t + 1 in weights else beta[t + 1]
             beta[t] = np.matmul(self._trans[t], nxt[:, :, None])[:, :, 0]
             s = beta[t].max()
             if s > 0:
@@ -641,7 +667,7 @@ class DbnEngine:
         margs.update((t, gamma.sum(axis=0)) for t, gamma in enumerate(gammas))
         return {v: margs[t][on].sum() for v, (t, on) in self._on_states.items()}
 
-    def conditional(self, target: Assignment, evidence: Assignment) -> float:
+    def conditional(self, target: Assignment, evidence: Assignment, likelihoods=()) -> float:
         """p(target | evidence).
 
         A target wholly in the last slice is read off the final filtered
@@ -652,32 +678,18 @@ class DbnEngine:
         if joint is None:
             return 0.0
         if target and all(v.slice == self.T - 1 for v in target):
-            fwd = self._forward(evidence)
+            fwd = self._forward(evidence, likelihoods)
             if fwd is None:
                 raise ZeroEvidenceError("conditioning event has probability zero")
-            on = self._masks(target)
+            on = self._weights(target, ())
             if on is None:
                 return 0.0
             return (fwd[1][-1] * on[self.T - 1]).sum()
-        ll_e = self.loglik(evidence)
+        ll_e = self.loglik(evidence, likelihoods)
         if ll_e == float("-inf"):
             raise ZeroEvidenceError("conditioning event has probability zero")
-        ll_j = self.loglik(joint)
+        ll_j = self.loglik(joint, likelihoods)
         return math.exp(ll_j - ll_e) if ll_j != float("-inf") else 0.0
-
-
-def smoothing_engine(m: Cgm, evidence: Assignment) -> DbnEngine | None:
-    """The engine `smooth` runs on, built after the evidence checks and the
-    16-slice limit; None for a model without time-indexed variables."""
-    _check_assignment(m, evidence, "evidence")
-    for v in evidence:
-        if v in m.latent:
-            raise LatentEvidenceError(f"cannot observe latent {v}")
-    slices = [v.slice for v in m.variables if v.slice is not None]
-    if not slices:
-        return None
-    check_smoothing_slices(max(slices) + 1)
-    return DbnEngine(m)
 
 
 def check_smoothing_slices(T: int) -> None:
@@ -692,9 +704,14 @@ def smooth(m: Cgm, evidence: Assignment) -> dict:
     Slice-structured models (up to 16 slices) run through the engine; tiny
     unstructured models fall back to enumeration.
     """
-    engine = smoothing_engine(m, evidence)
-    if engine is not None:
-        post = engine.posteriors(evidence)
+    _check_assignment(m, evidence, "evidence")
+    for v in evidence:
+        if v in m.latent:
+            raise LatentEvidenceError(f"cannot observe latent {v}")
+    slices = [v.slice for v in m.variables if v.slice is not None]
+    if slices:
+        check_smoothing_slices(max(slices) + 1)
+        post = DbnEngine(m).posteriors(evidence)
         return {v: p for v, p in post.items() if v not in evidence}
     hidden = [v for v in m.variables if v not in evidence]
     if len(hidden) > ENUMERATION_LIMIT:

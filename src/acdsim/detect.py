@@ -17,7 +17,7 @@ from __future__ import annotations
 import json
 import random
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple
+from typing import NamedTuple
 
 from . import __version__
 from ._util import sha256_hex
@@ -29,7 +29,6 @@ from .causal import (
     check_smoothing_slices,
     emission_var,
     sample,
-    smoothing_engine,
 )
 from .errors import ParseError, SpecError
 from .game import EpisodeLog, episode_to_jsonl
@@ -174,30 +173,10 @@ def _model_slices(m: Cgm) -> int:
     return max(slices) + 1
 
 
-def emission_evidence(m: Cgm, frames: Iterable[tuple[int, dict]]) -> dict:
-    """Evidence on the model's emission variables from (slice, bits) pairs;
-    bits of tactics the model lacks at that slice are left out."""
-    evidence = {}
-    for t, bits in frames:
-        for tactic in TACTICS:
-            v = VarId(tactic, t)
-            if m.has(v):
-                evidence[emission_var(v)] = bits[tactic]
-    return evidence
-
-
 def _check_frames(m: Cgm, seq: IndicatorSequence) -> None:
     if _model_slices(m) != len(seq.frames):
         raise SpecError(f"model has {_model_slices(m)} slices but the sequence "
                         f"has {len(seq.frames)} frames")
-
-
-def _emission_model(m: Cgm, seq: IndicatorSequence,
-                    emission: EmissionNoise) -> tuple[Cgm, dict]:
-    """The model extended with emission variables, and the sequence as
-    evidence on them; `_check_frames` has passed."""
-    extended = attach_emissions(m, emission.miss, emission.false_pos)
-    return extended, emission_evidence(extended, ((f.t, f.bits) for f in seq.frames))
 
 
 def sequence_loglik(m: Cgm, seq: IndicatorSequence, emission: EmissionNoise) -> float:
@@ -207,8 +186,8 @@ def sequence_loglik(m: Cgm, seq: IndicatorSequence, emission: EmissionNoise) -> 
     probabilities. Returns -inf for sequences the model cannot produce.
     """
     _check_frames(m, seq)
-    extended, evidence = _emission_model(m, seq, emission)
-    return DbnEngine(extended).loglik(evidence)
+    engine = DbnEngine(m)
+    return engine.loglik({}, engine.frame_likelihoods([f.bits for f in seq.frames], *emission))
 
 
 def benign_model_like(m: Cgm) -> Cgm:
@@ -229,19 +208,18 @@ def classify(seq: IndicatorSequence, benign: Cgm, malign: Cgm,
     of every tactic under the malign model as supporting trace."""
     _check_frames(malign, seq)
     _check_frames(benign, seq)
-    check_smoothing_slices(len(seq.frames))  # before any model is built
-    extended, evidence = _emission_model(malign, seq, emission)
-    benign_extended, benign_evidence = _emission_model(benign, seq, emission)
+    check_smoothing_slices(len(seq.frames))  # before any engine is built
     # one engine for the malign likelihood and the smoothing
-    engine = smoothing_engine(extended, evidence)
-    ll_malign = engine.loglik(evidence)
-    ll_benign = DbnEngine(benign_extended).loglik(benign_evidence)
+    engine = DbnEngine(malign)
+    likelihoods = engine.frame_likelihoods([f.bits for f in seq.frames], *emission)
+    ll_malign = engine.loglik({}, likelihoods)
+    ll_benign = sequence_loglik(benign, seq, emission)
     if ll_malign == float("-inf") and ll_benign == float("-inf"):
         llr = 0.0
     else:
         llr = ll_malign - ll_benign
 
-    posteriors = engine.posteriors(evidence)
+    posteriors = engine.posteriors({}, likelihoods)
     trace = []
     for t in range(len(seq.frames)):
         row = {}

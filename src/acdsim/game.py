@@ -48,6 +48,8 @@ ALERT_ATTEMPT_FAIL = "attempt_fail"
 ALERT_ATTEMPT_SUCCESS = "attempt_success"
 ALERT_FALSE_POSITIVE = "false_positive"
 
+DEFENDER_KINDS = ("nop", "patch", "restore", "isolate", "scan")
+
 CRED_COMPROMISE_PROB = 0.9
 
 
@@ -57,7 +59,7 @@ CRED_COMPROMISE_PROB = 0.9
 
 @dataclass(frozen=True)
 class DefenderAction:
-    kind: str  # nop | patch | restore | isolate | scan
+    kind: str  # one of DEFENDER_KINDS
     node: int | None = None
     duration: int = 1
 
@@ -272,7 +274,7 @@ def init(s: Scenario, seed: int, horizon_override: int | None = None) -> GameSta
 
 
 def _check_defender_action(st: GameState, d: DefenderAction):
-    if d.kind not in ("nop", "patch", "restore", "isolate", "scan"):
+    if d.kind not in DEFENDER_KINDS:
         raise IllegalActionError(f"unknown defender action kind '{d.kind}'")
     if d.kind != "nop":
         if d.node is None or not st.scenario.topology.has_node(d.node):
@@ -539,9 +541,13 @@ def parse_episode_jsonl(text: str) -> EpisodeLog:
         try:
             d = obj["def"]
             node = d.get("node")
+            kind = _typed(d["kind"], str, "def.kind")
+            if kind not in DEFENDER_KINDS:
+                raise ParseError(f"def.kind must be one of {', '.join(DEFENDER_KINDS)}, "
+                                 f"got {kind!r}")
             records.append(StepRecord(
                 t=_typed(obj["t"], int, "t"),
-                defender=DefenderAction(_typed(d["kind"], str, "def.kind"),
+                defender=DefenderAction(kind,
                                         None if node is None else _typed(node, int, "def.node"),
                                         _typed(d.get("duration", 1), int, "def.duration")),
                 attacker=AttackerAction(frozenset(
@@ -600,10 +606,11 @@ def replay_episode(log: EpisodeLog) -> EpisodeLog:
 
 
 def verify_replay(text: str) -> bool:
-    """True iff re-running the log's actions reproduces its exact bytes."""
+    """True iff re-running the log's actions reproduces its exact bytes; a
+    recorded action illegal in the replayed state is a mismatch too."""
     log = parse_episode_jsonl(text)
     try:
         replayed = replay_episode(log)
-    except ReplayMismatchError:
+    except (ReplayMismatchError, IllegalActionError):
         return False
     return episode_to_jsonl(replayed) == text

@@ -15,11 +15,12 @@ level the policy only observes and always plays the no-op, so the trajectory
 is byte-identical to a plain episode with the no-op defender and the same
 seed.
 
-The models and inference engines the loop queries are built once per
-process, on first use, and shared by every episode and configuration: the
-cache is keyed by value (DBN spec unrolled to the model's slices, emission
-noise, intervention) and no query mutates an engine, so a report never
-depends on what the process ran before it.
+The inference engines the loop queries run on the tactic model alone: the
+indicator noise enters each query as per-slice likelihoods of the frames
+(virtual evidence). The engines are built once per process, on first use,
+and shared by every episode and configuration: the cache is keyed by value
+(DBN spec unrolled to the model's slices, intervention) and no query mutates
+an engine, so a report never depends on what the process ran before it.
 """
 
 from __future__ import annotations
@@ -41,12 +42,11 @@ from .causal import (
     DbnSpec,
     Topology,
     VarId,
-    attach_emissions,
     build_topology,
     do_transform,
     interventional,
 )
-from .detect import TACTICS, EmissionNoise, TruthTracker, apply_noise, emission_evidence
+from .detect import TACTICS, EmissionNoise, TruthTracker, apply_noise
 from .errors import ParseError, SpecError, ZeroEvidenceError
 from .game import (
     NOP,
@@ -221,29 +221,28 @@ def map_intervention_to_action(plan: InterventionPlan, view: DefenderView) -> De
 # ---------------------------------------------------------------------------
 
 @functools.lru_cache(maxsize=256)
-def _engine(spec: DbnSpec, emission: EmissionNoise, do: tuple) -> tuple[Cgm, DbnEngine]:
-    """The emission-extended model of `spec`, mutilated by the `do` pairs,
-    and its engine. Cached process-wide: the key is the arguments' values and
-    engines are never mutated, so a result does not depend on what ran before."""
-    model = attach_emissions(build_topology(spec), emission.miss, emission.false_pos)
+def _engine(spec: DbnSpec, do: tuple) -> DbnEngine:
+    """The engine of `spec`'s tactic model, mutilated by the `do` pairs.
+    Cached process-wide: the key is the arguments' values and engines are
+    never mutated, so a result does not depend on what ran before."""
+    model = build_topology(spec)
     if do:
         model = do_transform(model, dict(do))
-    return model, DbnEngine(model)
+    return DbnEngine(model)
 
 
-def _plan(cfg: LoopConfig, window: list[dict]) -> InterventionPlan:
-    """`select_intervention` over the lookahead model, on cached engines."""
-    w = len(window)
+def _plan(cfg: LoopConfig, likelihoods: list) -> InterventionPlan:
+    """`select_intervention` over the lookahead model, on cached engines,
+    with the window's frames as `likelihoods` on its first slices."""
+    w = len(likelihoods)
     target = {VarId("Y", w + cfg.lookahead - 1): 1}
     candidates = [{VarId(cand[0], w): cand[1]} if cand is not None else {}
                   for cand in cfg.candidates]
     risks = []
     for assignment in candidates:
-        model, engine = _engine(cfg.dbn.with_slices(w + cfg.lookahead), cfg.emission,
-                                tuple(sorted(assignment.items(), key=lambda kv: str(kv[0]))))
-        conditioning = emission_evidence(model, enumerate(window))
-        conditioning.update(assignment)
-        risks.append(engine.conditional(target, conditioning))
+        engine = _engine(cfg.dbn.with_slices(w + cfg.lookahead),
+                         tuple(sorted(assignment.items(), key=lambda kv: str(kv[0]))))
+        risks.append(engine.conditional(target, assignment, likelihoods))
     return _cheapest_plan(candidates, risks)
 
 
@@ -273,9 +272,13 @@ class LoopDefender:
         if not self.frames:
             return NOP
         window = self.frames[-self.cfg.window:]
-        model, engine = _engine(self.cfg.dbn.with_slices(len(window)), self.cfg.emission, ())
+        engine = _engine(self.cfg.dbn.with_slices(len(window)), ())
+        # A slice's state layout depends only on that slice and the ones
+        # before it, and the do-slice comes after the window, so these arrays
+        # also fit the first len(window) slices of every lookahead engine.
+        likelihoods = engine.frame_likelihoods(window, *self.cfg.emission)
         try:
-            posteriors = engine.posteriors(emission_evidence(model, enumerate(window)))
+            posteriors = engine.posteriors({}, likelihoods)
         except ZeroEvidenceError:
             posteriors = {}
         tactic_post = {str(v): p for v, p in posteriors.items()
@@ -289,7 +292,7 @@ class LoopDefender:
         if max_post < self.cfg.tau:
             return NOP
 
-        plan = _plan(self.cfg, window)
+        plan = _plan(self.cfg, likelihoods)
         approved = None
         if self.cfg.autonomy is AutonomyLevel.CONFIRM:
             approved = self.approval is not None and bool(self.approval.approve(plan))

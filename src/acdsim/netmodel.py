@@ -9,30 +9,10 @@ from __future__ import annotations
 
 import json
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 from ._util import canonical_json, sha256_hex
 from .errors import ParseError, UnknownNodeError, ValidationError
-
-COST_DEFAULTS = {
-    "patch_cost": 1.0,
-    "patch_usability": 0.5,
-    "restore_cost": 3.0,
-    "restore_usability": 2.0,
-    "isolate_cost_per_step": 2.0,
-    "scan_cost": 0.5,
-    "survival_bonus": 1.0,
-    "target_loss_penalty": -100.0,
-    "patch_delta": 0.2,
-}
-
-ALERT_DEFAULTS = {
-    "p_alert_fail": 0.6,
-    "p_alert_success": 0.3,
-    "p_false_alert": 0.05,
-    "scan_tpr": 0.9,
-    "scan_fpr": 0.05,
-}
 
 DEFAULT_HORIZON = 100
 DEFAULT_STRENGTH = 0.5
@@ -111,24 +91,24 @@ class AttackerParams:
 
 @dataclass(frozen=True)
 class CostParams:
-    patch_cost: float = COST_DEFAULTS["patch_cost"]
-    patch_usability: float = COST_DEFAULTS["patch_usability"]
-    restore_cost: float = COST_DEFAULTS["restore_cost"]
-    restore_usability: float = COST_DEFAULTS["restore_usability"]
-    isolate_cost_per_step: float = COST_DEFAULTS["isolate_cost_per_step"]
-    scan_cost: float = COST_DEFAULTS["scan_cost"]
-    survival_bonus: float = COST_DEFAULTS["survival_bonus"]
-    target_loss_penalty: float = COST_DEFAULTS["target_loss_penalty"]
-    patch_delta: float = COST_DEFAULTS["patch_delta"]
+    patch_cost: float = 1.0
+    patch_usability: float = 0.5
+    restore_cost: float = 3.0
+    restore_usability: float = 2.0
+    isolate_cost_per_step: float = 2.0
+    scan_cost: float = 0.5
+    survival_bonus: float = 1.0
+    target_loss_penalty: float = -100.0
+    patch_delta: float = 0.2
 
 
 @dataclass(frozen=True)
 class AlertParams:
-    p_alert_fail: float = ALERT_DEFAULTS["p_alert_fail"]
-    p_alert_success: float = ALERT_DEFAULTS["p_alert_success"]
-    p_false_alert: float = ALERT_DEFAULTS["p_false_alert"]
-    scan_tpr: float = ALERT_DEFAULTS["scan_tpr"]
-    scan_fpr: float = ALERT_DEFAULTS["scan_fpr"]
+    p_alert_fail: float = 0.6
+    p_alert_success: float = 0.3
+    p_false_alert: float = 0.05
+    scan_tpr: float = 0.9
+    scan_fpr: float = 0.05
 
 
 @dataclass(frozen=True)
@@ -207,6 +187,14 @@ def _parse_node(obj, index: int, lenient: bool) -> NodeSpec:
     )
 
 
+def _params(cls, obj, where: str, lenient: bool):
+    """A `cls` (all-number dataclass) from the object, absent keys at their
+    field defaults."""
+    _require(isinstance(obj, dict), f"'{where}' must be an object")
+    _check_keys(obj, {f.name for f in fields(cls)}, where, lenient)
+    return cls(**{f.name: _num(obj, f.name, where, default=f.default) for f in fields(cls)})
+
+
 def scenario_from_obj(obj, lenient: bool = False) -> Scenario:
     """Build a Scenario from a decoded JSON object (no validation yet)."""
     _require(isinstance(obj, dict), "scenario document must be a JSON object")
@@ -241,17 +229,8 @@ def scenario_from_obj(obj, lenient: bool = False) -> Scenario:
         entry=frozenset(atk["entry"]),
     )
 
-    costs_obj = obj.get("costs", {})
-    _require(isinstance(costs_obj, dict), "'costs' must be an object")
-    _check_keys(costs_obj, set(COST_DEFAULTS), "costs", lenient)
-    costs = CostParams(**{k: _num(costs_obj, k, "costs", default=COST_DEFAULTS[k])
-                          for k in COST_DEFAULTS})
-
-    alerts_obj = obj.get("alerts", {})
-    _require(isinstance(alerts_obj, dict), "'alerts' must be an object")
-    _check_keys(alerts_obj, set(ALERT_DEFAULTS), "alerts", lenient)
-    alerts = AlertParams(**{k: _num(alerts_obj, k, "alerts", default=ALERT_DEFAULTS[k])
-                            for k in ALERT_DEFAULTS})
+    costs = _params(CostParams, obj.get("costs", {}), "costs", lenient)
+    alerts = _params(AlertParams, obj.get("alerts", {}), "alerts", lenient)
 
     horizon = obj.get("horizon", DEFAULT_HORIZON)
     _require(isinstance(horizon, int) and not isinstance(horizon, bool),
@@ -415,8 +394,8 @@ def scenario_to_obj(s: Scenario) -> dict:
             "spread": s.attacker.spread,
             "entry": sorted(s.attacker.entry),
         },
-        "costs": {k: getattr(s.costs, k) for k in COST_DEFAULTS},
-        "alerts": {k: getattr(s.alerts, k) for k in ALERT_DEFAULTS},
+        "costs": asdict(s.costs),
+        "alerts": asdict(s.alerts),
         "horizon": s.horizon,
     }
 

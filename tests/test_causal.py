@@ -697,3 +697,106 @@ class TestEngineEdges:
             assert p == pytest.approx(want, abs=1e-12), v
         P2 = VarId("P", 2)
         assert engine.conditional({P2: 1}, evidence) == pytest.approx(expected[P2], abs=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# Indicator frames as per-slice likelihoods (virtual evidence)
+# ---------------------------------------------------------------------------
+
+PROBS = st.sampled_from([0.0, 1.0]) | st.floats(0.05, 0.95)
+
+
+@st.composite
+def framed_queries(draw):
+    """(model, hard evidence, frames, miss, false_pos, last-slice target) over
+    a random slice-structured model: 1-3 slices of at most five variables in
+    all, 0-2 parentless globals, parents within a slice, from the previous
+    slice or global, CPT entries that include 0 and 1. Frames name Z/X/Y,
+    the slices also hold W, which no frame observes."""
+    n_slices = draw(st.integers(1, 3))
+    globals_ = [VarId(f"G{j}") for j in range(draw(st.integers(0, 2)))]
+    variables, parents, slices = list(globals_), {g: () for g in globals_}, []
+    budget = 5
+    for t in range(n_slices):
+        size = draw(st.integers(1, min(3, budget - (n_slices - 1 - t))))
+        budget -= size
+        names = draw(st.permutations(["Z", "X", "Y", "W"]))[:size]
+        current = []
+        for name in names:
+            v = VarId(name, t)
+            pool = globals_ + (slices[-1] if slices else []) + current
+            chosen = draw(st.lists(st.sampled_from(pool), unique=True, max_size=3)) if pool else []
+            parents[v] = tuple(chosen)
+            current.append(v)
+        slices.append(current)
+        variables += current
+    cpts = {v: tuple(draw(PROBS) for _ in range(2 ** len(parents[v]))) for v in variables}
+    latent = frozenset(v for v in variables if draw(st.integers(0, 11)) == 0)
+    m = Cgm(variables=tuple(variables), parents=parents, cpts=cpts, latent=latent)
+    observable = [v for v in variables if v not in latent]
+    hard = {v: draw(st.integers(0, 1))
+            for v in draw(st.lists(st.sampled_from(observable), unique=True, max_size=2))
+            } if observable else {}
+    frames = [{name: draw(st.integers(0, 1))
+               for name in draw(st.lists(st.sampled_from("ZXY"), unique=True, min_size=1))}
+              for _ in range(draw(st.integers(0, n_slices)))]
+    miss, false_pos = draw(PROBS), draw(PROBS)
+    target = draw(st.sampled_from(slices[-1]))
+    return m, hard, frames, miss, false_pos, target
+
+
+class TestFrameLikelihoods:
+    """Frames as likelihood arrays on the tactic model against the same
+    queries on the `attach_emissions` model with `_obs` evidence, and both
+    against enumeration of that model."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(framed_queries())
+    def test_equal_to_observed_emission_children(self, query):
+        m, hard, frames, miss, false_pos, target = query
+        engine = DbnEngine(m)
+        likelihoods = engine.frame_likelihoods(frames, miss, false_pos)
+        ext = attach_emissions(m, miss, false_pos)
+        observed = {emission_var(VarId(name, t)): bit
+                    for t, frame in enumerate(frames) for name, bit in frame.items()
+                    if ext.has(emission_var(VarId(name, t)))}
+        ext_engine, ext_evidence = DbnEngine(ext), {**hard, **observed}
+        pe, expected = oracle_posteriors(ext, ext_evidence)
+        query_target = {target: 1}
+        contradicts = hard.get(target, 1) != 1
+
+        ll, ext_ll = engine.loglik(hard, likelihoods), ext_engine.loglik(ext_evidence)
+        if pe == 0.0:
+            assert ll == ext_ll == float("-inf")
+            for e, evidence, lik in ((engine, hard, likelihoods), (ext_engine, ext_evidence, ())):
+                with pytest.raises(ZeroEvidenceError):
+                    e.posteriors(evidence, lik)
+                if contradicts:
+                    assert e.conditional(query_target, evidence, lik) == 0.0
+                else:
+                    with pytest.raises(ZeroEvidenceError):
+                        e.conditional(query_target, evidence, lik)
+            return
+        assert math.exp(ll) == pytest.approx(pe, rel=1e-9)
+        assert ll == pytest.approx(ext_ll, rel=1e-12, abs=1e-12)
+        post, ext_post = engine.posteriors(hard, likelihoods), ext_engine.posteriors(ext_evidence)
+        assert list(post) == [v for v in ext_post if v in post]
+        for v, p in post.items():
+            assert p == pytest.approx(ext_post[v], abs=1e-12), v
+            assert p == pytest.approx(expected[v], abs=1e-12), v
+        got = engine.conditional(query_target, hard, likelihoods)
+        assert got == pytest.approx(ext_engine.conditional(query_target, ext_evidence), abs=1e-12)
+        assert got == pytest.approx(0.0 if contradicts else expected[target], abs=1e-12)
+
+    def test_out_of_range_bit_is_impossible(self):
+        engine = DbnEngine(build_topology(DbnSpec(Topology.CHAIN_A, 2)))
+        likelihoods = engine.frame_likelihoods([{"X": 2}], 0.2, 0.05)
+        assert engine.loglik({}, likelihoods) == float("-inf")
+
+    @pytest.mark.parametrize("frames,miss,false_pos,message", [
+        ([], 1.5, 0.05, "emission noise"), ([], 0.2, float("nan"), "emission noise"),
+        ([{}] * 3, 0.2, 0.05, "3 frames for a model of 2 slices")])
+    def test_bad_noise_or_too_many_frames_refused(self, frames, miss, false_pos, message):
+        engine = DbnEngine(build_topology(DbnSpec(Topology.CHAIN_A, 2)))
+        with pytest.raises(SpecError, match=message):
+            engine.frame_likelihoods(frames, miss, false_pos)

@@ -149,7 +149,8 @@ LOG_TYPES = [(0, ("seed",), [1]), (0, ("seed",), True), (1, ("t",), "a"),
              (1, ("events", 0, "kind"), 1), (1, ("events", 0, "node"), [1]),
              (1, ("def", "kind"), ["nop"]), (1, ("def", "node"), "0"),
              (1, ("def", "duration"), "x"), (1, ("atk", "attempts"), "12"),
-             (1, ("atk", "attempts"), [1.5]), (-1, ("final", "t"), "5")]
+             (1, ("atk", "attempts"), [1.5]), (-1, ("final", "t"), "5"),
+             (1, ("def", "kind"), "bogus")]
 
 
 @pytest.mark.parametrize("command", ["replay", "detect"])
@@ -161,6 +162,23 @@ def test_log_wrong_type_exits_2(tmp_path, capsys, command, line, path, value):
     capsys.readouterr()
     assert run([command, "--log", log_path]) == 2
     assert_one_parse_error(capsys)
+
+
+# Tampered logs whose replay diverges until a recorded action is illegal
+# ("attempt on node 7 not adjacent to a compromised node"): a mismatch
+REPLAY_DIVERGENCES = [(0, ("seed",), lambda owner, key: owner.__setitem__(key, owner[key] + 1)),
+                      (1, ("atk", "attempts"), lambda owner, key: owner[key].clear())]
+
+
+@pytest.mark.parametrize("line,path,edit", REPLAY_DIVERGENCES,
+                         ids=["seed+1", "step1-attempts-emptied"])
+def test_replay_reaching_an_illegal_action_exits_4(tmp_path, capsys, line, path, edit):
+    log_path = write_edited_log(tmp_path, line, path, edit)
+    capsys.readouterr()
+    assert run(["replay", "--log", log_path]) == 4
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert json.loads(err[0])["error"]["type"] == "ReplayMismatchError"
 
 
 class TestCausal:

@@ -479,9 +479,9 @@ class DbnEngine:
     per-slice `likelihoods` (from `frame_likelihoods`), multiplied into each
     slice with its evidence masks. One scaled forward filter
     then answers likelihoods and last-slice conditionals, and a backward
-    pass on top of it gives the posteriors. Computes the identical sums to
-    full enumeration, without the exponential blow-up in the number of
-    slices.
+    pass on top of it gives the posteriors; `predict` continues a filtered
+    state through the later slices. Computes the identical sums to full
+    enumeration, without the exponential blow-up in the number of slices.
     """
 
     def __init__(self, m: Cgm):
@@ -531,22 +531,20 @@ class DbnEngine:
 
         self.global_bits = layout(len(self.globals))
         self.bits: list[np.ndarray] = [layout(len(svars)) for svars in self.slice_vars]
-        # per variable, globals first: its slice (None for a global) with the
-        # states where it is 1, and the slice its evidence masks (0 for a
-        # global) with the 0/1 mask of each value, shaped to broadcast over
-        # the [globals, own] state array
-        self._on_states: dict[VarId, tuple[int | None, np.ndarray]] = {}
+        # per variable, globals first, in the order of `posteriors`: the slice
+        # its evidence masks (0 for a global) with the 0/1 mask of each value,
+        # shaped to broadcast over the [globals, own] state array
         self._value_masks: dict[VarId, tuple[int, dict[int, np.ndarray]]] = {}
         for v in self.globals + [v for svars in self.slice_vars for v in svars]:
             if v.slice is None:
                 bit, t, shape = self.global_bits[self.pos[v]], 0, (-1, 1)
             else:
                 bit, t, shape = self.bits[v.slice][self.pos[v]], v.slice, (1, -1)
-            self._on_states[v] = (v.slice, intern(np.flatnonzero(bit)))
             self._value_masks[v] = (t, {
                 value: intern((bit == value).astype(float).reshape(shape)) for value in (0, 1)})
         self._init = intern(self._slice_factor(0))
         self._trans = [intern(self._slice_factor(t)) for t in range(1, self.T)]
+        self._frame_cache: dict = {}  # (slice, frame items, noise) -> likelihood array
 
     def _slice_factor(self, t: int) -> np.ndarray:
         """Joint factor for slice t: at t = 0 the globals' prior times slice
@@ -584,7 +582,9 @@ class DbnEngine:
         """Frame i, {name: observed bit}, as slice i's likelihood array: each
         bit is the variable's copy flipped as in `attach_emissions`, summed
         out into p(bit | variable) (virtual evidence, Pearl 1988, 2.2.2).
-        Names the slice lacks, and latent variables, are skipped."""
+        Names the slice lacks, and latent variables, are skipped. The arrays
+        are read-only, cached by frame items in (product) order and by the
+        noise's bytes, which keep -0.0 apart from 0.0."""
         if not (0.0 <= miss <= 1.0 and 0.0 <= false_pos <= 1.0):
             raise SpecError(f"emission noise must be in [0,1], got {miss}, {false_pos}")
         if len(frames) > self.T:
@@ -594,11 +594,17 @@ class DbnEngine:
         impossible = np.zeros(2)  # a bit outside 0/1
         out = []
         for t, frame in enumerate(frames):
-            lik = np.ones((1, self.bits[t].shape[1]))
-            for name, bit in frame.items():
-                v = VarId(name, t)
-                if v in self.pos and v not in self.m.latent:
-                    lik = lik * emit.get(bit, impossible)[self.bits[t][self.pos[v]]]
+            key = (t, tuple(frame.items()), emit[0].tobytes(), emit[1].tobytes())
+            lik = self._frame_cache.get(key)
+            if lik is None:
+                lik = np.ones((1, self.bits[t].shape[1]))
+                for name, bit in frame.items():
+                    v = VarId(name, t)
+                    if v in self.pos and v not in self.m.latent:
+                        lik = lik * emit.get(bit, impossible)[self.bits[t][self.pos[v]]]
+                lik.flags.writeable = False
+                if len(self._frame_cache) < 1024:  # frames come from outside
+                    self._frame_cache[key] = lik
             out.append(lik)
         return out
 
@@ -616,15 +622,14 @@ class DbnEngine:
             weights[t] = weights[t] * lik if t in weights else lik
         return weights
 
-    def _forward(self, evidence: Assignment, likelihoods):
-        """Scaled forward filter: (weights, alphas, log p(e)), the last alpha
-        normalized; None when the evidence is impossible."""
-        weights = self._weights(evidence, likelihoods)
-        if weights is None:
+    def _filter(self, alpha: np.ndarray | None, s: int, weights: dict | None):
+        """Weight `alpha`, slice s-1's state, by that slice's weights and carry
+        it to the last slice, scaled: (alphas from s-1 on, the last normalized,
+        each step's divisor and the last sum); None if impossible."""
+        if weights is None or alpha is None:
             return None
-        alphas = [self._init * weights[0] if 0 in weights else self._init]
-        scales = []
-        for t in range(1, self.T):
+        alphas, scales = [alpha * weights[s - 1] if s - 1 in weights else alpha], []
+        for t in range(s, self.T):
             c = alphas[-1].sum()
             if c == 0.0:
                 return None
@@ -636,7 +641,13 @@ class DbnEngine:
             return None
         scales.append(c)
         alphas[-1] = alphas[-1] / c
-        return weights, alphas, sum(math.log(c) for c in scales)
+        return alphas, scales
+
+    def _forward(self, evidence: Assignment, likelihoods):
+        """The forward filter from the prior: (weights, alphas, log p(e)) or None."""
+        weights = self._weights(evidence, likelihoods)
+        run = self._filter(self._init, 1, weights)
+        return None if run is None else (weights, run[0], sum(math.log(c) for c in run[1]))
 
     def loglik(self, evidence: Assignment, likelihoods=()) -> float:
         """log p(evidence); -inf when the evidence is impossible. Forward only."""
@@ -645,6 +656,10 @@ class DbnEngine:
 
     def posteriors(self, evidence: Assignment, likelihoods=()) -> dict:
         """p(var = 1 | evidence) for every variable in the model, globals first."""
+        return self._smoothed(evidence, likelihoods)[0]
+
+    def _smoothed(self, evidence: Assignment, likelihoods) -> tuple[dict, np.ndarray]:
+        """`posteriors`, and the normalized filtered alpha of the last slice."""
         fwd = self._forward(evidence, likelihoods)
         if fwd is None:
             raise ZeroEvidenceError("conditioning event has probability zero")
@@ -662,10 +677,22 @@ class DbnEngine:
             gamma = alpha * b
             total = gamma.sum()
             gammas.append(gamma / total if total > 0 else gamma)
-        # marginals over the globals' states and over each slice's own
-        margs = {None: gammas[0].sum(axis=1)}
-        margs.update((t, gamma.sum(axis=0)) for t, gamma in enumerate(gammas))
-        return {v: margs[t][on].sum() for v, (t, on) in self._on_states.items()}
+        # p(var = 1) of the globals, then of each slice's own, one product each
+        rows = [gammas[0].sum(axis=1) @ self.global_bits.T]
+        rows += [gamma.sum(axis=0) @ bits.T for gamma, bits in zip(gammas, self.bits)]
+        return dict(zip(self._value_masks, (p for row in rows for p in row))), alphas[-1]
+
+    def predict(self, target: Assignment, evidence: Assignment, alpha: np.ndarray | None,
+                s: int, likelihoods=()) -> float:
+        """p(target | evidence), target in the last slice, from `alpha`: slice
+        s-1's filtered state in a model whose slices 0..s-1 are this one's, or
+        None if impossible (filter, then predict: Murphy 2002, ch. 3). Evidence
+        not yet in `alpha` lies at s-1 or later; `likelihoods` need s = 1."""
+        run = self._filter(alpha, s, self._weights(evidence, likelihoods))
+        if run is None:
+            raise ZeroEvidenceError("conditioning event has probability zero")
+        on = self._weights(target, ())
+        return (run[0][-1] * on[self.T - 1]).sum() if on is not None else 0.0
 
     def conditional(self, target: Assignment, evidence: Assignment, likelihoods=()) -> float:
         """p(target | evidence).
@@ -678,13 +705,7 @@ class DbnEngine:
         if joint is None:
             return 0.0
         if target and all(v.slice == self.T - 1 for v in target):
-            fwd = self._forward(evidence, likelihoods)
-            if fwd is None:
-                raise ZeroEvidenceError("conditioning event has probability zero")
-            on = self._weights(target, ())
-            if on is None:
-                return 0.0
-            return (fwd[1][-1] * on[self.T - 1]).sum()
+            return self.predict(target, evidence, self._init, 1, likelihoods)
         ll_e = self.loglik(evidence, likelihoods)
         if ll_e == float("-inf"):
             raise ZeroEvidenceError("conditioning event has probability zero")

@@ -40,7 +40,7 @@ def _read(path: str) -> str:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(f"cannot read {path}: {exc}") from None
 
 
@@ -75,13 +75,13 @@ def _load_dbn_spec(path: str | None) -> causal.DbnSpec:
 
 
 def _parse_noise(text: str) -> detect.EmissionNoise:
-    parts = text.split(",")
-    if len(parts) != 2:
-        raise ParseError("--noise wants miss,false_pos")
     try:
-        return detect.EmissionNoise(float(parts[0]), float(parts[1]))
+        miss, false_pos = (float(p) for p in text.split(","))
+        if not (0.0 <= miss <= 1.0 and 0.0 <= false_pos <= 1.0):  # also refuses NaN
+            raise ValueError
     except ValueError:
-        raise ParseError(f"bad --noise values '{text}'") from None
+        raise ParseError(f"--noise wants miss,false_pos in [0,1], got '{text}'") from None
+    return detect.EmissionNoise(miss, false_pos)
 
 
 def _mean(values: list) -> float:
@@ -242,8 +242,11 @@ def _load_approver(spec: str):
     if spec == "never":
         return loop.NeverApprove
     if spec.startswith("file:"):
-        decisions = json.loads(_read(spec[5:]))
-        if not isinstance(decisions, list):
+        try:
+            decisions = json.loads(_read(spec[5:]))
+        except json.JSONDecodeError as exc:
+            raise ParseError(f"invalid approval file JSON: {exc}") from None
+        if not (isinstance(decisions, list) and all(isinstance(d, bool) for d in decisions)):
             raise ParseError("approval file must be a JSON array of booleans")
         return functools.partial(loop.ScriptedApprover, decisions)
     raise ParseError(f"unknown approver '{spec}' (want always, never or file:PATH)")

@@ -17,10 +17,12 @@ seed.
 
 The inference engines the loop queries run on the tactic model alone: the
 indicator noise enters each query as per-slice likelihoods of the frames
-(virtual evidence). The engines are built once per process, on first use,
-and shared by every episode and configuration: the cache is keyed by value
-(DBN spec unrolled to the model's slices, intervention) and no query mutates
-an engine, so a report never depends on what the process ran before it.
+(virtual evidence). A step filters its window once and a plan predicts from
+that state: the do-slice follows the window, so the window's slices are the
+same in every candidate model. The engines are built once per process, on
+first use, and shared by every episode and configuration: the cache is keyed
+by value (DBN spec unrolled to the model's slices, intervention) and a query
+only memoizes frame arrays, bit for bit, so no report depends on earlier runs.
 """
 
 from __future__ import annotations
@@ -223,27 +225,29 @@ def map_intervention_to_action(plan: InterventionPlan, view: DefenderView) -> De
 @functools.lru_cache(maxsize=256)
 def _engine(spec: DbnSpec, do: tuple) -> DbnEngine:
     """The engine of `spec`'s tactic model, mutilated by the `do` pairs.
-    Cached process-wide: the key is the arguments' values and engines are
-    never mutated, so a result does not depend on what ran before."""
-    model = build_topology(spec)
-    if do:
-        model = do_transform(model, dict(do))
-    return DbnEngine(model)
+    Cached process-wide: the key is the arguments' values and no query
+    changes what an engine computes, so a result does not depend on what ran
+    before."""
+    return DbnEngine(do_transform(build_topology(spec), dict(do)))
 
 
-def _plan(cfg: LoopConfig, likelihoods: list) -> InterventionPlan:
-    """`select_intervention` over the lookahead model, on cached engines,
-    with the window's frames as `likelihoods` on its first slices."""
-    w = len(likelihoods)
-    target = {VarId("Y", w + cfg.lookahead - 1): 1}
-    candidates = [{VarId(cand[0], w): cand[1]} if cand is not None else {}
-                  for cand in cfg.candidates]
-    risks = []
-    for assignment in candidates:
-        engine = _engine(cfg.dbn.with_slices(w + cfg.lookahead),
-                         tuple(sorted(assignment.items(), key=lambda kv: str(kv[0]))))
-        risks.append(engine.conditional(target, assignment, likelihoods))
-    return _cheapest_plan(candidates, risks)
+@functools.lru_cache(maxsize=256)
+def _lookahead(dbn: DbnSpec, w: int, lookahead: int, candidates: tuple) -> tuple:
+    """The target pair; per candidate, its do pair at slice w and the engine it mutilates."""
+    dos = [((VarId(cand[0], w), cand[1]),) if cand is not None else () for cand in candidates]
+    return ((VarId("Y", w + lookahead - 1), 1),), tuple(
+        (do, _engine(dbn.with_slices(w + lookahead), do)) for do in dos)
+
+
+def _plan(cfg: LoopConfig, alpha, w: int) -> InterventionPlan:
+    """`select_intervention` over the lookahead model by filtering, then
+    predicting: `alpha`, the step's filtered state at slice w-1 (None if
+    impossible), steps through each candidate engine's slices w.. with its
+    do pair as evidence. Slices 0..w-1 match the detection model's, as each
+    depends only on itself and earlier slices and the do-slice is w."""
+    target, options = _lookahead(cfg.dbn, w, cfg.lookahead, tuple(cfg.candidates))
+    risks = [engine.predict(dict(target), dict(do), alpha, w) for do, engine in options]
+    return _cheapest_plan([dict(do) for do, _ in options], risks)
 
 
 class LoopDefender:
@@ -273,14 +277,11 @@ class LoopDefender:
             return NOP
         window = self.frames[-self.cfg.window:]
         engine = _engine(self.cfg.dbn.with_slices(len(window)), ())
-        # A slice's state layout depends only on that slice and the ones
-        # before it, and the do-slice comes after the window, so these arrays
-        # also fit the first len(window) slices of every lookahead engine.
         likelihoods = engine.frame_likelihoods(window, *self.cfg.emission)
         try:
-            posteriors = engine.posteriors({}, likelihoods)
+            posteriors, alpha = engine._smoothed({}, likelihoods)
         except ZeroEvidenceError:
-            posteriors = {}
+            posteriors, alpha = {}, None
         tactic_post = {str(v): p for v, p in posteriors.items()
                        if v.name in TACTICS and v.slice is not None}
         max_post = max(tactic_post.values(), default=0.0)
@@ -292,7 +293,7 @@ class LoopDefender:
         if max_post < self.cfg.tau:
             return NOP
 
-        plan = _plan(self.cfg, likelihoods)
+        plan = _plan(self.cfg, alpha, len(window))
         approved = None
         if self.cfg.autonomy is AutonomyLevel.CONFIRM:
             approved = self.approval is not None and bool(self.approval.approve(plan))

@@ -12,6 +12,7 @@ import json
 import random
 
 import pytest
+from hypothesis import strategies as st
 
 from acdsim.causal import Cgm, VarId
 from acdsim.netmodel import Scenario, load_scenario
@@ -241,3 +242,21 @@ def mdp_q_learn(episodes: int, seed: int, reward_scale: float = 1.0):
                      None if s2 == MDP_TERMINAL else s2, params)
             s = s2
     return table
+
+
+# ---------------------------------------------------------------------------
+# Malformed input
+# ---------------------------------------------------------------------------
+
+@st.composite
+def mutated(draw, text: str) -> str:
+    """`text` after one to three edits, each deleting, replacing with random
+    text or duplicating a span of up to 8 characters."""
+    for _ in range(draw(st.integers(1, 3))):
+        i = draw(st.integers(0, len(text)))
+        j = draw(st.integers(i, min(len(text), i + 8)))
+        edit = draw(st.sampled_from(["delete", "replace", "duplicate"]))
+        middle = {"delete": "", "replace": draw(st.text(max_size=6)),
+                  "duplicate": text[i:j] * 2}[edit]
+        text = text[:i] + middle + text[j:]
+    return text

@@ -788,6 +788,33 @@ class TestFrameLikelihoods:
         assert got == pytest.approx(ext_engine.conditional(query_target, ext_evidence), abs=1e-12)
         assert got == pytest.approx(0.0 if contradicts else expected[target], abs=1e-12)
 
+    # chain-a, and a model whose second slice lacks Z, so its layout differs
+    UNEVEN = Cgm(variables=(VarId("Z", 0), VarId("X", 0), VarId("Y", 0), VarId("X", 1),
+                            VarId("Y", 1)),
+                 parents={VarId("X", 1): (VarId("X", 0),)},
+                 cpts={VarId("Z", 0): (0.3,), VarId("X", 0): (0.4,), VarId("Y", 0): (0.5,),
+                       VarId("X", 1): (0.2, 0.9), VarId("Y", 1): (0.6,)})
+
+    @pytest.mark.parametrize("model", [build_topology(DbnSpec(Topology.CHAIN_A, 3)), UNEVEN],
+                             ids=["chain", "uneven"])
+    def test_cached_arrays_equal_a_fresh_engines_first_call(self, model):
+        T = DbnEngine(model).T
+        frames = [dict(zip("ZXY", code)) for code in itertools.product((0, 1), repeat=3)]
+        frames += [{"X": 2, "Y": 1}, {"W": 1, "Y": 0, "Z": 1}]  # a bit outside 0/1, a name absent
+        noises = [(0.2, 0.05), (0.05, 0.2)]
+        cached = DbnEngine(model)
+        for frame, noise in itertools.product(frames, noises):
+            cached.frame_likelihoods([frame] * T, *noise)
+        for frame, noise in itertools.product(frames, noises):
+            got = cached.frame_likelihoods([frame] * T, *noise)
+            # the frame alone on slice t of a fresh engine
+            fresh = [DbnEngine(model).frame_likelihoods([{}] * t + [frame], *noise)[t]
+                     for t in range(T)]
+            assert [a.tobytes() for a in got] == [a.tobytes() for a in fresh], (frame, noise)
+            for lik in got + fresh:
+                with pytest.raises(ValueError):
+                    lik[0, 0] = 0.5
+
     def test_out_of_range_bit_is_impossible(self):
         engine = DbnEngine(build_topology(DbnSpec(Topology.CHAIN_A, 2)))
         likelihoods = engine.frame_likelihoods([{"X": 2}], 0.2, 0.05)

@@ -3,11 +3,20 @@
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from acdsim import agents, causal, cli, netmodel
 from acdsim.causal import save_model
 from acdsim.cli import main
-from .conftest import chain3_doc
+from acdsim.errors import ParseError
+from .conftest import chain3_doc, mutated
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner,
+                                                                max_size=3),
+    max_leaves=8)
 
 
 @pytest.fixture
@@ -257,6 +266,18 @@ class TestDetect:
         run(["simulate", "--seed", "5", "--out", str(log_path)])
         assert run(["detect", "--log", str(log_path), "--noise", "lots"]) == 2
 
+    @pytest.mark.parametrize("command", ["detect", "loop"])
+    @pytest.mark.parametrize("noise", ["--noise=1.5,0.1", "--noise=0.2,nan",
+                                       "--noise=-0.5,0.1"])
+    def test_out_of_range_noise_exits_2(self, tmp_path, capsys, command, noise):
+        log_path = tmp_path / "log.jsonl"
+        run(["simulate", "--seed", "5", "--out", str(log_path)])
+        capsys.readouterr()
+        args = ["--log", str(log_path)] if command == "detect" else ["--autonomy", "auto"]
+        assert run([command, *args, noise, "--out", str(tmp_path / "r.json")]) == 2
+        assert_one_parse_error(capsys)
+        assert not (tmp_path / "r.json").exists()
+
 
 class TestLoop:
     def test_loop_deterministic_and_replayable(self, tmp_path):
@@ -286,6 +307,37 @@ class TestLoop:
         report = json.loads(out.read_text())
         applied = [i for i in report["interventions"] if i["applied"]]
         assert len(applied) <= 2
+
+    @pytest.mark.parametrize("text", ['["no", 0]', "[true, 1]", "[null]", '{"0": true}',
+                                      "[true,", ""])
+    def test_approval_file_of_non_booleans_exits_2(self, tmp_path, capsys, text):
+        decisions = tmp_path / "decisions.json"
+        decisions.write_text(text)
+        out = tmp_path / "r.json"
+        assert run(["loop", "--autonomy", "confirm", "--approve", f"file:{decisions}",
+                    "--seed", "2", "--out", str(out)]) == 2
+        assert_one_parse_error(capsys)
+        assert not out.exists()
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.one_of(
+        st.text().map(str.encode), st.binary(max_size=16),
+        mutated("[true, false, true]").map(str.encode),
+        st.lists(st.booleans() | JSON_VALUES).map(lambda v: json.dumps(v).encode())))
+    def test_approval_file_parses_or_raises_parse_error(self, tmp_path_factory, data):
+        path = tmp_path_factory.getbasetemp() / "decisions.json"
+        path.write_bytes(data)
+        try:
+            decisions = json.loads(data.decode())
+        except ValueError:
+            decisions = None
+        booleans = isinstance(decisions, list) and all(isinstance(d, bool) for d in decisions)
+        try:
+            factory = cli._load_approver(f"file:{path}")
+        except ParseError:
+            assert not booleans
+            return
+        assert booleans and factory().decisions == decisions
 
     def test_bad_autonomy_exits_2(self, tmp_path):
         assert run(["loop", "--autonomy", "sentient",

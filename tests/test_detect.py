@@ -5,6 +5,8 @@ import itertools
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from acdsim.agents import LateralAttacker, NopDefender, PassingAttacker
 from acdsim import causal, detect
@@ -22,11 +24,11 @@ from acdsim.detect import (
     sequence_loglik,
     sequence_to_csv,
 )
-from acdsim.errors import SpecError, TooLargeError
+from acdsim.errors import ParseError, SpecError, TooLargeError
 from acdsim.game import NOP, restore, run_episode
 from acdsim.netmodel import load_scenario
 
-from .conftest import chain3_doc
+from .conftest import chain3_doc, mutated
 
 ZERO_NOISE = EmissionNoise(miss=0.0, false_pos=0.0)
 
@@ -252,6 +254,15 @@ class TestSeparation:
 
 
 class TestSequenceIO:
+    @settings(max_examples=200, deadline=None)
+    @given(st.one_of(st.text(), mutated("# acdsim\nt,Z,X,Y\n0,0,1,0\n1,1,1,1\n")))
+    def test_any_text_parses_or_raises_parse_error(self, text):
+        try:
+            seq = sequence_from_csv(text)
+        except ParseError:
+            return
+        assert all(list(f.bits) == ["Z", "X", "Y"] for f in seq.frames)
+
     def test_csv_round_trip(self, chain3):
         log = run_episode(chain3, NopDefender(), LateralAttacker(1), seed=2)
         seq = extract_indicators(log, EmissionNoise(), seed=3)

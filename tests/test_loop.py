@@ -2,6 +2,7 @@
 
 import json
 import os
+import random
 import subprocess
 import sys
 from dataclasses import replace
@@ -13,6 +14,7 @@ import acdsim
 from acdsim._util import child_seed
 from acdsim.agents import LateralAttacker, NopDefender
 from acdsim.causal import (
+    DbnEngine,
     DbnSpec,
     Topology,
     VarId,
@@ -31,6 +33,8 @@ from acdsim.loop import (
     LoopDefender,
     NeverApprove,
     ScriptedApprover,
+    _engine,
+    _plan,
     extract_episode_jsonl,
     map_intervention_to_action,
     run_loop,
@@ -104,6 +108,55 @@ class TestMapIntervention:
         plan = InterventionPlan(do={VarId("Y", 4): 0}, predicted_risk=0.1, rationale=())
         action = map_intervention_to_action(plan, view)
         assert action.kind == "restore" and action.node == 5
+
+
+class TestPlanByPrediction:
+    """`_plan` predicts each candidate's risk from the detection filter's last
+    state; `select_intervention` on the `attach_emissions` model of window +
+    lookahead slices, with the frames as `_obs` evidence, is the reference."""
+
+    @pytest.mark.parametrize("spec", [
+        DbnSpec(Topology.CHAIN_A, 8), DbnSpec(Topology.FORK_B, 8),
+        DbnSpec(Topology.CONFOUNDED_C, 8),
+        DbnSpec(Topology.CONFOUNDED_C, 8, per_slice_confounder=True),
+        DbnSpec(Topology.CONFOUNDED_C, 8, schedule=(True, False, False)),
+    ], ids=["chain", "fork", "global-U", "per-slice-U", "schedule-3"])
+    @pytest.mark.parametrize("lookahead", [1, 3])
+    def test_risks_equal_select_intervention(self, spec, lookahead):
+        cfg = LoopConfig(dbn=spec, lookahead=lookahead,
+                         candidates=(("X", 0), ("Y", 0), ("X", 1), None))
+        rng = random.Random(f"{spec}{lookahead}")
+        for w in range(1, cfg.window + 1):  # as at the start of an episode
+            frames = [{name: rng.randint(0, 1) for name in "ZXY"} for _ in range(w)]
+            engine = _engine(spec.with_slices(w), ())
+            _, alpha = engine._smoothed({}, engine.frame_likelihoods(frames, *cfg.emission))
+            plan = _plan(cfg, alpha, w)
+
+            model = attach_emissions(build_topology(spec.with_slices(w + lookahead)),
+                                     cfg.emission.miss, cfg.emission.false_pos)
+            evidence = {emission_var(VarId(name, i)): bit
+                        for i, frame in enumerate(frames) for name, bit in frame.items()
+                        if model.has(emission_var(VarId(name, i)))}
+            candidates = [{VarId(c[0], w): c[1]} if c is not None else {}
+                          for c in cfg.candidates]
+            expected = select_intervention(model, evidence, candidates,
+                                           horizon_slice=w + lookahead - 1)
+            assert [c for c, _ in plan.rationale] == candidates
+            for (_, risk), (_, reference) in zip(plan.rationale, expected.rationale):
+                assert risk == pytest.approx(reference, abs=1e-12), (w, plan.rationale)
+            assert plan.do == expected.do
+
+    def test_a_planning_step_filters_once(self, enterprise, monkeypatch):
+        defender = LoopDefender(enterprise, LoopConfig(autonomy=AutonomyLevel.AUTO, tau=0.0),
+                                seed=0)
+        defender.frames = [{"Z": 1, "X": 1, "Y": 0}] * 5
+        forward, calls = DbnEngine._forward, []
+        monkeypatch.setattr(DbnEngine, "_forward",
+                            lambda self, *a: calls.append(self.T) or forward(self, *a))
+        monkeypatch.setattr(DbnEngine, "conditional", None)
+        defender.act(make_defender_view(alerts=(1,)), None)
+        assert len(defender.interventions) == 1
+        assert calls == [5]
 
 
 class TestRunLoop:

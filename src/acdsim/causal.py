@@ -341,9 +341,26 @@ class DbnSpec:
         return replace(self, slices=slices, schedule=schedule)
 
 
+def _check_spec(spec: DbnSpec) -> None:
+    """Raise SpecError unless the slice count and parameters give valid
+    CPTs: at least one slice, every parameter in [0,1], the spontaneous rate
+    below 1 and no cause strength below it."""
+    if spec.slices < 1:
+        raise SpecError("slice count must be >= 1")
+    p = spec.params
+    if not 0.0 <= p.spontaneous < 1.0:
+        raise SpecError("spontaneous rate must be in [0,1)")
+    for f in fields(DbnParams):
+        value = getattr(p, f.name)
+        if not 0.0 <= value <= 1.0:
+            raise SpecError(f"{f.name} must be in [0,1]")
+    for name in ("persistence", "edge_strength", "confounder_strength"):
+        if getattr(p, name) < p.spontaneous:
+            raise SpecError(f"cause strength {getattr(p, name)} below spontaneous rate "
+                            f"{p.spontaneous}")
+
+
 def _noisy_or_weight(singleton: float, spontaneous: float) -> float:
-    if singleton < spontaneous:
-        raise SpecError(f"cause strength {singleton} below spontaneous rate {spontaneous}")
     return 1.0 - (1.0 - singleton) / (1.0 - spontaneous)
 
 
@@ -369,15 +386,8 @@ def build_topology(spec: DbnSpec) -> Cgm:
     per slice by the schedule. Every non-latent variable persists to the
     next slice.
     """
-    if spec.slices < 1:
-        raise SpecError("slice count must be >= 1")
+    _check_spec(spec)
     p = spec.params
-    if not 0.0 <= p.spontaneous < 1.0:
-        raise SpecError("spontaneous rate must be in [0,1)")
-    for name in ("root_activation", "confounder_prior"):
-        value = getattr(p, name)
-        if not 0.0 <= value <= 1.0:
-            raise SpecError(f"{name} must be in [0,1]")
     schedule = spec.effective_schedule()
     if len(schedule) != spec.slices:
         raise SpecError(f"schedule length {len(schedule)} != slice count {spec.slices}")
@@ -479,8 +489,9 @@ class DbnEngine:
     per-slice `likelihoods` (from `frame_likelihoods`), multiplied into each
     slice with its evidence masks. One scaled forward filter
     then answers likelihoods and last-slice conditionals, and a backward
-    pass on top of it gives the posteriors; `predict` continues a filtered
-    state through the later slices. Computes the identical sums to full
+    pass scaled by its divisors gives the posteriors; the same backward
+    recursion gives `prediction_vectors`, which predict from a filtered
+    state by a dot product. Computes the identical sums to full
     enumeration, without the exponential blow-up in the number of slices.
     """
 
@@ -533,15 +544,36 @@ class DbnEngine:
         self.bits: list[np.ndarray] = [layout(len(svars)) for svars in self.slice_vars]
         # per variable, globals first, in the order of `posteriors`: the slice
         # its evidence masks (0 for a global) with the 0/1 mask of each value,
-        # shaped to broadcast over the [globals, own] state array
+        # shaped to broadcast over the [globals, own] state array; variables
+        # at one position of one layout share their masks
         self._value_masks: dict[VarId, tuple[int, dict[int, np.ndarray]]] = {}
+        masks: dict = {}
         for v in self.globals + [v for svars in self.slice_vars for v in svars]:
             if v.slice is None:
-                bit, t, shape = self.global_bits[self.pos[v]], 0, (-1, 1)
+                bits, t, shape = self.global_bits, 0, (-1, 1)
             else:
-                bit, t, shape = self.bits[v.slice][self.pos[v]], v.slice, (1, -1)
-            self._value_masks[v] = (t, {
-                value: intern((bit == value).astype(float).reshape(shape)) for value in (0, 1)})
+                bits, t, shape = self.bits[v.slice], v.slice, (1, -1)
+            key = (shape, len(bits), self.pos[v])
+            if key not in masks:
+                masks[key] = {value: (bits[self.pos[v]] == value).astype(float).reshape(shape)
+                              for value in (0, 1)}
+            self._value_masks[v] = (t, masks[key])
+        self.outputs: tuple[VarId, ...] = tuple(self._value_masks)  # `posteriors` key order
+
+        def readout(bits: np.ndarray) -> np.ndarray:
+            """Per flattened [globals, own] state: 1, then each global's bit,
+            then each own variable's bit."""
+            g, s = self.global_bits.shape[1], bits.shape[1]
+            columns = np.concatenate([np.ones((1, g, s)),
+                                      np.broadcast_to(self.global_bits[:, :, None],
+                                                      (len(self.globals), g, s)),
+                                      np.broadcast_to(bits[:, None, :], (len(bits), g, s))])
+            return columns.reshape(len(columns), g * s).T.copy()
+
+        # one per layout, that is per own-variable count
+        readouts = {n: readout(layout(n)) for n in {len(svars) for svars in self.slice_vars}}
+        self._readout = [readouts[len(svars)] for svars in self.slice_vars]
+        self._uniform = len(readouts) == 1
         self._init = intern(self._slice_factor(0))
         self._trans = [intern(self._slice_factor(t)) for t in range(1, self.T)]
         self._frame_cache: dict = {}  # (slice, frame items, noise) -> likelihood array
@@ -593,8 +625,9 @@ class DbnEngine:
         emit = {0: np.array([1.0 - false_pos, miss]), 1: np.array([false_pos, 1.0 - miss])}
         impossible = np.zeros(2)  # a bit outside 0/1
         out = []
+        noise = emit[0].tobytes() + emit[1].tobytes()
         for t, frame in enumerate(frames):
-            key = (t, tuple(frame.items()), emit[0].tobytes(), emit[1].tobytes())
+            key = (t, tuple(frame.items()), noise)
             lik = self._frame_cache.get(key)
             if lik is None:
                 lik = np.ones((1, self.bits[t].shape[1]))
@@ -622,77 +655,92 @@ class DbnEngine:
             weights[t] = weights[t] * lik if t in weights else lik
         return weights
 
-    def _filter(self, alpha: np.ndarray | None, s: int, weights: dict | None):
-        """Weight `alpha`, slice s-1's state, by that slice's weights and carry
-        it to the last slice, scaled: (alphas from s-1 on, the last normalized,
-        each step's divisor and the last sum); None if impossible."""
-        if weights is None or alpha is None:
+    def _forward(self, evidence: Assignment, likelihoods):
+        """The scaled forward filter from the prior: (weights, alphas, divisors)
+        or None if the evidence is impossible. alphas[t] is p(state_t, e_t |
+        e_<t) and sums to divisors[t] = p(e_t | e_<t), except the last, which
+        is normalized."""
+        weights = self._weights(evidence, likelihoods)
+        if weights is None:
             return None
-        alphas, scales = [alpha * weights[s - 1] if s - 1 in weights else alpha], []
-        for t in range(s, self.T):
-            c = alphas[-1].sum()
+        alpha = self._init * weights[0] if 0 in weights else self._init
+        alphas, scales = [alpha], []
+        for t in range(1, self.T):
+            c = alpha.sum()
             if c == 0.0:
                 return None
-            nxt = np.matmul(alphas[-1][:, None, :], self._trans[t - 1])[:, 0, :]
-            alphas.append((nxt * weights[t] if t in weights else nxt) / c)
+            nxt = np.matmul(alpha[:, None, :], self._trans[t - 1])[:, 0, :]
+            alpha = (nxt * weights[t] if t in weights else nxt) / c
+            alphas.append(alpha)
             scales.append(c)
-        c = alphas[-1].sum()
+        c = alpha.sum()
         if c == 0.0:
             return None
         scales.append(c)
-        alphas[-1] = alphas[-1] / c
-        return alphas, scales
+        alphas[-1] = alpha / c
+        return weights, alphas, scales
 
-    def _forward(self, evidence: Assignment, likelihoods):
-        """The forward filter from the prior: (weights, alphas, log p(e)) or None."""
-        weights = self._weights(evidence, likelihoods)
-        run = self._filter(self._init, 1, weights)
-        return None if run is None else (weights, run[0], sum(math.log(c) for c in run[1]))
+    def _backward(self, beta: np.ndarray, weights: dict, s: int, scales=None,
+                  keep=None) -> list:
+        """Carry `beta`, a function of the last slice's state, back to slice
+        s: [beta_s, ..., beta_{T-1}] with beta_t = trans_t @ (weights_{t+1} *
+        beta_{t+1}), divided by scales[t+1] when given (the forward
+        divisors: Rabiner 1989, sec. V.A) and zeroed outside keep[t] when
+        that is given."""
+        betas = [beta]
+        for t in range(self.T - 2, s - 1, -1):
+            nxt = betas[-1] * weights[t + 1] if t + 1 in weights else betas[-1]
+            beta = np.matmul(self._trans[t], nxt[:, :, None])[:, :, 0]
+            if scales is not None:
+                beta = beta / scales[t + 1]
+            betas.append(beta if keep is None else np.where(keep[t], beta, 0.0))
+        return betas[::-1]
 
     def loglik(self, evidence: Assignment, likelihoods=()) -> float:
         """log p(evidence); -inf when the evidence is impossible. Forward only."""
         fwd = self._forward(evidence, likelihoods)
-        return fwd[2] if fwd is not None else float("-inf")
+        return sum(math.log(c) for c in fwd[2]) if fwd is not None else float("-inf")
 
     def posteriors(self, evidence: Assignment, likelihoods=()) -> dict:
         """p(var = 1 | evidence) for every variable in the model, globals first."""
-        return self._smoothed(evidence, likelihoods)[0]
+        return dict(zip(self.outputs, self._smoothed(evidence, likelihoods)[0].tolist()))
 
-    def _smoothed(self, evidence: Assignment, likelihoods) -> tuple[dict, np.ndarray]:
-        """`posteriors`, and the normalized filtered alpha of the last slice."""
+    def _smoothed(self, evidence: Assignment, likelihoods) -> tuple[np.ndarray, np.ndarray]:
+        """`posteriors` as a vector in `outputs` order, and the normalized
+        filtered state of the last slice."""
         fwd = self._forward(evidence, likelihoods)
         if fwd is None:
             raise ZeroEvidenceError("conditioning event has probability zero")
-        weights, alphas, _ = fwd
-        beta = [None] * self.T
-        beta[-1] = np.ones(alphas[-1].shape)
-        for t in range(self.T - 2, -1, -1):
-            nxt = beta[t + 1] * weights[t + 1] if t + 1 in weights else beta[t + 1]
-            beta[t] = np.matmul(self._trans[t], nxt[:, :, None])[:, :, 0]
-            s = beta[t].max()
-            if s > 0:
-                beta[t] = beta[t] / s
-        gammas = []
-        for alpha, b in zip(alphas, beta):
-            gamma = alpha * b
-            total = gamma.sum()
-            gammas.append(gamma / total if total > 0 else gamma)
-        # p(var = 1) of the globals, then of each slice's own, one product each
-        rows = [gammas[0].sum(axis=1) @ self.global_bits.T]
-        rows += [gamma.sum(axis=0) @ bits.T for gamma, bits in zip(gammas, self.bits)]
-        return dict(zip(self._value_masks, (p for row in rows for p in row))), alphas[-1]
+        weights, alphas, scales = fwd
+        # The scaled beta_t is at most 1 / p(e_>t | e_<=t) <= 1 / p(e). Below
+        # p(e) ~ 1e-290 it can overflow on states alpha_t rules out, and 0 *
+        # inf would poison the sums; zeroing it there changes no gamma.
+        keep = [a > 0 for a in alphas] if math.prod(scales) < 1e-290 else None
+        betas = self._backward(np.ones(alphas[-1].shape), weights, 0, scales, keep)
+        # gamma_t = alpha_t * beta_t; its read-out row is [total, the globals'
+        # p(var = 1), the slice's own], unnormalized, one product per layout
+        n = len(self.globals) + 1
+        if self._uniform:
+            rows = (np.array(alphas) * np.array(betas)).reshape(self.T, -1) @ self._readout[0]
+            own = (rows[:, n:] / rows[:, :1]).reshape(-1)
+        else:
+            rows = [(a * b).reshape(-1) @ r for a, b, r in zip(alphas, betas, self._readout)]
+            own = np.concatenate([row[n:] / row[0] for row in rows])
+        return np.concatenate([rows[0][1:n] / rows[0][0], own]), alphas[-1]
 
-    def predict(self, target: Assignment, evidence: Assignment, alpha: np.ndarray | None,
-                s: int, likelihoods=()) -> float:
-        """p(target | evidence), target in the last slice, from `alpha`: slice
-        s-1's filtered state in a model whose slices 0..s-1 are this one's, or
-        None if impossible (filter, then predict: Murphy 2002, ch. 3). Evidence
-        not yet in `alpha` lies at s-1 or later; `likelihoods` need s = 1."""
-        run = self._filter(alpha, s, self._weights(evidence, likelihoods))
-        if run is None:
-            raise ZeroEvidenceError("conditioning event has probability zero")
-        on = self._weights(target, ())
-        return (run[0][-1] * on[self.T - 1]).sum() if on is not None else 0.0
+    def prediction_vectors(self, target: Assignment, evidence: Assignment,
+                           s: int) -> tuple[np.ndarray, np.ndarray]:
+        """p(target, evidence | state at slice s-1) and p(evidence | state),
+        flattened like that slice's [globals, own] state, for a target in the
+        last slice and evidence after slice s-1. A filtered state `alpha` of a
+        model whose slices 0..s-1 are this one's then predicts p(target |
+        earlier evidence, evidence) as (alpha . first) / (alpha . second)
+        (filter, then predict: Murphy 2002, ch. 3)."""
+        weights, on = self._weights(evidence, ()), self._weights(target, ())
+        shape = (self.global_bits.shape[1], self.bits[s - 1].shape[1])
+        num, den = (np.broadcast_to(self._backward(last, weights, s - 1)[0], shape).reshape(-1)
+                    for last in (on[self.T - 1], np.ones((1, self.bits[-1].shape[1]))))
+        return num, den
 
     def conditional(self, target: Assignment, evidence: Assignment, likelihoods=()) -> float:
         """p(target | evidence).
@@ -705,7 +753,11 @@ class DbnEngine:
         if joint is None:
             return 0.0
         if target and all(v.slice == self.T - 1 for v in target):
-            return self.predict(target, evidence, self._init, 1, likelihoods)
+            fwd = self._forward(evidence, likelihoods)
+            if fwd is None:
+                raise ZeroEvidenceError("conditioning event has probability zero")
+            on = self._weights(target, ())
+            return (fwd[1][-1] * on[self.T - 1]).sum() if on is not None else 0.0
         ll_e = self.loglik(evidence, likelihoods)
         if ll_e == float("-inf"):
             raise ZeroEvidenceError("conditioning event has probability zero")
@@ -804,8 +856,11 @@ def load_model(text: str) -> Cgm:
         for v in table:
             if v not in declared:
                 raise ParseError(f"model '{key}' names undeclared variable '{v}'")
-    return Cgm(variables=tuple(variables), parents=parents, cpts=cpts,
-               latent=frozenset(latent))
+    try:
+        return Cgm(variables=tuple(variables), parents=parents, cpts=cpts,
+                   latent=frozenset(latent))
+    except SpecError as exc:
+        raise ParseError(f"bad model: {exc}") from None
 
 
 def spec_to_obj(spec: DbnSpec) -> dict:
@@ -841,7 +896,8 @@ def load_spec(text: str) -> DbnSpec:
     except (KeyError, ValueError):
         raise ParseError("DBN spec needs a topology of chain-a, fork-b or "
                          "confounded-c") from None
-    if "slices" not in obj or not isinstance(obj["slices"], int):
+    slices = obj.get("slices")
+    if isinstance(slices, bool) or not isinstance(slices, int):
         raise ParseError("DBN spec needs an integer 'slices'")
     params = obj.get("params", {})
     if not isinstance(params, dict):
@@ -856,13 +912,18 @@ def load_spec(text: str) -> DbnSpec:
     schedule = obj.get("schedule")
     if schedule is not None and not isinstance(schedule, list):
         raise ParseError("DBN spec 'schedule' must be a list or null")
-    return DbnSpec(
+    spec = DbnSpec(
         topology=topology,
-        slices=obj["slices"],
+        slices=slices,
         schedule=tuple(bool(x) for x in schedule) if schedule is not None else None,
         params=DbnParams(**params),
         per_slice_confounder=bool(obj.get("per_slice_confounder", False)),
     )
+    try:
+        _check_spec(spec)
+    except SpecError as exc:
+        raise ParseError(f"bad DBN spec: {exc}") from None
+    return spec
 
 
 def parse_assignment(m: Cgm, text: str) -> Assignment:

@@ -17,12 +17,15 @@ seed.
 
 The inference engines the loop queries run on the tactic model alone: the
 indicator noise enters each query as per-slice likelihoods of the frames
-(virtual evidence). A step filters its window once and a plan predicts from
-that state: the do-slice follows the window, so the window's slices are the
-same in every candidate model. The engines are built once per process, on
-first use, and shared by every episode and configuration: the cache is keyed
-by value (DBN spec unrolled to the model's slices, intervention) and a query
-only memoizes frame arrays, bit for bit, so no report depends on earlier runs.
+(virtual evidence). A step filters and smooths its window once, and a plan
+predicts from the filtered state with one product: the do-slice follows the
+window, so the window's slices are the same in every candidate model, and
+each candidate's risk is a ratio of two linear functions of that state. The
+engines, and the keys and matrices read from them, are built once per
+process, on first use, and shared by every episode and configuration: the
+caches are keyed by value (DBN spec unrolled to the model's slices,
+intervention, window, lookahead, candidates) and a query only memoizes frame
+arrays, bit for bit, so no report depends on earlier runs.
 """
 
 from __future__ import annotations
@@ -34,6 +37,8 @@ import random
 from dataclasses import dataclass
 from enum import Enum
 from typing import Protocol
+
+import numpy as np
 
 from . import __version__
 from ._util import child_seed
@@ -232,22 +237,44 @@ def _engine(spec: DbnSpec, do: tuple) -> DbnEngine:
 
 
 @functools.lru_cache(maxsize=256)
+def _detector(dbn: DbnSpec, w: int) -> tuple:
+    """The engine of a window of w frames, the detection keys of its tactic
+    variables, sorted, and their indices into its posterior vector."""
+    engine = _engine(dbn.with_slices(w), ())
+    keyed = sorted((str(v), i) for i, v in enumerate(engine.outputs)
+                   if v.name in TACTICS and v.slice is not None)
+    return engine, tuple(k for k, _ in keyed), np.array([i for _, i in keyed], dtype=int)
+
+
+@functools.lru_cache(maxsize=256)
 def _lookahead(dbn: DbnSpec, w: int, lookahead: int, candidates: tuple) -> tuple:
-    """The target pair; per candidate, its do pair at slice w and the engine it mutilates."""
-    dos = [((VarId(cand[0], w), cand[1]),) if cand is not None else () for cand in candidates]
-    return ((VarId("Y", w + lookahead - 1), 1),), tuple(
-        (do, _engine(dbn.with_slices(w + lookahead), do)) for do in dos)
+    """Per candidate its do pairs at slice w; and the read-only (states, 2C)
+    matrix whose columns are, over slice w-1's state, p(do, Y at the last
+    slice = 1 | state) for each candidate, then p(do | state) for each."""
+    target = {VarId("Y", w + lookahead - 1): 1}
+    dos = tuple(((VarId(cand[0], w), cand[1]),) if cand is not None else ()
+                for cand in candidates)
+    vectors = [_engine(dbn.with_slices(w + lookahead), do).prediction_vectors(target, dict(do), w)
+               for do in dos]
+    readout = np.stack([num for num, _ in vectors] + [den for _, den in vectors], axis=1)
+    readout.flags.writeable = False
+    return dos, readout
 
 
 def _plan(cfg: LoopConfig, alpha, w: int) -> InterventionPlan:
     """`select_intervention` over the lookahead model by filtering, then
     predicting: `alpha`, the step's filtered state at slice w-1 (None if
-    impossible), steps through each candidate engine's slices w.. with its
-    do pair as evidence. Slices 0..w-1 match the detection model's, as each
-    depends only on itself and earlier slices and the do-slice is w."""
-    target, options = _lookahead(cfg.dbn, w, cfg.lookahead, tuple(cfg.candidates))
-    risks = [engine.predict(dict(target), dict(do), alpha, w) for do, engine in options]
-    return _cheapest_plan([dict(do) for do, _ in options], risks)
+    impossible), times each candidate's prediction vectors. Slices 0..w-1
+    match the detection model's, as each depends only on itself and earlier
+    slices and the do-slice is w."""
+    dos, readout = _lookahead(cfg.dbn, w, cfg.lookahead, tuple(cfg.candidates))
+    if alpha is None:
+        raise ZeroEvidenceError("conditioning event has probability zero")
+    joint = alpha.reshape(-1) @ readout
+    num, den = joint[:len(dos)], joint[len(dos):]
+    if not den.all():
+        raise ZeroEvidenceError("conditioning event has probability zero")
+    return _cheapest_plan([dict(do) for do in dos], (num / den).tolist())
 
 
 class LoopDefender:
@@ -276,18 +303,17 @@ class LoopDefender:
         if not self.frames:
             return NOP
         window = self.frames[-self.cfg.window:]
-        engine = _engine(self.cfg.dbn.with_slices(len(window)), ())
+        engine, keys, index = _detector(self.cfg.dbn, len(window))
         likelihoods = engine.frame_likelihoods(window, *self.cfg.emission)
         try:
             posteriors, alpha = engine._smoothed({}, likelihoods)
+            tactic_post = dict(zip(keys, posteriors[index].tolist()))
         except ZeroEvidenceError:
-            posteriors, alpha = {}, None
-        tactic_post = {str(v): p for v, p in posteriors.items()
-                       if v.name in TACTICS and v.slice is not None}
+            tactic_post, alpha = {}, None
         max_post = max(tactic_post.values(), default=0.0)
         self.detections.append({
             "t": view.t,
-            "posteriors": dict(sorted(tactic_post.items())),
+            "posteriors": tactic_post,
             "max_tactic_posterior": max_post,
         })
         if max_post < self.cfg.tau:

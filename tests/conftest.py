@@ -260,3 +260,39 @@ def mutated(draw, text: str) -> str:
                   "duplicate": text[i:j] * 2}[edit]
         text = text[:i] + middle + text[j:]
     return text
+
+
+JSON_VALUES = st.one_of(st.none(), st.booleans(), st.integers(-2, 20),
+                        st.floats(allow_nan=True, allow_infinity=True), st.text(max_size=4),
+                        st.just([]), st.just({}))
+
+
+@st.composite
+def json_mutated(draw, doc) -> str:
+    """The JSON text of `doc` after one to three edits of its parsed form,
+    each deleting a key or item, replacing a value with another of any type
+    or range, or duplicating an item (or a value under a new key)."""
+    doc = json.loads(json.dumps(doc))
+    for _ in range(draw(st.integers(1, 3))):
+        slots = []  # every (container, key or index) in the document
+
+        def walk(node):
+            items = (node.items() if isinstance(node, dict)
+                     else enumerate(node) if isinstance(node, list) else ())
+            for key, value in items:
+                slots.append((node, key))
+                walk(value)
+        walk(doc)
+        if not slots:
+            break
+        node, key = draw(st.sampled_from(slots))
+        edit = draw(st.sampled_from(["delete", "replace", "duplicate"]))
+        if edit == "delete":
+            del node[key]
+        elif edit == "replace":
+            node[key] = draw(JSON_VALUES)
+        elif isinstance(node, list):
+            node.insert(key, json.loads(json.dumps(node[key])))
+        else:
+            node[draw(st.text(max_size=3))] = json.loads(json.dumps(node[key]))
+    return json.dumps(doc)

@@ -1,6 +1,7 @@
 """Causal model construction, enumeration queries, interventions, smoothing."""
 
 import itertools
+import json
 import math
 import random
 from dataclasses import replace
@@ -25,24 +26,35 @@ from acdsim.causal import (
     load_model,
     load_spec,
     marginal,
+    model_to_obj,
     observational,
     parse_assignment,
     sample,
     save_model,
     save_spec,
     smooth,
+    spec_to_obj,
 )
 from acdsim.errors import (
     EvidenceOrderingError,
     LatentEvidenceError,
     LatentInterventionError,
+    ParseError,
     SpecError,
     TooLargeError,
+    ValidationError,
     ZeroEvidenceError,
 )
 from acdsim.detect import benign_model_like
 
-from .conftest import oracle_conditional, oracle_joint, oracle_marginal, random_dag_model
+from .conftest import (
+    json_mutated,
+    mutated,
+    oracle_conditional,
+    oracle_joint,
+    oracle_marginal,
+    random_dag_model,
+)
 
 
 def edge_set(m: Cgm) -> set:
@@ -402,9 +414,30 @@ class TestModelIO:
 
     def test_parse_assignment_ambiguous(self):
         m = build_topology(DbnSpec(Topology.CHAIN_A, 2))
-        from acdsim.errors import ParseError
         with pytest.raises(ParseError, match="ambiguous"):
             parse_assignment(m, "Y=1")
+
+    SPEC = spec_to_obj(DbnSpec(Topology.CONFOUNDED_C, 4, schedule=(True, False),
+                               per_slice_confounder=True))
+    MODEL = model_to_obj(build_topology(DbnSpec(Topology.CONFOUNDED_C, 2)))
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(st.text(), mutated(json.dumps(SPEC)), json_mutated(SPEC)))
+    def test_spec_text_loads_and_builds_or_raises_parse_error(self, text):
+        try:
+            spec = load_spec(text)
+        except (ParseError, ValidationError):
+            return
+        assert spec.slices >= 1
+        build_topology(spec.with_slices(2))  # a spec that loads unrolls
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(st.text(), mutated(json.dumps(MODEL)), json_mutated(MODEL)))
+    def test_model_text_loads_or_raises_parse_error(self, text):
+        try:
+            load_model(text)
+        except (ParseError, ValidationError):
+            pass
 
 
 def wave_order(variables, parents) -> tuple:
@@ -658,6 +691,19 @@ class TestEngineEdges:
         assert all(p == 0.0 for v, p in engine.posteriors(evidence).items()
                    if v in benign.variables)
 
+    def test_evidence_far_below_the_smallest_double_on_a_forced_chain(self):
+        """X is on at slice 0 and stays on, but all 16 frames read it off with
+        a miss rate of 1e-30, so p(e) is about 1e-480. The backward pass must
+        neither overflow on the X = 0 states the filter rules out nor
+        underflow on the X = 1 states."""
+        xs = [VarId("X", t) for t in range(16)]
+        m = Cgm(variables=tuple(xs), parents={x: (xs[t - 1],) for t, x in enumerate(xs) if t},
+                cpts={x: (0.0, 1.0) if t else (1.0,) for t, x in enumerate(xs)})
+        engine = DbnEngine(m)
+        likelihoods = engine.frame_likelihoods([{"X": 0}] * 16, 1e-30, 0.05)
+        assert engine.loglik({}, likelihoods) == pytest.approx(16 * math.log(1e-30), rel=1e-12)
+        assert list(engine.posteriors({}, likelihoods).values()) == [1.0] * 16
+
     def test_three_globals_on_different_slice_sizes(self):
         m = three_globals()
         A, B, C, P2 = VarId("A"), VarId("B"), VarId("C"), VarId("P", 2)
@@ -712,13 +758,15 @@ def framed_queries(draw):
     a random slice-structured model: 1-3 slices of at most five variables in
     all, 0-2 parentless globals, parents within a slice, from the previous
     slice or global, CPT entries that include 0 and 1. Frames name Z/X/Y,
-    the slices also hold W, which no frame observes."""
+    the slices also hold W, which no frame observes. Half the models give
+    every slice the same size, so the engine smooths them on stacked arrays."""
     n_slices = draw(st.integers(1, 3))
     globals_ = [VarId(f"G{j}") for j in range(draw(st.integers(0, 2)))]
     variables, parents, slices = list(globals_), {g: () for g in globals_}, []
     budget = 5
+    shared = draw(st.integers(1, min(3, budget // n_slices))) if draw(st.booleans()) else None
     for t in range(n_slices):
-        size = draw(st.integers(1, min(3, budget - (n_slices - 1 - t))))
+        size = shared or draw(st.integers(1, min(3, budget - (n_slices - 1 - t))))
         budget -= size
         names = draw(st.permutations(["Z", "X", "Y", "W"]))[:size]
         current = []
@@ -755,6 +803,7 @@ class TestFrameLikelihoods:
     def test_equal_to_observed_emission_children(self, query):
         m, hard, frames, miss, false_pos, target = query
         engine = DbnEngine(m)
+        assert engine._uniform == (len({len(svars) for svars in engine.slice_vars}) == 1)
         likelihoods = engine.frame_likelihoods(frames, miss, false_pos)
         ext = attach_emissions(m, miss, false_pos)
         observed = {emission_var(VarId(name, t)): bit

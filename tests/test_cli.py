@@ -234,6 +234,10 @@ class TestCausal:
         [{"name": "X"}],
         {"variables": [{"name": "X"}], "parents": {}, "cpts": {"X": [0.5], "B": [0.3]}},
         {"variables": [{"name": "X"}], "parents": {"B": []}, "cpts": {"X": [0.5]}},
+        {"variables": [{"name": "X"}], "parents": {}, "cpts": {"X": [0.5, 0.5]}},
+        {"variables": [{"name": "X"}], "parents": {}, "cpts": {"X": [1.5]}},
+        {"variables": [{"name": "X"}, {"name": "X"}], "parents": {}, "cpts": {"X": [0.5]}},
+        {"variables": [{"name": "X"}], "parents": {"X": ["B"]}, "cpts": {"X": [0.5, 0.5]}},
     ])
     def test_malformed_model_exits_2(self, tmp_path, capsys, doc):
         path = tmp_path / "model.json"
@@ -349,6 +353,10 @@ class TestLoop:
         {"topology": "chain-a", "slices": 8, "params": [0.9]},
         {"topology": "chain-a", "slices": 8, "schedule": 1},
         ["chain-a", 8],
+        {"topology": "chain-a", "slices": 4, "params": {"spontaneous": 2.0}},
+        {"topology": "chain-a", "slices": 4, "params": {"persistence": 0.01}},
+        {"topology": "chain-a", "slices": 0},
+        {"topology": "chain-a", "slices": True},
     ])
     def test_malformed_dbn_spec_exits_2(self, tmp_path, capsys, spec):
         path = tmp_path / "spec.json"

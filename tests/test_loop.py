@@ -8,6 +8,7 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import acdsim
@@ -23,7 +24,7 @@ from acdsim.causal import (
     emission_var,
 )
 from acdsim.detect import extract_indicators
-from acdsim.errors import SpecError
+from acdsim.errors import SpecError, ZeroEvidenceError
 from acdsim.game import episode_to_jsonl, run_episode, verify_replay
 from acdsim.loop import (
     AlwaysApprove,
@@ -147,16 +148,31 @@ class TestPlanByPrediction:
             assert plan.do == expected.do
 
     def test_a_planning_step_filters_once(self, enterprise, monkeypatch):
+        """One forward filter and one backward pass, both for detection: with
+        its matrix cached, a plan is one product with the filtered state."""
         defender = LoopDefender(enterprise, LoopConfig(autonomy=AutonomyLevel.AUTO, tau=0.0),
                                 seed=0)
         defender.frames = [{"Z": 1, "X": 1, "Y": 0}] * 5
-        forward, calls = DbnEngine._forward, []
-        monkeypatch.setattr(DbnEngine, "_forward",
-                            lambda self, *a: calls.append(self.T) or forward(self, *a))
-        monkeypatch.setattr(DbnEngine, "conditional", None)
-        defender.act(make_defender_view(alerts=(1,)), None)
-        assert len(defender.interventions) == 1
-        assert calls == [5]
+        view = make_defender_view(alerts=(1,))
+        defender.act(view, None)  # fills the caches
+        calls = []
+        for name in ("_forward", "_backward"):
+            monkeypatch.setattr(DbnEngine, name, lambda self, *a, _name=name,
+                                _run=getattr(DbnEngine, name):
+                                calls.append((_name, self.T)) or _run(self, *a))
+        for name in ("conditional", "loglik", "posteriors"):
+            monkeypatch.setattr(DbnEngine, name, None)
+        defender.act(view, None)
+        assert len(defender.interventions) == 2
+        assert calls == [("_forward", 5), ("_backward", 5)]
+
+    @pytest.mark.parametrize("w", [1, 4])
+    def test_an_impossible_filtered_state_raises(self, w):
+        cfg = LoopConfig()
+        _, alpha = _engine(cfg.dbn.with_slices(w), ())._smoothed({}, ())
+        for state in (None, np.zeros_like(alpha)):
+            with pytest.raises(ZeroEvidenceError):
+                _plan(cfg, state, w)
 
 
 class TestRunLoop:

@@ -241,7 +241,12 @@ class QTable:
             raise ParseError("Q-table JSON needs 'actions' and 'entries'")
         if not isinstance(obj["actions"], list) or not isinstance(obj["entries"], list):
             raise ParseError("Q-table 'actions' and 'entries' must be lists")
-        table = cls(tuple(obj["actions"]))
+        actions = tuple(obj["actions"])
+        # `QDefender` plays the i-th value as META_ACTIONS[i]
+        if not actions or actions != META_ACTIONS[:len(actions)]:
+            raise ParseError(f"Q-table 'actions' must be a non-empty prefix of "
+                             f"{list(META_ACTIONS)}")
+        table = cls(actions)
         for i, entry in enumerate(obj["entries"]):
             if not isinstance(entry, dict):
                 raise ParseError(f"Q-table entry {i} must be an object")

@@ -529,36 +529,15 @@ class DbnEngine:
         for svars in self.slice_vars:
             for i, v in enumerate(svars):
                 self.pos[v] = i
-        # Equal arrays are stored once: slices share their layouts, and the
-        # transition matrices of most slices are equal.
-        interned: dict = {}
-
-        def intern(a: np.ndarray) -> np.ndarray:
-            return interned.setdefault((a.dtype.str, a.shape, a.tobytes()), a)
-
-        def layout(n: int) -> np.ndarray:
-            """Bit value of each of n variables per state index, LSB = first."""
-            return intern((np.arange(2 ** n)[None, :] >> np.arange(n)[:, None]) & 1)
-
-        self.global_bits = layout(len(self.globals))
-        self.bits: list[np.ndarray] = [layout(len(svars)) for svars in self.slice_vars]
-        # per variable, globals first, in the order of `posteriors`: the slice
-        # its evidence masks (0 for a global) with the 0/1 mask of each value,
-        # shaped to broadcast over the [globals, own] state array; variables
-        # at one position of one layout share their masks
-        self._value_masks: dict[VarId, tuple[int, dict[int, np.ndarray]]] = {}
-        masks: dict = {}
-        for v in self.globals + [v for svars in self.slice_vars for v in svars]:
-            if v.slice is None:
-                bits, t, shape = self.global_bits, 0, (-1, 1)
-            else:
-                bits, t, shape = self.bits[v.slice], v.slice, (1, -1)
-            key = (shape, len(bits), self.pos[v])
-            if key not in masks:
-                masks[key] = {value: (bits[self.pos[v]] == value).astype(float).reshape(shape)
-                              for value in (0, 1)}
-            self._value_masks[v] = (t, masks[key])
-        self.outputs: tuple[VarId, ...] = tuple(self._value_masks)  # `posteriors` key order
+        # bit value of each of n variables per state index, LSB = first: one
+        # array per count, shared by the globals and the slices that have it
+        layouts = {n: (np.arange(2 ** n)[None, :] >> np.arange(n)[:, None]) & 1
+                   for n in {len(self.globals)} | {len(svars) for svars in self.slice_vars}}
+        self.global_bits = layouts[len(self.globals)]
+        self.bits: list[np.ndarray] = [layouts[len(svars)] for svars in self.slice_vars]
+        # `posteriors` key order
+        self.outputs: tuple[VarId, ...] = tuple(
+            self.globals + [v for svars in self.slice_vars for v in svars])
 
         def readout(bits: np.ndarray) -> np.ndarray:
             """Per flattened [globals, own] state: 1, then each global's bit,
@@ -571,11 +550,11 @@ class DbnEngine:
             return columns.reshape(len(columns), g * s).T.copy()
 
         # one per layout, that is per own-variable count
-        readouts = {n: readout(layout(n)) for n in {len(svars) for svars in self.slice_vars}}
+        readouts = {n: readout(layouts[n]) for n in {len(svars) for svars in self.slice_vars}}
         self._readout = [readouts[len(svars)] for svars in self.slice_vars]
         self._uniform = len(readouts) == 1
-        self._init = intern(self._slice_factor(0))
-        self._trans = [intern(self._slice_factor(t)) for t in range(1, self.T)]
+        self._init = self._slice_factor(0)
+        self._trans = [self._slice_factor(t) for t in range(1, self.T)]
         self._frame_cache: dict = {}  # (slice, frame items, noise) -> likelihood array
 
     def _slice_factor(self, t: int) -> np.ndarray:
@@ -646,10 +625,13 @@ class DbnEngine:
         slice 0, and of the likelihoods; None for a value outside 0/1."""
         weights: dict[int, np.ndarray] = {}
         for v, value in assignment.items():
-            t, by_value = self._value_masks[v]
-            mask = by_value.get(value)
-            if mask is None:
+            i = self.pos[v]
+            if value not in (0, 1):
                 return None
+            if v.slice is None:
+                t, mask = 0, (self.global_bits[i] == value).astype(float).reshape(-1, 1)
+            else:
+                t, mask = v.slice, (self.bits[v.slice][i] == value).astype(float).reshape(1, -1)
             weights[t] = weights[t] * mask if t in weights else mask
         for t, lik in enumerate(likelihoods):
             weights[t] = weights[t] * lik if t in weights else lik

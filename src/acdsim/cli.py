@@ -198,7 +198,10 @@ def cmd_causal(args) -> int:
             schedule = tuple(tok.strip() in ("1", "true") for tok in args.schedule.split(","))
         spec = causal.DbnSpec(causal.Topology(args.topology), args.slices,
                               schedule=schedule, params=params)
-        model = causal.build_topology(spec)
+        try:
+            model = causal.build_topology(spec)
+        except SpecError as exc:
+            raise ParseError(f"bad build option: {exc}") from None
         _write(args.out, causal.save_model(model))
         return EXIT_OK
 

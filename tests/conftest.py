@@ -14,8 +14,10 @@ import random
 import pytest
 from hypothesis import strategies as st
 
+from acdsim.agents import META_ACTIONS, LateralAttacker, RandomDefender
 from acdsim.causal import Cgm, VarId
-from acdsim.netmodel import Scenario, load_scenario
+from acdsim.game import episode_to_jsonl, run_episode
+from acdsim.netmodel import Scenario, load_scenario, serialize_scenario
 
 
 # ---------------------------------------------------------------------------
@@ -296,3 +298,32 @@ def json_mutated(draw, doc) -> str:
         else:
             node[draw(st.text(max_size=3))] = json.loads(json.dumps(node[key]))
     return json.dumps(doc)
+
+
+@st.composite
+def jsonl_mutated(draw, text: str) -> str:
+    """The JSON-lines `text` with one line after `json_mutated` edits."""
+    lines = text.splitlines()
+    i = draw(st.integers(0, len(lines) - 1))
+    lines[i] = draw(json_mutated(json.loads(lines[i])))
+    return "\n".join(lines) + "\n"
+
+
+def chain3_full_doc() -> dict:
+    """The chain3 scenario with every optional key written out."""
+    return json.loads(serialize_scenario(load_scenario(json.dumps(chain3_doc()))))
+
+
+def chain3_log_text() -> str:
+    """The log of a two-step random-defender episode on the chain3 scenario:
+    an isolate with its duration, then a restore."""
+    s = load_scenario(json.dumps(chain3_doc()))
+    return episode_to_jsonl(run_episode(s, RandomDefender(), LateralAttacker(1), 3))
+
+
+def qtable_doc() -> dict:
+    """A Q-table document over the meta-actions whose first row prefers the
+    last one, so that one duplicated earlier value moves the maximum past it."""
+    return {"version": "0.1.0", "actions": list(META_ACTIONS),
+            "entries": [{"key": [0, 0, 0], "values": [0.0, 0.0, 0.0, 0.0, 0.0, 1.0]},
+                        {"key": [1, 1, 0], "values": [0.5, -1.0, 0.0, 2.0, 0.0, 0.0]}]}

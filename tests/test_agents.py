@@ -4,6 +4,8 @@ import json
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from acdsim.agents import (
     META_ACTIONS,
@@ -20,14 +22,18 @@ from acdsim.agents import (
     q_update,
     train,
 )
+from acdsim.errors import ParseError, ValidationError
 from acdsim.game import AttackerView, DefenderView, run_episode
 from acdsim.netmodel import load_scenario
 
 from .conftest import (
     MDP_STATES,
     chain3_doc,
+    json_mutated,
     mdp_q_learn,
     mdp_value_iteration,
+    mutated,
+    qtable_doc,
 )
 
 
@@ -248,3 +254,15 @@ class TestQTableIO:
         loaded = QTable.load(table.save())
         assert loaded.actions == table.actions
         assert loaded.values == table.values
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.one_of(st.text(), mutated(json.dumps(qtable_doc())), json_mutated(qtable_doc())))
+    def test_qtable_text_loads_or_raises_parse_error(self, text):
+        try:
+            table = QTable.load(text)
+        except (ParseError, ValidationError):
+            return
+        assert table.actions and table.actions == META_ACTIONS[:len(table.actions)]
+        view = make_defender_view()
+        for key in table.values:
+            meta_action_to_defender_action(table.greedy(key), view)

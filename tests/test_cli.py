@@ -1,22 +1,40 @@
 """End-to-end command line behaviour: determinism, exit codes, output formats."""
 
+import contextlib
+import io
 import json
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from acdsim import agents, causal, cli, netmodel
 from acdsim.causal import save_model
 from acdsim.cli import main
 from acdsim.errors import ParseError
-from .conftest import chain3_doc, mutated
+from .conftest import (
+    chain3_doc,
+    chain3_full_doc,
+    chain3_log_text,
+    json_mutated,
+    jsonl_mutated,
+    mutated,
+    qtable_doc,
+)
 
 JSON_VALUES = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
     lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner,
                                                                 max_size=3),
     max_leaves=8)
+
+
+# Q-tables whose greedy index is no meta-action: one past the last, and none
+OTHER_ACTIONS_QTABLES = [
+    {"actions": list(agents.META_ACTIONS) + ["extra"],
+     "entries": [{"key": [0, 0, 0], "values": [0.0] * 6 + [1.0]}]},
+    {"actions": [], "entries": [{"key": [0, 0, 0], "values": []}]},
+]
 
 
 @pytest.fixture
@@ -218,6 +236,18 @@ class TestCausal:
         from acdsim.causal import load_model
         model = load_model(out.read_text())
         assert len(model.variables) == 9
+
+    @pytest.mark.parametrize("options", [
+        ["--topology", "chain-a", "--slices", "0"],
+        ["--topology", "chain-a", "--slices", "3", "--spontaneous", "2"],
+        ["--topology", "chain-a", "--slices", "3", "--persistence", "nan"],
+        ["--topology", "confounded-c", "--slices", "3", "--schedule", "1,0"],
+    ], ids=["slices-0", "spontaneous-2", "persistence-nan", "short-schedule"])
+    def test_out_of_range_build_option_exits_2(self, tmp_path, capsys, options):
+        out = tmp_path / "dbn.json"
+        assert run(["causal", "build", *options, "--out", str(out)]) == 2
+        assert_one_parse_error(capsys)
+        assert not out.exists()
 
     def test_bad_query_exits_2(self, chain_model_path):
         assert run(["causal", "marginal", "--model", chain_model_path,
@@ -438,6 +468,7 @@ class TestEvaluate:
         {"actions": ["nop"], "entries": [{"key": [1, 0, 0], "values": [0.0, 1.0]}]},
         {"actions": ["nop"], "entries": {"key": [1, 0, 0], "values": [0.0]}},
         {"actions": ["nop"], "entries": [[1, 0, 0]]},
+        *OTHER_ACTIONS_QTABLES,
     ])
     def test_malformed_qtable_exits_2(self, tmp_path, chain3_path, capsys, doc):
         qt = tmp_path / "q.json"
@@ -499,6 +530,49 @@ def test_parallel_workers_capped_at_episode_count(tmp_path, chain3_path, monkeyp
                 "--episodes", str(episodes), "--parallel", "64",
                 "--out", str(tmp_path / "e.json")]) == 0
     assert RecordingExecutor.sizes == sizes
+
+
+SCENARIO = chain3_full_doc()
+LOG = chain3_log_text()
+QTABLE = qtable_doc()
+# (command, text of the file it reads)
+MALFORMED_FILES = st.one_of(
+    st.tuples(st.just("simulate"),
+              st.one_of(mutated(json.dumps(SCENARIO)), json_mutated(SCENARIO))),
+    st.tuples(st.sampled_from(["replay", "detect"]),
+              st.one_of(mutated(LOG), jsonl_mutated(LOG))),
+    st.tuples(st.just("evaluate"),
+              st.one_of(mutated(json.dumps(QTABLE)), json_mutated(QTABLE))))
+
+
+@settings(max_examples=120, deadline=None)
+@given(MALFORMED_FILES)
+@example(("evaluate", json.dumps(OTHER_ACTIONS_QTABLES[0])))
+@example(("evaluate", json.dumps(OTHER_ACTIONS_QTABLES[1])))
+def test_a_malformed_file_exits_with_one_json_error(tmp_path_factory, case):
+    """`main` on an edited scenario, log or Q-table returns 0, 2, 3 or 4 and
+    never raises; a non-zero return writes exactly one JSON error line."""
+    command, text = case
+    work = tmp_path_factory.getbasetemp()
+    path, out, scenario = work / "input", work / "output", work / "chain3.json"
+    path.write_text(text, encoding="utf-8", errors="surrogatepass")
+    scenario.write_text(json.dumps(chain3_doc()))
+    argv = {"simulate": ["simulate", "--scenario", str(path), "--out", str(out)],
+            "replay": ["replay", "--log", str(path)],
+            "detect": ["detect", "--log", str(path), "--out", str(out)],
+            "evaluate": ["evaluate", "--scenario", str(scenario), "--qtable", str(path),
+                         "--episodes", "2", "--out", str(out)]}[command]
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        code = main(argv)
+    assert code in (0, 2, 3, 4)
+    err = stderr.getvalue().splitlines()
+    if code == 0:
+        assert err == []
+    else:
+        assert len(err) == 1
+        error = json.loads(err[0])["error"]
+        assert isinstance(error["type"], str) and isinstance(error["message"], str)
 
 
 class TestUsageErrors:

@@ -5,9 +5,17 @@ import random
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from acdsim.agents import LateralAttacker, NopDefender, PassingAttacker, RandomDefender
-from acdsim.errors import IllegalActionError, ReplayMismatchError, TerminalStateError
+from acdsim.errors import (
+    IllegalActionError,
+    ParseError,
+    ReplayMismatchError,
+    TerminalStateError,
+    ValidationError,
+)
 from acdsim.game import (
     HORIZON_REACHED,
     NOP,
@@ -31,7 +39,16 @@ from acdsim.game import (
 )
 from acdsim.netmodel import NodeSpec, VulnSpec, load_scenario, shortest_hops
 
-from .conftest import MINIMAL_SCENARIO, chain3_doc, load_random_scenario
+from .conftest import (
+    MINIMAL_SCENARIO,
+    chain3_doc,
+    chain3_log_text,
+    jsonl_mutated,
+    load_random_scenario,
+    mutated,
+)
+
+LOG = chain3_log_text()
 
 
 class TestInit:
@@ -286,3 +303,11 @@ class TestReplay:
         lines = episode_to_jsonl(log).splitlines()
         del lines[-2]
         assert not verify_replay("\n".join(lines) + "\n")
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.one_of(st.text(), mutated(LOG), jsonl_mutated(LOG)))
+    def test_log_text_parses_or_raises_parse_or_validation_error(self, text):
+        try:
+            parse_episode_jsonl(text)
+        except (ParseError, ValidationError):
+            pass

@@ -5,6 +5,8 @@ import json
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from acdsim.errors import ParseError, UnknownNodeError, ValidationError
 from acdsim.netmodel import (
@@ -16,7 +18,17 @@ from acdsim.netmodel import (
 )
 from acdsim.game import init
 
-from .conftest import MINIMAL_SCENARIO, chain3_doc, load_random_scenario, random_scenario_doc
+from .conftest import (
+    MINIMAL_SCENARIO,
+    chain3_doc,
+    chain3_full_doc,
+    json_mutated,
+    load_random_scenario,
+    mutated,
+    random_scenario_doc,
+)
+
+SCENARIO = chain3_full_doc()
 
 
 class TestLoadScenario:
@@ -69,6 +81,16 @@ class TestLoadScenario:
         doc["nodes"][0]["defence"] = "high"
         with pytest.raises(ParseError, match="must be a number"):
             load_scenario(json.dumps(doc))
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.one_of(st.text(), mutated(json.dumps(SCENARIO)), json_mutated(SCENARIO)),
+           st.booleans())
+    def test_scenario_text_loads_or_raises_parse_or_validation_error(self, text, lenient):
+        try:
+            s = load_scenario(text, lenient=lenient)
+        except (ParseError, ValidationError):
+            return
+        init(s, seed=0)
 
 
 class TestValidateScenario:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import NamedTuple, Protocol
+from typing import NamedTuple
 
 from . import __version__
 from .errors import ParseError
@@ -30,12 +30,6 @@ from .game import (
     scan,
 )
 from .netmodel import Scenario
-
-
-class Policy(Protocol):
-    def act(self, view, rng): ...
-
-    def observe(self, outcome: StepOutcome) -> None: ...
 
 
 # ---------------------------------------------------------------------------

@@ -555,7 +555,6 @@ class DbnEngine:
         self._uniform = len(readouts) == 1
         self._init = self._slice_factor(0)
         self._trans = [self._slice_factor(t) for t in range(1, self.T)]
-        self._frame_cache: dict = {}  # (slice, frame items, noise) -> likelihood array
 
     def _slice_factor(self, t: int) -> np.ndarray:
         """Joint factor for slice t: at t = 0 the globals' prior times slice
@@ -594,8 +593,7 @@ class DbnEngine:
         bit is the variable's copy flipped as in `attach_emissions`, summed
         out into p(bit | variable) (virtual evidence, Pearl 1988, 2.2.2).
         Names the slice lacks, and latent variables, are skipped. The arrays
-        are read-only, cached by frame items in (product) order and by the
-        noise's bytes, which keep -0.0 apart from 0.0."""
+        are read-only, so a caller that keeps them cannot change them."""
         if not (0.0 <= miss <= 1.0 and 0.0 <= false_pos <= 1.0):
             raise SpecError(f"emission noise must be in [0,1], got {miss}, {false_pos}")
         if len(frames) > self.T:
@@ -604,19 +602,13 @@ class DbnEngine:
         emit = {0: np.array([1.0 - false_pos, miss]), 1: np.array([false_pos, 1.0 - miss])}
         impossible = np.zeros(2)  # a bit outside 0/1
         out = []
-        noise = emit[0].tobytes() + emit[1].tobytes()
         for t, frame in enumerate(frames):
-            key = (t, tuple(frame.items()), noise)
-            lik = self._frame_cache.get(key)
-            if lik is None:
-                lik = np.ones((1, self.bits[t].shape[1]))
-                for name, bit in frame.items():
-                    v = VarId(name, t)
-                    if v in self.pos and v not in self.m.latent:
-                        lik = lik * emit.get(bit, impossible)[self.bits[t][self.pos[v]]]
-                lik.flags.writeable = False
-                if len(self._frame_cache) < 1024:  # frames come from outside
-                    self._frame_cache[key] = lik
+            lik = np.ones((1, self.bits[t].shape[1]))
+            for name, bit in frame.items():
+                v = VarId(name, t)
+                if v in self.pos and v not in self.m.latent:
+                    lik = lik * emit.get(bit, impossible)[self.bits[t][self.pos[v]]]
+            lik.flags.writeable = False
             out.append(lik)
         return out
 
@@ -756,8 +748,8 @@ def check_smoothing_slices(T: int) -> None:
 def smooth(m: Cgm, evidence: Assignment) -> dict:
     """Exact posterior p(var = 1 | all evidence) for every hidden variable.
 
-    Slice-structured models (up to 16 slices) run through the engine; tiny
-    unstructured models fall back to enumeration.
+    Models with slices (up to 16) run through the engine when they are
+    slice-structured; the rest fall back to enumeration.
     """
     _check_assignment(m, evidence, "evidence")
     for v in evidence:
@@ -766,8 +758,12 @@ def smooth(m: Cgm, evidence: Assignment) -> dict:
     slices = [v.slice for v in m.variables if v.slice is not None]
     if slices:
         check_smoothing_slices(max(slices) + 1)
-        post = DbnEngine(m).posteriors(evidence)
-        return {v: p for v, p in post.items() if v not in evidence}
+        try:
+            engine = DbnEngine(m)
+        except TooLargeError:
+            engine = None  # not slice-structured; fall back to enumeration
+        if engine is not None:
+            return {v: p for v, p in engine.posteriors(evidence).items() if v not in evidence}
     hidden = [v for v in m.variables if v not in evidence]
     if len(hidden) > ENUMERATION_LIMIT:
         raise TooLargeError(f"{len(hidden)} hidden variables exceed the "

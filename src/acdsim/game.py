@@ -421,9 +421,6 @@ class EpisodeLog:
     def total_reward(self) -> float:
         return sum(r.outcome.reward for r in self.steps)
 
-    def terminal_cause(self) -> str:
-        return self.final["terminal"]
-
     def time_to_target(self) -> int:
         """Step count until target compromise; episode length when it never fell."""
         return self.final["t"]

@@ -350,6 +350,19 @@ class TestSmooth:
         with pytest.raises(TooLargeError):
             smooth(m, {})
 
+    def test_model_the_engine_refuses_is_enumerated(self):
+        # A@2 depends on A@0, skipping a slice, so the engine cannot run it
+        A0, A1, A2 = VarId("A", 0), VarId("A", 1), VarId("A", 2)
+        m = Cgm(variables=(A0, A1, A2), parents={A1: (A0,), A2: (A0,)},
+                cpts={A0: (0.3,), A1: (0.2, 0.7), A2: (0.4, 0.9)})
+        with pytest.raises(TooLargeError):
+            DbnEngine(m)
+        for evidence in ({}, {A1: 1}, {A2: 0}):
+            post = smooth(m, evidence)
+            assert set(post) == {A0, A1, A2} - set(evidence)
+            for v, p in post.items():
+                assert p == pytest.approx(oracle_conditional(m, {v: 1}, evidence), abs=1e-12)
+
     def test_zero_evidence(self):
         m = build_topology(DbnSpec(Topology.CHAIN_A, 2))
         ext = attach_emissions(m, miss=0.0, false_pos=0.0)
@@ -847,6 +860,8 @@ class TestFrameLikelihoods:
     @pytest.mark.parametrize("model", [build_topology(DbnSpec(Topology.CHAIN_A, 3)), UNEVEN],
                              ids=["chain", "uneven"])
     def test_cached_arrays_equal_a_fresh_engines_first_call(self, model):
+        # an engine that has answered every frame before answers each again
+        # as a fresh engine does: no call leaves state behind
         T = DbnEngine(model).T
         frames = [dict(zip("ZXY", code)) for code in itertools.product((0, 1), repeat=3)]
         frames += [{"X": 2, "Y": 1}, {"W": 1, "Y": 0, "Z": 1}]  # a bit outside 0/1, a name absent

@@ -1,5 +1,6 @@
 """Intervention selection, action mapping, and the closed loop."""
 
+import itertools
 import json
 import os
 import random
@@ -23,7 +24,7 @@ from acdsim.causal import (
     build_topology,
     emission_var,
 )
-from acdsim.detect import extract_indicators
+from acdsim.detect import EmissionNoise, extract_indicators
 from acdsim.errors import SpecError, ZeroEvidenceError
 from acdsim.game import episode_to_jsonl, run_episode, verify_replay
 from acdsim.loop import (
@@ -36,6 +37,7 @@ from acdsim.loop import (
     ScriptedApprover,
     _engine,
     _plan,
+    _window,
     extract_episode_jsonl,
     map_intervention_to_action,
     run_loop,
@@ -175,6 +177,28 @@ class TestPlanByPrediction:
                 _plan(cfg, state, w)
 
 
+class TestWindowCache:
+    @pytest.mark.parametrize("spec", [
+        DbnSpec(Topology.CHAIN_A, 8), DbnSpec(Topology.FORK_B, 8),
+        DbnSpec(Topology.CONFOUNDED_C, 8),
+        DbnSpec(Topology.CONFOUNDED_C, 8, per_slice_confounder=True),
+    ], ids=["chain", "fork", "global-U", "per-slice-U"])
+    def test_frame_table_holds_a_fresh_engines_arrays(self, spec):
+        """Entry [t, z*4 + x*2 + y] is that frame alone on slice t of a fresh
+        engine, bit for bit; confounded-c's slices have no Z to weigh."""
+        cfg = LoopConfig(dbn=spec, emission=EmissionNoise(0.3, 0.1))
+        for w in (1, 3, cfg.window):
+            table = _window(cfg.dbn, cfg.emission, cfg.lookahead, tuple(cfg.candidates), w).table
+            with pytest.raises(ValueError):
+                table[0, 0, 0, 0] = 0.5
+            model = build_topology(spec.with_slices(w))
+            assert table.shape[:3] == (w, 8, 1)
+            for t, (z, x, y) in itertools.product(range(w), itertools.product((0, 1), repeat=3)):
+                fresh = DbnEngine(model).frame_likelihoods([{}] * t + [{"Z": z, "X": x, "Y": y}],
+                                                           *cfg.emission)[t]
+                assert table[t, z * 4 + x * 2 + y].tobytes() == fresh.tobytes(), (w, t, z, x, y)
+
+
 class TestRunLoop:
     def test_advise_is_byte_identical_to_plain_episode(self, enterprise):
         cfg = LoopConfig(autonomy=AutonomyLevel.ADVISE)
@@ -292,6 +316,9 @@ class TestRunLoop:
             "lookahead": base + ", lookahead=3)",
             "emission": base + ", emission=EmissionNoise(0.1, 0.1))",
             "topology": base + ", dbn=DbnSpec(Topology.FORK_B, slices=8))",
+            "zero": base + ", emission=EmissionNoise(0.0, 0.05))",
+            # lru_cache keys -0.0 as 0.0, so this run reuses the previous one's entries
+            "signed-zero": base + ", emission=EmissionNoise(-0.0, 0.05))",
         }
         script = ("import sys; from acdsim.cli import default_scenario_path; "
                   "from acdsim.loop import run_loop; "
@@ -326,7 +353,9 @@ class TestRunLoop:
 
     @pytest.mark.parametrize("kwargs,message", [({"lookahead": 0}, "lookahead"),
                                                 ({"tau": float("nan")}, "tau"),
-                                                ({"candidates": ()}, "candidate")])
+                                                ({"candidates": ()}, "candidate"),
+                                                ({"emission": EmissionNoise(0.2, float("nan"))},
+                                                 "emission")])
     def test_bad_config_rejected_when_built(self, kwargs, message):
         with pytest.raises(SpecError, match=message):
             LoopConfig(**kwargs)

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from . import __version__
+from ._util import indented_json
 from .errors import ParseError
 from .game import (
     NOP,
@@ -223,7 +224,7 @@ class QTable:
         return {"version": __version__, "actions": list(self.actions), "entries": entries}
 
     def save(self) -> str:
-        return json.dumps(self.to_obj(), sort_keys=True, indent=2)
+        return indented_json(self.to_obj())
 
     @classmethod
     def load(cls, text: str) -> "QTable":

@@ -23,6 +23,7 @@ from enum import Enum
 
 import numpy as np
 
+from ._util import indented_json
 from .errors import (
     EvidenceOrderingError,
     LatentEvidenceError,
@@ -791,7 +792,7 @@ def model_to_obj(m: Cgm) -> dict:
 
 
 def save_model(m: Cgm) -> str:
-    return json.dumps(model_to_obj(m), sort_keys=True, indent=2)
+    return indented_json(model_to_obj(m))
 
 
 def load_model(text: str) -> Cgm:
@@ -859,7 +860,7 @@ def spec_to_obj(spec: DbnSpec) -> dict:
 
 
 def save_spec(spec: DbnSpec) -> str:
-    return json.dumps(spec_to_obj(spec), sort_keys=True, indent=2)
+    return indented_json(spec_to_obj(spec))
 
 
 def load_spec(text: str) -> DbnSpec:

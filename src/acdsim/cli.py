@@ -14,6 +14,7 @@ import csv
 import functools
 import io
 import json
+import re
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import fields
@@ -21,6 +22,7 @@ from importlib import resources
 
 from . import __version__
 from . import agents, causal, detect, game, loop, netmodel
+from ._util import indented_json
 from .errors import AcdError, ParseError, ReplayMismatchError, SpecError, ValidationError
 
 EXIT_OK = 0
@@ -183,9 +185,9 @@ def cmd_evaluate(args) -> int:
             writer.writerow({k: row[k] for k in METRIC_COLUMNS.split(",")})
         _write(args.out, buf.getvalue())
     else:
-        _write(args.out, json.dumps({
+        _write(args.out, indented_json({
             "version": __version__, "episodes": rows, "summary": summary,
-        }, sort_keys=True, indent=2) + "\n")
+        }) + "\n")
     return EXIT_OK
 
 
@@ -277,10 +279,9 @@ def cmd_loop(args) -> int:
     reports = _map_seeds(_run_loop_episode, (scenario, cfg, new_approver), seeds,
                          args.parallel)
     if args.episodes == 1:
-        _write(args.out, json.dumps(reports[0], sort_keys=True, indent=2) + "\n")
+        _write(args.out, indented_json(reports[0]) + "\n")
     else:
-        _write(args.out, json.dumps({"version": __version__, "reports": reports},
-                                    sort_keys=True, indent=2) + "\n")
+        _write(args.out, indented_json({"version": __version__, "reports": reports}) + "\n")
     summary = {
         "version": __version__,
         "episodes": len(reports),
@@ -414,10 +415,25 @@ def _emit_error(kind: str, message: str):
                                 sort_keys=True) + "\n")
 
 
+def _join_noise(argv: list[str]) -> list[str]:
+    """Spell `--noise -0.0,0.05` as `--noise=-0.0,0.05`, and so for any
+    prefix argparse accepts: argparse reads a value that starts with '-' as
+    an option unless it is a plain negative number, so the spaced form would
+    lose its value."""
+    joined = []
+    for token in argv:
+        if (joined and len(joined[-1]) > 2 and "--noise".startswith(joined[-1])
+                and re.match(r"-[\d.]", token)):
+            joined[-1] += "=" + token
+        else:
+            joined.append(token)
+    return joined
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_join_noise(sys.argv[1:] if argv is None else argv))
     except SystemExit as exc:
         # argparse exits 2 on usage errors and 0 on --help/--version
         return int(exc.code or 0)

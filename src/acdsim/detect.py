@@ -14,13 +14,12 @@ draw per bit in frame order, tactics ordered Z, X, Y.
 
 from __future__ import annotations
 
-import json
 import random
 from dataclasses import dataclass
 from typing import NamedTuple
 
 from . import __version__
-from ._util import sha256_hex
+from ._util import indented_json
 from .causal import (
     Cgm,
     DbnEngine,
@@ -31,7 +30,7 @@ from .causal import (
     sample,
 )
 from .errors import ParseError, SpecError
-from .game import EpisodeLog, episode_to_jsonl
+from .game import EpisodeLog
 
 TACTICS = ("Z", "X", "Y")
 BEACON_PERIOD = 5
@@ -54,7 +53,6 @@ class IndicatorFrame:
 @dataclass(frozen=True)
 class IndicatorSequence:
     frames: tuple[IndicatorFrame, ...]
-    source_digest: str
 
     def __len__(self) -> int:
         return len(self.frames)
@@ -78,7 +76,7 @@ class DetectionResult:
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_obj(), sort_keys=True, indent=2)
+        return indented_json(self.to_obj())
 
 
 # ---------------------------------------------------------------------------
@@ -135,8 +133,7 @@ def extract_indicators(log: EpisodeLog, noise: EmissionNoise, seed: int) -> Indi
         IndicatorFrame(t=i, bits=apply_noise(bits, noise, rng))
         for i, bits in enumerate(ground_truth_bits(log))
     )
-    return IndicatorSequence(frames=frames,
-                             source_digest=sha256_hex(episode_to_jsonl(log)))
+    return IndicatorSequence(frames=frames)
 
 
 def sequence_to_csv(seq: IndicatorSequence) -> str:
@@ -159,7 +156,7 @@ def sequence_from_csv(text: str) -> IndicatorSequence:
         except ValueError:
             raise ParseError(f"indicator row must be integers: '{line}'") from None
         frames.append(IndicatorFrame(t=t, bits={"Z": z, "X": x, "Y": y}))
-    return IndicatorSequence(frames=tuple(frames), source_digest="")
+    return IndicatorSequence(frames=tuple(frames))
 
 
 # ---------------------------------------------------------------------------
@@ -251,4 +248,4 @@ def sample_indicator_sequence(m: Cgm, emission: EmissionNoise, seed: int) -> Ind
             else:
                 bits[tactic] = 0
         frames.append(IndicatorFrame(t=t, bits=bits))
-    return IndicatorSequence(frames=tuple(frames), source_digest=f"sampled:{seed}")
+    return IndicatorSequence(frames=tuple(frames))

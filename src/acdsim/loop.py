@@ -47,7 +47,7 @@ from typing import NamedTuple, Protocol
 import numpy as np
 
 from . import __version__
-from ._util import child_seed
+from ._util import child_seed, indented_json
 from .causal import (
     SMOOTH_SLICE_LIMIT,
     Assignment,
@@ -174,7 +174,7 @@ class LoopReport:
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_obj(), sort_keys=True, indent=2)
+        return indented_json(self.to_obj())
 
 
 def extract_episode_jsonl(text: str) -> str:

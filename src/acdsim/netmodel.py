@@ -11,7 +11,7 @@ import json
 from collections import deque
 from dataclasses import asdict, dataclass, field, fields
 
-from ._util import canonical_json, sha256_hex
+from ._util import canonical_json, indented_json, sha256_hex
 from .errors import ParseError, UnknownNodeError, ValidationError
 
 DEFAULT_HORIZON = 100
@@ -400,8 +400,8 @@ def scenario_to_obj(s: Scenario) -> dict:
     }
 
 
-def serialize_scenario(s: Scenario, indent: int | None = 2) -> str:
-    return json.dumps(scenario_to_obj(s), sort_keys=True, indent=indent)
+def serialize_scenario(s: Scenario) -> str:
+    return indented_json(scenario_to_obj(s))
 
 
 def scenario_digest(s: Scenario) -> str:

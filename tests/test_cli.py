@@ -312,6 +312,27 @@ class TestDetect:
         assert_one_parse_error(capsys)
         assert not (tmp_path / "r.json").exists()
 
+    @pytest.mark.parametrize("command", ["detect", "loop"])
+    def test_noise_starting_with_minus_parses_spaced_or_joined(self, tmp_path, command):
+        log_path = tmp_path / "log.jsonl"
+        run(["simulate", "--seed", "5", "--out", str(log_path)])
+        args = ["--log", str(log_path)] if command == "detect" else ["--autonomy", "auto"]
+        outputs = []
+        for i, spelling in enumerate((["--noise", "-0.0,0.05"], ["--noise=-0.0,0.05"],
+                                      ["--nois", "-0.0,0.05"])):
+            out = tmp_path / f"r{i}.json"
+            assert run([command, *args, *spelling, "--out", str(out)]) == 0
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1] == outputs[2]
+
+    @pytest.mark.parametrize("command", ["detect", "loop"])
+    def test_noise_that_is_no_number_exits_2(self, tmp_path, command):
+        log_path = tmp_path / "log.jsonl"
+        run(["simulate", "--seed", "5", "--out", str(log_path)])
+        args = ["--log", str(log_path)] if command == "detect" else ["--autonomy", "auto"]
+        assert run([command, *args, "--noise", "-x", "--out", str(tmp_path / "r.json")]) == 2
+        assert not (tmp_path / "r.json").exists()
+
 
 class TestLoop:
     def test_loop_deterministic_and_replayable(self, tmp_path):

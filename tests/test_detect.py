@@ -38,7 +38,7 @@ def make_sequence(bit_rows) -> IndicatorSequence:
         IndicatorFrame(t=i, bits={"Z": z, "X": x, "Y": y})
         for i, (z, x, y) in enumerate(bit_rows)
     )
-    return IndicatorSequence(frames=frames, source_digest="test")
+    return IndicatorSequence(frames=frames)
 
 
 class RestoreThenNop:

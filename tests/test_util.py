@@ -1,0 +1,109 @@
+"""`_util.indented_json` and every JSON file writer that uses it: the text is
+what `json.dumps(obj, sort_keys=True, indent=2)` writes for the same object."""
+
+import json
+import math
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from acdsim import agents, causal, detect, game, loop, netmodel
+from acdsim._util import indented_json
+from acdsim.cli import default_scenario_path, main
+
+
+def dumps(obj) -> str:
+    return json.dumps(obj, sort_keys=True, indent=2)
+
+
+# non-ASCII and control characters, no lone surrogates
+TEXT = st.text(st.characters(blacklist_categories=("Cs",)), max_size=6)
+FLOATS = st.floats() | st.sampled_from([-0.0, 1e308, 5e-324, math.nan, math.inf, -math.inf])
+SCALARS = (st.none() | st.booleans() | st.integers() | st.integers(-10**40, 10**40)
+           | FLOATS | TEXT)
+JSON_VALUES = st.recursive(
+    SCALARS,
+    lambda inner: (st.lists(inner, max_size=4) | st.lists(inner, max_size=4).map(tuple)
+                   | st.dictionaries(TEXT, inner, max_size=4)),
+    max_leaves=30)
+
+
+class TestIndentedJson:
+    @settings(max_examples=400, deadline=None)
+    @given(JSON_VALUES)
+    def test_equals_json_dumps(self, value):
+        assert indented_json(value) == dumps(value)
+
+    @pytest.mark.parametrize("value", [
+        [], {}, (), [[]], [{}], {"a": []}, {"a": {}}, [[], {}, ()], {"a": {"b": [[{}]]}},
+        -0.0, 1e308, 5e-324, 10**40, -10**40, "é\x00 \U0001F600",
+    ])
+    def test_pinned_values(self, value):
+        assert indented_json(value) == dumps(value)
+
+    @pytest.mark.parametrize("value", [
+        {1: "a"}, {None: 0}, {("a",): 0}, {"a": {2.5: 0}}, [{True: 0}],
+    ])
+    def test_non_str_key_raises_type_error(self, value):
+        with pytest.raises(TypeError):
+            indented_json(value)
+
+    @pytest.mark.parametrize("value", [object(), {1, 2}, {"a": b"x"}, [1j]])
+    def test_non_json_value_raises_type_error(self, value):
+        with pytest.raises(TypeError):
+            indented_json(value)
+
+
+@pytest.fixture(scope="module")
+def enterprise8():
+    return netmodel.load_scenario(open(default_scenario_path(), encoding="utf-8").read())
+
+
+class TestWriters:
+    """Each of the writers' text against `json.dumps` of the object it wrote."""
+
+    def test_loop_report(self, enterprise8):
+        cfg = loop.LoopConfig(autonomy=loop.AutonomyLevel.AUTO)
+        report = loop.run_loop(enterprise8, cfg, 3)
+        assert report.to_json() == dumps(report.to_obj())
+
+    def test_qtable(self, enterprise8):
+        table, _ = agents.train(enterprise8, agents.LearningParams(episodes=20), 0)
+        assert table.save() == dumps(table.to_obj())
+
+    def test_model_and_spec(self):
+        spec = causal.DbnSpec(causal.Topology.CONFOUNDED_C, slices=3)
+        model = causal.build_topology(spec)
+        assert causal.save_model(model) == dumps(causal.model_to_obj(model))
+        assert causal.save_spec(spec) == dumps(causal.spec_to_obj(spec))
+
+    def test_scenario(self, enterprise8):
+        assert netmodel.serialize_scenario(enterprise8) == dumps(
+            netmodel.scenario_to_obj(enterprise8))
+
+    def test_detection_result(self, enterprise8):
+        log = game.run_episode(enterprise8, agents.NopDefender(),
+                               agents.LateralAttacker(enterprise8.attacker.spread), 1,
+                               horizon_override=6)
+        noise = detect.EmissionNoise()
+        seq = detect.extract_indicators(log, noise, 0)
+        malign = causal.build_topology(causal.DbnSpec(causal.Topology.CHAIN_A,
+                                                      slices=len(seq.frames)))
+        result = detect.classify(seq, detect.benign_model_like(malign), malign, noise)
+        assert result.to_json() == dumps(result.to_obj())
+
+    @pytest.mark.parametrize("argv", [
+        ["loop", "--autonomy", "auto", "--seed", "2"],
+        ["loop", "--autonomy", "confirm", "--approve", "always", "--episodes", "2"],
+        ["evaluate", "--episodes", "3"],
+    ])
+    def test_cli_json_outputs(self, tmp_path, capsys, argv):
+        if argv[0] == "evaluate":
+            qtable = tmp_path / "q.json"
+            assert main(["train", "--episodes", "20", "--out", str(qtable)]) == 0
+            argv = argv + ["--qtable", str(qtable)]
+        out = tmp_path / "out.json"
+        assert main(argv + ["--out", str(out)]) == 0
+        text = out.read_text(encoding="utf-8")
+        assert text == dumps(json.loads(text)) + "\n"

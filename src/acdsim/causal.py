@@ -207,14 +207,16 @@ def marginal(m: Cgm, q: Assignment) -> float:
 def observational(m: Cgm, target: Assignment, given: Assignment) -> float:
     """p(target | given): the ratio of the two marginals.
 
-    Uses enumeration when bounds allow, otherwise the exact slice engine.
+    Above 12 free variables a slice-structured model goes to the exact slice
+    engine's `conditional`; anything else is enumerated. Both routes raise
+    ZeroEvidenceError when p(given) = 0, whatever the target, and only then
+    return 0.0 for a target that contradicts `given`.
     """
     _check_assignment(m, target, "target")
     _check_assignment(m, given, "given")
     for v in given:
         if v in m.latent:
             raise LatentEvidenceError(f"cannot condition on latent {v}")
-    joint = _merged(target, given)
     free = len(m.variables) - len(given)
     if free > ENGINE_PREFERENCE:
         try:
@@ -222,16 +224,11 @@ def observational(m: Cgm, target: Assignment, given: Assignment) -> float:
         except TooLargeError:
             engine = None  # not slice-structured; fall back to enumeration
         if engine is not None:
-            ll_e = engine.loglik(given)
-            if ll_e == float("-inf"):
-                raise ZeroEvidenceError("conditioning event has probability zero")
-            if joint is None:
-                return 0.0
-            ll_j = engine.loglik(joint)
-            return math.exp(ll_j - ll_e) if ll_j != float("-inf") else 0.0
+            return engine.conditional(target, given)
     pe = marginal(m, given)
     if pe == 0.0:
         raise ZeroEvidenceError("conditioning event has probability zero")
+    joint = _merged(target, given)
     return marginal(m, joint) / pe if joint is not None else 0.0
 
 
@@ -677,7 +674,8 @@ class DbnEngine:
         return sum(math.log(c) for c in fwd[2]) if fwd is not None else float("-inf")
 
     def posteriors(self, evidence: Assignment, likelihoods=()) -> dict:
-        """p(var = 1 | evidence) for every variable in the model, globals first."""
+        """p(var = 1 | evidence) for every variable in the model, globals
+        first: the library's smoothing, for any slice-structured model."""
         return dict(zip(self.outputs, self._smoothed(evidence, likelihoods)[0].tolist()))
 
     def _smoothed(self, evidence: Assignment, likelihoods) -> tuple[np.ndarray, np.ndarray]:
@@ -693,7 +691,8 @@ class DbnEngine:
         keep = [a > 0 for a in alphas] if math.prod(scales) < 1e-290 else None
         betas = self._backward(np.ones(alphas[-1].shape), weights, 0, scales, keep)
         # gamma_t = alpha_t * beta_t; its read-out row is [total, the globals'
-        # p(var = 1), the slice's own], unnormalized, one product per layout
+        # p(var = 1), the slice's own], unnormalized; one stacked product when
+        # every slice has one layout (the tactic models), else one per slice
         n = len(self.globals) + 1
         if self._uniform:
             rows = (np.array(alphas) * np.array(betas)).reshape(self.T, -1) @ self._readout[0]
@@ -718,61 +717,33 @@ class DbnEngine:
         return num, den
 
     def conditional(self, target: Assignment, evidence: Assignment, likelihoods=()) -> float:
-        """p(target | evidence).
+        """p(target | evidence), in `observational`'s error order.
 
-        A target wholly in the last slice is read off the final filtered
-        alpha of one forward filter. Any other target takes the ratio of two
-        likelihoods.
+        The evidence's forward filter runs first: impossible evidence raises
+        ZeroEvidenceError, and only then is a target that contradicts it 0.0.
+        A target wholly in the last slice is read off that filter's final
+        alpha. Any other target takes the joint's likelihood over the
+        evidence's, whose log is the sum of the filter's log divisors.
         """
+        fwd = self._forward(evidence, likelihoods)
+        if fwd is None:
+            raise ZeroEvidenceError("conditioning event has probability zero")
         joint = _merged(target, evidence)
         if joint is None:
             return 0.0
         if target and all(v.slice == self.T - 1 for v in target):
-            fwd = self._forward(evidence, likelihoods)
-            if fwd is None:
-                raise ZeroEvidenceError("conditioning event has probability zero")
             on = self._weights(target, ())
-            return (fwd[1][-1] * on[self.T - 1]).sum() if on is not None else 0.0
-        ll_e = self.loglik(evidence, likelihoods)
-        if ll_e == float("-inf"):
-            raise ZeroEvidenceError("conditioning event has probability zero")
+            return float((fwd[1][-1] * on[self.T - 1]).sum()) if on is not None else 0.0
         ll_j = self.loglik(joint, likelihoods)
-        return math.exp(ll_j - ll_e) if ll_j != float("-inf") else 0.0
+        if ll_j == float("-inf"):
+            return 0.0
+        return math.exp(ll_j - sum(math.log(c) for c in fwd[2]))
 
 
 def check_smoothing_slices(T: int) -> None:
     """Refuse to smooth over more than 16 slices."""
     if T > SMOOTH_SLICE_LIMIT:
         raise TooLargeError(f"smoothing supports at most {SMOOTH_SLICE_LIMIT} slices, got {T}")
-
-
-def smooth(m: Cgm, evidence: Assignment) -> dict:
-    """Exact posterior p(var = 1 | all evidence) for every hidden variable.
-
-    Models with slices (up to 16) run through the engine when they are
-    slice-structured; the rest fall back to enumeration.
-    """
-    _check_assignment(m, evidence, "evidence")
-    for v in evidence:
-        if v in m.latent:
-            raise LatentEvidenceError(f"cannot observe latent {v}")
-    slices = [v.slice for v in m.variables if v.slice is not None]
-    if slices:
-        check_smoothing_slices(max(slices) + 1)
-        try:
-            engine = DbnEngine(m)
-        except TooLargeError:
-            engine = None  # not slice-structured; fall back to enumeration
-        if engine is not None:
-            return {v: p for v, p in engine.posteriors(evidence).items() if v not in evidence}
-    hidden = [v for v in m.variables if v not in evidence]
-    if len(hidden) > ENUMERATION_LIMIT:
-        raise TooLargeError(f"{len(hidden)} hidden variables exceed the "
-                            f"enumeration limit of {ENUMERATION_LIMIT}")
-    pe = marginal(m, evidence)
-    if pe == 0.0:
-        raise ZeroEvidenceError("conditioning event has probability zero")
-    return {v: marginal(m, {**evidence, v: 1}) / pe for v in hidden}
 
 
 # ---------------------------------------------------------------------------

@@ -137,7 +137,7 @@ def cmd_train(args) -> int:
         epsilon_decay=args.epsilon_decay, episodes=args.episodes,
     )
     table, curve = agents.train(scenario, params, args.seed)
-    _write(args.out, table.save())
+    _write(args.out, table.save() + "\n")
     if args.curve:
         _write(args.curve, agents.curve_to_csv(curve))
     mean_tail = (sum(curve[-100:]) / min(len(curve), 100)) if curve else 0.0
@@ -204,7 +204,7 @@ def cmd_causal(args) -> int:
             model = causal.build_topology(spec)
         except SpecError as exc:
             raise ParseError(f"bad build option: {exc}") from None
-        _write(args.out, causal.save_model(model))
+        _write(args.out, causal.save_model(model) + "\n")
         return EXIT_OK
 
     model = causal.load_model(_read(args.model))

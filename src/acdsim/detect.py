@@ -54,9 +54,6 @@ class IndicatorFrame:
 class IndicatorSequence:
     frames: tuple[IndicatorFrame, ...]
 
-    def __len__(self) -> int:
-        return len(self.frames)
-
 
 @dataclass(frozen=True)
 class DetectionResult:

@@ -50,15 +50,12 @@ from . import __version__
 from ._util import child_seed, indented_json
 from .causal import (
     SMOOTH_SLICE_LIMIT,
-    Assignment,
-    Cgm,
     DbnEngine,
     DbnSpec,
     Topology,
     VarId,
     build_topology,
     do_transform,
-    interventional,
 )
 from .detect import TACTICS, EmissionNoise, TruthTracker, apply_noise
 from .errors import ParseError, SpecError, ZeroEvidenceError
@@ -194,27 +191,8 @@ def extract_episode_jsonl(text: str) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Intervention selection
+# From intervention to action
 # ---------------------------------------------------------------------------
-
-def _cheapest_plan(candidates: list[Assignment], risks: list[float]) -> InterventionPlan:
-    """The candidate with the least risk; first declared wins ties."""
-    best = min(range(len(risks)), key=risks.__getitem__)
-    return InterventionPlan(do=candidates[best], predicted_risk=risks[best],
-                            rationale=tuple(zip(candidates, risks)))
-
-
-def select_intervention(m: Cgm, evidence: Assignment, candidates,
-                        horizon_slice: int) -> InterventionPlan:
-    """Minimize p(Y at `horizon_slice` = 1 | evidence, do) over the candidate
-    interventions; first declared wins ties."""
-    if not candidates:
-        raise SpecError("candidate intervention list is empty")
-    target = {VarId("Y", horizon_slice): 1}
-    candidates = [dict(cand or {}) for cand in candidates]
-    risks = [interventional(m, target, cand, evidence) for cand in candidates]
-    return _cheapest_plan(candidates, risks)
-
 
 def map_intervention_to_action(plan: InterventionPlan, view: DefenderView) -> DefenderAction:
     """Bridge a tactic intervention to a concrete game action.
@@ -276,11 +254,14 @@ def _window(dbn: DbnSpec, emission: EmissionNoise, lookahead: int, candidates: t
 
 
 def _plan(cfg: LoopConfig, alpha, w: int) -> InterventionPlan:
-    """`select_intervention` over the lookahead model by filtering, then
+    """The candidate with the least p(Y at the lookahead model's last slice =
+    1 | frames, do), first declared winning ties, by filtering, then
     predicting: `alpha`, the step's filtered state at slice w-1 (None if
-    impossible), times each candidate's prediction vectors. Slices 0..w-1
-    match the detection model's, as each depends only on itself and earlier
-    slices and the do-slice is w."""
+    impossible), times each candidate's prediction vectors. The tests'
+    reference computes the same risks with `causal.interventional` on the
+    frames' `attach_emissions` model. Slices 0..w-1 match the detection
+    model's, as each depends only on itself and earlier slices and the
+    do-slice is w."""
     entry = _window(cfg.dbn, cfg.emission, cfg.lookahead, tuple(cfg.candidates), w)
     if alpha is None:
         raise ZeroEvidenceError("conditioning event has probability zero")
@@ -288,7 +269,10 @@ def _plan(cfg: LoopConfig, alpha, w: int) -> InterventionPlan:
     num, den = joint[:len(entry.dos)], joint[len(entry.dos):]
     if not den.all():
         raise ZeroEvidenceError("conditioning event has probability zero")
-    return _cheapest_plan([dict(do) for do in entry.dos], (num / den).tolist())
+    candidates, risks = [dict(do) for do in entry.dos], (num / den).tolist()
+    best = min(range(len(risks)), key=risks.__getitem__)  # the first of equal minima
+    return InterventionPlan(do=candidates[best], predicted_risk=risks[best],
+                            rationale=tuple(zip(candidates, risks)))
 
 
 class LoopDefender:

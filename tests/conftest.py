@@ -15,8 +15,9 @@ import pytest
 from hypothesis import strategies as st
 
 from acdsim.agents import META_ACTIONS, LateralAttacker, RandomDefender
-from acdsim.causal import Cgm, VarId
+from acdsim.causal import Cgm, VarId, interventional
 from acdsim.game import episode_to_jsonl, run_episode
+from acdsim.loop import InterventionPlan
 from acdsim.netmodel import Scenario, load_scenario, serialize_scenario
 
 
@@ -54,6 +55,19 @@ def oracle_conditional(m: Cgm, target: dict, given: dict) -> float:
         if v in given and given[v] != target[v]:
             return 0.0
     return oracle_marginal(m, merged) / oracle_marginal(m, given)
+
+
+def select_intervention(m: Cgm, evidence: dict, candidates, horizon_slice: int):
+    """The reference planner for `loop._plan`: each candidate's p(Y at
+    `horizon_slice` = 1 | evidence, do) through `causal.interventional`,
+    one query per candidate, and the least of them; first declared wins
+    ties."""
+    target = {VarId("Y", horizon_slice): 1}
+    candidates = [dict(cand or {}) for cand in candidates]
+    risks = [interventional(m, target, cand, evidence) for cand in candidates]
+    best = min(range(len(risks)), key=risks.__getitem__)
+    return InterventionPlan(do=candidates[best], predicted_risk=risks[best],
+                            rationale=tuple(zip(candidates, risks)))
 
 
 def random_dag_model(rng: random.Random, n_vars: int = 5, edge_p: float = 0.4) -> Cgm:

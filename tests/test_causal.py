@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from acdsim import causal
 from acdsim.causal import (
     Cgm,
     DbnEngine,
@@ -20,6 +21,7 @@ from acdsim.causal import (
     _merged,
     attach_emissions,
     build_topology,
+    check_smoothing_slices,
     do_transform,
     emission_var,
     interventional,
@@ -32,7 +34,6 @@ from acdsim.causal import (
     sample,
     save_model,
     save_spec,
-    smooth,
     spec_to_obj,
 )
 from acdsim.errors import (
@@ -301,9 +302,12 @@ class TestSample:
 
 
 class TestSmooth:
+    """Smoothing is `DbnEngine.posteriors`, against `observational` and the
+    enumeration oracle."""
+
     def test_single_slice_reduces_to_observational(self, chain_example):
         Z, X, Y = VarId("Z", 0), VarId("X", 0), VarId("Y", 0)
-        post = smooth(chain_example, {X: 1})
+        post = DbnEngine(chain_example).posteriors({X: 1})
         assert post[Y] == pytest.approx(observational(chain_example, {Y: 1}, {X: 1}),
                                         abs=1e-12)
         assert post[Z] == pytest.approx(observational(chain_example, {Z: 1}, {X: 1}),
@@ -313,7 +317,7 @@ class TestSmooth:
         m = build_topology(DbnSpec(Topology.CHAIN_A, 2))
         ext = attach_emissions(m, miss=0.0, false_pos=0.0)
         evidence = {emission_var(VarId("X", t)): 1 for t in range(2)}
-        post = smooth(ext, evidence)
+        post = DbnEngine(ext).posteriors(evidence)
         for t in range(2):
             assert post[VarId("X", t)] == pytest.approx(1.0, abs=1e-12)
 
@@ -323,11 +327,11 @@ class TestSmooth:
         rng = random.Random(77)
         evidence = {emission_var(VarId(name, t)): rng.randrange(2)
                     for name in ("Z", "X", "Y") for t in range(3)}
-        post = smooth(ext, evidence)
+        post = DbnEngine(ext).posteriors(evidence)
         X1 = VarId("X", 1)
         expected = oracle_conditional(ext, {X1: 1}, evidence)
         assert post[X1] == pytest.approx(expected, abs=1e-12)
-        # and the full hidden set, not just the example variable
+        # and every variable, not just the example one
         for v in post:
             assert post[v] == pytest.approx(oracle_conditional(ext, {v: 1}, evidence),
                                             abs=1e-12)
@@ -338,17 +342,16 @@ class TestSmooth:
         rng = random.Random(3)
         evidence = {emission_var(VarId(name, t)): rng.randrange(2)
                     for name in ("Z", "X", "Y") for t in range(3)}
-        post = smooth(ext, evidence)
         engine = DbnEngine(ext)
-        for v, p in post.items():
+        for v, p in engine.posteriors(evidence).items():
             assert 0.0 <= p <= 1.0
             p0 = engine.conditional({v: 0}, evidence)
             assert p + p0 == pytest.approx(1.0, abs=1e-12)
 
     def test_too_many_slices_guard(self):
-        m = build_topology(DbnSpec(Topology.CHAIN_A, 17))
+        check_smoothing_slices(16)
         with pytest.raises(TooLargeError):
-            smooth(m, {})
+            check_smoothing_slices(17)
 
     def test_model_the_engine_refuses_is_enumerated(self):
         # A@2 depends on A@0, skipping a slice, so the engine cannot run it
@@ -358,10 +361,9 @@ class TestSmooth:
         with pytest.raises(TooLargeError):
             DbnEngine(m)
         for evidence in ({}, {A1: 1}, {A2: 0}):
-            post = smooth(m, evidence)
-            assert set(post) == {A0, A1, A2} - set(evidence)
-            for v, p in post.items():
-                assert p == pytest.approx(oracle_conditional(m, {v: 1}, evidence), abs=1e-12)
+            for v in {A0, A1, A2} - set(evidence):
+                assert observational(m, {v: 1}, evidence) == pytest.approx(
+                    oracle_conditional(m, {v: 1}, evidence), abs=1e-12)
 
     def test_zero_evidence(self):
         m = build_topology(DbnSpec(Topology.CHAIN_A, 2))
@@ -369,7 +371,7 @@ class TestSmooth:
         X0 = VarId("X", 0)
         obs0 = emission_var(X0)
         with pytest.raises(ZeroEvidenceError):
-            smooth(ext, {X0: 0, obs0: 1})  # impossible under exact emission
+            DbnEngine(ext).posteriors({X0: 0, obs0: 1})  # impossible under exact emission
 
 
 class TestEngineAgreement:
@@ -559,7 +561,7 @@ class TestSinglePassConditional:
                 ll_e = engine.loglik(evidence)
                 joint = _merged(target, evidence)
                 if ll_e == float("-inf"):
-                    expected = ZeroEvidenceError if joint is not None else 0.0
+                    expected = ZeroEvidenceError
                 elif joint is None:
                     expected = 0.0
                 else:
@@ -595,11 +597,58 @@ class TestSinglePassConditional:
         engine = DbnEngine(m)
         Y2 = VarId("Y", 2)
         assert engine.conditional({Y2: 1}, {Y2: 0}) == 0.0
-        # contradictory even when the evidence itself is impossible
+        # impossible evidence comes first: p(target | evidence) is undefined
         X0 = VarId("X", 0)
-        assert engine.conditional({Y2: 1}, {Y2: 0, X0: 0, emission_var(X0): 1}) == 0.0
+        with pytest.raises(ZeroEvidenceError):
+            engine.conditional({Y2: 1}, {Y2: 0, X0: 0, emission_var(X0): 1})
         # a target the evidence rules out, without contradicting it
         assert engine.conditional({emission_var(Y2): 1}, {Y2: 0}) == 0.0
+
+
+class TestObservationalRoutes:
+    """`observational` sends a slice-structured model with more than 12 free
+    variables to `DbnEngine.conditional` and enumerates the rest; each route
+    must give the enumeration ratio, and raise ZeroEvidenceError for an
+    impossible `given` before it looks at the target."""
+
+    X0, Y2 = VarId("X", 0), VarId("Y", 2)
+
+    @pytest.mark.parametrize("model, target, evidence", [
+        ("chain5", {VarId("Y", 4): 1}, {X0: 1, VarId("Z", 3): 0}),
+        ("chain5", {VarId("X", 4): 0, VarId("Y", 4): 1}, {VarId("Z", 1): 1, Y2: 0}),
+        ("chain5", {VarId("Z", 1): 1}, {VarId("Y", 3): 1, X0: 0}),
+        ("chain5", {VarId("X", 2): 1, VarId("Y", 4): 1}, {X0: 0, VarId("Y", 1): 1}),
+        ("chain5", {Y2: 1}, {Y2: 0, X0: 1}),
+        ("chain5", {}, {X0: 1, Y2: 1}),
+        ("exact3", {X0: 1}, {X0: 0, emission_var(X0): 1}),
+        ("example-do", {VarId("X", 0): 0}, {VarId("X", 0): 1}),
+    ], ids=["last-slice", "last-slice-pair", "earlier", "across-slices", "contradictory",
+            "empty", "engine-impossible", "enumeration-impossible"])
+    def test_route_equals_enumeration_ratio(self, monkeypatch, chain_example, model, target,
+                                            evidence):
+        m = {"chain5": build_topology(DbnSpec(Topology.CHAIN_A, 5)),
+             "exact3": attach_emissions(build_topology(DbnSpec(Topology.CHAIN_A, 3)), 0.0, 0.0),
+             "example-do": do_transform(chain_example, {VarId("X", 0): 0})}[model]
+        engine_route = len(m.variables) - len(evidence) > 12
+        assert engine_route == (model != "example-do")
+        pe = marginal(m, evidence)
+        joint = _merged(target, evidence)
+        expected = (ZeroEvidenceError if pe == 0.0
+                    else marginal(m, joint) / pe if joint is not None else 0.0)
+
+        def other_route(*args):
+            raise AssertionError("the query took the other route")
+
+        if engine_route:
+            monkeypatch.setattr(causal, "marginal", other_route)
+        else:
+            monkeypatch.setattr(DbnEngine, "conditional", other_route)
+        if expected is ZeroEvidenceError:
+            assert joint is None  # the target contradicts `given` too
+            with pytest.raises(ZeroEvidenceError):
+                observational(m, target, evidence)
+        else:
+            assert observational(m, target, evidence) == pytest.approx(expected, abs=1e-12)
 
 
 def oracle_posteriors(m: Cgm, evidence: dict) -> tuple[float, dict]:
@@ -833,11 +882,8 @@ class TestFrameLikelihoods:
             for e, evidence, lik in ((engine, hard, likelihoods), (ext_engine, ext_evidence, ())):
                 with pytest.raises(ZeroEvidenceError):
                     e.posteriors(evidence, lik)
-                if contradicts:
-                    assert e.conditional(query_target, evidence, lik) == 0.0
-                else:
-                    with pytest.raises(ZeroEvidenceError):
-                        e.conditional(query_target, evidence, lik)
+                with pytest.raises(ZeroEvidenceError):  # contradictory or not
+                    e.conditional(query_target, evidence, lik)
             return
         assert math.exp(ll) == pytest.approx(pe, rel=1e-9)
         assert ll == pytest.approx(ext_ll, rel=1e-12, abs=1e-12)

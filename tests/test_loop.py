@@ -41,10 +41,10 @@ from acdsim.loop import (
     extract_episode_jsonl,
     map_intervention_to_action,
     run_loop,
-    select_intervention,
 )
 from acdsim.netmodel import load_scenario
 
+from .conftest import select_intervention
 from .test_agents import make_defender_view
 
 
@@ -56,6 +56,8 @@ def enterprise():
 
 
 class TestSelectIntervention:
+    """The reference planner that `_plan` is checked against."""
+
     def test_single_candidate_always_selected(self, chain_example):
         X = VarId("X", 0)
         plan = select_intervention(chain_example, {}, [{X: 0}], horizon_slice=0)
@@ -76,9 +78,9 @@ class TestSelectIntervention:
         assert plan.rationale[0][1] == plan.rationale[1][1]
         assert plan.do == {X: 0}
 
-    def test_empty_candidates_rejected(self, chain_example):
+    def test_empty_candidates_rejected(self):
         with pytest.raises(SpecError):
-            select_intervention(chain_example, {}, [], horizon_slice=0)
+            LoopConfig(candidates=())
 
     def test_risk_in_unit_interval(self):
         m = attach_emissions(build_topology(DbnSpec(Topology.CHAIN_A, 4)), 0.2, 0.05)
@@ -148,6 +150,16 @@ class TestPlanByPrediction:
             for (_, risk), (_, reference) in zip(plan.rationale, expected.rationale):
                 assert risk == pytest.approx(reference, abs=1e-12), (w, plan.rationale)
             assert plan.do == expected.do
+
+    def test_duplicate_candidates_first_declared_wins(self):
+        cfg = LoopConfig(dbn=DbnSpec(Topology.CHAIN_A, 8), candidates=(None, ("X", 0), ("X", 0)))
+        frames = [{"Z": 1, "X": 1, "Y": 0}] * 3
+        engine = _engine(cfg.dbn.with_slices(3), ())
+        _, alpha = engine._smoothed({}, engine.frame_likelihoods(frames, *cfg.emission))
+        plan = _plan(cfg, alpha, 3)
+        (nothing, r0), (first, r1), (second, r2) = plan.rationale
+        assert r1 == r2 < r0
+        assert plan.do is first and plan.do is not second
 
     def test_a_planning_step_filters_once(self, enterprise, monkeypatch):
         """One forward filter and one backward pass, both for detection: with

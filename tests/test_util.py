@@ -97,6 +97,8 @@ class TestWriters:
         ["loop", "--autonomy", "auto", "--seed", "2"],
         ["loop", "--autonomy", "confirm", "--approve", "always", "--episodes", "2"],
         ["evaluate", "--episodes", "3"],
+        ["train", "--episodes", "20"],
+        ["causal", "build", "--topology", "confounded-c", "--slices", "3"],
     ])
     def test_cli_json_outputs(self, tmp_path, capsys, argv):
         if argv[0] == "evaluate":

@@ -15,11 +15,13 @@ and takes noisy observations of slice variables as per-slice likelihoods.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import random
 from dataclasses import dataclass, field, fields, replace
 from enum import Enum
+from typing import NamedTuple
 
 import numpy as np
 
@@ -44,8 +46,9 @@ SMOOTH_SLICE_LIMIT = 16
 # Variables and models
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class VarId:
+class VarId(NamedTuple):
+    """A name, and a slice if time-indexed: a tuple, so it hashes in C."""
+
     name: str
     slice: int | None = None
 
@@ -398,6 +401,8 @@ def build_topology(spec: DbnSpec) -> Cgm:
     parents: dict = {}
     cpts: dict = {}
     latent: set = set()
+    # one CPT per tuple of cause weights, shared by every variable with them
+    noisy_or = functools.cache(lambda weights: _noisy_or_cpt(weights, p.spontaneous))
 
     def add(v: VarId, ps: list[tuple[VarId, float]], root: bool = False):
         variables.append(v)
@@ -405,7 +410,7 @@ def build_topology(spec: DbnSpec) -> Cgm:
         if root and not ps:
             cpts[v] = (p.root_activation,)
         else:
-            cpts[v] = _noisy_or_cpt(tuple(w for _, w in ps), p.spontaneous)
+            cpts[v] = noisy_or(tuple(w for _, w in ps))
 
     if spec.topology is Topology.CONFOUNDED_C and not spec.per_slice_confounder:
         u = VarId("U")
@@ -552,13 +557,27 @@ class DbnEngine:
         self._readout = [readouts[len(svars)] for svars in self.slice_vars]
         self._uniform = len(readouts) == 1
         self._init = self._slice_factor(0)
-        self._trans = [self._slice_factor(t) for t in range(1, self.T)]
+        # One transition per distinct slice structure, keyed before it is built:
+        # the previous slice's size and, per variable, its parents as (None for
+        # a global or the slice offset, position) and its CPT rows, spelled out
+        # if they hold a zero (-0.0 == 0.0, but the products keep the sign).
+        factors: dict[tuple, np.ndarray] = {}
+        self._trans = []
+        for t in range(1, self.T):
+            key = (len(self.slice_vars[t - 1]),) + tuple(
+                (tuple((None if q.slice is None else t - q.slice, self.pos[q])
+                       for q in m.parents.get(v, ())),
+                 cpt if 0.0 not in (cpt := m.cpts[v]) else tuple(map(repr, cpt)))
+                for v in self.slice_vars[t])
+            if key not in factors:
+                factors[key] = self._slice_factor(t)
+            self._trans.append(factors[key])
 
     def _slice_factor(self, t: int) -> np.ndarray:
         """Joint factor for slice t: at t = 0 the globals' prior times slice
         0's CPTs, indexed [globals, cur]; later the transition, indexed
         [globals, prev, cur]. The globals axis has length 1 when the factor
-        does not depend on them."""
+        does not depend on them. Read-only."""
         if t == 0:
             shape: tuple = (1, self.bits[0].shape[1])
         else:
@@ -584,6 +603,7 @@ class DbnEngine:
             for g in self.globals:
                 p1 = self.m.cpts[g][0]
                 factor = factor * np.where(bit(g) == 1, p1, 1.0 - p1)
+        factor.flags.writeable = False  # slices with equal keys share it
         return factor
 
     def frame_likelihoods(self, frames, miss: float, false_pos: float) -> list[np.ndarray]:

@@ -3,14 +3,17 @@
 import itertools
 import json
 import math
+import pickle
 import random
 from dataclasses import replace
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from acdsim import causal
+from acdsim._util import indented_json
 from acdsim.causal import (
     Cgm,
     DbnEngine,
@@ -937,3 +940,160 @@ class TestFrameLikelihoods:
         engine = DbnEngine(build_topology(DbnSpec(Topology.CHAIN_A, 2)))
         with pytest.raises(SpecError, match=message):
             engine.frame_likelihoods(frames, miss, false_pos)
+
+
+# ---------------------------------------------------------------------------
+# One factor per distinct slice, shared read-only
+# ---------------------------------------------------------------------------
+
+def assert_shared_factors_equal_per_slice_builds(engine: DbnEngine):
+    """Every stored transition is, bit for bit, what `_slice_factor` builds
+    for its slice alone."""
+    for t in range(1, engine.T):
+        shared, alone = engine._trans[t - 1], engine._slice_factor(t)
+        assert shared.shape == alone.shape and shared.dtype == alone.dtype, t
+        assert np.array_equal(shared, alone) and shared.tobytes() == alone.tobytes(), t
+
+
+def distinct_factors(engine: DbnEngine) -> int:
+    return len({id(factor) for factor in engine._trans})
+
+
+TOPOLOGY_SPECS = [
+    DbnSpec(Topology.CHAIN_A, 1),
+    DbnSpec(Topology.FORK_B, 1),
+    DbnSpec(Topology.CONFOUNDED_C, 1),
+    DbnSpec(Topology.CONFOUNDED_C, 1, per_slice_confounder=True),
+    DbnSpec(Topology.CONFOUNDED_C, 1, schedule=(True,)),
+    DbnSpec(Topology.CONFOUNDED_C, 1, schedule=(True, False)),
+    DbnSpec(Topology.CONFOUNDED_C, 1, schedule=(True, False), per_slice_confounder=True),
+    DbnSpec(Topology.CONFOUNDED_C, 1, schedule=(False, True, True)),
+]
+
+
+class TestSharedSliceFactors:
+    """`DbnEngine` builds one transition per distinct slice structure, and
+    the shared arrays are the per-slice builds, read-only."""
+
+    @pytest.mark.parametrize("spec", TOPOLOGY_SPECS, ids=str)
+    def test_equal_to_per_slice_builds(self, spec):
+        for slices in range(1, 17):
+            m = build_topology(spec.with_slices(slices))
+            for engine in (DbnEngine(m), DbnEngine(benign_model_like(m))):
+                assert len(engine._trans) == slices - 1
+                assert_shared_factors_equal_per_slice_builds(engine)
+
+    @settings(max_examples=80, deadline=None)
+    @given(framed_queries())
+    def test_equal_to_per_slice_builds_on_drawn_models(self, query):
+        assert_shared_factors_equal_per_slice_builds(DbnEngine(query[0]))
+
+    @pytest.mark.parametrize("spec,count", [
+        (DbnSpec(Topology.CHAIN_A, 16), 1),
+        (DbnSpec(Topology.FORK_B, 16), 1),
+        (DbnSpec(Topology.CONFOUNDED_C, 16), 2),
+        (DbnSpec(Topology.CONFOUNDED_C, 16, per_slice_confounder=True), 2),
+        (DbnSpec(Topology.CONFOUNDED_C, 16, schedule=(True,) * 16), 1),
+        (DbnSpec(Topology.CONFOUNDED_C, 16, schedule=(True, False) * 8), 2),
+        (DbnSpec(Topology.CONFOUNDED_C, 2), 1),  # one transition only
+    ], ids=str)
+    def test_distinct_transitions(self, spec, count):
+        m = build_topology(spec)
+        assert distinct_factors(DbnEngine(m)) == count
+        assert distinct_factors(DbnEngine(benign_model_like(m))) == 1
+
+    def test_one_cpt_per_cause_set(self):
+        m = build_topology(DbnSpec(Topology.CHAIN_A, 16))
+        later = [m.cpts[VarId(name, t)] for t in range(1, 16) for name in "ZXY"]
+        assert len({id(cpt) for cpt in later}) == 2  # persistence; persistence + edge
+
+    A0, A1, A2, B0, B1, B2, G = (VarId("A", 0), VarId("A", 1), VarId("A", 2), VarId("B", 0),
+                                 VarId("B", 1), VarId("B", 2), VarId("G"))
+
+    @pytest.mark.parametrize("tables", [
+        # B's parent is in the previous slice, then in its own
+        {A0: ((), (0.5,)), B0: ((), (0.5,)), A1: ((), (0.5,)), B1: ((A0,), (0.3, 0.6)),
+         A2: ((), (0.5,)), B2: ((A2,), (0.3, 0.6))},
+        # B's parent is at position 0, then at position 1, of the previous slice
+        {A0: ((), (0.5,)), B0: ((), (0.5,)), A1: ((), (0.5,)), B1: ((A0,), (0.3, 0.6)),
+         A2: ((), (0.5,)), B2: ((B1,), (0.3, 0.6))},
+        # B's parent is a global, then a variable of the previous slice
+        {G: ((), (0.4,)), A0: ((), (0.5,)), B0: ((), (0.5,)), A1: ((), (0.5,)),
+         B1: ((G,), (0.3, 0.6)), A2: ((), (0.5,)), B2: ((A1,), (0.3, 0.6))},
+        # the previous slice has one variable, then two
+        {A0: ((), (0.5,)), A1: ((), (0.5,)), B1: ((), (0.5,)),
+         A2: ((), (0.5,)), B2: ((), (0.5,))},
+        # equal parents, other CPT rows
+        {A0: ((), (0.5,)), A1: ((A0,), (0.3, 0.6)), A2: ((A1,), (0.3, 0.7))},
+    ], ids=["offset", "position", "global", "previous-size", "rows"])
+    def test_each_part_of_the_structure_keeps_slices_apart(self, tables):
+        """Slices 1 and 2 differ in one part of the key only, so each gets
+        its own array, equal to its per-slice build."""
+        variables = tuple(tables)
+        m = Cgm(variables=variables, parents={v: tables[v][0] for v in variables},
+                cpts={v: tables[v][1] for v in variables})
+        engine = DbnEngine(m)
+        assert distinct_factors(engine) == 2
+        assert_shared_factors_equal_per_slice_builds(engine)
+
+    def test_sign_of_a_zero_keeps_slices_apart(self):
+        """-0.0 == 0.0, but their factors differ in sign, so slices whose CPT
+        rows differ only there get their own arrays."""
+        variables = tuple(VarId("X", t) for t in range(3))
+        parents = {v: () for v in variables}
+        m = Cgm(variables=variables, parents=parents,
+                cpts=dict(zip(variables, [(0.5,), (0.0,), (-0.0,)])))
+        engine = DbnEngine(m)
+        assert distinct_factors(engine) == 2
+        assert_shared_factors_equal_per_slice_builds(engine)
+        same = DbnEngine(replace(m, cpts=dict(zip(variables, [(0.5,), (0.0,), (0.0,)]))))
+        assert distinct_factors(same) == 1
+
+    def test_factors_are_read_only(self):
+        engine = DbnEngine(build_topology(DbnSpec(Topology.CONFOUNDED_C, 6)))
+        for factor in [engine._init] + engine._trans:
+            before = factor.copy()
+            with pytest.raises(ValueError):
+                factor[0, 0] = 0.5
+            with pytest.raises(ValueError):
+                factor *= 2.0
+            assert np.array_equal(factor, before)
+
+
+class TestVarId:
+    """A `VarId` hashes, compares, prints and pickles as it always has; as a
+    tuple it also equals the plain tuple of its fields."""
+
+    def test_equality_and_hash(self):
+        assert VarId("X", 1) == VarId("X", 1) and hash(VarId("X", 1)) == hash(VarId("X", 1))
+        assert VarId("U") == VarId("U", None) and VarId("U").slice is None
+        assert len({VarId("X", 1), VarId("X", 2), VarId("X"), VarId("Y", 1)}) == 4
+        assert VarId("X", 1) != VarId("X", 2) and VarId("X", 1) != VarId("Y", 1)
+        assert VarId("X", 1) != VarId("X") and VarId("X", 0) != VarId("X")
+        assert VarId("X", 1) != "X@1"
+        assert hash(VarId("X", 1)) == hash(("X", 1))  # the frozen dataclass's hash
+
+    def test_str_and_repr(self):
+        assert str(VarId("X", 1)) == "X@1" and str(VarId("U")) == "U"
+        assert repr(VarId("X", 1)) == "VarId(name='X', slice=1)"
+        assert repr(VarId("U")) == "VarId(name='U', slice=None)"
+        assert f"{VarId('Y', 12)}" == "Y@12"
+
+    def test_pickle_round_trip(self):
+        values = [VarId("X", 1), VarId("U"), {VarId("Y", 3): 1}]
+        assert pickle.loads(pickle.dumps(values)) == values
+        assert type(pickle.loads(pickle.dumps(VarId("X", 1)))) is VarId
+
+    def test_sorted_by_str(self):
+        vs = [VarId("Y", 10), VarId("X", 2), VarId("U"), VarId("X", 10), VarId("Z", 0),
+              VarId("X_obs", 2), VarId("U", 1)]
+        assert [str(v) for v in sorted(vs, key=str)] == [
+            "U", "U@1", "X@10", "X@2", "X_obs@2", "Y@10", "Z@0"]
+
+    def test_is_a_tuple_of_its_fields(self):
+        """The one new behaviour: a VarId equals its fields' plain tuple and
+        is written to JSON as a list, as `json.dumps` writes it."""
+        assert VarId("X", 1) == ("X", 1) and VarId("U") == ("U", None)
+        assert indented_json([VarId("X", 1)]) == json.dumps([VarId("X", 1)], sort_keys=True,
+                                                            indent=2)
+        assert json.loads(indented_json({"v": VarId("U")})) == {"v": ["U", None]}

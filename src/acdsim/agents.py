@@ -9,12 +9,13 @@ hand-rolled MDPs.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
 from . import __version__
 from ._util import indented_json
-from .errors import ParseError
+from .errors import ParseError, SpecError
 from .game import (
     NOP,
     PASS,
@@ -185,6 +186,20 @@ class LearningParams:
     epsilon_decay: float = 0.995
     episodes: int = 10_000
 
+    def __post_init__(self):
+        # NaN fails every comparison and an infinity lies outside every
+        # range, so these refuse non-finite values too
+        for name, ok, want in (
+                ("alpha", 0.0 < self.alpha <= 1.0, "in (0, 1]"),
+                ("gamma", 0.0 <= self.gamma <= 1.0, "in [0, 1]"),
+                ("epsilon_start", 0.0 <= self.epsilon_start <= 1.0, "in [0, 1]"),
+                ("epsilon_end", 0.0 <= self.epsilon_end <= 1.0, "in [0, 1]"),
+                ("epsilon_decay", 0.0 < self.epsilon_decay <= 1.0, "in (0, 1]"),
+                ("episodes", isinstance(self.episodes, int) and self.episodes >= 0,
+                 "an integer >= 0")):
+            if not ok:
+                raise SpecError(f"{name} must be {want}, got {getattr(self, name)}")
+
 
 class QTable:
     """Sparse (state key, action index) -> value table, zero by default."""
@@ -247,13 +262,14 @@ class QTable:
                 raise ParseError(f"Q-table entry {i} must be an object")
             key, values = entry.get("key"), entry.get("values")
             if (not isinstance(key, list) or len(key) != len(FeatureKey._fields)
-                    or not all(isinstance(x, int) for x in key)):
+                    or not all(type(x) is int for x in key)):  # bool is no int here
                 raise ParseError(f"Q-table entry {i}: 'key' must be a list of "
                                  f"{len(FeatureKey._fields)} integers")
             if (not isinstance(values, list) or len(values) != len(table.actions)
-                    or not all(isinstance(x, (int, float)) for x in values)):
+                    or not all(type(x) is int or (type(x) is float and math.isfinite(x))
+                               for x in values)):
                 raise ParseError(f"Q-table entry {i}: 'values' must be a list of "
-                                 f"{len(table.actions)} numbers")
+                                 f"{len(table.actions)} finite numbers")
             table.values[FeatureKey(key[0], bool(key[1]), key[2])] = list(values)
         return table
 

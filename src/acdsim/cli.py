@@ -94,6 +94,14 @@ def _print_result(value: float):
     sys.stdout.write(format(value, "#.12g") + "\n")
 
 
+def _episode_seeds(args) -> list[int]:
+    """--seed, --seed + 1, ... for each of --episodes; a negative count is
+    refused."""
+    if args.episodes < 0:
+        raise ParseError(f"--episodes must be >= 0, got {args.episodes}")
+    return [args.seed + i for i in range(args.episodes)]
+
+
 def _map_seeds(fn, common: tuple, seeds: list[int], parallel: int) -> list:
     """[fn(*common, seed) for seed in seeds], over up to `parallel` worker
     processes, never more than there are seeds; results keep seed order
@@ -131,11 +139,14 @@ def cmd_simulate(args) -> int:
 
 def cmd_train(args) -> int:
     scenario = _load_scenario(args)
-    params = agents.LearningParams(
-        alpha=args.alpha, gamma=args.gamma,
-        epsilon_start=args.epsilon_start, epsilon_end=args.epsilon_end,
-        epsilon_decay=args.epsilon_decay, episodes=args.episodes,
-    )
+    try:
+        params = agents.LearningParams(
+            alpha=args.alpha, gamma=args.gamma,
+            epsilon_start=args.epsilon_start, epsilon_end=args.epsilon_end,
+            epsilon_decay=args.epsilon_decay, episodes=args.episodes,
+        )
+    except SpecError as exc:
+        raise ParseError(f"bad learning parameter: {exc}") from None
     table, curve = agents.train(scenario, params, args.seed)
     _write(args.out, table.save() + "\n")
     if args.curve:
@@ -165,7 +176,7 @@ def _evaluate_episode(scenario: netmodel.Scenario, table: agents.QTable, seed: i
 def cmd_evaluate(args) -> int:
     scenario = _load_scenario(args)
     table = agents.QTable.load(_read(args.qtable))
-    seeds = [args.seed + i for i in range(args.episodes)]
+    seeds = _episode_seeds(args)
     rows = _map_seeds(_evaluate_episode, (scenario, table), seeds, args.parallel)
     for i, row in enumerate(rows):
         row["episode"] = i
@@ -275,7 +286,7 @@ def cmd_loop(args) -> int:
     except SpecError as exc:
         raise ParseError(f"bad loop option: {exc}") from None
 
-    seeds = [args.seed + i for i in range(args.episodes)]
+    seeds = _episode_seeds(args)
     reports = _map_seeds(_run_loop_episode, (scenario, cfg, new_approver), seeds,
                          args.parallel)
     if args.episodes == 1:

@@ -22,6 +22,7 @@ from __future__ import annotations
 import json
 import random
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 from . import __version__
 from ._util import child_seed
@@ -142,6 +143,9 @@ class GameState:
     last_alerts: tuple[int, ...] = ()  # node ids of last step's alerts (kind hidden)
     scan_results: dict[int, tuple[int, bool]] = field(default_factory=dict)
     cumulative_reward: float = 0.0
+    # (frozenset(attacker_known), known_nodes, known_unlocks) of the last
+    # attacker view; knowledge changes on few steps, so most views reuse it
+    _attacker_maps: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def target_seen(self) -> int | None:
         target = self.scenario.topology.target_id()
@@ -183,9 +187,7 @@ class DefenderView:
     cumulative_reward: float
 
     def neighbors_of(self, node_id: int) -> tuple[int, ...]:
-        out = [b for a, b in self.topology_edges if a == node_id]
-        out += [a for a, b in self.topology_edges if b == node_id]
-        return tuple(sorted(out))
+        return _adjacency(self.topology_edges).get(node_id, ())
 
     def to_obj(self) -> dict:
         return {
@@ -201,13 +203,31 @@ class DefenderView:
         }
 
 
+@lru_cache(maxsize=64)
+def _adjacency(edges: tuple[tuple[int, int], ...]) -> dict[int, tuple[int, ...]]:
+    """Sorted neighbour tuples by node of an edge tuple, one entry per edge
+    end (so a self-loop lists its node twice); shared, never mutated."""
+    adj: dict[int, list[int]] = {}
+    for a, b in edges:
+        adj.setdefault(a, []).append(b)
+        adj.setdefault(b, []).append(a)
+    return {n: tuple(sorted(out)) for n, out in adj.items()}
+
+
 def attacker_view(st: GameState) -> AttackerView:
-    topo = st.scenario.topology
-    known = st.attacker_known
+    known = frozenset(st.attacker_known)
+    if st._attacker_maps is None or st._attacker_maps[0] != known:
+        topo = st.scenario.topology
+        ordered = sorted(known)
+        st._attacker_maps = (
+            known,
+            {n: tuple(x for x in topo.neighbors(n) if x in known) for n in ordered},
+            {n: topo.node(n).unlocks for n in ordered},
+        )
+    _, known_nodes, known_unlocks = st._attacker_maps
     return AttackerView(
-        known_nodes={n: tuple(x for x in topo.neighbors(n) if x in known)
-                     for n in sorted(known)},
-        known_unlocks={n: topo.node(n).unlocks for n in sorted(known)},
+        known_nodes=dict(known_nodes),
+        known_unlocks=dict(known_unlocks),
         compromised=frozenset(st.compromised),
         creds=frozenset(st.attacker_creds),
         target_seen=st.target_seen(),
@@ -218,7 +238,7 @@ def defender_view(st: GameState) -> DefenderView:
     topo = st.scenario.topology
     return DefenderView(
         topology_nodes=topo.node_ids(),
-        topology_edges=tuple(sorted(topo.edges)),
+        topology_edges=topo.sorted_edges,
         target=topo.target_id(),
         t=st.t,
         alerts_last_step=st.last_alerts,
@@ -333,8 +353,8 @@ def step(st: GameState, d: DefenderAction, a: AttackerAction) -> tuple[GameState
         events.append(Event("scan", d.node, result=result))
 
     # isolation keeps nodes offline; charge every node-step it is in effect
-    isolated_now = sorted(n for n, k in st.isolation.items() if k > 0)
-    action_cost += costs.isolate_cost_per_step * len(isolated_now)
+    isolated_now = sum(1 for k in st.isolation.values() if k > 0)
+    action_cost += costs.isolate_cost_per_step * isolated_now
 
     # (2) attempts, ascending node id; isolated or already-taken nodes are
     # skipped silently and draw nothing

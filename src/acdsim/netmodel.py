@@ -10,6 +10,7 @@ from __future__ import annotations
 import json
 from collections import deque
 from dataclasses import asdict, dataclass, field, fields
+from functools import cached_property
 
 from ._util import canonical_json, indented_json, sha256_hex
 from .errors import ParseError, UnknownNodeError, ValidationError
@@ -43,6 +44,10 @@ class NodeSpec:
 
 @dataclass(frozen=True)
 class NetworkTopology:
+    """Nodes and undirected edges. The sorted ids, the target and the sorted
+    edge tuple are computed on first use and kept, so building a topology
+    costs no more than indexing it."""
+
     nodes: tuple[NodeSpec, ...]
     edges: frozenset[tuple[int, int]]  # normalized (lo, hi) pairs
     _by_id: dict = field(init=False, repr=False, compare=False)
@@ -73,9 +78,23 @@ class NetworkTopology:
         return self._adj[node_id]
 
     def node_ids(self) -> tuple[int, ...]:
-        return tuple(sorted(self._by_id))
+        return self._node_ids
 
     def target_id(self) -> int:
+        return self._target_id
+
+    @cached_property
+    def sorted_edges(self) -> tuple[tuple[int, int], ...]:
+        return tuple(sorted(self.edges))
+
+    @cached_property
+    def _node_ids(self) -> tuple[int, ...]:
+        return tuple(sorted(self._by_id))
+
+    @cached_property
+    def _target_id(self) -> int:
+        # raising leaves nothing cached, so every call on a topology
+        # without a target raises
         for n in self.nodes:
             if n.is_target:
                 return n.id
@@ -118,6 +137,10 @@ class Scenario:
     costs: CostParams = CostParams()
     alerts: AlertParams = AlertParams()
     horizon: int = DEFAULT_HORIZON
+
+    @cached_property
+    def _digest(self) -> str:
+        return sha256_hex(canonical_json(scenario_to_obj(self)))
 
 
 # ---------------------------------------------------------------------------
@@ -292,7 +315,7 @@ def validate_scenario(s: Scenario) -> None:
     if len(targets) != 1:
         problems.append(f"exactly one target required, found {len(targets)}")
 
-    for a, b in sorted(s.topology.edges):
+    for a, b in s.topology.sorted_edges:
         if a == b:
             problems.append(f"self-loop on node {a}")
         if a not in id_set:
@@ -388,7 +411,7 @@ def scenario_to_obj(s: Scenario) -> dict:
             }
             for n in s.topology.nodes
         ],
-        "edges": [list(e) for e in sorted(s.topology.edges)],
+        "edges": [list(e) for e in s.topology.sorted_edges],
         "attacker": {
             "strength": s.attacker.strength,
             "spread": s.attacker.spread,
@@ -405,5 +428,6 @@ def serialize_scenario(s: Scenario) -> str:
 
 
 def scenario_digest(s: Scenario) -> str:
-    """SHA-256 of the canonical compact serialization."""
-    return sha256_hex(canonical_json(scenario_to_obj(s)))
+    """SHA-256 of the canonical compact serialization, computed once per
+    scenario object."""
+    return s._digest

@@ -1,10 +1,11 @@
 """Scripted attacker, feature discretization, and tabular Q-learning."""
 
 import json
+import math
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from acdsim.agents import (
@@ -22,7 +23,7 @@ from acdsim.agents import (
     q_update,
     train,
 )
-from acdsim.errors import ParseError, ValidationError
+from acdsim.errors import ParseError, SpecError, ValidationError
 from acdsim.game import AttackerView, DefenderView, run_episode
 from acdsim.netmodel import load_scenario
 
@@ -124,10 +125,42 @@ class TestMetaActions:
             if "hottest" in name:
                 assert action.node == 0   # every node ties at zero alerts
 
+    @pytest.mark.parametrize("edges", [
+        ((0, 1), (1, 2)),
+        ((2, 5), (0, 2), (1, 2), (0, 1)),
+        ((0, 1), (0, 1), (1, 1), (3, 1)),
+        (),
+    ])
+    def test_neighbors_of_a_hand_built_view(self, edges):
+        view = make_defender_view(edges=edges)
+        for n in range(-1, 7):
+            expected = sorted([b for a, b in edges if a == n] + [a for a, b in edges if b == n])
+            assert view.neighbors_of(n) == tuple(expected)
+
     def test_patch_target_neighbor_lowest_id(self):
         view = make_defender_view(edges=((0, 2), (1, 2), (0, 1)), target=2)
         action = meta_action_to_defender_action(META_ACTIONS.index("patch_target_neighbor"), view)
         assert action.kind == "patch" and action.node == 0
+
+
+class TestLearningParams:
+    @pytest.mark.parametrize("name,value", [
+        ("alpha", 0.0), ("alpha", 1.5), ("alpha", math.nan), ("gamma", -0.1),
+        ("gamma", 5.0), ("gamma", math.inf), ("epsilon_start", 1.01),
+        ("epsilon_start", math.nan), ("epsilon_end", -1.0), ("epsilon_decay", 0.0),
+        ("epsilon_decay", -1.0), ("epsilon_decay", math.nan), ("episodes", -1),
+        ("episodes", math.inf),
+    ])
+    def test_out_of_range_raises_spec_error(self, name, value):
+        with pytest.raises(SpecError, match=name):
+            LearningParams(**{name: value})
+
+    @pytest.mark.parametrize("name,value", [
+        ("alpha", 1.0), ("gamma", 0.0), ("gamma", 1.0), ("epsilon_start", 0.0),
+        ("epsilon_end", 1.0), ("epsilon_decay", 1.0), ("episodes", 0),
+    ])
+    def test_range_ends_are_accepted(self, name, value):
+        assert getattr(LearningParams(**{name: value}), name) == value
 
 
 class TestQUpdate:
@@ -248,6 +281,12 @@ class TestTrain:
         assert [x.total_reward() for x in a] == [x.total_reward() for x in b]
 
 
+def one_entry_qtable(key, value) -> str:
+    """Q-table text over "nop" alone with one entry, as `json.dumps` writes
+    it (so NaN and Infinity appear as bare words)."""
+    return json.dumps({"actions": ["nop"], "entries": [{"key": key, "values": [value]}]})
+
+
 class TestQTableIO:
     def test_round_trip(self, chain3):
         table, _ = train(chain3, LearningParams(episodes=50), seed=2)
@@ -257,12 +296,21 @@ class TestQTableIO:
 
     @settings(max_examples=150, deadline=None)
     @given(st.one_of(st.text(), mutated(json.dumps(qtable_doc())), json_mutated(qtable_doc())))
+    @example(one_entry_qtable([0, 0, 0], math.nan))
+    @example(one_entry_qtable([0, 0, 0], math.inf))
+    @example(one_entry_qtable([0, 0, 0], -math.inf))
+    @example(one_entry_qtable([0, 0, 0], True))
+    @example(one_entry_qtable([0, True, 0], 0.0))
+    @example(one_entry_qtable([False, 0, 0], 0.0))
     def test_qtable_text_loads_or_raises_parse_error(self, text):
         try:
             table = QTable.load(text)
         except (ParseError, ValidationError):
             return
         assert table.actions and table.actions == META_ACTIONS[:len(table.actions)]
+        for key, row in table.values.items():
+            assert type(key.alert_bucket) is int and type(key.isolated_bucket) is int
+            assert all(type(x) in (int, float) and math.isfinite(x) for x in row)
         view = make_defender_view()
         for key in table.values:
             meta_action_to_defender_action(table.greedy(key), view)

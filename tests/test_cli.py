@@ -455,6 +455,11 @@ class TestLoop:
         assert_one_parse_error(capsys)
         assert not (tmp_path / "r.json").exists()
 
+    def test_negative_episodes_exits_2(self, tmp_path, capsys):
+        assert run(["loop", "--episodes", "-1", "--out", str(tmp_path / "r.json")]) == 2
+        assert_one_parse_error(capsys)
+        assert not (tmp_path / "r.json").exists()
+
     def test_inputs_parsed_once(self, tmp_path, input_calls):
         spec = tmp_path / "spec.json"
         spec.write_text(json.dumps({"topology": "chain-a", "slices": 8}))
@@ -464,6 +469,27 @@ class TestLoop:
                     "--approve", f"file:{approve}", "--episodes", "3",
                     "--out", str(tmp_path / "r.json")]) == 0
         assert input_calls == ["_read", "load_scenario", "_read", "load_spec", "_read"]
+
+
+class TestTrain:
+    @pytest.mark.parametrize("option", [
+        ("--alpha", "nan"), ("--alpha", "0"), ("--gamma", "5"), ("--gamma", "inf"),
+        ("--epsilon-start", "-0.5"), ("--epsilon-end", "2"), ("--epsilon-decay", "-1"),
+        ("--episodes", "-1"),
+    ])
+    def test_out_of_range_learning_parameter_exits_2(self, tmp_path, chain3_path, capsys,
+                                                     option):
+        out = tmp_path / "q.json"
+        assert run(["train", "--scenario", chain3_path, "--episodes", "3", *option,
+                    "--out", str(out)]) == 2
+        assert_one_parse_error(capsys)
+        assert not out.exists()
+
+    def test_zero_episodes_writes_an_empty_table(self, tmp_path, chain3_path):
+        out = tmp_path / "q.json"
+        assert run(["train", "--scenario", chain3_path, "--episodes", "0",
+                    "--out", str(out)]) == 0
+        assert agents.QTable.load(out.read_text()).values == {}
 
 
 class TestEvaluate:
@@ -489,6 +515,10 @@ class TestEvaluate:
         {"actions": ["nop"], "entries": [{"key": [1, 0, 0], "values": [0.0, 1.0]}]},
         {"actions": ["nop"], "entries": {"key": [1, 0, 0], "values": [0.0]}},
         {"actions": ["nop"], "entries": [[1, 0, 0]]},
+        {"actions": ["nop"], "entries": [{"key": [1, 0, 0], "values": [float("nan")]}]},
+        {"actions": ["nop"], "entries": [{"key": [1, 0, 0], "values": [float("-inf")]}]},
+        {"actions": ["nop"], "entries": [{"key": [1, 0, 0], "values": [False]}]},
+        {"actions": ["nop"], "entries": [{"key": [1, True, 0], "values": [0.0]}]},
         *OTHER_ACTIONS_QTABLES,
     ])
     def test_malformed_qtable_exits_2(self, tmp_path, chain3_path, capsys, doc):
@@ -499,6 +529,16 @@ class TestEvaluate:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1
         assert json.loads(err[0])["error"]["type"] == "ParseError"
+
+    def test_negative_episodes_exits_2(self, tmp_path, chain3_path, capsys):
+        qt = tmp_path / "q.json"
+        run(["train", "--scenario", chain3_path, "--episodes", "20", "--out", str(qt)])
+        capsys.readouterr()
+        out = tmp_path / "e.json"
+        assert run(["evaluate", "--scenario", chain3_path, "--qtable", str(qt),
+                    "--episodes", "-1", "--out", str(out)]) == 2
+        assert_one_parse_error(capsys)
+        assert not out.exists()
 
     def test_parallel_matches_serial(self, tmp_path, chain3_path):
         qt = tmp_path / "q.json"

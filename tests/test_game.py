@@ -1,5 +1,6 @@
 """Engine mechanics: init, compromise odds, step resolution, episodes, replay."""
 
+import hashlib
 import json
 import random
 from dataclasses import replace
@@ -8,7 +9,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from acdsim.agents import LateralAttacker, NopDefender, PassingAttacker, RandomDefender
+from acdsim.agents import (
+    LateralAttacker,
+    LearningParams,
+    NopDefender,
+    PassingAttacker,
+    QDefender,
+    RandomDefender,
+    train,
+)
+from acdsim.cli import default_scenario_path
 from acdsim.errors import (
     IllegalActionError,
     ParseError,
@@ -257,6 +267,52 @@ class TestInvariants:
                 assert "defence" not in json.dumps(view.to_obj())
                 st, _ = step(st, NOP, attacker.act(view, rng))
 
+    def test_mutating_an_attacker_view_leaves_the_next_one_unchanged(self):
+        rng = random.Random(33)
+        for _ in range(10):
+            s = load_random_scenario(rng)
+            topo = s.topology
+            st = init(s, seed=5)
+            attacker = LateralAttacker(s.attacker.spread)
+            while st.terminal is None:
+                view = attacker_view(st)
+                known = st.attacker_known
+                assert view.known_nodes == {
+                    n: tuple(x for x in topo.neighbors(n) if x in known) for n in sorted(known)}
+                assert view.known_unlocks == {n: topo.node(n).unlocks for n in sorted(known)}
+                action = attacker.act(view, rng)
+                for n in list(view.known_nodes):
+                    view.known_nodes[n] = ()
+                    view.known_unlocks[n] = frozenset({"forged"})
+                view.known_nodes[-1] = (n,)
+                again = attacker_view(st)
+                assert -1 not in again.known_nodes and -1 not in again.known_unlocks
+                assert again.known_nodes[n] == tuple(x for x in topo.neighbors(n) if x in known)
+                assert again.known_unlocks[n] == topo.node(n).unlocks
+                st, _ = step(st, NOP, action)
+
+    def test_a_policy_that_scribbles_on_its_view_plays_the_same_episode(self):
+        class Scribbler(LateralAttacker):
+            def act(self, view, rng):
+                action = super().act(view, rng)
+                view.known_nodes.clear()
+                view.known_unlocks.clear()
+                return action
+
+        s = enterprise8()
+        for seed in range(5):
+            plain = run_episode(s, RandomDefender(), LateralAttacker(s.attacker.spread), seed)
+            scribbled = run_episode(s, RandomDefender(), Scribbler(s.attacker.spread), seed)
+            assert episode_to_jsonl(scribbled) == episode_to_jsonl(plain)
+
+    def test_defender_view_neighbors_match_the_topology(self):
+        rng = random.Random(34)
+        for s in [enterprise8()] + [load_random_scenario(rng) for _ in range(20)]:
+            view = defender_view(init(s, seed=0))
+            assert view.topology_edges == tuple(sorted(s.topology.edges))
+            for n in s.topology.node_ids():
+                assert view.neighbors_of(n) == s.topology.neighbors(n)
+
     def test_capture_time_equals_bfs_distance(self):
         rng = random.Random(41)
         for _ in range(25):
@@ -311,3 +367,34 @@ class TestReplay:
             parse_episode_jsonl(text)
         except (ParseError, ValidationError):
             pass
+
+
+def enterprise8():
+    with open(default_scenario_path(), encoding="utf-8") as fh:
+        return load_scenario(fh.read())
+
+
+class TestPinnedBytes:
+    """sha256 of outputs recorded before the game's per-scenario and per-view
+    caches went in; a change to any byte of a log or a trained Q-table fails
+    here first."""
+
+    QTABLE = "4cf717d135517449d88b8cd110797923c146b358c1b64cbf8916588e3d1e79ac"
+    LOGS = {
+        "nop": "fc2038b71f9462ccdda4d3769e5b19ef005481248ed4c49c695b3a7a1c1117f2",
+        "random": "7c8c3b0f7bb96b379ab73060d966089a32195ebadc7dede4fb31e917f6f470b4",
+        "q": "db9866f90a5206fa8df6fe9b777caecddb6b0667503991a1c2cbb2f2dee42fd6",
+    }
+
+    def test_enterprise8_logs_and_qtable(self):
+        s = enterprise8()
+        table = train(s, LearningParams(episodes=50), 0)[0]
+        assert hashlib.sha256(table.save().encode()).hexdigest() == self.QTABLE
+        defenders = {"nop": NopDefender, "random": RandomDefender,
+                     "q": lambda: QDefender(table)}
+        for name, make in defenders.items():
+            digest = hashlib.sha256()
+            for seed in range(10):
+                log = run_episode(s, make(), LateralAttacker(s.attacker.spread), seed)
+                digest.update(episode_to_jsonl(log).encode())
+            assert digest.hexdigest() == self.LOGS[name], name

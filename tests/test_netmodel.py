@@ -2,16 +2,22 @@
 
 import itertools
 import json
+import pickle
 import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from acdsim.errors import ParseError, UnknownNodeError, ValidationError
+from acdsim._util import canonical_json, sha256_hex
 from acdsim.netmodel import (
+    NetworkTopology,
+    NodeSpec,
     load_scenario,
     scenario_digest,
+    scenario_to_obj,
     serialize_scenario,
     shortest_hops,
     validate_scenario,
@@ -217,3 +223,34 @@ class TestSerialization:
         assert scenario_digest(chain3) == scenario_digest(chain3)
         other = load_scenario(json.dumps(chain3_doc(strength=0.5)))
         assert scenario_digest(chain3) != scenario_digest(other)
+
+    def test_digest_is_recomputed_for_a_replaced_or_unpickled_scenario(self, chain3):
+        def fresh(s):
+            return sha256_hex(canonical_json(scenario_to_obj(s)))
+
+        unpickled_cold = pickle.loads(pickle.dumps(chain3))
+        assert scenario_digest(chain3) == fresh(chain3)
+        unpickled_warm = pickle.loads(pickle.dumps(chain3))
+        assert scenario_digest(unpickled_cold) == scenario_digest(unpickled_warm) == fresh(chain3)
+        longer = replace(chain3, horizon=chain3.horizon + 1)
+        assert scenario_digest(longer) == fresh(longer) != scenario_digest(chain3)
+        nodes = tuple(replace(n, defence=0.5) for n in chain3.topology.nodes)
+        harder = replace(chain3, topology=replace(chain3.topology, nodes=nodes))
+        assert scenario_digest(harder) == fresh(harder) != scenario_digest(chain3)
+
+
+class TestTopologyFacts:
+    def test_cached_facts_equal_a_fresh_computation(self):
+        rng = random.Random(17)
+        for _ in range(20):
+            topo = load_random_scenario(rng).topology
+            for _ in range(2):
+                assert topo.node_ids() == tuple(sorted(n.id for n in topo.nodes))
+                assert topo.sorted_edges == tuple(sorted(topo.edges))
+                assert topo.target_id() == next(n.id for n in topo.nodes if n.is_target)
+
+    def test_target_id_without_a_target_raises_every_time(self):
+        topo = NetworkTopology(nodes=(NodeSpec(0), NodeSpec(1)), edges=frozenset({(0, 1)}))
+        for _ in range(2):
+            with pytest.raises(ValidationError, match="has none"):
+                topo.target_id()

@@ -17,6 +17,7 @@ from . import __version__
 from ._util import indented_json
 from .errors import ParseError, SpecError
 from .game import (
+    DEFENDER_KINDS,
     NOP,
     PASS,
     AttackerAction,
@@ -103,7 +104,7 @@ class RandomDefender:
     """Uniform over action kinds, then uniform over nodes; always legal."""
 
     def act(self, view: DefenderView, rng) -> DefenderAction:
-        kind = rng.choice(["nop", "patch", "restore", "isolate", "scan"])
+        kind = rng.choice(DEFENDER_KINDS)
         if kind == "nop":
             return NOP
         node = rng.choice(list(view.topology_nodes))
@@ -125,10 +126,9 @@ class FeatureKey(NamedTuple):
 
 def featurize(v: DefenderView) -> FeatureKey:
     alerts = v.alerts_last_step
-    target_neigh = set(v.neighbors_of(v.target))
     return FeatureKey(
         alert_bucket=min(len(alerts), 3),
-        target_adjacent_alert=any(n in target_neigh for n in alerts),
+        target_adjacent_alert=any(n in v.target_neighbors for n in alerts),
         isolated_bucket=min(sum(1 for k in v.isolation.values() if k > 0), 2),
     )
 
@@ -158,7 +158,7 @@ def meta_action_to_defender_action(index: int, view: DefenderView) -> DefenderAc
     if name == "nop":
         return NOP
     if name == "patch_target_neighbor":
-        return patch(min(view.neighbors_of(view.target)))
+        return patch(min(view.target_neighbors))
     # with no alerts every node ties at zero, so the tie-break picks the
     # lowest id; the action stays concrete and keeps its cost
     hot = hottest_node(view)

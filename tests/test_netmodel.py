@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from acdsim import netmodel
 from acdsim.errors import ParseError, UnknownNodeError, ValidationError
 from acdsim._util import canonical_json, sha256_hex
 from acdsim.netmodel import (
@@ -22,7 +23,8 @@ from acdsim.netmodel import (
     shortest_hops,
     validate_scenario,
 )
-from acdsim.game import init
+from acdsim.agents import LateralAttacker, NopDefender
+from acdsim.game import init, run_episode
 
 from .conftest import (
     MINIMAL_SCENARIO,
@@ -158,6 +160,38 @@ class TestValidateScenario:
                 valid = False
             if valid:
                 init(scenario, seed=0)  # must not raise
+
+
+class TestValidateOnce:
+    """`load_scenario` and `init` validate through `Scenario.validated`, so a
+    Scenario object is checked once, however many episodes it plays."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        calls = []
+
+        def counting(s):
+            calls.append(s)
+            validate_scenario(s)
+        monkeypatch.setattr(netmodel, "validate_scenario", counting)
+        return calls
+
+    def test_fifty_episodes_validate_once(self, calls):
+        s = load_scenario(json.dumps(chain3_doc()))
+        for seed in range(50):
+            run_episode(s, NopDefender(), LateralAttacker(s.attacker.spread), seed)
+        assert calls == [s]
+        longer = replace(s, horizon=s.horizon + 1)  # a new object is checked again
+        for seed in range(3):
+            init(longer, seed)
+        assert len(calls) == 2 and calls[1] is longer
+
+    def test_an_invalid_scenario_raises_at_every_init(self, calls, chain3):
+        invalid = replace(chain3, horizon=0)
+        for seed in range(3):
+            with pytest.raises(ValidationError, match="horizon"):
+                init(invalid, seed)
+        assert sum(c is invalid for c in calls) == 3
 
 
 class TestShortestHops:

@@ -19,13 +19,13 @@ import functools
 import json
 import math
 import random
-from dataclasses import asdict, dataclass, field, fields, replace
-from enum import Enum
+from dataclasses import asdict, dataclass, field, fields
 from typing import NamedTuple
 
 import numpy as np
 
 from ._util import indented_json
+from .config import SMOOTH_SLICE_LIMIT, DbnParams, DbnSpec, Topology
 from .errors import (
     EvidenceOrderingError,
     LatentEvidenceError,
@@ -39,7 +39,6 @@ from .errors import (
 ENUMERATION_LIMIT = 20
 SLICE_STATE_LIMIT = 8   # max own (non-global) variables per slice; globals add to it
 ENGINE_PREFERENCE = 12  # conditionals route to the engine above this many free vars
-SMOOTH_SLICE_LIMIT = 16
 
 
 # ---------------------------------------------------------------------------
@@ -297,50 +296,6 @@ def sample(m: Cgm, n: int, seed: int) -> list[dict]:
 # ---------------------------------------------------------------------------
 # Tactic topologies unrolled over time
 # ---------------------------------------------------------------------------
-
-class Topology(Enum):
-    CHAIN_A = "chain-a"            # command-and-control -> movement -> collection
-    FORK_B = "fork-b"              # two independent drivers of collection
-    CONFOUNDED_C = "confounded-c"  # hidden operator drives movement and collection
-
-
-@dataclass(frozen=True)
-class DbnParams:
-    """Noisy-OR parameters, each expressed as a singleton conditional.
-
-    `spontaneous` is p(active | nothing active); `persistence`, `edge_strength`
-    and `confounder_strength` are p(active | only that cause active). Roots at
-    slice 0 use `root_activation` directly.
-    """
-
-    spontaneous: float = 0.02
-    persistence: float = 0.95
-    edge_strength: float = 0.8
-    root_activation: float = 0.8  # the malign hypothesis assumes a live campaign
-    confounder_prior: float = 0.5
-    confounder_strength: float = 0.8
-
-
-@dataclass(frozen=True)
-class DbnSpec:
-    topology: Topology
-    slices: int
-    schedule: tuple[bool, ...] | None = None  # confounded-c: X_t -> Y_t switch per slice
-    params: DbnParams = DbnParams()
-    per_slice_confounder: bool = False  # confounded-c: fresh U_t each slice instead of one global U
-
-    def effective_schedule(self) -> tuple[bool, ...]:
-        if self.schedule is not None:
-            return self.schedule
-        return tuple(t % 2 == 0 for t in range(self.slices))
-
-    def with_slices(self, slices: int) -> "DbnSpec":
-        """The same spec unrolled over `slices` slices, an explicit schedule
-        tiled to the new length."""
-        schedule = (tuple(self.schedule[i % len(self.schedule)] for i in range(slices))
-                    if self.schedule else None)
-        return replace(self, slices=slices, schedule=schedule)
-
 
 def _check_spec(spec: DbnSpec) -> None:
     """Raise SpecError unless the slice count and parameters give valid

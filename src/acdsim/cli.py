@@ -14,14 +14,15 @@ import csv
 import functools
 import io
 import json
+import math
+import os
 import re
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import fields
 from importlib import resources
 
 from . import __version__
-from . import agents, causal, detect, game, loop, netmodel
+from . import agents, config, game, netmodel
 from ._util import indented_json
 from .errors import AcdError, ParseError, ReplayMismatchError, SpecError, ValidationError
 
@@ -70,20 +71,21 @@ def _make_defender(spec: str):
     raise ParseError(f"unknown defender '{spec}' (want nop, random or q:FILE)")
 
 
-def _load_dbn_spec(path: str | None) -> causal.DbnSpec:
+def _load_dbn_spec(path: str | None) -> config.DbnSpec:
     if path is None:
-        return causal.DbnSpec(causal.Topology.CHAIN_A, slices=8)
-    return causal.load_spec(_read(path))
+        return config.DbnSpec(config.Topology.CHAIN_A, slices=8)
+    from .causal import load_spec
+    return load_spec(_read(path))
 
 
-def _parse_noise(text: str) -> detect.EmissionNoise:
+def _parse_noise(text: str) -> config.EmissionNoise:
     try:
         miss, false_pos = (float(p) for p in text.split(","))
         if not (0.0 <= miss <= 1.0 and 0.0 <= false_pos <= 1.0):  # also refuses NaN
             raise ValueError
     except ValueError:
         raise ParseError(f"--noise wants miss,false_pos in [0,1], got '{text}'") from None
-    return detect.EmissionNoise(miss, false_pos)
+    return config.EmissionNoise(miss, false_pos)
 
 
 def _mean(values: list) -> float:
@@ -104,12 +106,13 @@ def _episode_seeds(args) -> list[int]:
 
 def _map_seeds(fn, common: tuple, seeds: list[int], parallel: int) -> list:
     """[fn(*common, seed) for seed in seeds], over up to `parallel` worker
-    processes, never more than there are seeds; results keep seed order
-    either way. Tasks go out in about four chunks per worker, and a chunk
-    pickles the parsed objects in `common` once, not once per seed."""
-    workers = min(parallel, len(seeds))
+    processes, never more than there are seeds or CPUs; results keep seed
+    order either way. Tasks go out in about four chunks per worker, and a
+    chunk pickles the parsed objects in `common` once, not once per seed."""
+    workers = min(parallel, len(seeds), os.cpu_count() or 1)
     if workers <= 1:
         return [fn(*common, seed) for seed in seeds]
+    from concurrent.futures import ProcessPoolExecutor  # loaded only for a pool
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, *[[c] * len(seeds) for c in common], seeds,
                              chunksize=-(-len(seeds) // (4 * workers))))
@@ -203,6 +206,7 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_causal(args) -> int:
+    from . import causal
     if args.causal_cmd == "build":
         params = causal.DbnParams(**{f.name: getattr(args, f.name)
                                      for f in fields(causal.DbnParams)})
@@ -238,7 +242,10 @@ def cmd_causal(args) -> int:
 
 
 def cmd_detect(args) -> int:
-    log = game.parse_episode_jsonl(loop.extract_episode_jsonl(_read(args.log)))
+    from . import causal, detect
+    if math.isnan(args.threshold):
+        raise ParseError("--threshold must be a number, got nan")
+    log = game.parse_episode_jsonl(game.extract_episode_jsonl(_read(args.log)))
     noise = _parse_noise(args.noise)
     seq = detect.extract_indicators(log, noise, args.seed)
     if args.indicators_out:
@@ -253,6 +260,7 @@ def cmd_detect(args) -> int:
 
 def _load_approver(spec: str):
     """A picklable factory of fresh approval hooks for `--approve`."""
+    from . import loop  # `loop --parallel` thus loads it before a pool forks
     if spec == "always":
         return loop.AlwaysApprove
     if spec == "never":
@@ -268,9 +276,10 @@ def _load_approver(spec: str):
     raise ParseError(f"unknown approver '{spec}' (want always, never or file:PATH)")
 
 
-def _run_loop_episode(scenario: netmodel.Scenario, cfg: loop.LoopConfig, new_approver,
+def _run_loop_episode(scenario: netmodel.Scenario, cfg: config.LoopConfig, new_approver,
                       seed: int) -> dict:
     # a fresh hook per episode: every episode starts at the first decision
+    from . import loop  # here too, for workers that start from a fresh import
     return loop.run_loop(scenario, cfg, seed, approval=new_approver()).to_obj()
 
 
@@ -280,7 +289,7 @@ def cmd_loop(args) -> int:
     new_approver = _load_approver(args.approve)
     noise = _parse_noise(args.noise)
     try:
-        cfg = loop.LoopConfig(autonomy=loop.AutonomyLevel(args.autonomy), tau=args.tau,
+        cfg = config.LoopConfig(autonomy=config.AutonomyLevel(args.autonomy), tau=args.tau,
                               dbn=dbn, emission=noise, window=args.window,
                               lookahead=args.lookahead)
     except SpecError as exc:
@@ -305,7 +314,7 @@ def cmd_loop(args) -> int:
 
 
 def cmd_replay(args) -> int:
-    text = loop.extract_episode_jsonl(_read(args.log))
+    text = game.extract_episode_jsonl(_read(args.log))
     if game.verify_replay(text):
         sys.stdout.write(json.dumps({"version": __version__, "replay": "ok"},
                                     sort_keys=True) + "\n")
@@ -327,7 +336,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     learning = agents.LearningParams()
-    loop_cfg = loop.LoopConfig()
+    loop_cfg = config.LoopConfig()
 
     p = sub.add_parser("simulate", help="run one episode and write its log")
     p.add_argument("--scenario", help="scenario JSON (default: bundled enterprise8)")
@@ -367,10 +376,10 @@ def build_parser() -> argparse.ArgumentParser:
     csub = p.add_subparsers(dest="causal_cmd", required=True)
     b = csub.add_parser("build", help="unroll a tactic topology into a model file")
     b.add_argument("--topology", required=True,
-                   choices=[t.value for t in causal.Topology])
+                   choices=[t.value for t in config.Topology])
     b.add_argument("--slices", type=int, required=True)
     b.add_argument("--schedule", help="confounded-c: comma list of 0/1 per slice")
-    for f in fields(causal.DbnParams):  # --spontaneous, --persistence, --edge-strength, ...
+    for f in fields(config.DbnParams):  # --spontaneous, --persistence, --edge-strength, ...
         b.add_argument("--" + f.name.replace("_", "-"), type=float, default=f.default)
     b.add_argument("--out", default=None)
     for name, needs in (("marginal", "query"), ("observational", "target"),
@@ -389,7 +398,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("detect", help="classify an episode log benign vs malign")
     p.add_argument("--log", required=True, help="episode JSON-lines (or loop report)")
     p.add_argument("--dbn", help="DBN spec JSON (default: chain-a defaults)")
-    p.add_argument("--noise", default=",".join(map(str, detect.EmissionNoise())),
+    p.add_argument("--noise", default=",".join(map(str, config.EmissionNoise())),
                    help="miss,false_pos")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--threshold", type=float, default=0.0)
@@ -401,7 +410,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--scenario")
     p.add_argument("--dbn", help="DBN spec JSON (default: chain-a defaults)")
     p.add_argument("--autonomy", default=loop_cfg.autonomy.value,
-                   choices=[a.value for a in loop.AutonomyLevel])
+                   choices=[a.value for a in config.AutonomyLevel])
     p.add_argument("--tau", type=float, default=loop_cfg.tau)
     p.add_argument("--window", type=int, default=loop_cfg.window)
     p.add_argument("--lookahead", type=int, default=loop_cfg.lookahead)
@@ -426,15 +435,16 @@ def _emit_error(kind: str, message: str):
                                 sort_keys=True) + "\n")
 
 
-def _join_noise(argv: list[str]) -> list[str]:
-    """Spell `--noise -0.0,0.05` as `--noise=-0.0,0.05`, and so for any
-    prefix argparse accepts: argparse reads a value that starts with '-' as
-    an option unless it is a plain negative number, so the spaced form would
-    lose its value."""
+def _join_signed_values(argv: list[str]) -> list[str]:
+    """Spell `--noise -0.0,0.05` as `--noise=-0.0,0.05`, and so for `--tau`
+    and `--threshold` values such as `-inf` and for any prefix argparse
+    accepts: argparse reads a value that starts with '-' as an option unless
+    it is a plain negative number, so the spaced form would lose its value."""
     joined = []
     for token in argv:
-        if (joined and len(joined[-1]) > 2 and "--noise".startswith(joined[-1])
-                and re.match(r"-[\d.]", token)):
+        if (joined and len(joined[-1]) > 2
+                and any(o.startswith(joined[-1]) for o in ("--noise", "--tau", "--threshold"))
+                and re.match(r"-([\d.]|inf|nan)", token, re.IGNORECASE)):
             joined[-1] += "=" + token
         else:
             joined.append(token)
@@ -444,7 +454,7 @@ def _join_noise(argv: list[str]) -> list[str]:
 def main(argv=None) -> int:
     parser = build_parser()
     try:
-        args = parser.parse_args(_join_noise(sys.argv[1:] if argv is None else argv))
+        args = parser.parse_args(_join_signed_values(sys.argv[1:] if argv is None else argv))
     except SystemExit as exc:
         # argparse exits 2 on usage errors and 0 on --help/--version
         return int(exc.code or 0)

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import NamedTuple
 
 from . import __version__
 from ._util import indented_json
@@ -29,16 +28,12 @@ from .causal import (
     emission_var,
     sample,
 )
+from .config import EmissionNoise
 from .errors import ParseError, SpecError
 from .game import EpisodeLog
 
 TACTICS = ("Z", "X", "Y")
 BEACON_PERIOD = 5
-
-
-class EmissionNoise(NamedTuple):
-    miss: float = 0.2
-    false_pos: float = 0.05
 
 
 @dataclass(frozen=True)

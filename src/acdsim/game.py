@@ -520,6 +520,22 @@ def _event_from_obj(obj: dict) -> Event:
     )
 
 
+def extract_episode_jsonl(text: str) -> str:
+    """Pull the embedded episode log out of a one-episode loop report, or
+    pass through a plain JSON-lines log unchanged."""
+    stripped = text.lstrip()
+    if stripped.startswith("{") and "\n" in stripped:
+        try:
+            obj = json.loads(text)
+        except json.JSONDecodeError:
+            return text
+        if isinstance(obj, dict) and "episode_jsonl" in obj:
+            return obj["episode_jsonl"]
+        if isinstance(obj, dict) and "reports" in obj:
+            raise ParseError("a multi-episode loop report holds no single episode log")
+    return text
+
+
 def parse_episode_jsonl(text: str) -> EpisodeLog:
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if len(lines) < 2:

@@ -37,28 +37,18 @@ from __future__ import annotations
 
 import functools
 import itertools
-import json
-import math
 import random
 from dataclasses import dataclass
-from enum import Enum
 from typing import NamedTuple, Protocol
 
 import numpy as np
 
 from . import __version__
 from ._util import child_seed, indented_json
-from .causal import (
-    SMOOTH_SLICE_LIMIT,
-    DbnEngine,
-    DbnSpec,
-    Topology,
-    VarId,
-    build_topology,
-    do_transform,
-)
-from .detect import TACTICS, EmissionNoise, TruthTracker, apply_noise
-from .errors import ParseError, SpecError, ZeroEvidenceError
+from .causal import DbnEngine, VarId, build_topology, do_transform
+from .config import AutonomyLevel, DbnSpec, EmissionNoise, LoopConfig
+from .detect import TACTICS, TruthTracker, apply_noise
+from .errors import ZeroEvidenceError
 from .game import (
     NOP,
     DefenderAction,
@@ -66,18 +56,13 @@ from .game import (
     EpisodeLog,
     StepOutcome,
     episode_to_jsonl,
+    extract_episode_jsonl,
     isolate,
     restore,
     run_episode,
 )
 from .agents import LateralAttacker, hottest_node
 from .netmodel import Scenario
-
-
-class AutonomyLevel(Enum):
-    ADVISE = "advise"
-    CONFIRM = "confirm"
-    AUTO = "auto"
 
 
 class ApprovalHook(Protocol):
@@ -128,29 +113,6 @@ class InterventionPlan:
 
 
 @dataclass(frozen=True)
-class LoopConfig:
-    autonomy: AutonomyLevel = AutonomyLevel.ADVISE
-    tau: float = 0.8                      # posterior threshold; > 1 never fires
-    dbn: DbnSpec = DbnSpec(Topology.CHAIN_A, slices=8)
-    emission: EmissionNoise = EmissionNoise()
-    candidates: tuple = (("X", 0), ("Y", 0))  # (tactic, forced value) or None for do-nothing
-    window: int = 8
-    lookahead: int = 2
-
-    def __post_init__(self):
-        if not 1 <= self.window <= SMOOTH_SLICE_LIMIT:
-            raise SpecError(f"window must be in 1..{SMOOTH_SLICE_LIMIT}, got {self.window}")
-        if self.lookahead < 1:
-            raise SpecError("lookahead must be >= 1")
-        if math.isnan(self.tau):
-            raise SpecError("tau must be a number, got nan")
-        if not all(0.0 <= p <= 1.0 for p in self.emission):  # also refuses NaN
-            raise SpecError(f"emission noise must be in [0,1], got {tuple(self.emission)}")
-        if not self.candidates:
-            raise SpecError("candidate intervention list is empty")
-
-
-@dataclass(frozen=True)
 class LoopReport:
     log: EpisodeLog
     autonomy: AutonomyLevel
@@ -172,22 +134,6 @@ class LoopReport:
 
     def to_json(self) -> str:
         return indented_json(self.to_obj())
-
-
-def extract_episode_jsonl(text: str) -> str:
-    """Pull the embedded episode log out of a one-episode loop report, or
-    pass through a plain JSON-lines log unchanged."""
-    stripped = text.lstrip()
-    if stripped.startswith("{") and "\n" in stripped:
-        try:
-            obj = json.loads(text)
-        except json.JSONDecodeError:
-            return text
-        if isinstance(obj, dict) and "episode_jsonl" in obj:
-            return obj["episode_jsonl"]
-        if isinstance(obj, dict) and "reports" in obj:
-            raise ParseError("a multi-episode loop report holds no single episode log")
-    return text
 
 
 # ---------------------------------------------------------------------------

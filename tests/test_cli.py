@@ -1,13 +1,19 @@
 """End-to-end command line behaviour: determinism, exit codes, output formats."""
 
+import concurrent.futures
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import acdsim
 from acdsim import agents, causal, cli, netmodel
 from acdsim.causal import save_model
 from acdsim.cli import main
@@ -325,6 +331,31 @@ class TestDetect:
             outputs.append(out.read_bytes())
         assert outputs[0] == outputs[1] == outputs[2]
 
+    def test_nan_threshold_exits_2(self, tmp_path, capsys):
+        log_path = tmp_path / "log.jsonl"
+        run(["simulate", "--seed", "1", "--out", str(log_path)])
+        capsys.readouterr()
+        out = tmp_path / "r.json"
+        assert run(["detect", "--log", str(log_path), "--threshold", "nan",
+                    "--out", str(out)]) == 2
+        assert_one_parse_error(capsys)
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command,option,value", [("detect", "--threshold", "-inf"),
+                                                      ("detect", "--threshold", "-1e3"),
+                                                      ("loop", "--tau", "-inf")])
+    def test_signed_value_parses_spaced_or_joined(self, tmp_path, command, option, value):
+        log_path = tmp_path / "log.jsonl"
+        run(["simulate", "--seed", "5", "--horizon", "8", "--out", str(log_path)])
+        args = ["--log", str(log_path)] if command == "detect" else ["--autonomy", "auto"]
+        outputs = []
+        for i, spelling in enumerate(([option, value], [f"{option}={value}"],
+                                      [option[:4], value])):
+            out = tmp_path / f"r{i}.json"
+            assert run([command, *args, *spelling, "--out", str(out)]) == 0
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1] == outputs[2]
+
     @pytest.mark.parametrize("command", ["detect", "loop"])
     def test_noise_that_is_no_number_exits_2(self, tmp_path, command):
         log_path = tmp_path / "log.jsonl"
@@ -580,17 +611,133 @@ class RecordingExecutor:
         return map(fn, *iterables)
 
 
+@pytest.fixture
+def recording_pool(monkeypatch):
+    """`cli` imports `ProcessPoolExecutor` from `concurrent.futures` when it
+    starts a pool, so that is where the stand-in goes."""
+    monkeypatch.setattr(RecordingExecutor, "sizes", [])
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingExecutor)
+
+
 @pytest.mark.parametrize("episodes,sizes", [(2, [2]), (1, []), (0, [])])
 def test_parallel_workers_capped_at_episode_count(tmp_path, chain3_path, monkeypatch,
-                                                  episodes, sizes):
+                                                  recording_pool, episodes, sizes):
     qt = tmp_path / "q.json"
     run(["train", "--scenario", chain3_path, "--episodes", "20", "--out", str(qt)])
-    monkeypatch.setattr(RecordingExecutor, "sizes", [])
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingExecutor)
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
     assert run(["evaluate", "--scenario", chain3_path, "--qtable", str(qt),
                 "--episodes", str(episodes), "--parallel", "64",
                 "--out", str(tmp_path / "e.json")]) == 0
     assert RecordingExecutor.sizes == sizes
+
+
+@pytest.mark.parametrize("cpus,sizes", [(3, [3]), (1, []), (None, [])])
+def test_parallel_workers_capped_at_cpu_count(tmp_path, chain3_path, monkeypatch,
+                                              recording_pool, cpus, sizes):
+    qt = tmp_path / "q.json"
+    run(["train", "--scenario", chain3_path, "--episodes", "20", "--out", str(qt)])
+    serial, parallel = tmp_path / "serial.json", tmp_path / "parallel.json"
+    args = ["evaluate", "--scenario", chain3_path, "--qtable", str(qt), "--episodes", "5"]
+    assert run([*args, "--out", str(serial)]) == 0
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    assert run([*args, "--parallel", "5000", "--out", str(parallel)]) == 0
+    assert RecordingExecutor.sizes == sizes
+    assert parallel.read_bytes() == serial.read_bytes()
+
+
+# Modules only the engine commands need: numpy and what imports it, and the
+# process pool's module, which only `--parallel` above 1 needs.
+ENGINE_MODULES = ("numpy", "acdsim.causal", "acdsim.detect", "acdsim.loop")
+POOL_MODULE = "concurrent.futures.process"
+
+
+def run_fresh(args, prelude="", cwd=None) -> subprocess.CompletedProcess:
+    """`main(args)` in a fresh interpreter after `prelude`; the last stdout
+    line lists which of ENGINE_MODULES and POOL_MODULE it had loaded."""
+    script = (f"import json, sys\n{prelude}\nfrom acdsim.cli import main\n"
+              "code = main(sys.argv[1:])\n"
+              f"loaded = sorted(m for m in {(*ENGINE_MODULES, POOL_MODULE)!r} "
+              "if m in sys.modules)\n"
+              "print(json.dumps(loaded))\n"
+              "sys.exit(code)\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(acdsim.__file__).resolve().parents[1]))
+    return subprocess.run([sys.executable, "-c", script, *args], env=env, cwd=cwd,
+                          capture_output=True, text=True, timeout=300)
+
+
+@pytest.fixture(scope="module")
+def footprint_inputs(tmp_path_factory):
+    """A scenario, a Q-table, an episode log and a one-episode loop report."""
+    work = tmp_path_factory.mktemp("footprint")
+    (work / "chain3.json").write_text(json.dumps(chain3_doc()))
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert run(["train", "--scenario", str(work / "chain3.json"), "--episodes", "20",
+                    "--out", str(work / "q.json")]) == 0
+        assert run(["simulate", "--seed", "5", "--horizon", "8",
+                    "--out", str(work / "s.jsonl")]) == 0
+        assert run(["loop", "--autonomy", "auto", "--seed", "5",
+                    "--out", str(work / "report.json")]) == 0
+    return work
+
+
+NO_ENGINE_COMMANDS = {
+    "simulate": ["simulate", "--scenario", "chain3.json", "--seed", "1", "--out", "o.jsonl"],
+    "train": ["train", "--scenario", "chain3.json", "--episodes", "5", "--out", "o.json"],
+    "evaluate": ["evaluate", "--scenario", "chain3.json", "--qtable", "q.json",
+                 "--episodes", "3", "--out", "o.json"],
+    "evaluate-csv": ["evaluate", "--scenario", "chain3.json", "--qtable", "q.json",
+                     "--episodes", "3", "--format", "csv", "--out", "o.csv"],
+    "replay": ["replay", "--log", "s.jsonl"],
+    "replay-report": ["replay", "--log", "report.json"],
+}
+
+
+@pytest.mark.parametrize("name", NO_ENGINE_COMMANDS)
+def test_serial_command_without_an_engine_loads_no_engine_module(footprint_inputs, name):
+    proc = run_fresh(NO_ENGINE_COMMANDS[name], cwd=footprint_inputs)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout.splitlines()[-1]) == []
+
+
+def test_parallel_evaluate_parent_loads_no_engine_module(footprint_inputs):
+    proc = run_fresh([*NO_ENGINE_COMMANDS["evaluate"], "--episodes", "4", "--parallel", "2"],
+                     prelude="import os; os.cpu_count = lambda: 2", cwd=footprint_inputs)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout.splitlines()[-1]) == [POOL_MODULE]
+
+
+@pytest.mark.parametrize("args", [
+    ["detect", "--log", "s.jsonl", "--indicators-out", "i.csv", "--out", "d.json"],
+    ["loop", "--autonomy", "auto", "--seed", "2", "--out", "r.json"],
+    ["causal", "build", "--topology", "chain-a", "--slices", "3", "--out", "m.json"],
+], ids=["detect", "loop", "causal"])
+def test_engine_commands_still_run(footprint_inputs, args):
+    proc = run_fresh(args, cwd=footprint_inputs)
+    assert proc.returncode == 0, proc.stderr
+    assert "numpy" in json.loads(proc.stdout.splitlines()[-1])
+
+
+@pytest.mark.parametrize("args", [
+    ["evaluate", "--scenario", "chain3.json", "--qtable", "q.json", "--episodes", "6",
+     "--seed", "4"],
+    ["loop", "--autonomy", "auto", "--episodes", "3", "--seed", "2"],
+], ids=["evaluate", "loop"])
+def test_forkserver_workers_write_the_serial_bytes(footprint_inputs, monkeypatch, args):
+    """Workers that start from a fresh import, not a fork of the parent,
+    find every module their task needs and write what a serial run writes."""
+    work = footprint_inputs
+    monkeypatch.chdir(work)
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert run([*args, "--out", f"{args[0]}-serial.json"]) == 0
+    proc = run_fresh([*args, "--parallel", "2", "--out", f"{args[0]}-forkserver.json"],
+                     prelude=("import multiprocessing, os\n"
+                              "multiprocessing.set_start_method('forkserver')\n"
+                              "os.cpu_count = lambda: 2"),
+                     cwd=work)
+    assert proc.returncode == 0, proc.stderr
+    assert POOL_MODULE in json.loads(proc.stdout.splitlines()[-1])
+    assert ((work / f"{args[0]}-forkserver.json").read_bytes()
+            == (work / f"{args[0]}-serial.json").read_bytes())
 
 
 SCENARIO = chain3_full_doc()

@@ -80,14 +80,6 @@ class LateralAttacker:
         pass
 
 
-class PassingAttacker:
-    def act(self, view: AttackerView, rng) -> AttackerAction:
-        return PASS
-
-    def observe(self, outcome: StepOutcome) -> None:
-        pass
-
-
 # ---------------------------------------------------------------------------
 # Baseline defenders
 # ---------------------------------------------------------------------------

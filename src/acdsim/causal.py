@@ -1,8 +1,8 @@
 """Discrete causal graphical models over binary variables.
 
 Covers exact joint/marginal/conditional queries by enumeration, interventions
-by graph mutilation, ancestral sampling, the three tactic sub-graph topologies
-unrolled over time, and exact smoothing.
+by graph mutilation, the three tactic sub-graph topologies unrolled over time,
+and exact smoothing.
 
 Enumeration answers any query with at most 20 free variables. Slice-structured
 models (every non-global variable carries a time index, parents restricted to
@@ -18,8 +18,7 @@ from __future__ import annotations
 import functools
 import json
 import math
-import random
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import dataclass, field, fields
 from typing import NamedTuple
 
 import numpy as np
@@ -58,7 +57,7 @@ class VarId(NamedTuple):
 def parse_var(text: str) -> VarId:
     if "@" in text:
         name, _, idx = text.rpartition("@")
-        if not name or not idx.isdigit():
+        if not name or not idx.isdecimal():  # isdigit takes '²', which int() refuses
             raise ParseError(f"bad variable reference '{text}'")
         return VarId(name, int(idx))
     if not text:
@@ -277,22 +276,6 @@ def interventional(m: Cgm, target: Assignment, do: Assignment,
     return observational(mutilated, target, conditioning)
 
 
-def sample(m: Cgm, n: int, seed: int) -> list[dict]:
-    """Ancestral sampling in topological order; deterministic given seed.
-
-    Latent variables are included in the raw samples; `m.latent` flags them.
-    """
-    rng = random.Random(seed)
-    out = []
-    for _ in range(n):
-        assignment: dict = {}
-        for v in m.order:
-            p1 = m.prob_one(v, assignment)
-            assignment[v] = 1 if rng.random() < p1 else 0
-        out.append(assignment)
-    return out
-
-
 # ---------------------------------------------------------------------------
 # Tactic topologies unrolled over time
 # ---------------------------------------------------------------------------
@@ -421,7 +404,7 @@ class DbnEngine:
     slice's hidden state, Murphy 2002, ch. 3). Queries take optional
     per-slice `likelihoods` (from `frame_likelihoods`), multiplied into each
     slice with its evidence masks. One scaled forward filter
-    then answers likelihoods and last-slice conditionals, and a backward
+    then answers likelihoods and conditionals, and a backward
     pass scaled by its divisors gives the posteriors; the same backward
     recursion gives `prediction_vectors`, which predict from a filtered
     state by a dot product. Computes the identical sums to full
@@ -661,9 +644,8 @@ class DbnEngine:
 
         The evidence's forward filter runs first: impossible evidence raises
         ZeroEvidenceError, and only then is a target that contradicts it 0.0.
-        A target wholly in the last slice is read off that filter's final
-        alpha. Any other target takes the joint's likelihood over the
-        evidence's, whose log is the sum of the filter's log divisors.
+        Otherwise it is the joint's likelihood over the evidence's, whose log
+        is the sum of the filter's log divisors.
         """
         fwd = self._forward(evidence, likelihoods)
         if fwd is None:
@@ -671,9 +653,6 @@ class DbnEngine:
         joint = _merged(target, evidence)
         if joint is None:
             return 0.0
-        if target and all(v.slice == self.T - 1 for v in target):
-            on = self._weights(target, ())
-            return float((fwd[1][-1] * on[self.T - 1]).sum()) if on is not None else 0.0
         ll_j = self.loglik(joint, likelihoods)
         if ll_j == float("-inf"):
             return 0.0
@@ -732,14 +711,20 @@ def load_model(text: str) -> Cgm:
             raise ParseError(f"model variable '{name}' has a non-integer 'slice'")
         v = VarId(name, slice_)
         variables.append(v)
+        if not isinstance(entry.get("latent", False), bool):
+            raise ParseError(f"model variable '{name}' has a non-boolean 'latent'")
         if entry.get("latent"):
             latent.add(v)
+    for key, kinds, what in (("parents", (str,), "names"), ("cpts", (int, float), "numbers")):
+        for k, rows in obj[key].items():
+            if not isinstance(rows, list) or not all(type(x) in kinds for x in rows):
+                raise ParseError(f"model '{key}' of '{k}' must be a list of {what}")
     try:
         parents = {parse_var(k): tuple(parse_var(p) for p in ps)
                    for k, ps in obj["parents"].items()}
         cpts = {parse_var(k): tuple(float(x) for x in rows)
                 for k, rows in obj["cpts"].items()}
-    except (TypeError, ValueError) as exc:
+    except OverflowError as exc:  # an integer entry too large for a float
         raise ParseError(f"bad model tables: {exc}") from None
     declared = set(variables)
     for key, table in (("parents", parents), ("cpts", cpts)):
@@ -751,20 +736,6 @@ def load_model(text: str) -> Cgm:
                    latent=frozenset(latent))
     except SpecError as exc:
         raise ParseError(f"bad model: {exc}") from None
-
-
-def spec_to_obj(spec: DbnSpec) -> dict:
-    return {
-        "topology": spec.topology.value,
-        "slices": spec.slices,
-        "schedule": list(spec.schedule) if spec.schedule is not None else None,
-        "per_slice_confounder": spec.per_slice_confounder,
-        "params": asdict(spec.params),
-    }
-
-
-def save_spec(spec: DbnSpec) -> str:
-    return indented_json(spec_to_obj(spec))
 
 
 def load_spec(text: str) -> DbnSpec:
@@ -793,14 +764,20 @@ def load_spec(text: str) -> DbnSpec:
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise ParseError(f"DBN param '{key}' must be a number")
     schedule = obj.get("schedule")
-    if schedule is not None and not isinstance(schedule, list):
-        raise ParseError("DBN spec 'schedule' must be a list or null")
+    if schedule is not None and not (
+            isinstance(schedule, list) and schedule
+            and all(isinstance(x, int) and x in (0, 1) for x in schedule)):
+        raise ParseError("DBN spec 'schedule' must be null or a non-empty list of "
+                         "booleans or 0/1")
+    per_slice = obj.get("per_slice_confounder", False)
+    if not isinstance(per_slice, bool):
+        raise ParseError("DBN spec 'per_slice_confounder' must be true or false")
     spec = DbnSpec(
         topology=topology,
         slices=slices,
         schedule=tuple(bool(x) for x in schedule) if schedule is not None else None,
         params=DbnParams(**params),
-        per_slice_confounder=bool(obj.get("per_slice_confounder", False)),
+        per_slice_confounder=per_slice,
     )
     try:
         _check_spec(spec)

@@ -212,7 +212,12 @@ def cmd_causal(args) -> int:
                                      for f in fields(causal.DbnParams)})
         schedule = None
         if args.schedule:
-            schedule = tuple(tok.strip() in ("1", "true") for tok in args.schedule.split(","))
+            switch = {"0": False, "1": True, "false": False, "true": True}
+            try:
+                schedule = tuple(switch[tok.strip()] for tok in args.schedule.split(","))
+            except KeyError as exc:
+                raise ParseError(f"--schedule entries must be 0, 1, true or false, "
+                                 f"got {exc}") from None
         spec = causal.DbnSpec(causal.Topology(args.topology), args.slices,
                               schedule=schedule, params=params)
         try:

@@ -19,15 +19,7 @@ from dataclasses import dataclass
 
 from . import __version__
 from ._util import indented_json
-from .causal import (
-    Cgm,
-    DbnEngine,
-    VarId,
-    attach_emissions,
-    check_smoothing_slices,
-    emission_var,
-    sample,
-)
+from .causal import Cgm, DbnEngine, VarId, check_smoothing_slices
 from .config import EmissionNoise
 from .errors import ParseError, SpecError
 from .game import EpisodeLog
@@ -37,17 +29,8 @@ BEACON_PERIOD = 5
 
 
 @dataclass(frozen=True)
-class IndicatorFrame:
-    t: int
-    bits: dict  # tactic name -> 0/1, all of TACTICS present
-
-    def get(self, tactic: str) -> int:
-        return self.bits[tactic]
-
-
-@dataclass(frozen=True)
 class IndicatorSequence:
-    frames: tuple[IndicatorFrame, ...]
+    frames: tuple[dict, ...]  # in step order: tactic name -> 0/1, all of TACTICS present
 
 
 @dataclass(frozen=True)
@@ -121,16 +104,13 @@ def apply_noise(bits: dict, noise: EmissionNoise, rng: random.Random) -> dict:
 def extract_indicators(log: EpisodeLog, noise: EmissionNoise, seed: int) -> IndicatorSequence:
     """Noisy indicator frames for a whole episode; deterministic given seed."""
     rng = random.Random(seed)
-    frames = tuple(
-        IndicatorFrame(t=i, bits=apply_noise(bits, noise, rng))
-        for i, bits in enumerate(ground_truth_bits(log))
-    )
-    return IndicatorSequence(frames=frames)
+    return IndicatorSequence(tuple(apply_noise(bits, noise, rng)
+                                   for bits in ground_truth_bits(log)))
 
 
 def sequence_to_csv(seq: IndicatorSequence) -> str:
     lines = [f"# acdsim {__version__}", "t,Z,X,Y"]
-    lines += [f"{f.t},{f.bits['Z']},{f.bits['X']},{f.bits['Y']}" for f in seq.frames]
+    lines += [f"{t},{f['Z']},{f['X']},{f['Y']}" for t, f in enumerate(seq.frames)]
     return "\n".join(lines) + "\n"
 
 
@@ -144,28 +124,24 @@ def sequence_from_csv(text: str) -> IndicatorSequence:
         if len(parts) != 4:
             raise ParseError(f"indicator row must be t,Z,X,Y: '{line}'")
         try:
-            t, z, x, y = (int(p) for p in parts)
+            _, z, x, y = (int(p) for p in parts)
         except ValueError:
             raise ParseError(f"indicator row must be integers: '{line}'") from None
-        frames.append(IndicatorFrame(t=t, bits={"Z": z, "X": x, "Y": y}))
-    return IndicatorSequence(frames=tuple(frames))
+        frames.append({"Z": z, "X": x, "Y": y})
+    return IndicatorSequence(tuple(frames))
 
 
 # ---------------------------------------------------------------------------
 # Likelihoods and classification
 # ---------------------------------------------------------------------------
 
-def _model_slices(m: Cgm) -> int:
+def _check_frames(m: Cgm, seq: IndicatorSequence) -> None:
     slices = [v.slice for v in m.variables if v.slice is not None]
     if not slices:
         raise SpecError("model has no time-indexed variables")
-    return max(slices) + 1
-
-
-def _check_frames(m: Cgm, seq: IndicatorSequence) -> None:
-    if _model_slices(m) != len(seq.frames):
-        raise SpecError(f"model has {_model_slices(m)} slices but the sequence "
-                        f"has {len(seq.frames)} frames")
+    T = max(slices) + 1
+    if T != len(seq.frames):
+        raise SpecError(f"model has {T} slices but the sequence has {len(seq.frames)} frames")
 
 
 def sequence_loglik(m: Cgm, seq: IndicatorSequence, emission: EmissionNoise) -> float:
@@ -176,7 +152,7 @@ def sequence_loglik(m: Cgm, seq: IndicatorSequence, emission: EmissionNoise) -> 
     """
     _check_frames(m, seq)
     engine = DbnEngine(m)
-    return engine.loglik({}, engine.frame_likelihoods([f.bits for f in seq.frames], *emission))
+    return engine.loglik({}, engine.frame_likelihoods(seq.frames, *emission))
 
 
 def benign_model_like(m: Cgm) -> Cgm:
@@ -200,7 +176,7 @@ def classify(seq: IndicatorSequence, benign: Cgm, malign: Cgm,
     check_smoothing_slices(len(seq.frames))  # before any engine is built
     # one engine for the malign likelihood and the smoothing
     engine = DbnEngine(malign)
-    likelihoods = engine.frame_likelihoods([f.bits for f in seq.frames], *emission)
+    likelihoods = engine.frame_likelihoods(seq.frames, *emission)
     ll_malign = engine.loglik({}, likelihoods)
     ll_benign = sequence_loglik(benign, seq, emission)
     if ll_malign == float("-inf") and ll_benign == float("-inf"):
@@ -224,20 +200,3 @@ def classify(seq: IndicatorSequence, benign: Cgm, malign: Cgm,
         posterior_trace=tuple(trace),
     )
 
-
-def sample_indicator_sequence(m: Cgm, emission: EmissionNoise, seed: int) -> IndicatorSequence:
-    """Draw one observation sequence from a tactic model plus emission noise."""
-    extended = attach_emissions(m, emission.miss, emission.false_pos)
-    draw = sample(extended, 1, seed)[0]
-    T = _model_slices(m)
-    frames = []
-    for t in range(T):
-        bits = {}
-        for tactic in TACTICS:
-            v = VarId(tactic, t)
-            if m.has(v):
-                bits[tactic] = draw[emission_var(v)]
-            else:
-                bits[tactic] = 0
-        frames.append(IndicatorFrame(t=t, bits=bits))
-    return IndicatorSequence(frames=tuple(frames))

@@ -160,11 +160,6 @@ def map_intervention_to_action(plan: InterventionPlan, view: DefenderView) -> De
 # The loop
 # ---------------------------------------------------------------------------
 
-def _engine(spec: DbnSpec, do: tuple) -> DbnEngine:
-    """The engine of `spec`'s tactic model, mutilated by the `do` pairs."""
-    return DbnEngine(do_transform(build_topology(spec), dict(do)))
-
-
 class _Window(NamedTuple):
     engine: DbnEngine      # the tactic model of the window's w slices
     keys: tuple            # its tactic variables' detection keys, sorted
@@ -181,7 +176,7 @@ def _window(dbn: DbnSpec, emission: EmissionNoise, lookahead: int, candidates: t
     columns are, over slice w-1's state, p(do, Y at the last slice = 1 |
     state) for each candidate, then p(do | state) for each. A noise of -0.0
     is the same key as 0.0, so both build with 0.0."""
-    engine = _engine(dbn.with_slices(w), ())
+    engine = DbnEngine(build_topology(dbn.with_slices(w)))
     keyed = sorted((str(v), i) for i, v in enumerate(engine.outputs)
                    if v.name in TACTICS and v.slice is not None)
     noise = [p + 0.0 for p in emission]
@@ -191,7 +186,8 @@ def _window(dbn: DbnSpec, emission: EmissionNoise, lookahead: int, candidates: t
     target = {VarId("Y", w + lookahead - 1): 1}
     dos = tuple(((VarId(cand[0], w), cand[1]),) if cand is not None else ()
                 for cand in candidates)
-    vectors = [_engine(dbn.with_slices(w + lookahead), do).prediction_vectors(target, dict(do), w)
+    model = build_topology(dbn.with_slices(w + lookahead))
+    vectors = [DbnEngine(do_transform(model, dict(do))).prediction_vectors(target, dict(do), w)
                for do in dos]
     readout = np.stack([num for num, _ in vectors] + [den for _, den in vectors], axis=1)
     table.flags.writeable = readout.flags.writeable = False
@@ -202,15 +198,12 @@ def _window(dbn: DbnSpec, emission: EmissionNoise, lookahead: int, candidates: t
 def _plan(cfg: LoopConfig, alpha, w: int) -> InterventionPlan:
     """The candidate with the least p(Y at the lookahead model's last slice =
     1 | frames, do), first declared winning ties, by filtering, then
-    predicting: `alpha`, the step's filtered state at slice w-1 (None if
-    impossible), times each candidate's prediction vectors. The tests'
-    reference computes the same risks with `causal.interventional` on the
-    frames' `attach_emissions` model. Slices 0..w-1 match the detection
-    model's, as each depends only on itself and earlier slices and the
-    do-slice is w."""
+    predicting: `alpha`, the step's filtered state at slice w-1, times each
+    candidate's prediction vectors. The tests' reference computes the same
+    risks with `causal.interventional` on the frames' `attach_emissions`
+    model. Slices 0..w-1 match the detection model's, as each depends only
+    on itself and earlier slices and the do-slice is w."""
     entry = _window(cfg.dbn, cfg.emission, cfg.lookahead, tuple(cfg.candidates), w)
-    if alpha is None:
-        raise ZeroEvidenceError("conditioning event has probability zero")
     joint = alpha.reshape(-1) @ entry.readout
     num, den = joint[:len(entry.dos)], joint[len(entry.dos):]
     if not den.all():
@@ -227,8 +220,9 @@ class LoopDefender:
     Each step smooths the last `window` indicator frames under the malign
     model; when the highest tactic posterior reaches tau, an intervention plan
     is built and, subject to autonomy (and the approval hook at confirm), its
-    mapped action replaces the no-op for that step. `frames`, `detections`
-    and `interventions` record what it saw and did.
+    mapped action replaces the no-op for that step. Frames the model cannot
+    produce have no posteriors, so they never plan, whatever tau is.
+    `frames`, `detections` and `interventions` record what it saw and did.
     """
 
     def __init__(self, s: Scenario, cfg: LoopConfig, seed: int,
@@ -262,7 +256,7 @@ class LoopDefender:
             "posteriors": tactic_post,
             "max_tactic_posterior": max_post,
         })
-        if max_post < self.cfg.tau:
+        if alpha is None or max_post < self.cfg.tau:
             return NOP
 
         plan = _plan(self.cfg, alpha, len(window))

@@ -12,7 +12,7 @@ from collections import deque
 from dataclasses import asdict, dataclass, field, fields
 from functools import cached_property
 
-from ._util import canonical_json, indented_json, sha256_hex
+from ._util import canonical_json, sha256_hex
 from .errors import ParseError, UnknownNodeError, ValidationError
 
 DEFAULT_HORIZON = 100
@@ -381,25 +381,6 @@ def _connected(t: NetworkTopology) -> bool:
     return len(seen) == len(t.nodes)
 
 
-def shortest_hops(t: NetworkTopology, a: int, b: int) -> int:
-    """Breadth-first hop distance between two nodes; 0 iff a == b."""
-    t.node(a)
-    t.node(b)
-    if a == b:
-        return 0
-    dist = {a: 0}
-    queue = deque([a])
-    while queue:
-        cur = queue.popleft()
-        for nxt in t.neighbors(cur):
-            if nxt not in dist:
-                dist[nxt] = dist[cur] + 1
-                if nxt == b:
-                    return dist[nxt]
-                queue.append(nxt)
-    raise ValidationError(f"no path between {a} and {b}")
-
-
 # ---------------------------------------------------------------------------
 # Serialization
 # ---------------------------------------------------------------------------
@@ -428,10 +409,6 @@ def scenario_to_obj(s: Scenario) -> dict:
         "alerts": asdict(s.alerts),
         "horizon": s.horizon,
     }
-
-
-def serialize_scenario(s: Scenario) -> str:
-    return indented_json(scenario_to_obj(s))
 
 
 def scenario_digest(s: Scenario) -> str:

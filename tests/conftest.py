@@ -2,7 +2,8 @@
 
 The oracle helpers here deliberately re-implement the math they check by the
 dumbest route available (full itertools enumeration, literal BFS) so model
-code and test expectations never share a code path.
+code and test expectations never share a code path. The samplers and the
+passing attacker serve the tests alone; no command runs them.
 """
 
 from __future__ import annotations
@@ -10,15 +11,26 @@ from __future__ import annotations
 import itertools
 import json
 import random
+from collections import deque
+from dataclasses import asdict
 
 import pytest
 from hypothesis import strategies as st
 
 from acdsim.agents import META_ACTIONS, LateralAttacker, RandomDefender
-from acdsim.causal import Cgm, VarId, interventional
-from acdsim.game import episode_to_jsonl, run_episode
+from acdsim.causal import (
+    Cgm,
+    DbnSpec,
+    VarId,
+    attach_emissions,
+    emission_var,
+    interventional,
+)
+from acdsim.detect import TACTICS, EmissionNoise, IndicatorSequence
+from acdsim.errors import ValidationError
+from acdsim.game import PASS, episode_to_jsonl, run_episode
 from acdsim.loop import InterventionPlan
-from acdsim.netmodel import Scenario, load_scenario, serialize_scenario
+from acdsim.netmodel import NetworkTopology, Scenario, load_scenario, scenario_to_obj
 
 
 # ---------------------------------------------------------------------------
@@ -68,6 +80,44 @@ def select_intervention(m: Cgm, evidence: dict, candidates, horizon_slice: int):
     best = min(range(len(risks)), key=risks.__getitem__)
     return InterventionPlan(do=candidates[best], predicted_risk=risks[best],
                             rationale=tuple(zip(candidates, risks)))
+
+
+def sample(m: Cgm, n: int, seed: int) -> list[dict]:
+    """Ancestral sampling in topological order; deterministic given seed.
+
+    Latent variables are included in the raw samples; `m.latent` flags them.
+    """
+    rng = random.Random(seed)
+    out = []
+    for _ in range(n):
+        assignment: dict = {}
+        for v in m.order:
+            p1 = m.prob_one(v, assignment)
+            assignment[v] = 1 if rng.random() < p1 else 0
+        out.append(assignment)
+    return out
+
+
+def sample_indicator_sequence(m: Cgm, emission: EmissionNoise, seed: int) -> IndicatorSequence:
+    """Draw one observation sequence from a tactic model plus emission noise;
+    a tactic the model lacks at a slice reads 0."""
+    draw = sample(attach_emissions(m, emission.miss, emission.false_pos), 1, seed)[0]
+    T = max(v.slice for v in m.variables if v.slice is not None) + 1
+    return IndicatorSequence(tuple(
+        {tactic: draw[emission_var(VarId(tactic, t))] if m.has(VarId(tactic, t)) else 0
+         for tactic in TACTICS}
+        for t in range(T)))
+
+
+def spec_to_obj(spec: DbnSpec) -> dict:
+    """The DBN spec file's object for `spec`; `causal.load_spec` reads it back."""
+    return {
+        "topology": spec.topology.value,
+        "slices": spec.slices,
+        "schedule": list(spec.schedule) if spec.schedule is not None else None,
+        "per_slice_confounder": spec.per_slice_confounder,
+        "params": asdict(spec.params),
+    }
 
 
 def random_dag_model(rng: random.Random, n_vars: int = 5, edge_p: float = 0.4) -> Cgm:
@@ -133,6 +183,35 @@ def chain3_doc(strength: float = 1.0, severity: float = 1.0, defence: float = 0.
         "attacker": {"strength": strength, "spread": 1, "entry": [0]},
         "horizon": horizon,
     }
+
+
+def shortest_hops(t: NetworkTopology, a: int, b: int) -> int:
+    """Breadth-first hop distance between two nodes; 0 iff a == b."""
+    t.node(a)
+    t.node(b)
+    if a == b:
+        return 0
+    dist = {a: 0}
+    queue = deque([a])
+    while queue:
+        cur = queue.popleft()
+        for nxt in t.neighbors(cur):
+            if nxt not in dist:
+                dist[nxt] = dist[cur] + 1
+                if nxt == b:
+                    return dist[nxt]
+                queue.append(nxt)
+    raise ValidationError(f"no path between {a} and {b}")
+
+
+class PassingAttacker:
+    """An attacker that never attacks."""
+
+    def act(self, view, rng):
+        return PASS
+
+    def observe(self, outcome) -> None:
+        pass
 
 
 @pytest.fixture
@@ -325,7 +404,7 @@ def jsonl_mutated(draw, text: str) -> str:
 
 def chain3_full_doc() -> dict:
     """The chain3 scenario with every optional key written out."""
-    return json.loads(serialize_scenario(load_scenario(json.dumps(chain3_doc()))))
+    return scenario_to_obj(load_scenario(json.dumps(chain3_doc())))
 
 
 def chain3_log_text() -> str:

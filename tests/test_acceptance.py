@@ -20,13 +20,11 @@ from acdsim.causal import (
     do_transform,
     interventional,
     observational,
-    sample,
 )
 from acdsim.cli import default_scenario_path, main
 from acdsim.detect import (
     EmissionNoise,
     benign_model_like,
-    sample_indicator_sequence,
     sequence_loglik,
 )
 from acdsim.game import (
@@ -39,7 +37,7 @@ from acdsim.game import (
     step,
 )
 from acdsim.loop import AutonomyLevel, LoopConfig, run_loop
-from acdsim.netmodel import load_scenario, shortest_hops
+from acdsim.netmodel import load_scenario
 
 from .conftest import (
     MDP_STATES,
@@ -48,6 +46,9 @@ from .conftest import (
     mdp_value_iteration,
     oracle_joint,
     random_dag_model,
+    sample,
+    sample_indicator_sequence,
+    shortest_hops,
 )
 
 

@@ -35,10 +35,7 @@ from acdsim.causal import (
     model_to_obj,
     observational,
     parse_assignment,
-    sample,
     save_model,
-    save_spec,
-    spec_to_obj,
 )
 from acdsim.errors import (
     EvidenceOrderingError,
@@ -59,6 +56,8 @@ from .conftest import (
     oracle_joint,
     oracle_marginal,
     random_dag_model,
+    sample,
+    spec_to_obj,
 )
 
 
@@ -490,7 +489,20 @@ class TestModelIO:
 
     def test_spec_round_trip(self):
         spec = DbnSpec(Topology.FORK_B, 5, params=DbnParams(edge_strength=0.7))
-        assert load_spec(save_spec(spec)) == spec
+        assert load_spec(indented_json(spec_to_obj(spec))) == spec
+
+    def test_spec_schedule_takes_booleans_and_0_1(self):
+        text = json.dumps({"topology": "confounded-c", "slices": 3, "schedule": [1, False, True],
+                           "per_slice_confounder": True})
+        spec = load_spec(text)
+        assert spec.schedule == (True, False, True) and spec.per_slice_confounder is True
+        assert load_spec('{"topology": "chain-a", "slices": 2, "schedule": null}').schedule is None
+
+    def test_model_cpt_entries_take_ints(self):
+        text = json.dumps({"variables": [{"name": "A", "latent": False}, {"name": "B"}],
+                           "parents": {"B": ["A"]}, "cpts": {"A": [1], "B": [0, 0.5]}})
+        m = load_model(text)
+        assert m.cpts[VarId("A")] == (1.0,) and not m.latent
 
     def test_parse_assignment_bare_and_qualified(self, chain_example):
         a = parse_assignment(chain_example, "Y=1,X@0=0")
@@ -599,62 +611,7 @@ HARD = DbnParams(spontaneous=0.0, persistence=1.0, edge_strength=0.8,
                  root_activation=0.5, confounder_prior=0.5, confounder_strength=1.0)
 
 
-def last_slice_models():
-    """(name, model) for chain-a, fork-b and confounded-c with one global U
-    and with a U per slice, under soft and 0/1 parameters, plus one model
-    mutilated the way the loop's plans are."""
-    out = []
-    for topology, per_slice in ((Topology.CHAIN_A, False), (Topology.FORK_B, False),
-                                (Topology.CONFOUNDED_C, False), (Topology.CONFOUNDED_C, True)):
-        for params, miss, false_pos in ((DbnParams(), 0.2, 0.05), (HARD, 0.0, 0.1),
-                                        (HARD, 0.0, 0.0)):
-            spec = DbnSpec(topology, 4, params=params, per_slice_confounder=per_slice)
-            m = attach_emissions(build_topology(spec), miss, false_pos)
-            out.append((f"{topology.value}/{per_slice}/{miss}/{false_pos}", m))
-    chain = attach_emissions(build_topology(DbnSpec(Topology.CHAIN_A, 5, params=HARD)), 0.0, 0.1)
-    out.append(("chain-a/do", do_transform(chain, {VarId("X", 3): 0})))
-    return out
-
-
 class TestSinglePassConditional:
-    def test_equals_loglik_ratio(self, monkeypatch):
-        rng = random.Random(11)
-        cases = []
-        for name, m in last_slice_models():
-            engine = DbnEngine(m)
-            last = [v for v in m.variables if v.slice == engine.T - 1]
-            observed = [v for v in m.variables if v.name.endswith("_obs")]
-            for _ in range(40):
-                evidence = {v: rng.randrange(2) for v in observed if rng.random() < 0.6}
-                target = {v: rng.randrange(2) for v in rng.sample(last, rng.randint(1, 3))}
-                ll_e = engine.loglik(evidence)
-                joint = _merged(target, evidence)
-                if ll_e == float("-inf"):
-                    expected = ZeroEvidenceError
-                elif joint is None:
-                    expected = 0.0
-                else:
-                    ll_j = engine.loglik(joint)
-                    expected = math.exp(ll_j - ll_e) if ll_j != float("-inf") else 0.0
-                cases.append((name, engine, target, evidence, expected))
-
-        def no_loglik(self, evidence):
-            raise AssertionError("a last-slice target must not take the two-pass route")
-
-        monkeypatch.setattr(DbnEngine, "loglik", no_loglik)
-        zero_evidence = exact_zero = 0
-        for name, engine, target, evidence, expected in cases:
-            if expected is ZeroEvidenceError:
-                zero_evidence += 1
-                with pytest.raises(ZeroEvidenceError):
-                    engine.conditional(target, evidence)
-                continue
-            got = engine.conditional(target, evidence)
-            exact_zero += expected == 0.0
-            assert got == pytest.approx(expected, abs=1e-12), (name, target, evidence)
-        # the 0/1 tables produced impossible evidence and impossible targets
-        assert zero_evidence > 0 and exact_zero > 0
-
     def test_impossible_evidence_raises(self):
         m = attach_emissions(build_topology(DbnSpec(Topology.CHAIN_A, 3)), 0.0, 0.0)
         X0 = VarId("X", 0)

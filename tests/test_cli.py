@@ -248,7 +248,10 @@ class TestCausal:
         ["--topology", "chain-a", "--slices", "3", "--spontaneous", "2"],
         ["--topology", "chain-a", "--slices", "3", "--persistence", "nan"],
         ["--topology", "confounded-c", "--slices", "3", "--schedule", "1,0"],
-    ], ids=["slices-0", "spontaneous-2", "persistence-nan", "short-schedule"])
+        ["--topology", "confounded-c", "--slices", "3", "--schedule", "1,x,0"],
+        ["--topology", "confounded-c", "--slices", "3", "--schedule", "1,True,0"],
+    ], ids=["slices-0", "spontaneous-2", "persistence-nan", "short-schedule", "schedule-x",
+            "schedule-True"])
     def test_out_of_range_build_option_exits_2(self, tmp_path, capsys, options):
         out = tmp_path / "dbn.json"
         assert run(["causal", "build", *options, "--out", str(out)]) == 2
@@ -258,6 +261,8 @@ class TestCausal:
     def test_bad_query_exits_2(self, chain_model_path):
         assert run(["causal", "marginal", "--model", chain_model_path,
                     "--query", "NOPE=1"]) == 2
+        assert run(["causal", "marginal", "--model", chain_model_path,
+                    "--query", "X@\u00b2=1"]) == 2
 
     @pytest.mark.parametrize("doc", [
         {"variables": [{"slice": 0}], "parents": {}, "cpts": {}},
@@ -274,6 +279,15 @@ class TestCausal:
         {"variables": [{"name": "X"}], "parents": {}, "cpts": {"X": [1.5]}},
         {"variables": [{"name": "X"}, {"name": "X"}], "parents": {}, "cpts": {"X": [0.5]}},
         {"variables": [{"name": "X"}], "parents": {"X": ["B"]}, "cpts": {"X": [0.5, 0.5]}},
+        {"variables": [{"name": "X", "latent": "no"}], "parents": {}, "cpts": {"X": [0.5]}},
+        {"variables": [{"name": "X", "latent": 1}], "parents": {}, "cpts": {"X": [0.5]}},
+        {"variables": [{"name": "X"}], "parents": {}, "cpts": {"X": ["0.5"]}},
+        {"variables": [{"name": "X"}], "parents": {}, "cpts": {"X": [True]}},
+        {"variables": [{"name": "X"}], "parents": {}, "cpts": {"X": "1"}},
+        {"variables": [{"name": "X"}], "parents": {}, "cpts": {"X": [10 ** 400]}},
+        {"variables": [{"name": "X"}, {"name": "B"}], "parents": {"B": "X"},
+         "cpts": {"X": [0.5], "B": [0.1, 0.9]}},
+        {"variables": [{"name": "X", "slice": 2}], "parents": {}, "cpts": {"X@\u00b2": [0.5]}},
     ])
     def test_malformed_model_exits_2(self, tmp_path, capsys, doc):
         path = tmp_path / "model.json"
@@ -439,6 +453,12 @@ class TestLoop:
         {"topology": "chain-a", "slices": 4, "params": {"persistence": 0.01}},
         {"topology": "chain-a", "slices": 0},
         {"topology": "chain-a", "slices": True},
+        {"topology": "confounded-c", "slices": 8, "per_slice_confounder": "false"},
+        {"topology": "confounded-c", "slices": 8, "per_slice_confounder": 0},
+        {"topology": "confounded-c", "slices": 8, "schedule": ["no", {}, 0]},
+        {"topology": "confounded-c", "slices": 8, "schedule": []},
+        {"topology": "confounded-c", "slices": 8, "schedule": [1, 2]},
+        {"topology": "confounded-c", "slices": 8, "schedule": [1.0, 0]},
     ])
     def test_malformed_dbn_spec_exits_2(self, tmp_path, capsys, spec):
         path = tmp_path / "spec.json"

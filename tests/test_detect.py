@@ -1,25 +1,26 @@
 """Indicator extraction, exact sequence likelihoods, and classification."""
 
+import hashlib
 import json
 import itertools
 import math
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from acdsim.agents import LateralAttacker, NopDefender, PassingAttacker
-from acdsim import causal, detect
+from acdsim.agents import LateralAttacker, NopDefender
+from acdsim import causal
 from acdsim.causal import Cgm, DbnSpec, Topology, VarId, build_topology
+from acdsim.cli import default_scenario_path
 from acdsim.detect import (
     EmissionNoise,
-    IndicatorFrame,
     IndicatorSequence,
     benign_model_like,
     classify,
     extract_indicators,
     ground_truth_bits,
-    sample_indicator_sequence,
     sequence_from_csv,
     sequence_loglik,
     sequence_to_csv,
@@ -28,17 +29,13 @@ from acdsim.errors import ParseError, SpecError, TooLargeError
 from acdsim.game import NOP, restore, run_episode
 from acdsim.netmodel import load_scenario
 
-from .conftest import chain3_doc, mutated
+from .conftest import PassingAttacker, chain3_doc, mutated, sample_indicator_sequence
 
 ZERO_NOISE = EmissionNoise(miss=0.0, false_pos=0.0)
 
 
 def make_sequence(bit_rows) -> IndicatorSequence:
-    frames = tuple(
-        IndicatorFrame(t=i, bits={"Z": z, "X": x, "Y": y})
-        for i, (z, x, y) in enumerate(bit_rows)
-    )
-    return IndicatorSequence(frames=frames)
+    return IndicatorSequence(tuple({"Z": z, "X": x, "Y": y} for z, x, y in bit_rows))
 
 
 class RestoreThenNop:
@@ -64,9 +61,9 @@ class TestExtractIndicators:
                           horizon_override=12)
         seq = extract_indicators(log, ZERO_NOISE, seed=1)
         assert len(seq.frames) == 12
-        for frame in seq.frames:
-            assert frame.bits["X"] == 0 and frame.bits["Y"] == 0
-            assert frame.bits["Z"] == (1 if frame.t % 5 == 0 else 0)
+        for t, frame in enumerate(seq.frames):
+            assert frame["X"] == 0 and frame["Y"] == 0
+            assert frame["Z"] == (1 if t % 5 == 0 else 0)
 
     def test_attempt_step_sets_movement_bit(self, chain3):
         log = run_episode(chain3, NopDefender(), LateralAttacker(1), seed=0,
@@ -75,8 +72,8 @@ class TestExtractIndicators:
         attempt_steps = {rec.t for rec in log.steps
                          if any(e.kind == "attempt" for e in rec.outcome.events)}
         assert attempt_steps  # the chain attacker always has a frontier
-        for frame in seq.frames:
-            assert frame.bits["X"] == (1 if frame.t in attempt_steps else 0)
+        for t, frame in enumerate(seq.frames):
+            assert frame["X"] == (1 if t in attempt_steps else 0)
 
     def test_loot_sets_collection_bit(self):
         doc = chain3_doc()
@@ -87,13 +84,13 @@ class TestExtractIndicators:
         loot_steps = {rec.t for rec in log.steps
                       if any(e.kind == "loot" for e in rec.outcome.events)}
         assert loot_steps == {0}  # node 1 falls on the first step, prob 1
-        assert seq.frames[0].bits["Y"] == 1
-        assert all(f.bits["Y"] == 0 for f in seq.frames[1:])
+        assert seq.frames[0]["Y"] == 1
+        assert all(f["Y"] == 0 for f in seq.frames[1:])
 
     def test_total_miss_suppresses_everything(self, chain3):
         log = run_episode(chain3, NopDefender(), LateralAttacker(1), seed=0)
         seq = extract_indicators(log, EmissionNoise(miss=1.0, false_pos=0.0), seed=1)
-        assert all(all(b == 0 for b in f.bits.values()) for f in seq.frames)
+        assert all(all(b == 0 for b in f.values()) for f in seq.frames)
 
     def test_beaconing_stops_after_full_restore(self, chain3):
         log = run_episode(chain3, RestoreThenNop(0), PassingAttacker(), seed=0,
@@ -219,11 +216,7 @@ class TestClassify:
         def no_engine(self, m):
             raise AssertionError("no engine may be built for a refused sequence")
 
-        def no_extension(m, miss, false_pos):
-            raise AssertionError("no emission model may be built for a refused sequence")
-
         monkeypatch.setattr(causal.DbnEngine, "__init__", no_engine)
-        monkeypatch.setattr(detect, "attach_emissions", no_extension)
         seq = make_sequence([(0, 1, 0)] * 17)
         with pytest.raises(TooLargeError, match="smoothing supports at most 16 slices, got 17"):
             classify(seq, benign_model_like(malign), malign, EmissionNoise())
@@ -261,10 +254,47 @@ class TestSequenceIO:
             seq = sequence_from_csv(text)
         except ParseError:
             return
-        assert all(list(f.bits) == ["Z", "X", "Y"] for f in seq.frames)
+        assert all(list(f) == ["Z", "X", "Y"] for f in seq.frames)
 
     def test_csv_round_trip(self, chain3):
         log = run_episode(chain3, NopDefender(), LateralAttacker(1), seed=2)
         seq = extract_indicators(log, EmissionNoise(), seed=3)
         parsed = sequence_from_csv(sequence_to_csv(seq))
         assert parsed.frames == seq.frames
+
+
+class TestRecordedDigests:
+    """sha256 of the indicator CSVs and the detection results of the bundled
+    scenario's nop-defender logs, seeds 0-59, recorded before frames became
+    plain dicts; a change to any byte fails here first. Logs over 16 steps
+    are refused, and their error message is hashed instead."""
+
+    CSV = "035c517cfbdf48ae3fb82593177a32314fe51dcb669b685a8bde0efd376a91f3"
+    DETECT = {
+        "chain-a": "52a88e9e6a4362eaa766d16bab701a562ddb5c2b680ca57fc70f5b8264845521",
+        "confounded-c": "6dfc300397cad68d8f8e6c2a5a812f19fe0925b49c324f0ff85b9dc70495f5bb",
+    }
+    SPECS = {
+        "chain-a": DbnSpec(Topology.CHAIN_A, 8),
+        "confounded-c": DbnSpec(Topology.CONFOUNDED_C, 8, per_slice_confounder=True),
+    }
+
+    def test_csv_and_detection_bytes(self):
+        s = load_scenario(Path(default_scenario_path()).read_text(encoding="utf-8"))
+        noise = EmissionNoise()
+        csv = hashlib.sha256()
+        results = {name: hashlib.sha256() for name in self.SPECS}
+        for seed in range(60):
+            log = run_episode(s, NopDefender(), LateralAttacker(s.attacker.spread), seed)
+            seq = extract_indicators(log, noise, seed)
+            csv.update(sequence_to_csv(seq).encode())
+            for name, spec in self.SPECS.items():
+                malign = build_topology(spec.with_slices(len(seq.frames)))
+                try:
+                    text = classify(seq, benign_model_like(malign), malign, noise).to_json()
+                except TooLargeError as exc:
+                    text = str(exc)
+                results[name].update(text.encode())
+        assert csv.hexdigest() == self.CSV
+        for name, digest in results.items():
+            assert digest.hexdigest() == self.DETECT[name], name

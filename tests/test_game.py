@@ -13,7 +13,6 @@ from acdsim.agents import (
     LateralAttacker,
     LearningParams,
     NopDefender,
-    PassingAttacker,
     QDefender,
     RandomDefender,
     train,
@@ -47,15 +46,17 @@ from acdsim.game import (
     step,
     verify_replay,
 )
-from acdsim.netmodel import NodeSpec, VulnSpec, load_scenario, shortest_hops
+from acdsim.netmodel import NodeSpec, VulnSpec, load_scenario
 
 from .conftest import (
     MINIMAL_SCENARIO,
     chain3_doc,
     chain3_log_text,
     jsonl_mutated,
+    PassingAttacker,
     load_random_scenario,
     mutated,
+    shortest_hops,
 )
 
 LOG = chain3_log_text()

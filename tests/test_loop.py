@@ -1,5 +1,6 @@
 """Intervention selection, action mapping, and the closed loop."""
 
+import hashlib
 import itertools
 import json
 import os
@@ -17,6 +18,7 @@ from acdsim._util import child_seed
 from acdsim.agents import LateralAttacker, NopDefender
 from acdsim.causal import (
     DbnEngine,
+    DbnParams,
     DbnSpec,
     Topology,
     VarId,
@@ -35,7 +37,6 @@ from acdsim.loop import (
     LoopDefender,
     NeverApprove,
     ScriptedApprover,
-    _engine,
     _plan,
     _window,
     extract_episode_jsonl,
@@ -133,7 +134,7 @@ class TestPlanByPrediction:
         rng = random.Random(f"{spec}{lookahead}")
         for w in range(1, cfg.window + 1):  # as at the start of an episode
             frames = [{name: rng.randint(0, 1) for name in "ZXY"} for _ in range(w)]
-            engine = _engine(spec.with_slices(w), ())
+            engine = DbnEngine(build_topology(spec.with_slices(w)))
             _, alpha = engine._smoothed({}, engine.frame_likelihoods(frames, *cfg.emission))
             plan = _plan(cfg, alpha, w)
 
@@ -154,7 +155,7 @@ class TestPlanByPrediction:
     def test_duplicate_candidates_first_declared_wins(self):
         cfg = LoopConfig(dbn=DbnSpec(Topology.CHAIN_A, 8), candidates=(None, ("X", 0), ("X", 0)))
         frames = [{"Z": 1, "X": 1, "Y": 0}] * 3
-        engine = _engine(cfg.dbn.with_slices(3), ())
+        engine = DbnEngine(build_topology(cfg.dbn.with_slices(3)))
         _, alpha = engine._smoothed({}, engine.frame_likelihoods(frames, *cfg.emission))
         plan = _plan(cfg, alpha, 3)
         (nothing, r0), (first, r1), (second, r2) = plan.rationale
@@ -183,10 +184,31 @@ class TestPlanByPrediction:
     @pytest.mark.parametrize("w", [1, 4])
     def test_an_impossible_filtered_state_raises(self, w):
         cfg = LoopConfig()
-        _, alpha = _engine(cfg.dbn.with_slices(w), ())._smoothed({}, ())
-        for state in (None, np.zeros_like(alpha)):
-            with pytest.raises(ZeroEvidenceError):
-                _plan(cfg, state, w)
+        _, alpha = DbnEngine(build_topology(cfg.dbn.with_slices(w)))._smoothed({}, ())
+        with pytest.raises(ZeroEvidenceError):
+            _plan(cfg, np.zeros_like(alpha), w)
+
+    @pytest.mark.parametrize("tau", [0.0, -1.0, 0.5])
+    def test_a_window_the_model_cannot_explain_never_plans(self, enterprise, tau):
+        """A deterministic chain-a under noiseless frames cannot produce most
+        windows: such a step records empty posteriors and plays the no-op,
+        whatever tau is, and every other step plans as before."""
+        hard = DbnParams(spontaneous=0.0, persistence=1.0, edge_strength=1.0,
+                         root_activation=1.0)
+        cfg = LoopConfig(autonomy=AutonomyLevel.AUTO, tau=tau, emission=EmissionNoise(0.0, 0.0),
+                         dbn=DbnSpec(Topology.CHAIN_A, 8, params=hard))
+        empty = 0
+        for seed in range(5):
+            report = run_loop(enterprise, cfg, seed)
+            planned = {record["t"] for record in report.interventions}
+            for detection in report.detections:
+                if detection["posteriors"]:
+                    assert (detection["t"] in planned) == (detection["max_tactic_posterior"] >= tau)
+                else:
+                    empty += 1
+                    assert detection["max_tactic_posterior"] == 0.0
+                    assert detection["t"] not in planned
+        assert empty
 
 
 class TestWindowCache:
@@ -285,7 +307,7 @@ class TestRunLoop:
             assert episode_to_jsonl(log) == episode_to_jsonl(report.log)
             seq = extract_indicators(report.log, cfg.emission,
                                      child_seed(seed, "indicators"))
-            assert [f.bits for f in seq.frames] == policy.frames
+            assert list(seq.frames) == policy.frames
             assert len(policy.frames) == report.log.final["t"]
 
     def test_plan_optimality_reproducible(self, enterprise):
@@ -295,7 +317,7 @@ class TestRunLoop:
         report = run_loop(enterprise, cfg, seed)
         assert report.interventions
         seq = extract_indicators(report.log, cfg.emission, child_seed(seed, "indicators"))
-        frames = [f.bits for f in seq.frames]
+        frames = list(seq.frames)
         for record in report.interventions[:6]:
             t = record["t"]
             w = min(cfg.window, t)
@@ -378,3 +400,26 @@ class TestRunLoop:
         assert obj["autonomy"] == "advise"
         assert "episode_jsonl" in obj and "detections" in obj and "interventions" in obj
         assert obj["summary"]["steps"] == report.log.final["t"]
+
+
+class TestRecordedDigests:
+    """sha256 of the auto loop reports of seeds 0-9 on the bundled scenario,
+    recorded before the loop's plan models were built without a throwaway
+    copy; a change to any byte fails here first."""
+
+    CONFIGS = {
+        "chain-a": (LoopConfig(autonomy=AutonomyLevel.AUTO),
+                    "fb5fbd0ac7be5f224ab40eb8e9d0d78ca5ad90324d472cd36c6c8dafeeee619a"),
+        "confounded-c": (LoopConfig(autonomy=AutonomyLevel.AUTO, lookahead=3,
+                                    dbn=DbnSpec(Topology.CONFOUNDED_C, 8,
+                                                per_slice_confounder=True)),
+                         "ea186d3e8d8f012f85d947202870fd14ff3836086adc94c1929df29000b1dd04"),
+    }
+
+    @pytest.mark.parametrize("name", CONFIGS)
+    def test_report_bytes(self, enterprise, name):
+        cfg, expected = self.CONFIGS[name]
+        digest = hashlib.sha256()
+        for seed in range(10):
+            digest.update(run_loop(enterprise, cfg, seed).to_json().encode())
+        assert digest.hexdigest() == expected

@@ -12,6 +12,8 @@ from acdsim import agents, causal, detect, game, loop, netmodel
 from acdsim._util import indented_json
 from acdsim.cli import default_scenario_path, main
 
+from .conftest import spec_to_obj
+
 
 def dumps(obj) -> str:
     return json.dumps(obj, sort_keys=True, indent=2)
@@ -76,11 +78,11 @@ class TestWriters:
         spec = causal.DbnSpec(causal.Topology.CONFOUNDED_C, slices=3)
         model = causal.build_topology(spec)
         assert causal.save_model(model) == dumps(causal.model_to_obj(model))
-        assert causal.save_spec(spec) == dumps(causal.spec_to_obj(spec))
+        assert indented_json(spec_to_obj(spec)) == dumps(spec_to_obj(spec))
 
     def test_scenario(self, enterprise8):
-        assert netmodel.serialize_scenario(enterprise8) == dumps(
-            netmodel.scenario_to_obj(enterprise8))
+        obj = netmodel.scenario_to_obj(enterprise8)
+        assert indented_json(obj) == dumps(obj)
 
     def test_detection_result(self, enterprise8):
         log = game.run_episode(enterprise8, agents.NopDefender(),

@@ -601,9 +601,10 @@ class DbnEngine:
         first: the library's smoothing, for any slice-structured model."""
         return dict(zip(self.outputs, self._smoothed(evidence, likelihoods)[0].tolist()))
 
-    def _smoothed(self, evidence: Assignment, likelihoods) -> tuple[np.ndarray, np.ndarray]:
-        """`posteriors` as a vector in `outputs` order, and the normalized
-        filtered state of the last slice."""
+    def _smoothed(self, evidence: Assignment, likelihoods) -> tuple[np.ndarray, np.ndarray, list]:
+        """`posteriors` as a vector in `outputs` order, the normalized
+        filtered state of the last slice, and the forward divisors, whose
+        logs sum to `loglik`."""
         fwd = self._forward(evidence, likelihoods)
         if fwd is None:
             raise ZeroEvidenceError("conditioning event has probability zero")
@@ -623,7 +624,7 @@ class DbnEngine:
         else:
             rows = [(a * b).reshape(-1) @ r for a, b, r in zip(alphas, betas, self._readout)]
             own = np.concatenate([row[n:] / row[0] for row in rows])
-        return np.concatenate([rows[0][1:n] / rows[0][0], own]), alphas[-1]
+        return np.concatenate([rows[0][1:n] / rows[0][0], own]), alphas[-1], scales
 
     def prediction_vectors(self, target: Assignment, evidence: Assignment,
                            s: int) -> tuple[np.ndarray, np.ndarray]:
@@ -810,5 +811,6 @@ def parse_assignment(m: Cgm, text: str) -> Assignment:
             if len(matches) > 1:
                 raise ParseError(f"ambiguous variable '{ref}'; qualify as name@slice")
             v = matches[0]
-        out[v] = int(value)
+        if out.setdefault(v, int(value)) != int(value):
+            raise ParseError(f"variable '{v}' is given both 0 and 1")
     return out

@@ -14,6 +14,7 @@ draw per bit in frame order, tactics ordered Z, X, Y.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 
@@ -21,7 +22,7 @@ from . import __version__
 from ._util import indented_json
 from .causal import Cgm, DbnEngine, VarId, check_smoothing_slices
 from .config import EmissionNoise
-from .errors import ParseError, SpecError
+from .errors import ParseError, SpecError, ZeroEvidenceError
 from .game import EpisodeLog
 
 TACTICS = ("Z", "X", "Y")
@@ -124,9 +125,11 @@ def sequence_from_csv(text: str) -> IndicatorSequence:
         if len(parts) != 4:
             raise ParseError(f"indicator row must be t,Z,X,Y: '{line}'")
         try:
-            _, z, x, y = (int(p) for p in parts)
+            t, z, x, y = (int(p) for p in parts)
         except ValueError:
             raise ParseError(f"indicator row must be integers: '{line}'") from None
+        if t != len(frames):
+            raise ParseError(f"indicator row {len(frames)} has t={t}: '{line}'")
         frames.append({"Z": z, "X": x, "Y": y})
     return IndicatorSequence(tuple(frames))
 
@@ -170,21 +173,26 @@ def benign_model_like(m: Cgm) -> Cgm:
 def classify(seq: IndicatorSequence, benign: Cgm, malign: Cgm,
              emission: EmissionNoise, threshold: float = 0.0) -> DetectionResult:
     """Label a sequence by log-likelihood ratio, with the smoothed posterior
-    of every tactic under the malign model as supporting trace."""
+    of every tactic under the malign model as supporting trace, both from one
+    filter pass. A sequence the malign model cannot produce has llr -inf (0.0
+    if the benign model cannot either) and an empty trace row per frame."""
     _check_frames(malign, seq)
-    _check_frames(benign, seq)
     check_smoothing_slices(len(seq.frames))  # before any engine is built
-    # one engine for the malign likelihood and the smoothing
     engine = DbnEngine(malign)
-    likelihoods = engine.frame_likelihoods(seq.frames, *emission)
-    ll_malign = engine.loglik({}, likelihoods)
+    try:
+        smoothed, _, divisors = engine._smoothed(
+            {}, engine.frame_likelihoods(seq.frames, *emission))
+    except ZeroEvidenceError:
+        ll_malign, posteriors = float("-inf"), {}
+    else:
+        ll_malign = sum(math.log(c) for c in divisors)
+        posteriors = dict(zip(engine.outputs, smoothed.tolist()))
     ll_benign = sequence_loglik(benign, seq, emission)
     if ll_malign == float("-inf") and ll_benign == float("-inf"):
         llr = 0.0
     else:
         llr = ll_malign - ll_benign
 
-    posteriors = engine.posteriors({}, likelihoods)
     trace = []
     for t in range(len(seq.frames)):
         row = {}

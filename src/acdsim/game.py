@@ -576,17 +576,12 @@ def parse_episode_jsonl(text: str) -> EpisodeLog:
                 outcome=StepOutcome(
                     reward=obj["reward"],
                     events=tuple(_event_from_obj(e) for e in obj["events"]),
-                    terminal_cause=None,
+                    terminal_cause=final["terminal"] if i == len(body) - 2 else None,
                 ),
             ))
         except (KeyError, TypeError, AttributeError, ParseError) as exc:
             raise ParseError(f"episode log step line {i + 1} is malformed: "
                              f"{type(exc).__name__} {exc}") from None
-    if records:
-        last = records[-1]
-        records[-1] = StepRecord(last.t, last.defender, last.attacker,
-                                 StepOutcome(last.outcome.reward, last.outcome.events,
-                                             final["terminal"]))
     return EpisodeLog(
         scenario=scenario,
         scenario_sha256=header["scenario_sha256"],

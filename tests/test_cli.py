@@ -258,11 +258,24 @@ class TestCausal:
         assert_one_parse_error(capsys)
         assert not out.exists()
 
-    def test_bad_query_exits_2(self, chain_model_path):
+    @pytest.mark.parametrize("query", [
+        ["marginal", "--query", "NOPE=1"],
+        ["marginal", "--query", "X@\u00b2=1"],
+        ["marginal", "--query", "X@0=1,X@0=0"],
+        ["marginal", "--query", "X=0,X@0=1"],
+        ["observational", "--target", "Y=1,Y=0", "--given", "X=1"],
+        ["observational", "--target", "Y=1", "--given", "X=1,X@0=0"],
+        ["do", "--target", "Y=1", "--do", "X=1,X=0"],
+    ], ids=["unknown", "bad-slice", "conflict-query", "conflict-bare-and-qualified",
+            "conflict-target", "conflict-given", "conflict-do"])
+    def test_bad_query_exits_2(self, chain_model_path, capsys, query):
+        assert run(["causal", query[0], "--model", chain_model_path, *query[1:]]) == 2
+        assert_one_parse_error(capsys)
+
+    def test_identical_repeat_is_one_assignment(self, chain_model_path, capsys):
         assert run(["causal", "marginal", "--model", chain_model_path,
-                    "--query", "NOPE=1"]) == 2
-        assert run(["causal", "marginal", "--model", chain_model_path,
-                    "--query", "X@\u00b2=1"]) == 2
+                    "--query", "X=1,X@0=1"]) == 0
+        assert capsys.readouterr().out == "0.500000000000\n"
 
     @pytest.mark.parametrize("doc", [
         {"variables": [{"slice": 0}], "parents": {}, "cpts": {}},

@@ -11,8 +11,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from acdsim.agents import LateralAttacker, NopDefender
-from acdsim import causal
+from acdsim import causal, detect
 from acdsim.causal import Cgm, DbnSpec, Topology, VarId, build_topology
+from acdsim.config import DbnParams
 from acdsim.cli import default_scenario_path
 from acdsim.detect import (
     EmissionNoise,
@@ -210,6 +211,36 @@ class TestClassify:
         assert len(built) == 2  # one malign, one benign
         assert result.llr == expected_llr
 
+    def test_one_frame_check_and_one_filter_pass_per_model(self, models_t4, monkeypatch):
+        """The malign model's one pass gives its likelihood and the trace; the
+        benign model is checked and filtered once, by `sequence_loglik`."""
+        benign, malign = models_t4
+        calls = []
+        forward, check = causal.DbnEngine._forward, detect._check_frames
+        monkeypatch.setattr(causal.DbnEngine, "_forward", lambda self, *a:
+                            calls.append(("_forward", self.m)) or forward(self, *a))
+        monkeypatch.setattr(detect, "_check_frames",
+                            lambda m, seq: calls.append(("_check_frames", m)) or check(m, seq))
+        seq = make_sequence([(1, 0, 1), (0, 0, 0), (1, 1, 1), (0, 1, 0)])
+        classify(seq, benign, malign, EmissionNoise())
+        assert calls == [("_check_frames", malign), ("_forward", malign),
+                         ("_check_frames", benign), ("_forward", benign)]
+
+    @pytest.mark.parametrize("rows, llr", [
+        ([(0, 0, 0)] * 4, float("-inf")),
+        ([(1, 1, 1)] + [(0, 0, 0)] * 3, 0.0),
+    ], ids=["benign-explains", "neither-explains"])
+    def test_a_sequence_the_malign_model_rules_out_is_scored(self, rows, llr):
+        """A deterministic chain-a under noiseless frames cannot produce these
+        sequences: classify scores them instead of raising ZeroEvidenceError."""
+        hard = DbnParams(spontaneous=0.0, persistence=1.0, edge_strength=1.0,
+                         root_activation=1.0)
+        malign = build_topology(DbnSpec(Topology.CHAIN_A, 4, params=hard))
+        result = classify(make_sequence(rows), benign_model_like(malign), malign, ZERO_NOISE)
+        assert result.llr == llr
+        assert result.label == "benign"
+        assert result.to_obj()["posterior"] == [{"t": t} for t in range(4)]
+
     def test_too_long_refused_before_likelihood_work(self, monkeypatch):
         malign = build_topology(DbnSpec(Topology.CHAIN_A, 17))
 
@@ -255,6 +286,13 @@ class TestSequenceIO:
         except ParseError:
             return
         assert all(list(f) == ["Z", "X", "Y"] for f in seq.frames)
+
+    @pytest.mark.parametrize("rows", [
+        "5,1,0,0\n5,0,1,0\n9,1,1,1", "1,0,0,0", "0,0,0,0\n0,1,1,1", "0,0,0,0\n2,1,1,1",
+    ], ids=["renumbered", "starts-at-1", "repeated", "skipped"])
+    def test_t_other_than_the_row_position_is_refused(self, rows):
+        with pytest.raises(ParseError, match="t="):
+            sequence_from_csv(f"# acdsim\nt,Z,X,Y\n{rows}\n")
 
     def test_csv_round_trip(self, chain3):
         log = run_episode(chain3, NopDefender(), LateralAttacker(1), seed=2)

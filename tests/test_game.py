@@ -17,6 +17,7 @@ from acdsim.agents import (
     RandomDefender,
     train,
 )
+from acdsim import game
 from acdsim.cli import default_scenario_path
 from acdsim.errors import (
     IllegalActionError,
@@ -340,6 +341,16 @@ class TestReplay:
             assert parsed.seed == log.seed
             assert parsed.scenario == log.scenario
             assert verify_replay(text)
+
+    def test_one_record_per_parsed_step(self, chain3, monkeypatch):
+        """The last step's record gets its terminal cause when it is built."""
+        log = run_episode(chain3, NopDefender(), LateralAttacker(1), seed=13)
+        built, record = [], game.StepRecord
+        monkeypatch.setattr(game, "StepRecord", lambda *a, **k: built.append(1) or record(*a, **k))
+        parsed = parse_episode_jsonl(episode_to_jsonl(log))
+        assert parsed.steps == log.steps
+        assert parsed.steps[-1].outcome.terminal_cause == log.final["terminal"]
+        assert len(built) == len(log.steps)
 
     def test_tampered_log_fails_replay(self, chain3):
         log = run_episode(chain3, NopDefender(), LateralAttacker(1), seed=13)

@@ -135,8 +135,9 @@ class TestPlanByPrediction:
         for w in range(1, cfg.window + 1):  # as at the start of an episode
             frames = [{name: rng.randint(0, 1) for name in "ZXY"} for _ in range(w)]
             engine = DbnEngine(build_topology(spec.with_slices(w)))
-            _, alpha = engine._smoothed({}, engine.frame_likelihoods(frames, *cfg.emission))
-            plan = _plan(cfg, alpha, w)
+            _, alpha, _ = engine._smoothed({}, engine.frame_likelihoods(frames, *cfg.emission))
+            plan = _plan(_window(cfg.dbn, cfg.emission, cfg.lookahead, tuple(cfg.candidates), w),
+                         alpha)
 
             model = attach_emissions(build_topology(spec.with_slices(w + lookahead)),
                                      cfg.emission.miss, cfg.emission.false_pos)
@@ -156,8 +157,9 @@ class TestPlanByPrediction:
         cfg = LoopConfig(dbn=DbnSpec(Topology.CHAIN_A, 8), candidates=(None, ("X", 0), ("X", 0)))
         frames = [{"Z": 1, "X": 1, "Y": 0}] * 3
         engine = DbnEngine(build_topology(cfg.dbn.with_slices(3)))
-        _, alpha = engine._smoothed({}, engine.frame_likelihoods(frames, *cfg.emission))
-        plan = _plan(cfg, alpha, 3)
+        _, alpha, _ = engine._smoothed({}, engine.frame_likelihoods(frames, *cfg.emission))
+        plan = _plan(_window(cfg.dbn, cfg.emission, cfg.lookahead, tuple(cfg.candidates), 3),
+                     alpha)
         (nothing, r0), (first, r1), (second, r2) = plan.rationale
         assert r1 == r2 < r0
         assert plan.do is first and plan.do is not second
@@ -184,9 +186,10 @@ class TestPlanByPrediction:
     @pytest.mark.parametrize("w", [1, 4])
     def test_an_impossible_filtered_state_raises(self, w):
         cfg = LoopConfig()
-        _, alpha = DbnEngine(build_topology(cfg.dbn.with_slices(w)))._smoothed({}, ())
+        _, alpha, _ = DbnEngine(build_topology(cfg.dbn.with_slices(w)))._smoothed({}, ())
+        entry = _window(cfg.dbn, cfg.emission, cfg.lookahead, tuple(cfg.candidates), w)
         with pytest.raises(ZeroEvidenceError):
-            _plan(cfg, np.zeros_like(alpha), w)
+            _plan(entry, np.zeros_like(alpha))
 
     @pytest.mark.parametrize("tau", [0.0, -1.0, 0.5])
     def test_a_window_the_model_cannot_explain_never_plans(self, enterprise, tau):
@@ -231,6 +234,15 @@ class TestWindowCache:
                 fresh = DbnEngine(model).frame_likelihoods([{}] * t + [{"Z": z, "X": x, "Y": y}],
                                                            *cfg.emission)[t]
                 assert table[t, z * 4 + x * 2 + y].tobytes() == fresh.tobytes(), (w, t, z, x, y)
+
+    def test_one_lookup_per_evaluated_step(self, enterprise):
+        """A step looks its entry up once, and a plan reads that entry."""
+        before = _window.cache_info()
+        report = run_loop(enterprise, LoopConfig(autonomy=AutonomyLevel.AUTO), seed=0)
+        after = _window.cache_info()
+        assert report.interventions
+        lookups = after.hits + after.misses - before.hits - before.misses
+        assert lookups == len(report.detections)
 
 
 class TestRunLoop:

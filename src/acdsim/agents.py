@@ -262,7 +262,13 @@ class QTable:
                                for x in values)):
                 raise ParseError(f"Q-table entry {i}: 'values' must be a list of "
                                  f"{len(table.actions)} finite numbers")
-            table.values[FeatureKey(key[0], bool(key[1]), key[2])] = list(values)
+            if not (0 <= key[0] <= 3 and key[1] in (0, 1) and 0 <= key[2] <= 2):
+                raise ParseError(f"Q-table entry {i}: 'key' {key} is outside "
+                                 f"[0..3, 0..1, 0..2]")
+            feature = FeatureKey(key[0], bool(key[1]), key[2])
+            if feature in table.values:
+                raise ParseError(f"Q-table entry {i}: 'key' {key} appears twice")
+            table.values[feature] = list(values)
         return table
 
 

@@ -403,12 +403,14 @@ class DbnEngine:
     and evidence on a global masks slice 0 (static nodes as part of every
     slice's hidden state, Murphy 2002, ch. 3). Queries take optional
     per-slice `likelihoods` (from `frame_likelihoods`), multiplied into each
-    slice with its evidence masks. One scaled forward filter
-    then answers likelihoods and conditionals, and a backward
-    pass scaled by its divisors gives the posteriors; the same backward
-    recursion gives `prediction_vectors`, which predict from a filtered
-    state by a dot product. Computes the identical sums to full
-    enumeration, without the exponential blow-up in the number of slices.
+    slice with its evidence masks. One scaled forward filter answers
+    `loglik`, and `conditional` is two of them. `posteriors` is the one
+    smoothing call: the filter and a backward pass scaled by its divisors
+    give every posterior, the last slice's filtered state and `loglik` at
+    once. The same backward recursion gives `prediction_vectors`, which
+    predict from a filtered state by a dot product. Computes the identical
+    sums to full enumeration, without the exponential blow-up in the number
+    of slices.
     """
 
     def __init__(self, m: Cgm):
@@ -451,7 +453,7 @@ class DbnEngine:
                    for n in {len(self.globals)} | {len(svars) for svars in self.slice_vars}}
         self.global_bits = layouts[len(self.globals)]
         self.bits: list[np.ndarray] = [layouts[len(svars)] for svars in self.slice_vars]
-        # `posteriors` key order
+        # the order of `posteriors`' vector
         self.outputs: tuple[VarId, ...] = tuple(
             self.globals + [v for svars in self.slice_vars for v in svars])
 
@@ -596,15 +598,12 @@ class DbnEngine:
         fwd = self._forward(evidence, likelihoods)
         return sum(math.log(c) for c in fwd[2]) if fwd is not None else float("-inf")
 
-    def posteriors(self, evidence: Assignment, likelihoods=()) -> dict:
-        """p(var = 1 | evidence) for every variable in the model, globals
-        first: the library's smoothing, for any slice-structured model."""
-        return dict(zip(self.outputs, self._smoothed(evidence, likelihoods)[0].tolist()))
-
-    def _smoothed(self, evidence: Assignment, likelihoods) -> tuple[np.ndarray, np.ndarray, list]:
-        """`posteriors` as a vector in `outputs` order, the normalized
-        filtered state of the last slice, and the forward divisors, whose
-        logs sum to `loglik`."""
+    def posteriors(self, evidence: Assignment,
+                   likelihoods=()) -> tuple[np.ndarray, np.ndarray, float]:
+        """The library's smoothing, for any slice-structured model, in one
+        forward-backward pass: p(var = 1 | evidence) for every variable as a
+        vector in `outputs` order, the normalized filtered state of the last
+        slice, and `loglik`."""
         fwd = self._forward(evidence, likelihoods)
         if fwd is None:
             raise ZeroEvidenceError("conditioning event has probability zero")
@@ -624,7 +623,8 @@ class DbnEngine:
         else:
             rows = [(a * b).reshape(-1) @ r for a, b, r in zip(alphas, betas, self._readout)]
             own = np.concatenate([row[n:] / row[0] for row in rows])
-        return np.concatenate([rows[0][1:n] / rows[0][0], own]), alphas[-1], scales
+        return (np.concatenate([rows[0][1:n] / rows[0][0], own]), alphas[-1],
+                sum(math.log(c) for c in scales))
 
     def prediction_vectors(self, target: Assignment, evidence: Assignment,
                            s: int) -> tuple[np.ndarray, np.ndarray]:
@@ -641,23 +641,15 @@ class DbnEngine:
         return num, den
 
     def conditional(self, target: Assignment, evidence: Assignment, likelihoods=()) -> float:
-        """p(target | evidence), in `observational`'s error order.
-
-        The evidence's forward filter runs first: impossible evidence raises
-        ZeroEvidenceError, and only then is a target that contradicts it 0.0.
-        Otherwise it is the joint's likelihood over the evidence's, whose log
-        is the sum of the filter's log divisors.
-        """
-        fwd = self._forward(evidence, likelihoods)
-        if fwd is None:
+        """p(target | evidence), in `observational`'s error order: impossible
+        evidence raises ZeroEvidenceError, and only then is a target that
+        contradicts it, or an impossible joint, 0.0. Otherwise it is the
+        joint's likelihood over the evidence's."""
+        ll_e = self.loglik(evidence, likelihoods)
+        if ll_e == float("-inf"):
             raise ZeroEvidenceError("conditioning event has probability zero")
         joint = _merged(target, evidence)
-        if joint is None:
-            return 0.0
-        ll_j = self.loglik(joint, likelihoods)
-        if ll_j == float("-inf"):
-            return 0.0
-        return math.exp(ll_j - sum(math.log(c) for c in fwd[2]))
+        return math.exp(self.loglik(joint, likelihoods) - ll_e) if joint is not None else 0.0
 
 
 def check_smoothing_slices(T: int) -> None:

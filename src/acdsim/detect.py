@@ -14,13 +14,12 @@ draw per bit in frame order, tactics ordered Z, X, Y.
 
 from __future__ import annotations
 
-import math
 import random
 from dataclasses import dataclass
 
 from . import __version__
 from ._util import indented_json
-from .causal import Cgm, DbnEngine, VarId, check_smoothing_slices
+from .causal import Cgm, DbnEngine, check_smoothing_slices
 from .config import EmissionNoise
 from .errors import ParseError, SpecError, ZeroEvidenceError
 from .game import EpisodeLog
@@ -179,28 +178,21 @@ def classify(seq: IndicatorSequence, benign: Cgm, malign: Cgm,
     _check_frames(malign, seq)
     check_smoothing_slices(len(seq.frames))  # before any engine is built
     engine = DbnEngine(malign)
+    trace = [{} for _ in seq.frames]
     try:
-        smoothed, _, divisors = engine._smoothed(
+        smoothed, _, ll_malign = engine.posteriors(
             {}, engine.frame_likelihoods(seq.frames, *emission))
     except ZeroEvidenceError:
-        ll_malign, posteriors = float("-inf"), {}
+        ll_malign = float("-inf")
     else:
-        ll_malign = sum(math.log(c) for c in divisors)
-        posteriors = dict(zip(engine.outputs, smoothed.tolist()))
+        for v, p in zip(engine.outputs, smoothed.tolist()):
+            if v.name in TACTICS and v.slice is not None:
+                trace[v.slice][v.name] = p
     ll_benign = sequence_loglik(benign, seq, emission)
     if ll_malign == float("-inf") and ll_benign == float("-inf"):
         llr = 0.0
     else:
         llr = ll_malign - ll_benign
-
-    trace = []
-    for t in range(len(seq.frames)):
-        row = {}
-        for tactic in TACTICS:
-            v = VarId(tactic, t)
-            if v in posteriors:
-                row[tactic] = posteriors[v]
-        trace.append(row)
 
     return DetectionResult(
         label="malign" if llr > threshold else "benign",

@@ -530,6 +530,8 @@ def extract_episode_jsonl(text: str) -> str:
         except json.JSONDecodeError:
             return text
         if isinstance(obj, dict) and "episode_jsonl" in obj:
+            if not isinstance(obj["episode_jsonl"], str):
+                raise ParseError("a loop report's 'episode_jsonl' must be a string")
             return obj["episode_jsonl"]
         if isinstance(obj, dict) and "reports" in obj:
             raise ParseError("a multi-episode loop report holds no single episode log")

@@ -17,8 +17,9 @@ seed.
 
 The inference engines the loop queries run on the tactic model alone: the
 indicator noise enters each query as per-slice likelihoods of the frames
-(virtual evidence). A step filters and smooths its window once, and a plan
-predicts from the filtered state with one product: the do-slice follows the
+(virtual evidence). A step filters and smooths its window with one
+`DbnEngine.posteriors` call, which also returns the filtered state, and a
+plan predicts from that state with one product: the do-slice follows the
 window, so the window's slices are the same in every candidate model, and
 each candidate's risk is a ratio of two linear functions of that state.
 
@@ -245,7 +246,7 @@ class LoopDefender:
         entry = _window(cfg.dbn, cfg.emission, cfg.lookahead, tuple(cfg.candidates), len(window))
         codes = [f["Z"] * 4 + f["X"] * 2 + f["Y"] for f in window]
         try:
-            posteriors, alpha, _ = entry.engine._smoothed(
+            posteriors, alpha, _ = entry.engine.posteriors(
                 {}, entry.table[np.arange(len(window)), codes])
             tactic_post = dict(zip(entry.keys, posteriors[entry.index].tolist()))
         except ZeroEvidenceError:

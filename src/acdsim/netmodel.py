@@ -8,6 +8,7 @@ number of concurrently running episodes. Dataclasses here do not self-check;
 from __future__ import annotations
 
 import json
+import math
 from collections import deque
 from dataclasses import asdict, dataclass, field, fields
 from functools import cached_property
@@ -347,12 +348,16 @@ def validate_scenario(s: Scenario) -> None:
             problems.append(f"entry node {e} is the target")
 
     c = s.costs
-    for name in ("patch_cost", "patch_usability", "restore_cost", "restore_usability",
-                 "isolate_cost_per_step", "scan_cost"):
-        if getattr(c, name) < 0:
+    non_negative = ("patch_cost", "patch_usability", "restore_cost", "restore_usability",
+                    "isolate_cost_per_step", "scan_cost")
+    for name in non_negative + ("survival_bonus", "target_loss_penalty"):
+        value = getattr(c, name)
+        if not math.isfinite(value):
+            problems.append(f"{name} must be finite, got {value}")
+        elif name in non_negative and value < 0:
             problems.append(f"{name} must be non-negative")
-    if c.target_loss_penalty >= 0:
-        problems.append("target_loss_penalty must be negative")
+        elif name == "target_loss_penalty" and value >= 0:
+            problems.append("target_loss_penalty must be negative")
     if not 0.0 < c.patch_delta <= 1.0:
         problems.append(f"patch_delta must be in (0,1], got {c.patch_delta}")
 

@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 from acdsim.agents import META_ACTIONS, LateralAttacker, RandomDefender
 from acdsim.causal import (
     Cgm,
+    DbnEngine,
     DbnSpec,
     VarId,
     attach_emissions,
@@ -80,6 +81,12 @@ def select_intervention(m: Cgm, evidence: dict, candidates, horizon_slice: int):
     best = min(range(len(risks)), key=risks.__getitem__)
     return InterventionPlan(do=candidates[best], predicted_risk=risks[best],
                             rationale=tuple(zip(candidates, risks)))
+
+
+def posterior_dict(engine: DbnEngine, evidence: dict, likelihoods=()) -> dict:
+    """`engine.posteriors` as {variable: p(variable = 1 | evidence)}, in
+    `engine.outputs` order."""
+    return dict(zip(engine.outputs, engine.posteriors(evidence, likelihoods)[0].tolist()))
 
 
 def sample(m: Cgm, n: int, seed: int) -> list[dict]:
@@ -412,6 +419,18 @@ def chain3_log_text() -> str:
     an isolate with its duration, then a restore."""
     s = load_scenario(json.dumps(chain3_doc()))
     return episode_to_jsonl(run_episode(s, RandomDefender(), LateralAttacker(1), 3))
+
+
+# Q-table documents that `featurize`'s keys cannot make unambiguous: a
+# target-adjacent bit of 2, which `bool` would fold onto the entry before it,
+# buckets out of range, and a repeated key
+AMBIGUOUS_KEY_QTABLES = [
+    {"actions": ["nop"], "entries": [{"key": [0, 1, 0], "values": [1.0]},
+                                     {"key": [0, 2, 0], "values": [0.0]}]},
+    {"actions": ["nop"], "entries": [{"key": [-7, 0, 99], "values": [0.0]}]},
+    {"actions": ["nop"], "entries": [{"key": [0, 0, 0], "values": [1.0]},
+                                     {"key": [0, 0, 0], "values": [0.0]}]},
+]
 
 
 def qtable_doc() -> dict:

@@ -28,6 +28,7 @@ from acdsim.game import AttackerView, DefenderView, run_episode
 from acdsim.netmodel import load_scenario
 
 from .conftest import (
+    AMBIGUOUS_KEY_QTABLES,
     MDP_STATES,
     chain3_doc,
     json_mutated,
@@ -291,15 +292,26 @@ class TestQTableIO:
     @example(one_entry_qtable([0, 0, 0], True))
     @example(one_entry_qtable([0, True, 0], 0.0))
     @example(one_entry_qtable([False, 0, 0], 0.0))
+    @example(json.dumps(AMBIGUOUS_KEY_QTABLES[0]))
+    @example(json.dumps(AMBIGUOUS_KEY_QTABLES[1]))
+    @example(json.dumps(AMBIGUOUS_KEY_QTABLES[2]))
     def test_qtable_text_loads_or_raises_parse_error(self, text):
         try:
             table = QTable.load(text)
         except (ParseError, ValidationError):
             return
         assert table.actions and table.actions == META_ACTIONS[:len(table.actions)]
+        assert len(table.values) == len(json.loads(text)["entries"])  # no key replaced
         for key, row in table.values.items():
             assert type(key.alert_bucket) is int and type(key.isolated_bucket) is int
+            assert 0 <= key.alert_bucket <= 3 and 0 <= key.isolated_bucket <= 2
             assert all(type(x) in (int, float) and math.isfinite(x) for x in row)
         view = make_defender_view()
         for key in table.values:
             meta_action_to_defender_action(table.greedy(key), view)
+
+    @pytest.mark.parametrize("doc", AMBIGUOUS_KEY_QTABLES,
+                             ids=["bit-2", "out-of-range", "repeated"])
+    def test_a_key_featurize_cannot_give_or_a_repeated_key_is_refused(self, doc):
+        with pytest.raises(ParseError, match="'key'"):
+            QTable.load(json.dumps(doc))

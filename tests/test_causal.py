@@ -55,6 +55,7 @@ from .conftest import (
     oracle_conditional,
     oracle_joint,
     oracle_marginal,
+    posterior_dict,
     random_dag_model,
     sample,
     spec_to_obj,
@@ -375,7 +376,7 @@ class TestSmooth:
 
     def test_single_slice_reduces_to_observational(self, chain_example):
         Z, X, Y = VarId("Z", 0), VarId("X", 0), VarId("Y", 0)
-        post = DbnEngine(chain_example).posteriors({X: 1})
+        post = posterior_dict(DbnEngine(chain_example), {X: 1})
         assert post[Y] == pytest.approx(observational(chain_example, {Y: 1}, {X: 1}),
                                         abs=1e-12)
         assert post[Z] == pytest.approx(observational(chain_example, {Z: 1}, {X: 1}),
@@ -385,7 +386,7 @@ class TestSmooth:
         m = build_topology(DbnSpec(Topology.CHAIN_A, 2))
         ext = attach_emissions(m, miss=0.0, false_pos=0.0)
         evidence = {emission_var(VarId("X", t)): 1 for t in range(2)}
-        post = DbnEngine(ext).posteriors(evidence)
+        post = posterior_dict(DbnEngine(ext), evidence)
         for t in range(2):
             assert post[VarId("X", t)] == pytest.approx(1.0, abs=1e-12)
 
@@ -395,7 +396,7 @@ class TestSmooth:
         rng = random.Random(77)
         evidence = {emission_var(VarId(name, t)): rng.randrange(2)
                     for name in ("Z", "X", "Y") for t in range(3)}
-        post = DbnEngine(ext).posteriors(evidence)
+        post = posterior_dict(DbnEngine(ext), evidence)
         X1 = VarId("X", 1)
         expected = oracle_conditional(ext, {X1: 1}, evidence)
         assert post[X1] == pytest.approx(expected, abs=1e-12)
@@ -411,7 +412,7 @@ class TestSmooth:
         evidence = {emission_var(VarId(name, t)): rng.randrange(2)
                     for name in ("Z", "X", "Y") for t in range(3)}
         engine = DbnEngine(ext)
-        for v, p in engine.posteriors(evidence).items():
+        for v, p in posterior_dict(engine, evidence).items():
             assert 0.0 <= p <= 1.0
             p0 = engine.conditional({v: 0}, evidence)
             assert p + p0 == pytest.approx(1.0, abs=1e-12)
@@ -457,7 +458,7 @@ class TestEngineAgreement:
                 ll = engine.loglik(evidence)
                 assert math.exp(ll) == pytest.approx(oracle_marginal(ext, evidence),
                                                      rel=1e-10)
-                post = engine.posteriors(evidence)
+                post = posterior_dict(engine, evidence)
                 probe = rng.choice(tactic)
                 assert post[probe] == pytest.approx(
                     oracle_conditional(ext, {probe: 1}, evidence), abs=1e-12)
@@ -730,7 +731,7 @@ class TestEngineEdges:
                 engine.conditional({Y2: 1}, evidence)
             return
         assert math.exp(engine.loglik(evidence)) == pytest.approx(pe, rel=1e-10)
-        post = engine.posteriors(evidence)
+        post = posterior_dict(engine, evidence)
         by_slice = sorted((v for v in m.order if v.slice is not None), key=lambda v: v.slice)
         globals_ = [v for v in m.variables if v.slice is None]
         assert list(post) == globals_ + by_slice  # globals first
@@ -749,7 +750,7 @@ class TestEngineEdges:
         X1_obs, Y0_obs = emission_var(VarId("X", 1)), emission_var(VarId("Y", 0))
         # U = 1 forces every X and Y on, and with no misses X_obs@1 = 0 rules it out
         self.check(m, {X1_obs: 0, Y0_obs: 1})
-        assert DbnEngine(m).posteriors({X1_obs: 0, Y0_obs: 1})[U] == 0.0
+        assert posterior_dict(DbnEngine(m), {X1_obs: 0, Y0_obs: 1})[U] == 0.0
         for evidence in self.random_evidence(m, 1):
             self.check(m, evidence)
 
@@ -758,7 +759,7 @@ class TestEngineEdges:
         m = confounded3(replace(DbnParams(), confounder_prior=prior), 0.2, 0.05)
         for evidence in self.random_evidence(m, 2):
             self.check(m, evidence)
-        assert DbnEngine(m).posteriors({})[VarId("U")] == prior
+        assert posterior_dict(DbnEngine(m), {})[VarId("U")] == prior
 
     def test_observed_global(self):
         hidden = confounded3(DbnParams(), 0.2, 0.05)
@@ -776,7 +777,7 @@ class TestEngineEdges:
         assert len(evidence) == 48
         engine = DbnEngine(m)
         assert engine.loglik(evidence) == pytest.approx(48 * math.log(1e-30), rel=1e-12)
-        assert all(p == 0.0 for v, p in engine.posteriors(evidence).items()
+        assert all(p == 0.0 for v, p in posterior_dict(engine, evidence).items()
                    if v in benign.variables)
 
     def test_evidence_far_below_the_smallest_double_on_a_forced_chain(self):
@@ -790,7 +791,7 @@ class TestEngineEdges:
         engine = DbnEngine(m)
         likelihoods = engine.frame_likelihoods([{"X": 0}] * 16, 1e-30, 0.05)
         assert engine.loglik({}, likelihoods) == pytest.approx(16 * math.log(1e-30), rel=1e-12)
-        assert list(engine.posteriors({}, likelihoods).values()) == [1.0] * 16
+        assert list(posterior_dict(engine, {}, likelihoods).values()) == [1.0] * 16
 
     def test_three_globals_on_different_slice_sizes(self):
         m = three_globals()
@@ -825,7 +826,7 @@ class TestEngineEdges:
         evidence = {emission_var(VarId("Q", 1)): 1, VarId("B"): 0}
         pe, expected = oracle_posteriors(small, evidence)
         assert math.exp(engine.loglik(evidence)) == pytest.approx(pe, rel=1e-10)
-        post = engine.posteriors(evidence)
+        post = posterior_dict(engine, evidence)
         for v, p in post.items():
             want = expected[v] if v in expected else m.cpts[v][0]
             assert p == pytest.approx(want, abs=1e-12), v
@@ -913,7 +914,8 @@ class TestFrameLikelihoods:
             return
         assert math.exp(ll) == pytest.approx(pe, rel=1e-9)
         assert ll == pytest.approx(ext_ll, rel=1e-12, abs=1e-12)
-        post, ext_post = engine.posteriors(hard, likelihoods), ext_engine.posteriors(ext_evidence)
+        post = posterior_dict(engine, hard, likelihoods)
+        ext_post = posterior_dict(ext_engine, ext_evidence)
         assert list(post) == [v for v in ext_post if v in post]
         for v, p in post.items():
             assert p == pytest.approx(ext_post[v], abs=1e-12), v
@@ -950,6 +952,18 @@ class TestFrameLikelihoods:
             for lik in got + fresh:
                 with pytest.raises(ValueError):
                     lik[0, 0] = 0.5
+
+    @pytest.mark.parametrize("spec", [
+        DbnSpec(Topology.CHAIN_A, 5), DbnSpec(Topology.FORK_B, 5),
+        DbnSpec(Topology.CONFOUNDED_C, 5)], ids=["chain", "fork", "confounded"])
+    def test_the_smoothing_pass_returns_loglik(self, spec):
+        """`posteriors`' third value is `loglik`, to the bit."""
+        engine = DbnEngine(build_topology(spec))
+        rng = random.Random(str(spec))
+        for _ in range(10):
+            frames = [{name: rng.randint(0, 1) for name in "ZXY"} for _ in range(5)]
+            likelihoods = engine.frame_likelihoods(frames, 0.2, 0.05)
+            assert engine.posteriors({}, likelihoods)[2] == engine.loglik({}, likelihoods)
 
     def test_out_of_range_bit_is_impossible(self):
         engine = DbnEngine(build_topology(DbnSpec(Topology.CHAIN_A, 2)))

@@ -19,6 +19,7 @@ from acdsim.causal import save_model
 from acdsim.cli import main
 from acdsim.errors import ParseError
 from .conftest import (
+    AMBIGUOUS_KEY_QTABLES,
     chain3_doc,
     chain3_full_doc,
     chain3_log_text,
@@ -411,6 +412,15 @@ class TestLoop:
         err = json.loads(capsys.readouterr().err)["error"]
         assert err["type"] == "ParseError" and "multi-episode" in err["message"]
 
+    @pytest.mark.parametrize("value", [5, ["a"]], ids=["int", "list"])
+    @pytest.mark.parametrize("command", ["replay", "detect"])
+    def test_a_report_whose_episode_log_is_no_string_exits_2(self, tmp_path, capsys,
+                                                             command, value):
+        report = tmp_path / "r.json"
+        report.write_text(json.dumps({"episode_jsonl": value}) + "\n")
+        assert run([command, "--log", str(report)]) == 2
+        assert_one_parse_error(capsys)
+
     def test_loop_confirm_with_approval_file(self, tmp_path):
         decisions = tmp_path / "decisions.json"
         decisions.write_text("[true, true, false]")
@@ -790,6 +800,11 @@ MALFORMED_FILES = st.one_of(
 @given(MALFORMED_FILES)
 @example(("evaluate", json.dumps(OTHER_ACTIONS_QTABLES[0])))
 @example(("evaluate", json.dumps(OTHER_ACTIONS_QTABLES[1])))
+@example(("replay", '{"episode_jsonl": 5}\n'))
+@example(("detect", '{"episode_jsonl": 5}\n'))
+@example(("evaluate", json.dumps(AMBIGUOUS_KEY_QTABLES[0])))
+@example(("evaluate", json.dumps(AMBIGUOUS_KEY_QTABLES[1])))
+@example(("evaluate", json.dumps(AMBIGUOUS_KEY_QTABLES[2])))
 def test_a_malformed_file_exits_with_one_json_error(tmp_path_factory, case):
     """`main` on an edited scenario, log or Q-table returns 0, 2, 3 or 4 and
     never raises; a non-zero return writes exactly one JSON error line."""

@@ -226,6 +226,25 @@ class TestClassify:
         assert calls == [("_check_frames", malign), ("_forward", malign),
                          ("_check_frames", benign), ("_forward", benign)]
 
+    @pytest.mark.parametrize("frames", [4, 16, 17])
+    def test_one_posteriors_call_per_classified_log(self, frames, monkeypatch):
+        """The malign model is smoothed through the engine's public
+        `posteriors`, once per classified log; a log refused at 16 slices
+        is never smoothed."""
+        malign = build_topology(DbnSpec(Topology.CHAIN_A, frames))
+        calls = []
+        posteriors = causal.DbnEngine.posteriors
+        monkeypatch.setattr(causal.DbnEngine, "posteriors", lambda self, *a:
+                            calls.append(self.m) or posteriors(self, *a))
+        seq = make_sequence([(0, 1, 0)] * frames)
+        if frames > 16:
+            with pytest.raises(TooLargeError):
+                classify(seq, benign_model_like(malign), malign, EmissionNoise())
+            assert calls == []
+        else:
+            classify(seq, benign_model_like(malign), malign, EmissionNoise())
+            assert calls == [malign]
+
     @pytest.mark.parametrize("rows, llr", [
         ([(0, 0, 0)] * 4, float("-inf")),
         ([(1, 1, 1)] + [(0, 0, 0)] * 3, 0.0),

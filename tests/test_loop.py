@@ -135,7 +135,7 @@ class TestPlanByPrediction:
         for w in range(1, cfg.window + 1):  # as at the start of an episode
             frames = [{name: rng.randint(0, 1) for name in "ZXY"} for _ in range(w)]
             engine = DbnEngine(build_topology(spec.with_slices(w)))
-            _, alpha, _ = engine._smoothed({}, engine.frame_likelihoods(frames, *cfg.emission))
+            _, alpha, _ = engine.posteriors({}, engine.frame_likelihoods(frames, *cfg.emission))
             plan = _plan(_window(cfg.dbn, cfg.emission, cfg.lookahead, tuple(cfg.candidates), w),
                          alpha)
 
@@ -157,7 +157,7 @@ class TestPlanByPrediction:
         cfg = LoopConfig(dbn=DbnSpec(Topology.CHAIN_A, 8), candidates=(None, ("X", 0), ("X", 0)))
         frames = [{"Z": 1, "X": 1, "Y": 0}] * 3
         engine = DbnEngine(build_topology(cfg.dbn.with_slices(3)))
-        _, alpha, _ = engine._smoothed({}, engine.frame_likelihoods(frames, *cfg.emission))
+        _, alpha, _ = engine.posteriors({}, engine.frame_likelihoods(frames, *cfg.emission))
         plan = _plan(_window(cfg.dbn, cfg.emission, cfg.lookahead, tuple(cfg.candidates), 3),
                      alpha)
         (nothing, r0), (first, r1), (second, r2) = plan.rationale
@@ -177,7 +177,7 @@ class TestPlanByPrediction:
             monkeypatch.setattr(DbnEngine, name, lambda self, *a, _name=name,
                                 _run=getattr(DbnEngine, name):
                                 calls.append((_name, self.T)) or _run(self, *a))
-        for name in ("conditional", "loglik", "posteriors"):
+        for name in ("conditional", "loglik"):
             monkeypatch.setattr(DbnEngine, name, None)
         defender.act(view, None)
         assert len(defender.interventions) == 2
@@ -186,7 +186,7 @@ class TestPlanByPrediction:
     @pytest.mark.parametrize("w", [1, 4])
     def test_an_impossible_filtered_state_raises(self, w):
         cfg = LoopConfig()
-        _, alpha, _ = DbnEngine(build_topology(cfg.dbn.with_slices(w)))._smoothed({}, ())
+        _, alpha, _ = DbnEngine(build_topology(cfg.dbn.with_slices(w))).posteriors({}, ())
         entry = _window(cfg.dbn, cfg.emission, cfg.lookahead, tuple(cfg.candidates), w)
         with pytest.raises(ZeroEvidenceError):
             _plan(entry, np.zeros_like(alpha))
@@ -243,6 +243,17 @@ class TestWindowCache:
         assert report.interventions
         lookups = after.hits + after.misses - before.hits - before.misses
         assert lookups == len(report.detections)
+
+    def test_one_posteriors_call_per_evaluated_step(self, enterprise, monkeypatch):
+        """A step smooths its window through the engine's public
+        `posteriors`, once."""
+        calls = []
+        posteriors = DbnEngine.posteriors
+        monkeypatch.setattr(DbnEngine, "posteriors", lambda self, *a:
+                            calls.append(self.T) or posteriors(self, *a))
+        report = run_loop(enterprise, LoopConfig(autonomy=AutonomyLevel.AUTO), seed=0)
+        assert report.interventions
+        assert len(calls) == len(report.detections)
 
 
 class TestRunLoop:

@@ -131,6 +131,17 @@ class TestValidateScenario:
         assert "strength out of range" in joined
         assert "spread" in joined
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    @pytest.mark.parametrize("name", [
+        "patch_cost", "patch_usability", "restore_cost", "restore_usability",
+        "isolate_cost_per_step", "scan_cost", "survival_bonus", "target_loss_penalty"])
+    def test_a_non_finite_cost_is_one_violation(self, name, value):
+        doc = chain3_doc()
+        doc["costs"] = {name: value}
+        with pytest.raises(ValidationError) as err:
+            load_scenario(json.dumps(doc))
+        assert err.value.violations == [f"{name} must be finite, got {value}"]
+
     def test_entry_is_target_rejected(self):
         doc = chain3_doc()
         doc["attacker"]["entry"] = [2]

@@ -1,11 +1,13 @@
-"""Shared helpers: canonical and indented JSON, digests, and derived RNG
-stream seeds."""
+"""Shared helpers: canonical and indented JSON, versioned CSV, digests, and
+derived RNG stream seeds."""
 
 from __future__ import annotations
 
 import hashlib
 import json
 from json.encoder import encode_basestring_ascii as _quote  # the C escaper when built
+
+from . import __version__
 
 _NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
@@ -67,6 +69,15 @@ def _emit(o, nl: str, emit):
         emit(nl + "]")
     else:
         raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
+
+
+def versioned_csv(header: str, rows) -> str:
+    """Every CSV file acdsim writes: a `# acdsim VERSION` line, the header,
+    then each row's values by `str`, comma-joined, every line ending in one
+    newline. Values are ints, floats and strings that need no quoting."""
+    lines = [f"# acdsim {__version__}", header]
+    lines += [",".join(map(str, row)) for row in rows]
+    return "\n".join(lines) + "\n"
 
 
 def sha256_hex(text: str) -> str:

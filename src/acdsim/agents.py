@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from . import __version__
-from ._util import indented_json
+from ._util import indented_json, versioned_csv
 from .errors import ParseError, SpecError
 from .game import (
     DEFENDER_KINDS,
@@ -39,42 +39,38 @@ from .netmodel import Scenario
 # Scripted attacker
 # ---------------------------------------------------------------------------
 
-def lateral_attacker_act(view: AttackerView, spread: int, rng) -> AttackerAction:
-    """Pick up to `spread` frontier nodes to attack.
-
-    Priority: the target if its location is known, then nodes a held
-    credential unlocks, then the rest of the frontier; ties broken by
-    ascending node id. Passes when the frontier is empty.
-    """
-    frontier = set()
-    for c in view.compromised:
-        for n in view.known_nodes.get(c, ()):
-            if n not in view.compromised:
-                frontier.add(n)
-    if not frontier:
-        return PASS
-
-    def priority(n: int) -> tuple[int, int]:
-        if view.target_seen is not None and n == view.target_seen:
-            group = 0
-        elif view.known_unlocks.get(n, frozenset()) & view.creds:
-            group = 1
-        else:
-            group = 2
-        return (group, n)
-
-    chosen = sorted(frontier, key=priority)[:spread]
-    return AttackerAction(frozenset(chosen))
-
-
 class LateralAttacker:
-    """Policy wrapper for `lateral_attacker_act`; stateless and deterministic."""
+    """The scripted frontier attacker; stateless and deterministic."""
 
     def __init__(self, spread: int):
         self.spread = spread
 
     def act(self, view: AttackerView, rng) -> AttackerAction:
-        return lateral_attacker_act(view, self.spread, rng)
+        """Pick up to `spread` frontier nodes to attack.
+
+        Priority: the target if its location is known, then nodes a held
+        credential unlocks, then the rest of the frontier; ties broken by
+        ascending node id. Passes when the frontier is empty.
+        """
+        frontier = set()
+        for c in view.compromised:
+            for n in view.known_nodes.get(c, ()):
+                if n not in view.compromised:
+                    frontier.add(n)
+        if not frontier:
+            return PASS
+
+        def priority(n: int) -> tuple[int, int]:
+            if view.target_seen is not None and n == view.target_seen:
+                group = 0
+            elif view.known_unlocks.get(n, frozenset()) & view.creds:
+                group = 1
+            else:
+                group = 2
+            return (group, n)
+
+        chosen = sorted(frontier, key=priority)[:self.spread]
+        return AttackerAction(frozenset(chosen))
 
     def observe(self, outcome: StepOutcome) -> None:
         pass
@@ -286,9 +282,9 @@ def q_update(q: QTable, key, action: int, reward: float, next_key,
 class QDefender:
     """Defender policy backed by a QTable; learns when `training` is set.
 
-    During training the update for step t is applied lazily at the next call
-    to `act` (which supplies the successor key); terminal transitions are
-    flushed from `observe`.
+    During training step t waits in `_pending` as (key, action, reward), the
+    reward None until observed; the next `act` applies its update with the
+    successor key, and `observe` applies a terminal one at once.
     """
 
     def __init__(self, table: QTable, params: LearningParams | None = None,
@@ -297,34 +293,28 @@ class QDefender:
         self.params = params or LearningParams()
         self.training = training
         self.epsilon = self.params.epsilon_start
-        self._pending: tuple[FeatureKey, int] | None = None
-        self._pending_reward: float | None = None
+        self._pending: tuple[FeatureKey, int, float | None] | None = None
 
     def act(self, view: DefenderView, rng) -> DefenderAction:
         key = featurize(view)
-        if self.training and self._pending is not None and self._pending_reward is not None:
-            prev_key, prev_action = self._pending
-            q_update(self.table, prev_key, prev_action, self._pending_reward, key, self.params)
-            self._pending = None
-            self._pending_reward = None
+        if self.training and self._pending is not None and self._pending[2] is not None:
+            q_update(self.table, *self._pending, key, self.params)
         if self.training and rng.random() < self.epsilon:
             action = rng.randrange(len(self.table.actions))
         else:
             action = self.table.greedy(key)
-        self._pending = (key, action)
-        self._pending_reward = None
+        self._pending = (key, action, None)
         return meta_action_to_defender_action(action, view)
 
     def observe(self, outcome: StepOutcome) -> None:
         if not self.training or self._pending is None:
             return
+        key, action, _ = self._pending
         if outcome.terminal_cause is not None:
-            key, action = self._pending
             q_update(self.table, key, action, outcome.reward, None, self.params)
             self._pending = None
-            self._pending_reward = None
         else:
-            self._pending_reward = outcome.reward
+            self._pending = (key, action, outcome.reward)
 
 
 def train(s: Scenario, p: LearningParams, seed: int) -> tuple[QTable, list[float]]:
@@ -354,6 +344,4 @@ def evaluate(s: Scenario, table: QTable, episodes: int, seed: int) -> list[Episo
 
 
 def curve_to_csv(curve: list[float]) -> str:
-    lines = [f"# acdsim {__version__}", "episode,return"]
-    lines += [f"{i},{r}" for i, r in enumerate(curve)]
-    return "\n".join(lines) + "\n"
+    return versioned_csv("episode,return", enumerate(curve))

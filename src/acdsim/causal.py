@@ -84,42 +84,35 @@ class Cgm:
     order: tuple[VarId, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        seen = set()
-        for v in self.variables:
-            if v in seen:
+        """Check the model and set `order` in one walk of the parents, in
+        O(V + E). The first fault raises: a duplicate variable; per variable
+        in declaration order, an unknown parent, a CPT of the wrong row
+        count, an entry outside [0,1]; an unknown latent; a cycle. `order`
+        is by (longest-path depth, declaration index); `DbnEngine` lays out
+        its state bits in it, so it must not change."""
+        index: dict[VarId, int] = {}
+        for i, v in enumerate(self.variables):
+            if v in index:
                 raise SpecError(f"duplicate variable {v}")
-            seen.add(v)
-        for v in self.variables:
-            ps = self.parents.get(v, ())
-            for p in ps:
-                if p not in seen:
-                    raise SpecError(f"parent {p} of {v} is not a model variable")
-            cpt = self.cpts.get(v)
-            if cpt is None or len(cpt) != 2 ** len(ps):
-                raise SpecError(f"CPT for {v} must have {2 ** len(self.parents.get(v, ()))} rows")
-            for entry in cpt:
-                if not 0.0 <= entry <= 1.0:
-                    raise SpecError(f"CPT entry out of [0,1] for {v}: {entry}")
-        for v in self.latent:
-            if v not in seen:
-                raise SpecError(f"latent {v} is not a model variable")
-        object.__setattr__(self, "order", self._topological())
-
-    def _topological(self) -> tuple[VarId, ...]:
-        """Variables by (longest-path depth, declaration index), in O(V + E).
-
-        Depth 0 holds the parentless variables and depth d those whose
-        deepest parent sits at depth d - 1. `DbnEngine` lays out its state
-        bits in this order, so it must not change.
-        """
-        index = {v: i for i, v in enumerate(self.variables)}
+            index[v] = i
         children: list[list[int]] = [[] for _ in self.variables]
         waiting = []
         for i, v in enumerate(self.variables):
             ps = self.parents.get(v, ())
-            waiting.append(len(ps))
             for p in ps:
+                if p not in index:
+                    raise SpecError(f"parent {p} of {v} is not a model variable")
                 children[index[p]].append(i)
+            waiting.append(len(ps))
+            cpt = self.cpts.get(v)
+            if cpt is None or len(cpt) != 2 ** len(ps):
+                raise SpecError(f"CPT for {v} must have {2 ** len(ps)} rows")
+            for entry in cpt:
+                if not 0.0 <= entry <= 1.0:
+                    raise SpecError(f"CPT entry out of [0,1] for {v}: {entry}")
+        for v in self.latent:
+            if v not in index:
+                raise SpecError(f"latent {v} is not a model variable")
         depth = [0] * len(self.variables)
         ready = [i for i, n in enumerate(waiting) if n == 0]
         for i in ready:  # Kahn's algorithm; `ready` grows while it is walked
@@ -133,7 +126,7 @@ class Cgm:
         waves: list[list[VarId]] = [[] for _ in range(max(depth, default=-1) + 1)]
         for v, d in zip(self.variables, depth):
             waves[d].append(v)
-        return tuple(v for wave in waves for v in wave)
+        object.__setattr__(self, "order", tuple(v for wave in waves for v in wave))
 
     def has(self, v: VarId) -> bool:
         return v in self.cpts
@@ -410,7 +403,7 @@ class DbnEngine:
     once. The same backward recursion gives `prediction_vectors`, which
     predict from a filtered state by a dot product. Computes the identical
     sums to full enumeration, without the exponential blow-up in the number
-    of slices.
+    of slices. Its build checks and keys each slice in one walk.
     """
 
     def __init__(self, m: Cgm):
@@ -431,22 +424,30 @@ class DbnEngine:
         if sorted(by_slice) != list(range(self.T)):
             raise TooLargeError("model slices are not contiguous from 0")
         self.slice_vars: list[list[VarId]] = [by_slice[t] for t in range(self.T)]
+        self.pos: dict[VarId, int] = {g: j for j, g in enumerate(self.globals)}
+        # One walk per slice checks its size and parents' slices and keys its
+        # transition: the previous slice's size and, per variable, its parents
+        # as (None for a global or the slice offset, position) and its CPT
+        # rows, spelled out if they hold a zero (-0.0 == 0.0, but the
+        # products keep the sign). Equal keys share one transition.
+        keys = []
         for t, svars in enumerate(self.slice_vars):
             if len(svars) > SLICE_STATE_LIMIT:
                 raise TooLargeError(
                     f"slice {t} has {len(svars)} variables; engine limit is "
                     f"{SLICE_STATE_LIMIT}")
-            for v in svars:
-                for parent in m.parents.get(v, ()):
-                    if parent.slice is None:
-                        continue
-                    if parent.slice not in (t, t - 1):
-                        raise TooLargeError(
-                            f"model is not slice-structured: {v} depends on {parent}")
-        self.pos: dict[VarId, int] = {g: j for j, g in enumerate(self.globals)}
-        for svars in self.slice_vars:
+            key = [len(self.slice_vars[t - 1]) if t else 0]
             for i, v in enumerate(svars):
                 self.pos[v] = i
+                parents = []
+                for q in m.parents.get(v, ()):
+                    if q.slice is not None and q.slice not in (t, t - 1):
+                        raise TooLargeError(
+                            f"model is not slice-structured: {v} depends on {q}")
+                    parents.append((None if q.slice is None else t - q.slice, self.pos[q]))
+                cpt = m.cpts[v]
+                key.append((tuple(parents), cpt if 0.0 not in cpt else tuple(map(repr, cpt))))
+            keys.append(tuple(key))
         # bit value of each of n variables per state index, LSB = first: one
         # array per count, shared by the globals and the slices that have it
         layouts = {n: (np.arange(2 ** n)[None, :] >> np.arange(n)[:, None]) & 1
@@ -472,21 +473,12 @@ class DbnEngine:
         self._readout = [readouts[len(svars)] for svars in self.slice_vars]
         self._uniform = len(readouts) == 1
         self._init = self._slice_factor(0)[:, 0, :]
-        # One transition per distinct slice structure, keyed before it is built:
-        # the previous slice's size and, per variable, its parents as (None for
-        # a global or the slice offset, position) and its CPT rows, spelled out
-        # if they hold a zero (-0.0 == 0.0, but the products keep the sign).
         factors: dict[tuple, np.ndarray] = {}
         self._trans = []
         for t in range(1, self.T):
-            key = (len(self.slice_vars[t - 1]),) + tuple(
-                (tuple((None if q.slice is None else t - q.slice, self.pos[q])
-                       for q in m.parents.get(v, ())),
-                 cpt if 0.0 not in (cpt := m.cpts[v]) else tuple(map(repr, cpt)))
-                for v in self.slice_vars[t])
-            if key not in factors:
-                factors[key] = self._slice_factor(t)
-            self._trans.append(factors[key])
+            if keys[t] not in factors:
+                factors[keys[t]] = self._slice_factor(t)
+            self._trans.append(factors[keys[t]])
 
     def _slice_factor(self, t: int) -> np.ndarray:
         """The transition into slice t, indexed [globals, prev, cur]; the

@@ -10,9 +10,7 @@ error, 4 replay mismatch.
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
-import io
 import json
 import math
 import os
@@ -23,7 +21,7 @@ from importlib import resources
 
 from . import __version__
 from . import agents, config, game, netmodel
-from ._util import indented_json
+from ._util import indented_json, versioned_csv
 from .errors import AcdError, ParseError, ReplayMismatchError, SpecError, ValidationError
 
 EXIT_OK = 0
@@ -73,7 +71,7 @@ def _make_defender(spec: str):
 
 def _load_dbn_spec(path: str | None) -> config.DbnSpec:
     if path is None:
-        return config.DbnSpec(config.Topology.CHAIN_A, slices=8)
+        return config.LoopConfig().dbn
     from .causal import load_spec
     return load_spec(_read(path))
 
@@ -165,8 +163,7 @@ def cmd_train(args) -> int:
 
 
 def _evaluate_episode(scenario: netmodel.Scenario, table: agents.QTable, seed: int) -> dict:
-    log = game.run_episode(scenario, agents.QDefender(table, training=False),
-                           agents.LateralAttacker(scenario.attacker.spread), seed)
+    (log,) = agents.evaluate(scenario, table, 1, seed)
     return {
         "seed": seed,
         "steps": log.final["t"],
@@ -191,13 +188,8 @@ def cmd_evaluate(args) -> int:
         "mean_time_to_target": _mean([r["time_to_target"] for r in rows]),
     }
     if args.format == "csv":
-        buf = io.StringIO()
-        buf.write(f"# acdsim {__version__}\n")
-        writer = csv.DictWriter(buf, fieldnames=METRIC_COLUMNS.split(","))
-        writer.writeheader()
-        for row in rows:
-            writer.writerow({k: row[k] for k in METRIC_COLUMNS.split(",")})
-        _write(args.out, buf.getvalue())
+        _write(args.out, versioned_csv(METRIC_COLUMNS, (
+            [row[k] for k in METRIC_COLUMNS.split(",")] for row in rows)))
     else:
         _write(args.out, indented_json({
             "version": __version__, "episodes": rows, "summary": summary,

@@ -9,7 +9,9 @@ Indicator mapping: Z fires on the beaconing schedule (step 0 and every fifth
 step while anything is compromised at the start of the step), X fires on any
 compromise attempt, Y fires on any credential loot. Noise flips each bit
 independently: 1 -> 0 with probability `miss`, 0 -> 1 with `false_pos`, one
-draw per bit in frame order, tactics ordered Z, X, Y.
+draw per bit in frame order, tactics ordered Z, X, Y. A model's slice count
+is its `DbnEngine`'s: a model the engine refuses raises its TooLargeError,
+and one whose slice count is not the frame count SpecError.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ import random
 from dataclasses import dataclass
 
 from . import __version__
-from ._util import indented_json
+from ._util import indented_json, versioned_csv
 from .causal import Cgm, DbnEngine, check_smoothing_slices
 from .config import EmissionNoise
 from .errors import ParseError, SpecError, ZeroEvidenceError
@@ -45,7 +47,7 @@ class DetectionResult:
             "label": self.label,
             "llr": self.llr,
             "posterior": [
-                {"t": t, **{k: row[k] for k in sorted(row)}}
+                {"t": t, **row}
                 for t, row in enumerate(self.posterior_trace)
             ],
         }
@@ -109,9 +111,8 @@ def extract_indicators(log: EpisodeLog, noise: EmissionNoise, seed: int) -> Indi
 
 
 def sequence_to_csv(seq: IndicatorSequence) -> str:
-    lines = [f"# acdsim {__version__}", "t,Z,X,Y"]
-    lines += [f"{t},{f['Z']},{f['X']},{f['Y']}" for t, f in enumerate(seq.frames)]
-    return "\n".join(lines) + "\n"
+    return versioned_csv("t,Z,X,Y", ((t, f["Z"], f["X"], f["Y"])
+                                     for t, f in enumerate(seq.frames)))
 
 
 def sequence_from_csv(text: str) -> IndicatorSequence:
@@ -137,13 +138,13 @@ def sequence_from_csv(text: str) -> IndicatorSequence:
 # Likelihoods and classification
 # ---------------------------------------------------------------------------
 
-def _check_frames(m: Cgm, seq: IndicatorSequence) -> None:
-    slices = [v.slice for v in m.variables if v.slice is not None]
-    if not slices:
-        raise SpecError("model has no time-indexed variables")
-    T = max(slices) + 1
-    if T != len(seq.frames):
-        raise SpecError(f"model has {T} slices but the sequence has {len(seq.frames)} frames")
+def _engine_for(m: Cgm, seq: IndicatorSequence) -> DbnEngine:
+    """`m`'s engine; SpecError unless it has one slice per frame."""
+    engine = DbnEngine(m)
+    if engine.T != len(seq.frames):
+        raise SpecError(f"model has {engine.T} slices but the sequence has "
+                        f"{len(seq.frames)} frames")
+    return engine
 
 
 def sequence_loglik(m: Cgm, seq: IndicatorSequence, emission: EmissionNoise) -> float:
@@ -152,8 +153,7 @@ def sequence_loglik(m: Cgm, seq: IndicatorSequence, emission: EmissionNoise) -> 
     Observed bits are emitted from their tactic variables with the stated flip
     probabilities. Returns -inf for sequences the model cannot produce.
     """
-    _check_frames(m, seq)
-    engine = DbnEngine(m)
+    engine = _engine_for(m, seq)
     return engine.loglik({}, engine.frame_likelihoods(seq.frames, *emission))
 
 
@@ -174,10 +174,10 @@ def classify(seq: IndicatorSequence, benign: Cgm, malign: Cgm,
     """Label a sequence by log-likelihood ratio, with the smoothed posterior
     of every tactic under the malign model as supporting trace, both from one
     filter pass. A sequence the malign model cannot produce has llr -inf (0.0
-    if the benign model cannot either) and an empty trace row per frame."""
-    _check_frames(malign, seq)
-    check_smoothing_slices(len(seq.frames))  # before any engine is built
-    engine = DbnEngine(malign)
+    if the benign model cannot either) and an empty trace row per frame.
+    More than 16 frames raise TooLargeError before any engine is built."""
+    check_smoothing_slices(len(seq.frames))
+    engine = _engine_for(malign, seq)
     trace = [{} for _ in seq.frames]
     try:
         smoothed, _, ll_malign = engine.posteriors(

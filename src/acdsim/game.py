@@ -133,7 +133,7 @@ class GameState:
     compromised: set[int]
     attacker_known: set[int]
     attacker_creds: set[str]
-    isolation: dict[int, int]
+    isolation: dict[int, int]  # node -> steps left, always positive: `step` drops a 0
     defence_now: dict[int, float]
     horizon: int
     rng: random.Random
@@ -230,7 +230,7 @@ def defender_view(st: GameState) -> DefenderView:
         t=st.t,
         alerts_last_step=st.last_alerts,
         scan_results=dict(st.scan_results),
-        isolation={n: k for n, k in st.isolation.items() if k > 0},
+        isolation=dict(st.isolation),
         defence_now=dict(st.defence_now),
         cumulative_reward=st.cumulative_reward,
     )
@@ -340,14 +340,13 @@ def step(st: GameState, d: DefenderAction, a: AttackerAction) -> tuple[GameState
         events.append(Event("scan", d.node, result=result))
 
     # isolation keeps nodes offline; charge every node-step it is in effect
-    isolated_now = sum(1 for k in st.isolation.values() if k > 0)
-    action_cost += costs.isolate_cost_per_step * isolated_now
+    action_cost += costs.isolate_cost_per_step * len(st.isolation)
 
     # (2) attempts, ascending node id; isolated or already-taken nodes are
     # skipped silently and draw nothing
     newly: list[int] = []
     for n in sorted(a.attempts):
-        if st.isolation.get(n, 0) > 0 or n in st.compromised:
+        if n in st.isolation or n in st.compromised:
             events.append(Event("attempt", n, outcome="skipped"))
             continue
         node = topo.node(n)

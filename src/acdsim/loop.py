@@ -57,7 +57,6 @@ from .game import (
     EpisodeLog,
     StepOutcome,
     episode_to_jsonl,
-    extract_episode_jsonl,
     isolate,
     restore,
     run_episode,
@@ -103,13 +102,10 @@ class InterventionPlan:
 
     def to_obj(self) -> dict:
         return {
-            "do": {str(v): val for v, val in sorted(self.do.items(), key=lambda kv: str(kv[0]))},
+            "do": {str(v): val for v, val in self.do.items()},
             "predicted_risk": self.predicted_risk,
-            "rationale": [
-                {"do": {str(v): val for v, val in sorted(c.items(), key=lambda kv: str(kv[0]))},
-                 "risk": r}
-                for c, r in self.rationale
-            ],
+            "rationale": [{"do": {str(v): val for v, val in c.items()}, "risk": r}
+                          for c, r in self.rationale],
         }
 
 

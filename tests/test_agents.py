@@ -18,7 +18,6 @@ from acdsim.agents import (
     evaluate,
     featurize,
     hottest_node,
-    lateral_attacker_act,
     meta_action_to_defender_action,
     q_update,
     train,
@@ -68,27 +67,27 @@ def make_defender_view(alerts=(), isolation=None, edges=((0, 1), (1, 2)), target
 class TestLateralAttacker:
     def test_empty_frontier_passes(self):
         view = make_attacker_view({0: ()}, {0})
-        assert lateral_attacker_act(view, 2, None).attempts == frozenset()
+        assert LateralAttacker(2).act(view, None).attempts == frozenset()
 
     def test_target_priority(self):
         view = make_attacker_view({0: (1, 2), 1: (0,), 2: (0,)}, {0}, target_seen=2)
-        assert lateral_attacker_act(view, 1, None).attempts == {2}
+        assert LateralAttacker(1).act(view, None).attempts == {2}
 
     def test_ascending_id_tie_break(self):
         view = make_attacker_view({0: (2, 5), 2: (0,), 5: (0,)}, {0})
-        assert lateral_attacker_act(view, 1, None).attempts == {2}
+        assert LateralAttacker(1).act(view, None).attempts == {2}
 
     def test_credential_priority_beats_low_id(self):
         view = make_attacker_view(
             {0: (2, 5), 2: (0,), 5: (0,)}, {0},
             creds=("k",), unlocks={5: ("k",), 2: ()},
         )
-        assert lateral_attacker_act(view, 1, None).attempts == {5}
+        assert LateralAttacker(1).act(view, None).attempts == {5}
 
     def test_spread_takes_prefix_of_priority_order(self):
         view = make_attacker_view(
             {0: (1, 2, 3), 1: (0,), 2: (0,), 3: (0,)}, {0}, target_seen=3)
-        assert lateral_attacker_act(view, 2, None).attempts == {3, 1}
+        assert LateralAttacker(2).act(view, None).attempts == {3, 1}
 
 
 class TestFeaturize:

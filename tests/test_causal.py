@@ -1,5 +1,6 @@
 """Causal model construction, enumeration queries, interventions, smoothing."""
 
+import collections.abc
 import hashlib
 import itertools
 import json
@@ -604,6 +605,97 @@ class TestTopologicalOrder:
                 m = attach_emissions(build_topology(
                     DbnSpec(topology, 6, per_slice_confounder=per_slice)), 0.2, 0.05)
                 assert m.order == wave_order(m.variables, m.parents)
+
+
+class CountingParents(collections.abc.Mapping):
+    """A parent map that counts each variable's `.get`."""
+
+    def __init__(self, parents: dict):
+        self.parents = parents
+        self.gets = collections.Counter()
+
+    def __getitem__(self, v):
+        return self.parents[v]
+
+    def __iter__(self):
+        return iter(self.parents)
+
+    def __len__(self):
+        return len(self.parents)
+
+    def get(self, v, default=None):
+        self.gets[v] += 1
+        return self.parents.get(v, default)
+
+
+def slice_chain(sizes: list[int], back: dict | None = None) -> Cgm:
+    """Slices of `sizes[t]` variables `V{i}@t`, each with its previous-slice
+    copy as parent; `back` maps a variable to a parent two slices back."""
+    parents = {}
+    for t, n in enumerate(sizes):
+        for i in range(n):
+            v = VarId(f"V{i}", t)
+            parents[v] = (VarId(f"V{i}", t - 1),) if t and i < sizes[t - 1] else ()
+    for v, p in (back or {}).items():
+        parents[v] = (p,)
+    variables = tuple(parents)
+    return Cgm(variables=variables, parents=parents, cpts=cpts_for(variables, parents))
+
+
+class TestOneWalk:
+    """A model is checked in the walk that orders it, and an engine's slices
+    in the walk that keys their transitions: each reads a variable's parents
+    once, and the first fault found is the one reported, in the order the
+    separate walks found them."""
+
+    A, B, L, Q = (VarId(n) for n in "ABLQ")
+
+    @pytest.mark.parametrize("variables, parents, cpts, latent, message", [
+        ((A, B, B), {A: (Q,)}, {A: (0.5, 0.5), B: (0.5,)}, (),
+         "duplicate variable B"),
+        ((A,), {A: (Q,)}, {A: (0.5,)}, (), "parent Q of A is not a model variable"),
+        ((A, B), {B: (Q,)}, {A: (0.5, 0.5), B: (0.5, 0.5)}, (), "CPT for A must have 1 rows"),
+        ((A,), {}, {A: (1.5,)}, (L,), r"CPT entry out of \[0,1\] for A: 1.5"),
+        ((A, B), {A: (B,), B: (A,)}, {A: (0.5, 0.5), B: (0.5, 0.5)}, (L,),
+         "latent L is not a model variable"),
+    ], ids=["duplicate+parent", "parent+short-cpt", "short-cpt+later-parent",
+            "entry+latent", "latent+cycle"])
+    def test_first_fault_of_a_model(self, variables, parents, cpts, latent, message):
+        with pytest.raises(SpecError, match=f"^{message}$"):
+            Cgm(variables=variables, parents=parents, cpts=cpts, latent=frozenset(latent))
+
+    @pytest.mark.parametrize("sizes, back, message", [
+        ([1, 1, 1, 9], {VarId("V0", 2): VarId("V0", 0)},
+         "model is not slice-structured: V0@2 depends on V0@0"),
+        ([1, 1, 9, 1], {VarId("V0", 3): VarId("V0", 1)},
+         "slice 2 has 9 variables; engine limit is 8"),
+    ], ids=["offset-then-size", "size-then-offset"])
+    def test_first_fault_of_a_slice(self, sizes, back, message):
+        with pytest.raises(TooLargeError, match=f"^{message}$"):
+            DbnEngine(slice_chain(sizes, back))
+
+    @pytest.mark.parametrize("spec", [
+        DbnSpec(Topology.CHAIN_A, 6),
+        DbnSpec(Topology.CONFOUNDED_C, 6),
+        DbnSpec(Topology.CONFOUNDED_C, 6, per_slice_confounder=True),
+    ], ids=["chain-a", "confounded-c", "confounded-c-per-slice"])
+    def test_parents_read_once_per_walk(self, spec, monkeypatch):
+        m = build_topology(spec)
+        parents = CountingParents(m.parents)
+        counted = Cgm(variables=m.variables, parents=parents, cpts=m.cpts, latent=m.latent)
+        assert parents.gets == collections.Counter(m.variables)
+
+        built = []
+        slice_factor = DbnEngine._slice_factor
+        monkeypatch.setattr(DbnEngine, "_slice_factor",
+                            lambda self, t: built.append(t) or slice_factor(self, t))
+        parents.gets.clear()
+        engine = DbnEngine(counted)
+        expected = collections.Counter(m.variables)
+        for t in built:
+            expected.update(engine.slice_vars[t] + (engine.globals if t == 0 else []))
+        assert built[0] == 0 and len(built) == len(set(built)) < spec.slices
+        assert parents.gets == expected
 
 
 # CPT entries of exactly 0 and 1: no spontaneous activation, certain

@@ -583,6 +583,31 @@ class TestEvaluate:
         assert lines[1] == "episode,seed,steps,return,terminal,time_to_target"
         assert len(lines) == 5
 
+    def test_csv_is_the_header_and_the_rows_each_ending_in_one_newline(self, tmp_path,
+                                                                      chain3_path):
+        qt, json_out, csv_out = tmp_path / "q.json", tmp_path / "e.json", tmp_path / "e.csv"
+        run(["train", "--scenario", chain3_path, "--episodes", "20", "--out", str(qt)])
+        for fmt, out in (("json", json_out), ("csv", csv_out)):
+            assert run(["evaluate", "--scenario", chain3_path, "--qtable", str(qt),
+                        "--episodes", "5", "--seed", "3", "--format", fmt,
+                        "--out", str(out)]) == 0
+        columns = cli.METRIC_COLUMNS.split(",")
+        lines = [f"# acdsim {acdsim.__version__}", cli.METRIC_COLUMNS] + [
+            ",".join(str(row[k]) for k in columns)
+            for row in json.loads(json_out.read_text())["episodes"]]
+        data = csv_out.read_bytes()
+        assert b"\r" not in data
+        assert data == "".join(line + "\n" for line in lines).encode()
+
+    def test_rows_are_built_from_agents_evaluate(self):
+        s = netmodel.load_scenario(Path(cli.default_scenario_path()).read_text())
+        table, _ = agents.train(s, agents.LearningParams(episodes=30), 0)
+        logs = agents.evaluate(s, table, 20, 0)
+        assert [cli._evaluate_episode(s, table, seed) for seed in range(20)] == [
+            {"seed": seed, "steps": log.final["t"], "return": log.total_reward(),
+             "terminal": log.final["terminal"], "time_to_target": log.time_to_target()}
+            for seed, log in enumerate(logs)]
+
     @pytest.mark.parametrize("doc", [
         {"actions": ["nop"], "entries": [{"key": [1], "values": [0.0]}]},
         {"actions": ["nop"], "entries": [{"key": [1, 0, 0]}]},

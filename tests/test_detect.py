@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from acdsim.agents import LateralAttacker, NopDefender
-from acdsim import causal, detect
+from acdsim import causal
 from acdsim.causal import Cgm, DbnSpec, Topology, VarId, build_topology
 from acdsim.config import DbnParams
 from acdsim.cli import default_scenario_path
@@ -211,20 +211,35 @@ class TestClassify:
         assert len(built) == 2  # one malign, one benign
         assert result.llr == expected_llr
 
-    def test_one_frame_check_and_one_filter_pass_per_model(self, models_t4, monkeypatch):
+    def test_one_filter_pass_per_model(self, models_t4, monkeypatch):
         """The malign model's one pass gives its likelihood and the trace; the
-        benign model is checked and filtered once, by `sequence_loglik`."""
+        benign model is filtered once, by `sequence_loglik`."""
         benign, malign = models_t4
         calls = []
-        forward, check = causal.DbnEngine._forward, detect._check_frames
+        forward = causal.DbnEngine._forward
         monkeypatch.setattr(causal.DbnEngine, "_forward", lambda self, *a:
-                            calls.append(("_forward", self.m)) or forward(self, *a))
-        monkeypatch.setattr(detect, "_check_frames",
-                            lambda m, seq: calls.append(("_check_frames", m)) or check(m, seq))
+                            calls.append(self.m) or forward(self, *a))
         seq = make_sequence([(1, 0, 1), (0, 0, 0), (1, 1, 1), (0, 1, 0)])
         classify(seq, benign, malign, EmissionNoise())
-        assert calls == [("_check_frames", malign), ("_forward", malign),
-                         ("_check_frames", benign), ("_forward", benign)]
+        assert calls == [malign, benign]
+
+    @pytest.mark.parametrize("call", [
+        lambda seq, m: classify(seq, benign_model_like(m), m, EmissionNoise()),
+        lambda seq, m: classify(seq, m, build_topology(DbnSpec(Topology.CHAIN_A, 4)),
+                                EmissionNoise()),
+        lambda seq, m: sequence_loglik(m, seq, EmissionNoise()),
+    ], ids=["malign", "benign", "sequence_loglik"])
+    def test_a_model_of_another_length_is_refused(self, call):
+        """The slice count is the engine's: a model of 3 slices for 4 frames
+        is refused with the same SpecError, and a model without slices with
+        the engine's TooLargeError."""
+        seq = make_sequence([(0, 1, 0)] * 4)
+        with pytest.raises(SpecError,
+                           match="^model has 3 slices but the sequence has 4 frames$"):
+            call(seq, build_topology(DbnSpec(Topology.CHAIN_A, 3)))
+        U = VarId("U")
+        with pytest.raises(TooLargeError, match="^model has no time-indexed variables$"):
+            call(seq, Cgm(variables=(U,), parents={}, cpts={U: (0.5,)}))
 
     @pytest.mark.parametrize("frames", [4, 16, 17])
     def test_one_posteriors_call_per_classified_log(self, frames, monkeypatch):

@@ -388,6 +388,23 @@ def enterprise8():
         return load_scenario(fh.read())
 
 
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2 ** 31), bundled=st.booleans(), longest=st.integers(1, 4))
+def test_isolation_timers_stay_positive_and_views_show_them_all(seed, bundled, longest):
+    """Random-defender episodes, isolating for up to `longest` steps: after
+    every step each timer is at least 1, so the view copies them unfiltered."""
+    s = enterprise8() if bundled else load_scenario(json.dumps(chain3_doc(strength=0.3)))
+    state, rng = init(s, seed), random.Random(seed)
+    defender, attacker = RandomDefender(), LateralAttacker(s.attacker.spread)
+    while state.terminal is None:
+        d = defender.act(defender_view(state), rng)
+        if d.kind == "isolate":
+            d = isolate(d.node, rng.randint(1, longest))
+        state, _ = step(state, d, attacker.act(attacker_view(state), rng))
+        assert all(k >= 1 for k in state.isolation.values())
+        assert defender_view(state).isolation == state.isolation
+
+
 class TestPinnedBytes:
     """sha256 of outputs recorded before the game's per-scenario and per-view
     caches went in; a change to any byte of a log or a trained Q-table fails

@@ -28,7 +28,7 @@ from acdsim.causal import (
 )
 from acdsim.detect import EmissionNoise, extract_indicators
 from acdsim.errors import SpecError, ZeroEvidenceError
-from acdsim.game import episode_to_jsonl, run_episode, verify_replay
+from acdsim.game import episode_to_jsonl, extract_episode_jsonl, run_episode, verify_replay
 from acdsim.loop import (
     AlwaysApprove,
     AutonomyLevel,
@@ -39,7 +39,6 @@ from acdsim.loop import (
     ScriptedApprover,
     _plan,
     _window,
-    extract_episode_jsonl,
     map_intervention_to_action,
     run_loop,
 )

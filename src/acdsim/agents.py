@@ -8,13 +8,11 @@ hand-rolled MDPs.
 
 from __future__ import annotations
 
-import json
-import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
 from . import __version__
-from ._util import indented_json, versioned_csv
+from ._util import at, indented_json, json_object, member, parse_json, versioned_csv
 from .errors import ParseError, SpecError
 from .game import (
     DEFENDER_KINDS,
@@ -189,6 +187,10 @@ class LearningParams:
                 raise SpecError(f"{name} must be {want}, got {getattr(self, name)}")
 
 
+_QTABLE_KEYS = {"version", "actions", "entries"}
+_ENTRY_KEYS = {"key", "values"}
+
+
 class QTable:
     """Sparse (state key, action index) -> value table, zero by default."""
 
@@ -231,40 +233,28 @@ class QTable:
 
     @classmethod
     def load(cls, text: str) -> "QTable":
-        try:
-            obj = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"invalid Q-table JSON: {exc}") from None
-        if not isinstance(obj, dict) or "actions" not in obj or "entries" not in obj:
-            raise ParseError("Q-table JSON needs 'actions' and 'entries'")
-        if not isinstance(obj["actions"], list) or not isinstance(obj["entries"], list):
-            raise ParseError("Q-table 'actions' and 'entries' must be lists")
-        actions = tuple(obj["actions"])
+        obj = json_object(parse_json(text, "Q-table"), "", _QTABLE_KEYS)
+        member(obj, "version", str, "", "")  # written by `save`; only its type is checked
+        actions = tuple(member(obj, "actions", [str]))
         # `QDefender` plays the i-th value as META_ACTIONS[i]
         if not actions or actions != META_ACTIONS[:len(actions)]:
-            raise ParseError(f"Q-table 'actions' must be a non-empty prefix of "
-                             f"{list(META_ACTIONS)}")
+            raise ParseError(f"actions must be a non-empty prefix of {list(META_ACTIONS)}")
         table = cls(actions)
-        for i, entry in enumerate(obj["entries"]):
-            if not isinstance(entry, dict):
-                raise ParseError(f"Q-table entry {i} must be an object")
-            key, values = entry.get("key"), entry.get("values")
-            if (not isinstance(key, list) or len(key) != len(FeatureKey._fields)
-                    or not all(type(x) is int for x in key)):  # bool is no int here
-                raise ParseError(f"Q-table entry {i}: 'key' must be a list of "
-                                 f"{len(FeatureKey._fields)} integers")
-            if (not isinstance(values, list) or len(values) != len(table.actions)
-                    or not all(type(x) is int or (type(x) is float and math.isfinite(x))
-                               for x in values)):
-                raise ParseError(f"Q-table entry {i}: 'values' must be a list of "
-                                 f"{len(table.actions)} finite numbers")
+        for i, entry in enumerate(member(obj, "entries", list)):
+            where = at("entries", i)
+            entry = json_object(entry, where, _ENTRY_KEYS)
+            key = member(entry, "key", [int], where)
+            values = member(entry, "values", [float], where)
+            if len(key) != len(FeatureKey._fields):
+                raise ParseError(f"{where}.key must hold {len(FeatureKey._fields)} integers")
+            if len(values) != len(actions):
+                raise ParseError(f"{where}.values must hold {len(actions)} numbers")
             if not (0 <= key[0] <= 3 and key[1] in (0, 1) and 0 <= key[2] <= 2):
-                raise ParseError(f"Q-table entry {i}: 'key' {key} is outside "
-                                 f"[0..3, 0..1, 0..2]")
+                raise ParseError(f"{where}.key {key} is outside [0..3, 0..1, 0..2]")
             feature = FeatureKey(key[0], bool(key[1]), key[2])
             if feature in table.values:
-                raise ParseError(f"Q-table entry {i}: 'key' {key} appears twice")
-            table.values[feature] = list(values)
+                raise ParseError(f"{where}.key {key} appears twice")
+            table.values[feature] = values
         return table
 
 

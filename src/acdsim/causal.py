@@ -16,14 +16,13 @@ and takes noisy observations of slice variables as per-slice likelihoods.
 from __future__ import annotations
 
 import functools
-import json
 import math
 from dataclasses import dataclass, field, fields
 from typing import NamedTuple
 
 import numpy as np
 
-from ._util import indented_json
+from ._util import at, indented_json, json_object, member, parse_json, typed
 from .config import SMOOTH_SLICE_LIMIT, DbnParams, DbnSpec, Topology
 from .errors import (
     EvidenceOrderingError,
@@ -670,47 +669,29 @@ def save_model(m: Cgm) -> str:
     return indented_json(model_to_obj(m))
 
 
+_MODEL_KEYS = {"variables", "parents", "cpts"}
+_VARIABLE_KEYS = {"name", "slice", "latent"}
+_SPEC_KEYS = {"topology", "slices", "schedule", "params", "per_slice_confounder"}
+_PARAM_DEFAULTS = {f.name: f.default for f in fields(DbnParams)}
+
+
 def load_model(text: str) -> Cgm:
-    try:
-        obj = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"invalid model JSON: {exc}") from None
-    if not isinstance(obj, dict):
-        raise ParseError("model JSON must be an object")
-    for key in ("variables", "parents", "cpts"):
-        if key not in obj:
-            raise ParseError(f"model JSON missing '{key}'")
-    if not isinstance(obj["variables"], list) or not all(
-            isinstance(entry, dict) for entry in obj["variables"]):
-        raise ParseError("model 'variables' must be a list of objects")
-    for key in ("parents", "cpts"):
-        if not isinstance(obj[key], dict):
-            raise ParseError(f"model '{key}' must be an object")
+    obj = json_object(parse_json(text, "model"), "", _MODEL_KEYS)
     variables = []
     latent = set()
-    for entry in obj["variables"]:
-        name, slice_ = entry.get("name"), entry.get("slice")
-        if not isinstance(name, str) or not name:
-            raise ParseError(f"model variable needs a non-empty string 'name': {entry}")
-        if slice_ is not None and (isinstance(slice_, bool) or not isinstance(slice_, int)):
-            raise ParseError(f"model variable '{name}' has a non-integer 'slice'")
-        v = VarId(name, slice_)
+    for i, entry in enumerate(member(obj, "variables", list)):
+        where = at("variables", i)
+        entry = json_object(entry, where, _VARIABLE_KEYS)
+        v = VarId(member(entry, "name", str, where), member(entry, "slice", int, where, None))
+        if not v.name:
+            raise ParseError(f"{where}.name must not be empty")
         variables.append(v)
-        if not isinstance(entry.get("latent", False), bool):
-            raise ParseError(f"model variable '{name}' has a non-boolean 'latent'")
-        if entry.get("latent"):
+        if member(entry, "latent", bool, where, False):
             latent.add(v)
-    for key, kinds, what in (("parents", (str,), "names"), ("cpts", (int, float), "numbers")):
-        for k, rows in obj[key].items():
-            if not isinstance(rows, list) or not all(type(x) in kinds for x in rows):
-                raise ParseError(f"model '{key}' of '{k}' must be a list of {what}")
-    try:
-        parents = {parse_var(k): tuple(parse_var(p) for p in ps)
-                   for k, ps in obj["parents"].items()}
-        cpts = {parse_var(k): tuple(float(x) for x in rows)
-                for k, rows in obj["cpts"].items()}
-    except OverflowError as exc:  # an integer entry too large for a float
-        raise ParseError(f"bad model tables: {exc}") from None
+    parents = {parse_var(k): tuple(map(parse_var, typed(ps, [str], "parents", k)))
+               for k, ps in member(obj, "parents", dict).items()}
+    cpts = {parse_var(k): tuple(typed(rows, [float], "cpts", k))
+            for k, rows in member(obj, "cpts", dict).items()}
     declared = set(variables)
     for key, table in (("parents", parents), ("cpts", cpts)):
         for v in table:
@@ -724,45 +705,22 @@ def load_model(text: str) -> Cgm:
 
 
 def load_spec(text: str) -> DbnSpec:
+    obj = json_object(parse_json(text, "DBN spec"), "", _SPEC_KEYS)
     try:
-        obj = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"invalid DBN spec JSON: {exc}") from None
-    if not isinstance(obj, dict):
-        raise ParseError("DBN spec must be a JSON object")
-    try:
-        topology = Topology(obj["topology"])
-    except (KeyError, ValueError):
-        raise ParseError("DBN spec needs a topology of chain-a, fork-b or "
-                         "confounded-c") from None
-    slices = obj.get("slices")
-    if isinstance(slices, bool) or not isinstance(slices, int):
-        raise ParseError("DBN spec needs an integer 'slices'")
-    params = obj.get("params", {})
-    if not isinstance(params, dict):
-        raise ParseError("DBN spec 'params' must be an object")
-    known = {f.name for f in fields(DbnParams)}
-    for key, value in params.items():
-        if key not in known:
-            raise ParseError(f"unknown DBN param '{key}' (want one of "
-                             f"{', '.join(sorted(known))})")
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise ParseError(f"DBN param '{key}' must be a number")
-    schedule = obj.get("schedule")
-    if schedule is not None and not (
-            isinstance(schedule, list) and schedule
-            and all(isinstance(x, int) and x in (0, 1) for x in schedule)):
-        raise ParseError("DBN spec 'schedule' must be null or a non-empty list of "
-                         "booleans or 0/1")
-    per_slice = obj.get("per_slice_confounder", False)
-    if not isinstance(per_slice, bool):
-        raise ParseError("DBN spec 'per_slice_confounder' must be true or false")
+        topology = Topology(member(obj, "topology", str))
+    except ValueError:
+        raise ParseError("topology must be one of chain-a, fork-b or confounded-c") from None
+    schedule = member(obj, "schedule", [(bool, int)], "", None, within=(0, 1))
+    if schedule == []:
+        raise ParseError("schedule must be null or a non-empty list")
+    params = json_object(obj.get("params", {}), "params", set(_PARAM_DEFAULTS))
     spec = DbnSpec(
         topology=topology,
-        slices=slices,
-        schedule=tuple(bool(x) for x in schedule) if schedule is not None else None,
-        params=DbnParams(**params),
-        per_slice_confounder=per_slice,
+        slices=member(obj, "slices", int),
+        schedule=None if schedule is None else tuple(map(bool, schedule)),
+        params=DbnParams(**{name: member(params, name, float, "params", default)
+                            for name, default in _PARAM_DEFAULTS.items()}),
+        per_slice_confounder=member(obj, "per_slice_confounder", bool, "", False),
     )
     try:
         _check_spec(spec)

@@ -21,7 +21,7 @@ from importlib import resources
 
 from . import __version__
 from . import agents, config, game, netmodel
-from ._util import indented_json, versioned_csv
+from ._util import indented_json, parse_json, typed, versioned_csv
 from .errors import AcdError, ParseError, ReplayMismatchError, SpecError, ValidationError
 
 EXIT_OK = 0
@@ -263,12 +263,7 @@ def _load_approver(spec: str):
     if spec == "never":
         return loop.NeverApprove
     if spec.startswith("file:"):
-        try:
-            decisions = json.loads(_read(spec[5:]))
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"invalid approval file JSON: {exc}") from None
-        if not (isinstance(decisions, list) and all(isinstance(d, bool) for d in decisions)):
-            raise ParseError("approval file must be a JSON array of booleans")
+        decisions = typed(parse_json(_read(spec[5:]), "approval file"), [bool], "approvals")
         return functools.partial(loop.ScriptedApprover, decisions)
     raise ParseError(f"unknown approver '{spec}' (want always, never or file:PATH)")
 
@@ -466,7 +461,7 @@ def main(argv=None) -> int:
     except AcdError as exc:
         _emit_error(type(exc).__name__, str(exc))
         return EXIT_RUNTIME
-    except (OSError, json.JSONDecodeError) as exc:
+    except OSError as exc:
         _emit_error(type(exc).__name__, str(exc))
         return EXIT_CONFIG
 

@@ -19,12 +19,11 @@ reproduces it byte for byte.
 
 from __future__ import annotations
 
-import json
 import random
 from dataclasses import dataclass, field
 
 from . import __version__
-from ._util import canonical_json, child_seed
+from ._util import canonical_json, child_seed, json_object, member, parse_json
 from .errors import (
     IllegalActionError,
     ParseError,
@@ -500,94 +499,81 @@ def episode_to_jsonl(log: EpisodeLog) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _typed(value, kind: type, what: str):
-    """`value` if it has JSON type `kind` (bools are not ints), else ParseError."""
-    if isinstance(value, kind) and not (kind is int and isinstance(value, bool)):
-        return value
-    raise ParseError(f"{what} must be {kind.__name__}, got {value!r}")
-
-
-def _event_from_obj(obj: dict) -> Event:
-    return Event(
-        kind=_typed(obj["kind"], str, "event kind"),
-        node=_typed(obj["node"], int, "event node"),
-        outcome=obj.get("outcome"),
-        creds=tuple(obj.get("creds", ())),
-        result=obj.get("result"),
-        alert_kind=obj.get("alert_kind"),
-        duration=obj.get("duration"),
-    )
-
-
 def extract_episode_jsonl(text: str) -> str:
     """Pull the embedded episode log out of a one-episode loop report, or
     pass through a plain JSON-lines log unchanged."""
     stripped = text.lstrip()
     if stripped.startswith("{") and "\n" in stripped:
         try:
-            obj = json.loads(text)
-        except json.JSONDecodeError:
+            report = parse_json(text, "loop report")  # a text starting with "{" is an object
+        except ParseError:
             return text
-        if isinstance(obj, dict) and "episode_jsonl" in obj:
-            if not isinstance(obj["episode_jsonl"], str):
-                raise ParseError("a loop report's 'episode_jsonl' must be a string")
-            return obj["episode_jsonl"]
-        if isinstance(obj, dict) and "reports" in obj:
+        if "episode_jsonl" in report:
+            return member(report, "episode_jsonl", str)
+        if "reports" in report:
             raise ParseError("a multi-episode loop report holds no single episode log")
     return text
 
 
+_HEADER_KEYS = {"scenario", "scenario_sha256", "seed", "version"}
+_STEP_KEYS = {"t", "def", "atk", "events", "reward"}
+_DEF_KEYS = {"kind", "node", "duration"}
+_ATK_KEYS = {"attempts"}
+_EVENT_KEYS = {"kind", "node", "outcome", "creds", "result", "alert_kind", "duration"}
+_FINAL_KEYS = {"t", "terminal", "total_reward", "compromised", "creds"}
+
+
 def parse_episode_jsonl(text: str) -> EpisodeLog:
-    lines = [ln for ln in text.splitlines() if ln.strip()]
+    """The log of the JSON-lines `text`. An error names the JSON path of what
+    it refuses, rooted at `lines[i]`, the i-th non-blank line."""
+    lines = [parse_json(ln, "episode log") for ln in text.splitlines() if ln.strip()]
     if len(lines) < 2:
         raise ParseError("episode log needs a header and a final summary")
-    try:
-        header = json.loads(lines[0])
-        body = [json.loads(ln) for ln in lines[1:]]
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"invalid JSON in episode log: {exc}") from None
-    if not isinstance(header, dict) or any(
-            key not in header for key in ("scenario", "scenario_sha256", "seed")):
-        raise ParseError("episode log header needs scenario, scenario_sha256 and seed")
-    scenario = scenario_from_obj(header["scenario"])
-    if not isinstance(body[-1], dict) or "final" not in body[-1]:
-        raise ParseError("episode log missing final summary line")
-    final = body[-1]["final"]
-    if not isinstance(final, dict) or "t" not in final or "terminal" not in final:
-        raise ParseError("episode log final summary needs 't' and 'terminal'")
-    _typed(header["seed"], int, "episode log header seed")
-    _typed(final["t"], int, "episode log final t")
+    header = json_object(lines[0], "lines[0]", _HEADER_KEYS)
+    last = f"lines[{len(lines) - 1}]"
+    final_at = last + ".final"
+    final = json_object(json_object(lines[-1], last, {"final"}).get("final"), final_at,
+                        _FINAL_KEYS)
+    member(final, "t", int, final_at)
+    terminal = member(final, "terminal", str, final_at)
+    for key, kind in (("total_reward", float), ("compromised", [int]), ("creds", [str])):
+        member(final, key, kind, final_at, ())
     records = []
-    for i, obj in enumerate(body[:-1]):
-        try:
-            d = obj["def"]
-            node = d.get("node")
-            kind = _typed(d["kind"], str, "def.kind")
-            if kind not in DEFENDER_KINDS:
-                raise ParseError(f"def.kind must be one of {', '.join(DEFENDER_KINDS)}, "
-                                 f"got {kind!r}")
-            records.append(StepRecord(
-                t=_typed(obj["t"], int, "t"),
-                defender=DefenderAction(kind,
-                                        None if node is None else _typed(node, int, "def.node"),
-                                        _typed(d.get("duration", 1), int, "def.duration")),
-                attacker=AttackerAction(frozenset(
-                    _typed(n, int, "attempt")
-                    for n in _typed(obj["atk"]["attempts"], list, "atk.attempts"))),
-                outcome=StepOutcome(
-                    reward=obj["reward"],
-                    events=tuple(_event_from_obj(e) for e in obj["events"]),
-                    terminal_cause=final["terminal"] if i == len(body) - 2 else None,
-                ),
-            ))
-        except (KeyError, TypeError, AttributeError, ParseError) as exc:
-            raise ParseError(f"episode log step line {i + 1} is malformed: "
-                             f"{type(exc).__name__} {exc}") from None
+    for i in range(1, len(lines) - 1):
+        where = f"lines[{i}]"
+        step = json_object(lines[i], where, _STEP_KEYS)
+        def_at, atk_at = where + ".def", where + ".atk"
+        d = json_object(step.get("def"), def_at, _DEF_KEYS)
+        kind = member(d, "kind", str, def_at)
+        if kind not in DEFENDER_KINDS:
+            raise ParseError(f"{def_at}.kind must be one of {', '.join(DEFENDER_KINDS)}, "
+                             f"got {kind!r}")
+        atk = json_object(step.get("atk"), atk_at, _ATK_KEYS)
+        events, events_at = [], where + ".events"
+        for j, event in enumerate(member(step, "events", list, where)):
+            event_at = f"{events_at}[{j}]"
+            event = json_object(event, event_at, _EVENT_KEYS)
+            # positional: each read names its field, and keywords cost a third more here
+            events.append(Event(member(event, "kind", str, event_at),
+                                member(event, "node", int, event_at),
+                                member(event, "outcome", str, event_at, None),
+                                tuple(member(event, "creds", [str], event_at, ())),
+                                member(event, "result", bool, event_at, None),
+                                member(event, "alert_kind", str, event_at, None),
+                                member(event, "duration", int, event_at, None)))
+        records.append(StepRecord(
+            member(step, "t", int, where),
+            DefenderAction(kind, member(d, "node", int, def_at, None),
+                           member(d, "duration", int, def_at, 1)),
+            AttackerAction(frozenset(member(atk, "attempts", [int], atk_at))),
+            StepOutcome(member(step, "reward", float, where), tuple(events),
+                        terminal if i == len(lines) - 2 else None),
+        ))
     return EpisodeLog(
-        scenario=scenario,
-        scenario_sha256=header["scenario_sha256"],
-        seed=header["seed"],
-        version=header.get("version", __version__),
+        scenario=scenario_from_obj(header.get("scenario"), path="lines[0].scenario"),
+        scenario_sha256=member(header, "scenario_sha256", str, "lines[0]"),
+        seed=member(header, "seed", int, "lines[0]"),
+        version=member(header, "version", str, "lines[0]", __version__),
         steps=tuple(records),
         final=final,
     )

@@ -7,13 +7,12 @@ number of concurrently running episodes. Dataclasses here do not self-check;
 
 from __future__ import annotations
 
-import json
 import math
 from collections import deque
 from dataclasses import asdict, dataclass, field, fields
 from functools import cached_property
 
-from ._util import canonical_json, sha256_hex
+from ._util import at, canonical_json, json_object, member, parse_json, sha256_hex
 from .errors import ParseError, UnknownNodeError, ValidationError
 
 DEFAULT_HORIZON = 100
@@ -159,120 +158,61 @@ _NODE_KEYS = {"id", "defence", "vulns", "creds_stored", "unlocks", "target"}
 _VULN_KEYS = {"id", "severity"}
 _ATTACKER_KEYS = {"strength", "spread", "entry"}
 _TOP_KEYS = {"nodes", "edges", "attacker", "costs", "alerts", "horizon"}
+# the all-number groups: key, class and the default of each of its fields
+_GROUPS = [(key, cls, {f.name: f.default for f in fields(cls)})
+           for key, cls in (("costs", CostParams), ("alerts", AlertParams))]
 
 
-def _require(cond: bool, message: str):
-    if not cond:
-        raise ParseError(message)
-
-
-def _check_keys(obj: dict, allowed: set, where: str, lenient: bool):
-    unknown = set(obj) - allowed
-    if unknown and not lenient:
-        raise ParseError(f"unknown key(s) in {where}: {', '.join(sorted(unknown))}")
-
-
-def _num(obj: dict, key: str, where: str, default=None):
-    if key not in obj:
-        if default is None:
-            raise ParseError(f"missing required key '{key}' in {where}")
-        return default
-    value = obj[key]
-    _require(isinstance(value, (int, float)) and not isinstance(value, bool),
-             f"'{key}' in {where} must be a number")
-    return float(value)
-
-
-def _str_list(obj: dict, key: str, where: str) -> list[str]:
-    value = obj.get(key, [])
-    _require(isinstance(value, list) and all(isinstance(x, str) for x in value),
-             f"'{key}' in {where} must be a list of strings")
-    return value
-
-
-def _parse_node(obj, index: int, lenient: bool) -> NodeSpec:
-    where = f"nodes[{index}]"
-    _require(isinstance(obj, dict), f"{where} must be an object")
-    _check_keys(obj, _NODE_KEYS, where, lenient)
-    _require("id" in obj, f"missing required key 'id' in {where}")
-    _require(isinstance(obj["id"], int) and not isinstance(obj["id"], bool),
-             f"'id' in {where} must be an integer")
-    vulns = []
-    raw_vulns = obj.get("vulns", [])
-    _require(isinstance(raw_vulns, list), f"'vulns' in {where} must be a list")
-    for j, rv in enumerate(raw_vulns):
-        vw = f"{where}.vulns[{j}]"
-        _require(isinstance(rv, dict), f"{vw} must be an object")
-        _check_keys(rv, _VULN_KEYS, vw, lenient)
-        _require(isinstance(rv.get("id"), str), f"'id' in {vw} must be a string")
-        vulns.append(VulnSpec(id=rv["id"], severity=_num(rv, "severity", vw)))
-    target = obj.get("target", False)
-    _require(isinstance(target, bool), f"'target' in {where} must be a boolean")
-    return NodeSpec(
-        id=obj["id"],
-        defence=_num(obj, "defence", where, default=0.0),
-        vulns=tuple(sorted(vulns, key=lambda v: v.id)),
-        creds_stored=frozenset(_str_list(obj, "creds_stored", where)),
-        unlocks=frozenset(_str_list(obj, "unlocks", where)),
-        is_target=target,
-    )
-
-
-def _params(cls, obj, where: str, lenient: bool):
-    """A `cls` (all-number dataclass) from the object, absent keys at their
-    field defaults."""
-    _require(isinstance(obj, dict), f"'{where}' must be an object")
-    _check_keys(obj, {f.name for f in fields(cls)}, where, lenient)
-    return cls(**{f.name: _num(obj, f.name, where, default=f.default) for f in fields(cls)})
-
-
-def scenario_from_obj(obj, lenient: bool = False) -> Scenario:
-    """Build a Scenario from a decoded JSON object (no validation yet)."""
-    _require(isinstance(obj, dict), "scenario document must be a JSON object")
-    _check_keys(obj, _TOP_KEYS, "scenario", lenient)
-    _require("nodes" in obj and isinstance(obj["nodes"], list), "scenario requires a 'nodes' array")
-    _require("edges" in obj and isinstance(obj["edges"], list), "scenario requires an 'edges' array")
-    _require("attacker" in obj and isinstance(obj["attacker"], dict),
-             "scenario requires an 'attacker' object")
-
-    nodes = tuple(sorted((_parse_node(n, i, lenient) for i, n in enumerate(obj["nodes"])),
-                         key=lambda n: n.id))
+def scenario_from_obj(obj, lenient: bool = False, path: str = "") -> Scenario:
+    """Build a Scenario from a decoded JSON object at JSON path `path` (no
+    validation yet); unknown keys are refused unless `lenient`."""
+    obj = json_object(obj, path, _TOP_KEYS, lenient)
+    nodes = []
+    for i, node in enumerate(member(obj, "nodes", list, path)):
+        where = at(at(path, "nodes"), i)
+        node = json_object(node, where, _NODE_KEYS, lenient)
+        vulns = []
+        for j, vuln in enumerate(member(node, "vulns", list, where, ())):
+            vuln_at = at(at(where, "vulns"), j)
+            vuln = json_object(vuln, vuln_at, _VULN_KEYS, lenient)
+            vulns.append(VulnSpec(member(vuln, "id", str, vuln_at),
+                                  member(vuln, "severity", float, vuln_at)))
+        nodes.append(NodeSpec(
+            id=member(node, "id", int, where),
+            defence=member(node, "defence", float, where, 0.0),
+            vulns=tuple(sorted(vulns, key=lambda v: v.id)),
+            creds_stored=frozenset(member(node, "creds_stored", [str], where, ())),
+            unlocks=frozenset(member(node, "unlocks", [str], where, ())),
+            is_target=member(node, "target", bool, where, False),
+        ))
 
     edges = set()
-    for i, pair in enumerate(obj["edges"]):
-        _require(isinstance(pair, list) and len(pair) == 2
-                 and all(isinstance(x, int) and not isinstance(x, bool) for x in pair),
-                 f"edges[{i}] must be a pair of integer node ids")
-        a, b = pair
-        edges.add((min(a, b), max(a, b)))
+    for i, pair in enumerate(member(obj, "edges", [[int]], path)):
+        if len(pair) != 2:
+            raise ParseError(f"{at(at(path, 'edges'), i)} must be a pair of node ids")
+        edges.add((min(pair), max(pair)))
 
-    atk = obj["attacker"]
-    _check_keys(atk, _ATTACKER_KEYS, "attacker", lenient)
-    _require("entry" in atk and isinstance(atk["entry"], list)
-             and all(isinstance(x, int) and not isinstance(x, bool) for x in atk["entry"]),
-             "'entry' in attacker must be a list of integer node ids")
-    spread = atk.get("spread", DEFAULT_SPREAD)
-    _require(isinstance(spread, int) and not isinstance(spread, bool),
-             "'spread' in attacker must be an integer")
+    where = at(path, "attacker")
+    atk = json_object(obj.get("attacker"), where, _ATTACKER_KEYS, lenient)
     attacker = AttackerParams(
-        strength=_num(atk, "strength", "attacker", default=DEFAULT_STRENGTH),
-        spread=spread,
-        entry=frozenset(atk["entry"]),
+        strength=member(atk, "strength", float, where, DEFAULT_STRENGTH),
+        spread=member(atk, "spread", int, where, DEFAULT_SPREAD),
+        entry=frozenset(member(atk, "entry", [int], where)),
     )
 
-    costs = _params(CostParams, obj.get("costs", {}), "costs", lenient)
-    alerts = _params(AlertParams, obj.get("alerts", {}), "alerts", lenient)
-
-    horizon = obj.get("horizon", DEFAULT_HORIZON)
-    _require(isinstance(horizon, int) and not isinstance(horizon, bool),
-             "'horizon' must be an integer")
+    groups = {}
+    for key, cls, defaults in _GROUPS:
+        where = at(path, key)
+        group = json_object(obj.get(key, {}), where, set(defaults), lenient)
+        groups[key] = cls(**{name: member(group, name, float, where, default)
+                             for name, default in defaults.items()})
 
     return Scenario(
-        topology=NetworkTopology(nodes=nodes, edges=frozenset(edges)),
+        topology=NetworkTopology(nodes=tuple(sorted(nodes, key=lambda n: n.id)),
+                                 edges=frozenset(edges)),
         attacker=attacker,
-        costs=costs,
-        alerts=alerts,
-        horizon=horizon,
+        horizon=member(obj, "horizon", int, path, DEFAULT_HORIZON),
+        **groups,
     )
 
 
@@ -282,11 +222,7 @@ def load_scenario(text: str, lenient: bool = False) -> Scenario:
     Raises ParseError for malformed documents (including unknown keys unless
     `lenient`), ValidationError when any invariant is violated.
     """
-    try:
-        obj = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"invalid JSON: {exc}") from None
-    scenario = scenario_from_obj(obj, lenient=lenient)
+    scenario = scenario_from_obj(parse_json(text, "scenario"), lenient=lenient)
     scenario.validated
     return scenario
 

@@ -350,6 +350,24 @@ def mdp_q_learn(episodes: int, seed: int, reward_scale: float = 1.0):
 # Malformed input
 # ---------------------------------------------------------------------------
 
+def with_value(doc, path: tuple, value):
+    """A copy of the JSON document `doc` with the value at `path` (member
+    names and list indices) set to `value`."""
+    doc = json.loads(json.dumps(doc))
+    owner = doc
+    for key in path[:-1]:
+        owner = owner[key]
+    owner[path[-1]] = value
+    return doc
+
+
+def json_path(path: tuple, root: str = "") -> str:
+    """`path` written as the readers name it in errors: `nodes[0].defence`."""
+    for key in path:
+        root += f"[{key}]" if isinstance(key, int) else f".{key}" if root else key
+    return root
+
+
 @st.composite
 def mutated(draw, text: str) -> str:
     """`text` after one to three edits, each deleting, replacing with random
@@ -366,7 +384,7 @@ def mutated(draw, text: str) -> str:
 
 JSON_VALUES = st.one_of(st.none(), st.booleans(), st.integers(-2, 20),
                         st.floats(allow_nan=True, allow_infinity=True), st.text(max_size=4),
-                        st.just([]), st.just({}))
+                        st.just([]), st.just({}), st.just(10 ** 400))
 
 
 @st.composite

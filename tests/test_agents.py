@@ -3,6 +3,7 @@
 import json
 import math
 import random
+import re
 
 import pytest
 from hypothesis import example, given, settings
@@ -35,6 +36,7 @@ from .conftest import (
     mdp_value_iteration,
     mutated,
     qtable_doc,
+    with_value,
 )
 
 
@@ -309,8 +311,26 @@ class TestQTableIO:
         for key in table.values:
             meta_action_to_defender_action(table.greedy(key), view)
 
+    @pytest.mark.parametrize("key,value,where", [
+        ([0, 0, 0], 10 ** 400, "entries[0].values[0]"),
+        ([10 ** 400, 0, 0], 0.0, "entries[0].key[0]")], ids=["value", "key"])
+    def test_an_integer_too_large_for_a_float_is_a_parse_error(self, key, value, where):
+        with pytest.raises(ParseError, match=rf"^{re.escape(where)} must be "):
+            QTable.load(one_entry_qtable(key, value))
+
+    @pytest.mark.parametrize("path,where", [(("note",), "the document"),
+                                            (("entries", 0, "note"), "entries[0]")])
+    def test_an_unknown_key_is_refused(self, path, where):
+        doc = with_value(json.loads(one_entry_qtable([0, 0, 0], 0.0)), path, 1)
+        with pytest.raises(ParseError, match=rf"^unknown key\(s\) in {re.escape(where)}: note "):
+            QTable.load(json.dumps(doc))
+
+    def test_values_load_as_floats(self):
+        table = QTable.load(one_entry_qtable([0, 0, 0], 2))
+        assert table.values == {FeatureKey(0, False, 0): [2.0]}
+
     @pytest.mark.parametrize("doc", AMBIGUOUS_KEY_QTABLES,
                              ids=["bit-2", "out-of-range", "repeated"])
     def test_a_key_featurize_cannot_give_or_a_repeated_key_is_refused(self, doc):
-        with pytest.raises(ParseError, match="'key'"):
+        with pytest.raises(ParseError, match=r"^entries\[\d\]\.key "):
             QTable.load(json.dumps(doc))

@@ -7,6 +7,7 @@ import json
 import math
 import pickle
 import random
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -52,6 +53,7 @@ from acdsim.detect import benign_model_like
 
 from .conftest import (
     json_mutated,
+    json_path,
     mutated,
     oracle_conditional,
     oracle_joint,
@@ -60,6 +62,7 @@ from .conftest import (
     random_dag_model,
     sample,
     spec_to_obj,
+    with_value,
 )
 
 
@@ -505,6 +508,37 @@ class TestModelIO:
                            "parents": {"B": ["A"]}, "cpts": {"A": [1], "B": [0, 0.5]}})
         m = load_model(text)
         assert m.cpts[VarId("A")] == (1.0,) and not m.latent
+
+    @pytest.mark.parametrize("doc,where", [
+        ({"topology": "chain-a", "slices": 10 ** 400}, "slices"),
+        ({"topology": "chain-a", "slices": 2, "params": {"persistence": 10 ** 400}},
+         "params.persistence"),
+        ({"topology": "confounded-c", "slices": 2, "schedule": [1, 10 ** 400]}, "schedule[1]"),
+    ], ids=["slices", "param", "schedule"])
+    def test_a_spec_integer_too_large_for_a_float_is_a_parse_error(self, doc, where):
+        with pytest.raises(ParseError, match=rf"^{re.escape(where)} must be "):
+            load_spec(json.dumps(doc))
+
+    @pytest.mark.parametrize("path", [("cpts", "Z@0", 0), ("variables", 0, "slice")])
+    def test_a_model_integer_too_large_for_a_float_is_a_parse_error(self, path):
+        doc = with_value(model_to_obj(build_topology(DbnSpec(Topology.CHAIN_A, 1))), path,
+                         10 ** 400)
+        with pytest.raises(ParseError, match=rf"^{re.escape(json_path(path))} must be "):
+            load_model(json.dumps(doc))
+
+    @pytest.mark.parametrize("path,where", [
+        (("sloces",), "the document"), (("params", "bogus"), "params")])
+    def test_an_unknown_spec_key_is_refused(self, path, where):
+        doc = with_value(spec_to_obj(DbnSpec(Topology.CHAIN_A, 2)), path, 5)
+        with pytest.raises(ParseError, match=rf"^unknown key\(s\) in {where}: {path[-1]} "):
+            load_spec(json.dumps(doc))
+
+    @pytest.mark.parametrize("path,where", [(("note",), "the document"),
+                                            (("variables", 0, "note"), "variables[0]")])
+    def test_an_unknown_model_key_is_refused(self, path, where):
+        doc = with_value(model_to_obj(build_topology(DbnSpec(Topology.CHAIN_A, 1))), path, 1)
+        with pytest.raises(ParseError, match=rf"^unknown key\(s\) in {re.escape(where)}: note "):
+            load_model(json.dumps(doc))
 
     def test_parse_assignment_bare_and_qualified(self, chain_example):
         a = parse_assignment(chain_example, "Y=1,X@0=0")

@@ -24,9 +24,11 @@ from .conftest import (
     chain3_full_doc,
     chain3_log_text,
     json_mutated,
+    json_path,
     jsonl_mutated,
     mutated,
     qtable_doc,
+    spec_to_obj,
 )
 
 JSON_VALUES = st.recursive(
@@ -184,18 +186,29 @@ LOG_TYPES = [(0, ("seed",), [1]), (0, ("seed",), True), (1, ("t",), "a"),
              (1, ("def", "kind"), ["nop"]), (1, ("def", "node"), "0"),
              (1, ("def", "duration"), "x"), (1, ("atk", "attempts"), "12"),
              (1, ("atk", "attempts"), [1.5]), (-1, ("final", "t"), "5"),
-             (1, ("def", "kind"), "bogus")]
+             (1, ("def", "kind"), "bogus"), (1, ("reward",), "1.0"),
+             (1, ("reward",), 10 ** 400), (1, ("events", 0, "creds"), "ab"),
+             (1, ("events", 0, "outcome"), 3), (1, ("events", 0, "result"), "yes"),
+             (1, ("events", 1, "alert_kind"), 5), (1, ("events", 0, "duration"), "1"),
+             (-1, ("final", "terminal"), 3), (0, ("scenario_sha256",), 5),
+             (0, ("version",), 1), (1, ("events",), "x")]
 
 
 @pytest.mark.parametrize("command", ["replay", "detect"])
 @pytest.mark.parametrize("line,path,value", LOG_TYPES,
-                         ids=[f"{'.'.join(map(str, p))}={v!r}" for _, p, v in LOG_TYPES])
+                         ids=[f"{'.'.join(map(str, p))}={v!r:.12}" for _, p, v in LOG_TYPES])
 def test_log_wrong_type_exits_2(tmp_path, capsys, command, line, path, value):
+    """A mistyped field is malformed input for both commands, and the error
+    names its JSON path, rooted at the line."""
     log_path = write_edited_log(tmp_path, line, path,
                                 lambda owner, key: owner.__setitem__(key, value))
     capsys.readouterr()
     assert run([command, "--log", log_path]) == 2
-    assert_one_parse_error(capsys)
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    error = json.loads(err[0])["error"]
+    where = json_path(path, f"lines[{line % len(Path(log_path).read_text().splitlines())}]")
+    assert error["type"] == "ParseError" and error["message"].startswith(where)
 
 
 # Tampered logs whose replay diverges until a recorded action is illegal
@@ -811,6 +824,8 @@ def test_forkserver_workers_write_the_serial_bytes(footprint_inputs, monkeypatch
 SCENARIO = chain3_full_doc()
 LOG = chain3_log_text()
 QTABLE = qtable_doc()
+SPEC = spec_to_obj(causal.DbnSpec(causal.Topology.CONFOUNDED_C, 4, schedule=(True, False)))
+MODEL = json.loads(save_model(causal.build_topology(causal.DbnSpec(causal.Topology.CHAIN_A, 2))))
 # (command, text of the file it reads)
 MALFORMED_FILES = st.one_of(
     st.tuples(st.just("simulate"),
@@ -818,7 +833,10 @@ MALFORMED_FILES = st.one_of(
     st.tuples(st.sampled_from(["replay", "detect"]),
               st.one_of(mutated(LOG), jsonl_mutated(LOG))),
     st.tuples(st.just("evaluate"),
-              st.one_of(mutated(json.dumps(QTABLE)), json_mutated(QTABLE))))
+              st.one_of(mutated(json.dumps(QTABLE)), json_mutated(QTABLE))),
+    st.tuples(st.just("detect --dbn"), st.one_of(mutated(json.dumps(SPEC)), json_mutated(SPEC))),
+    st.tuples(st.just("causal marginal"),
+              st.one_of(mutated(json.dumps(MODEL)), json_mutated(MODEL))))
 
 
 @settings(max_examples=120, deadline=None)
@@ -831,18 +849,25 @@ MALFORMED_FILES = st.one_of(
 @example(("evaluate", json.dumps(AMBIGUOUS_KEY_QTABLES[1])))
 @example(("evaluate", json.dumps(AMBIGUOUS_KEY_QTABLES[2])))
 def test_a_malformed_file_exits_with_one_json_error(tmp_path_factory, case):
-    """`main` on an edited scenario, log or Q-table returns 0, 2, 3 or 4 and
-    never raises; a non-zero return writes exactly one JSON error line."""
+    """`main` on an edited scenario, log, Q-table, DBN spec or model returns
+    0, 2, 3 or 4 and never raises; a non-zero return writes exactly one JSON
+    error line."""
     command, text = case
     work = tmp_path_factory.getbasetemp()
     path, out, scenario = work / "input", work / "output", work / "chain3.json"
+    log = work / "chain3.jsonl"
     path.write_text(text, encoding="utf-8", errors="surrogatepass")
     scenario.write_text(json.dumps(chain3_doc()))
+    log.write_text(LOG)
     argv = {"simulate": ["simulate", "--scenario", str(path), "--out", str(out)],
             "replay": ["replay", "--log", str(path)],
             "detect": ["detect", "--log", str(path), "--out", str(out)],
             "evaluate": ["evaluate", "--scenario", str(scenario), "--qtable", str(path),
-                         "--episodes", "2", "--out", str(out)]}[command]
+                         "--episodes", "2", "--out", str(out)],
+            "detect --dbn": ["detect", "--log", str(log), "--dbn", str(path),
+                             "--out", str(out)],
+            "causal marginal": ["causal", "marginal", "--model", str(path),
+                                "--query", "Y@1=1"]}[command]
     stdout, stderr = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
         code = main(argv)
@@ -854,6 +879,28 @@ def test_a_malformed_file_exits_with_one_json_error(tmp_path_factory, case):
         assert len(err) == 1
         error = json.loads(err[0])["error"]
         assert isinstance(error["type"], str) and isinstance(error["message"], str)
+
+
+@pytest.mark.parametrize("text", [f'[{"1" * 5000}]', "[" * 100_000 + "]" * 100_000],
+                         ids=["5000-digit-integer", "deep-nesting"])
+@pytest.mark.parametrize("kind", ["scenario", "log", "spec", "model", "qtable", "approvals"])
+def test_json_the_decoder_refuses_exits_2(tmp_path, capsys, chain3_path, kind, text):
+    """Python's decoder raises ValueError, not JSONDecodeError, on an integer
+    of over 4300 digits, and RecursionError on deep nesting: both are
+    malformed input."""
+    path, log, out = tmp_path / "input.json", tmp_path / "log.jsonl", str(tmp_path / "out")
+    path.write_text(text)
+    log.write_text(LOG)
+    argv = {"scenario": ["simulate", "--scenario", str(path), "--out", out],
+            "log": ["detect", "--log", str(path)],
+            "spec": ["detect", "--log", str(log), "--dbn", str(path)],
+            "model": ["causal", "marginal", "--model", str(path), "--query", "A=1"],
+            "qtable": ["evaluate", "--scenario", chain3_path, "--qtable", str(path),
+                       "--episodes", "1"],
+            "approvals": ["loop", "--autonomy", "confirm", "--approve", f"file:{path}",
+                          "--out", out]}[kind]
+    assert run(argv) == 2
+    assert_one_parse_error(capsys)
 
 
 class TestUsageErrors:

@@ -1,12 +1,16 @@
 """Engine mechanics: init, compromise odds, step resolution, episodes, replay."""
 
+import dataclasses
 import hashlib
 import json
 import random
+import re
+import types
+import typing
 from dataclasses import replace
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from acdsim.agents import (
@@ -32,6 +36,7 @@ from acdsim.game import (
     PASS,
     TARGET_COMPROMISED,
     AttackerAction,
+    EpisodeLog,
     attacker_view,
     compromise_probability,
     defender_view,
@@ -53,6 +58,7 @@ from .conftest import (
     MINIMAL_SCENARIO,
     chain3_doc,
     chain3_log_text,
+    json_path,
     jsonl_mutated,
     PassingAttacker,
     load_random_scenario,
@@ -61,6 +67,18 @@ from .conftest import (
 )
 
 LOG = chain3_log_text()
+
+
+def edited_log(line: int, path: tuple, value) -> str:
+    """LOG with the value at JSON path `path` of line `line` set to `value`."""
+    lines = LOG.splitlines()
+    obj = json.loads(lines[line])
+    owner = obj
+    for key in path[:-1]:
+        owner = owner[key]
+    owner[path[-1]] = value
+    lines[line] = json.dumps(obj)
+    return "\n".join(lines) + "\n"
 
 
 class TestInit:
@@ -376,11 +394,49 @@ class TestReplay:
 
     @settings(max_examples=150, deadline=None)
     @given(st.one_of(st.text(), mutated(LOG), jsonl_mutated(LOG)))
+    @example(edited_log(1, ("reward",), "1.0"))
+    @example(edited_log(1, ("reward",), 10 ** 400))
+    @example(edited_log(1, ("events", 1, "outcome"), 3))
+    @example(edited_log(2, ("events", 0, "creds"), "ab"))
+    @example(edited_log(2, ("events", 2, "alert_kind"), ["x"]))
+    @example(edited_log(1, ("events", 0, "duration"), 1.0))
+    @example(edited_log(-1, ("final", "terminal"), 3))
+    @example(edited_log(0, ("version",), 1))
     def test_log_text_parses_or_raises_parse_or_validation_error(self, text):
         try:
-            parse_episode_jsonl(text)
+            log = parse_episode_jsonl(text)
         except (ParseError, ValidationError):
-            pass
+            return
+        assert has_declared_types(log, EpisodeLog)
+
+
+@pytest.mark.parametrize("line,path", [
+    (0, ("note",)), (1, ("note",)), (1, ("def", "note")), (1, ("atk", "note")),
+    (1, ("events", 0, "note")), (-1, ("note",)), (-1, ("final", "note"))])
+def test_an_unknown_log_key_is_refused(line, path):
+    where = json_path(path[:-1], f"lines[{line % len(LOG.splitlines())}]")
+    with pytest.raises(ParseError, match=rf"^unknown key\(s\) in {re.escape(where)}: note "):
+        parse_episode_jsonl(edited_log(line, path, 1))
+
+
+def has_declared_types(value, hint) -> bool:
+    """Whether `value` has the type `hint`, every field of a dataclass and
+    every item of a tuple or frozenset checked against its annotation, and a
+    bool not taken for an int nor an int for a float."""
+    origin, args = typing.get_origin(hint), typing.get_args(hint)
+    if origin is types.UnionType:
+        return any(has_declared_types(value, arg) for arg in args)
+    if origin is tuple and args[-1] is not Ellipsis:
+        return (type(value) is tuple and len(value) == len(args)
+                and all(map(has_declared_types, value, args)))
+    if origin in (tuple, frozenset):
+        return type(value) is origin and all(has_declared_types(v, args[0]) for v in value)
+    if dataclasses.is_dataclass(hint):
+        hints = typing.get_type_hints(hint)
+        return type(value) is hint and all(
+            has_declared_types(getattr(value, f.name), hints[f.name])
+            for f in dataclasses.fields(hint))
+    return type(value) is (origin or hint)
 
 
 def enterprise8():

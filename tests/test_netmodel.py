@@ -4,6 +4,7 @@ import itertools
 import json
 import pickle
 import random
+import re
 from dataclasses import replace
 
 import pytest
@@ -29,10 +30,12 @@ from .conftest import (
     chain3_doc,
     chain3_full_doc,
     json_mutated,
+    json_path,
     load_random_scenario,
     mutated,
     random_scenario_doc,
     shortest_hops,
+    with_value,
 )
 
 SCENARIO = chain3_full_doc()
@@ -82,6 +85,14 @@ class TestLoadScenario:
     def test_missing_attacker_is_parse_error(self):
         with pytest.raises(ParseError, match="attacker"):
             load_scenario('{"nodes":[{"id":0}],"edges":[]}')
+
+    @pytest.mark.parametrize("path", [
+        ("nodes", 0, "defence"), ("nodes", 1, "vulns", 0, "severity"), ("attacker", "strength"),
+        ("attacker", "spread"), ("attacker", "entry", 0), ("edges", 0, 1), ("horizon",)])
+    def test_an_integer_too_large_for_a_float_is_a_parse_error(self, path):
+        text = json.dumps(with_value(chain3_doc(), path, 10 ** 400))
+        with pytest.raises(ParseError, match=rf"^{re.escape(json_path(path))} must be "):
+            load_scenario(text)
 
     def test_wrong_type_is_parse_error(self):
         doc = json.loads(MINIMAL_SCENARIO)
@@ -136,11 +147,17 @@ class TestValidateScenario:
         "patch_cost", "patch_usability", "restore_cost", "restore_usability",
         "isolate_cost_per_step", "scan_cost", "survival_bonus", "target_loss_penalty"])
     def test_a_non_finite_cost_is_one_violation(self, name, value):
+        """`validate_scenario` refuses a scenario built with a non-finite cost;
+        a scenario file cannot give one, as its reader refuses the number."""
+        s = load_scenario(json.dumps(chain3_doc()))
+        with pytest.raises(ValidationError) as err:
+            validate_scenario(replace(s, costs=replace(s.costs, **{name: value})))
+        assert err.value.violations == [f"{name} must be finite, got {value}"]
         doc = chain3_doc()
         doc["costs"] = {name: value}
-        with pytest.raises(ValidationError) as err:
+        with pytest.raises(ParseError,
+                           match=rf"^costs\.{name} must be a number within ±1\.8e\+308$"):
             load_scenario(json.dumps(doc))
-        assert err.value.violations == [f"{name} must be finite, got {value}"]
 
     def test_entry_is_target_rejected(self):
         doc = chain3_doc()

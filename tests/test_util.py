@@ -1,5 +1,7 @@
 """`_util.indented_json` and every JSON file writer that uses it: the text is
-what `json.dumps(obj, sort_keys=True, indent=2)` writes for the same object."""
+what `json.dumps(obj, sort_keys=True, indent=2)` writes for the same object.
+The typed reader of JSON input: `parse_json` decodes as `json.loads` does,
+and `typed`, `member` and `json_object` keep the house rules."""
 
 import json
 import math
@@ -9,7 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from acdsim import agents, causal, detect, game, loop, netmodel
-from acdsim._util import indented_json
+from acdsim._util import indented_json, json_object, member, parse_json, typed
+from acdsim.errors import ParseError
 from acdsim.cli import default_scenario_path, main
 
 from .conftest import spec_to_obj
@@ -111,3 +114,54 @@ class TestWriters:
         assert main(argv + ["--out", str(out)]) == 0
         text = out.read_text(encoding="utf-8")
         assert text == dumps(json.loads(text)) + "\n"
+
+
+class TestReader:
+    @settings(max_examples=400, deadline=None)
+    @given(st.one_of(st.text(max_size=8), JSON_VALUES.map(json.dumps), st.tuples(
+        st.sampled_from(["", " ", "\n", "\t\r\n", "\xa0"]), JSON_VALUES.map(json.dumps),
+        st.sampled_from(["", " ", "\n", " x", "\n\t{}", "\xa0", "]"])).map("".join)))
+    def test_parse_json_decodes_as_json_loads(self, text):
+        try:
+            expected = json.loads(text)
+        except ValueError as exc:
+            with pytest.raises(ParseError) as err:
+                parse_json(text, "file")
+            assert str(err.value) == f"invalid file JSON: {exc}"
+            return
+        assert json.dumps(parse_json(text, "file")) == json.dumps(expected)
+
+    @pytest.mark.parametrize("value,kind", [
+        (True, int), (1, bool), (1, str), ("1", int), ("1.0", float), (True, float),
+        (math.nan, float), (math.inf, float), (10 ** 400, float), (10 ** 400, int),
+        ([1, "a"], [int]), ([1, True], [int]), ([[1], [1.5]], [[int]]), ({}, list),
+        (2, (bool, int)), (1.0, (bool, int)), (None, str)])
+    def test_typed_keeps_the_house_rules(self, value, kind):
+        with pytest.raises(ParseError, match=" must be "):
+            typed(value, kind, "x", within=(0, 1) if type(kind) is tuple else None)
+
+    def test_typed_reads_numbers_as_floats_and_names_the_path(self):
+        assert typed([1, 2.5], [float], "a") == [1.0, 2.5]
+        assert type(typed(3, float, "a")) is float
+        assert typed([True, 0, 1], [(bool, int)], "a", within=(0, 1)) == [True, 0, 1]
+        with pytest.raises(ParseError, match=r"^a\.b\[1\]\[0\] must be an integer$"):
+            typed([[1], ["2"]], [[int]], "a", "b")
+        with pytest.raises(ParseError, match=r"^the document must be a list of booleans$"):
+            typed({}, [bool], "")
+
+    def test_member_defaults_and_null(self):
+        obj = {"a": None, "b": 2}
+        assert member(obj, "a", int, "p", None) is None  # null where absence means null
+        assert member(obj, "c", int, "p", 7) == 7
+        with pytest.raises(ParseError, match=r"^p\.a must be an integer$"):
+            member(obj, "a", int, "p", 0)
+        with pytest.raises(ParseError, match=r"^p\.c is required$"):
+            member(obj, "c", int, "p")
+
+    def test_json_object_refuses_unknown_keys_unless_lenient(self):
+        assert json_object({"a": 1}, "p", {"a", "b"}) == {"a": 1}
+        with pytest.raises(ParseError, match=r"^unknown key\(s\) in p: c, d \(known: a, b\)$"):
+            json_object({"a": 1, "d": 2, "c": 3}, "p", {"a", "b"})
+        assert json_object({"c": 3}, "p", {"a"}, lenient=True) == {"c": 3}
+        with pytest.raises(ParseError, match="^p must be an object$"):
+            json_object([], "p", {"a"}, lenient=True)

@@ -203,10 +203,6 @@ class QTable:
             self.values[key] = [0.0] * len(self.actions)
         return self.values[key]
 
-    def get(self, key, action: int) -> float:
-        row = self.values.get(key)
-        return row[action] if row is not None else 0.0
-
     def max_value(self, key) -> float:
         row = self.values.get(key)
         return max(row) if row is not None else 0.0

@@ -34,7 +34,6 @@ from .errors import (
 from .netmodel import (
     NodeSpec,
     Scenario,
-    scenario_digest,
     scenario_from_obj,
     scenario_to_obj,
 )
@@ -45,8 +44,17 @@ HORIZON_REACHED = "horizon_reached"
 ALERT_ATTEMPT_FAIL = "attempt_fail"
 ALERT_ATTEMPT_SUCCESS = "attempt_success"
 ALERT_FALSE_POSITIVE = "false_positive"
+ALERT_KINDS = (ALERT_ATTEMPT_FAIL, ALERT_ATTEMPT_SUCCESS, ALERT_FALSE_POSITIVE)
+
+ATTEMPT_SUCCESS = "success"
+ATTEMPT_FAIL = "fail"
+ATTEMPT_SKIPPED = "skipped"
+ATTEMPT_OUTCOMES = (ATTEMPT_SUCCESS, ATTEMPT_FAIL, ATTEMPT_SKIPPED)
 
 DEFENDER_KINDS = ("nop", "patch", "restore", "isolate", "scan")
+# an event is an attacker's attempt or loot, a defender action other than
+# nop, or an alert
+EVENT_KINDS = ("attempt", "loot", *DEFENDER_KINDS[1:], "alert")
 
 CRED_COMPROMISE_PROB = 0.9
 
@@ -91,12 +99,12 @@ PASS = AttackerAction()
 
 @dataclass(frozen=True)
 class Event:
-    kind: str  # attempt | loot | patch | restore | isolate | scan | alert
+    kind: str  # one of EVENT_KINDS
     node: int
-    outcome: str | None = None      # attempt: success | fail | skipped
+    outcome: str | None = None      # attempt: one of ATTEMPT_OUTCOMES
     creds: tuple[str, ...] = ()     # loot
     result: bool | None = None      # scan
-    alert_kind: str | None = None   # alert (ground truth only)
+    alert_kind: str | None = None   # alert: one of ALERT_KINDS (ground truth only)
     duration: int | None = None     # isolate
 
     def to_obj(self) -> dict:
@@ -145,7 +153,7 @@ class GameState:
     _attacker_maps: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def target_seen(self) -> int | None:
-        target = self.scenario.topology.target_id()
+        target = self.scenario.topology.target_id
         return target if target in self.attacker_known else None
 
 
@@ -158,15 +166,6 @@ class AttackerView:
     compromised: frozenset[int]
     creds: frozenset[str]
     target_seen: int | None
-
-    def to_obj(self) -> dict:
-        return {
-            "known_nodes": {str(k): list(v) for k, v in sorted(self.known_nodes.items())},
-            "known_unlocks": {str(k): sorted(v) for k, v in sorted(self.known_unlocks.items())},
-            "compromised": sorted(self.compromised),
-            "creds": sorted(self.creds),
-            "target_seen": self.target_seen,
-        }
 
 
 @dataclass(frozen=True)
@@ -183,19 +182,6 @@ class DefenderView:
     isolation: dict[int, int]
     defence_now: dict[int, float]
     cumulative_reward: float
-
-    def to_obj(self) -> dict:
-        return {
-            "nodes": list(self.topology_nodes),
-            "edges": [list(e) for e in self.topology_edges],
-            "target": self.target,
-            "t": self.t,
-            "alerts_last_step": list(self.alerts_last_step),
-            "scan_results": {str(k): [s, r] for k, (s, r) in sorted(self.scan_results.items())},
-            "isolation": {str(k): v for k, v in sorted(self.isolation.items())},
-            "defence_now": {str(k): v for k, v in sorted(self.defence_now.items())},
-            "cumulative_reward": self.cumulative_reward,
-        }
 
 
 def attacker_view(st: GameState) -> AttackerView:
@@ -220,9 +206,9 @@ def attacker_view(st: GameState) -> AttackerView:
 
 def defender_view(st: GameState) -> DefenderView:
     topo = st.scenario.topology
-    target = topo.target_id()
+    target = topo.target_id
     return DefenderView(
-        topology_nodes=topo.node_ids(),
+        topology_nodes=topo.node_ids,
         topology_edges=topo.sorted_edges,
         target=target,
         target_neighbors=topo.neighbors(target),
@@ -346,14 +332,14 @@ def step(st: GameState, d: DefenderAction, a: AttackerAction) -> tuple[GameState
     newly: list[int] = []
     for n in sorted(a.attempts):
         if n in st.isolation or n in st.compromised:
-            events.append(Event("attempt", n, outcome="skipped"))
+            events.append(Event("attempt", n, outcome=ATTEMPT_SKIPPED))
             continue
         node = topo.node(n)
         cred_held = bool(st.attacker_creds & node.unlocks)
         p = compromise_probability(s.attacker.strength, node, st.defence_now[n], cred_held)
         success = st.rng.random() < p
         alert_u = st.rng.random()
-        events.append(Event("attempt", n, outcome="success" if success else "fail"))
+        events.append(Event("attempt", n, outcome=ATTEMPT_SUCCESS if success else ATTEMPT_FAIL))
         if success:
             newly.append(n)
         threshold = s.alerts.p_alert_success if success else s.alerts.p_alert_fail
@@ -374,7 +360,7 @@ def step(st: GameState, d: DefenderAction, a: AttackerAction) -> tuple[GameState
         st.attacker_known.update(topo.neighbors(n))
 
     # (5) false alerts, ascending node id
-    for n in topo.node_ids():
+    for n in topo.node_ids:
         if st.rng.random() < s.alerts.p_false_alert:
             events.append(Event("alert", n, alert_kind=ALERT_FALSE_POSITIVE))
     st.last_alerts = tuple(sorted(e.node for e in events if e.kind == "alert"))
@@ -383,7 +369,7 @@ def step(st: GameState, d: DefenderAction, a: AttackerAction) -> tuple[GameState
     st.isolation = {n: k - 1 for n, k in st.isolation.items() if k - 1 > 0}
 
     # (7) reward
-    target = topo.target_id()
+    target = topo.target_id
     if target in st.compromised:
         reward = costs.target_loss_penalty
     else:
@@ -452,7 +438,7 @@ def run_episode(s: Scenario, defender, attacker, seed: int,
         records.append(StepRecord(t_before, d, a, outcome))
     return EpisodeLog(
         scenario=s,
-        scenario_sha256=scenario_digest(s),
+        scenario_sha256=s.digest,
         seed=seed,
         version=__version__,
         steps=tuple(records),
@@ -521,6 +507,15 @@ _DEF_KEYS = {"kind", "node", "duration"}
 _ATK_KEYS = {"attempts"}
 _EVENT_KEYS = {"kind", "node", "outcome", "creds", "result", "alert_kind", "duration"}
 _FINAL_KEYS = {"t", "terminal", "total_reward", "compromised", "creds"}
+# the value sets as sets, None in those of optional fields: one lookup a value
+_DEFENDER_KIND_SET = frozenset(DEFENDER_KINDS)
+_EVENT_KIND_SET = frozenset(EVENT_KINDS)
+_OUTCOME_SET = frozenset((*ATTEMPT_OUTCOMES, None))
+_ALERT_KIND_SET = frozenset((*ALERT_KINDS, None))
+
+
+def _not_one_of(where: str, allowed: tuple, value) -> ParseError:
+    return ParseError(f"{where} must be one of {', '.join(allowed)}, got {value!r}")
 
 
 def parse_episode_jsonl(text: str) -> EpisodeLog:
@@ -545,21 +540,29 @@ def parse_episode_jsonl(text: str) -> EpisodeLog:
         def_at, atk_at = where + ".def", where + ".atk"
         d = json_object(step.get("def"), def_at, _DEF_KEYS)
         kind = member(d, "kind", str, def_at)
-        if kind not in DEFENDER_KINDS:
-            raise ParseError(f"{def_at}.kind must be one of {', '.join(DEFENDER_KINDS)}, "
-                             f"got {kind!r}")
+        if kind not in _DEFENDER_KIND_SET:
+            raise _not_one_of(def_at + ".kind", DEFENDER_KINDS, kind)
         atk = json_object(step.get("atk"), atk_at, _ATK_KEYS)
         events, events_at = [], where + ".events"
         for j, event in enumerate(member(step, "events", list, where)):
             event_at = f"{events_at}[{j}]"
             event = json_object(event, event_at, _EVENT_KEYS)
+            event_kind = member(event, "kind", str, event_at)
+            if event_kind not in _EVENT_KIND_SET:
+                raise _not_one_of(event_at + ".kind", EVENT_KINDS, event_kind)
+            outcome = member(event, "outcome", str, event_at, None)
+            if outcome not in _OUTCOME_SET:
+                raise _not_one_of(event_at + ".outcome", ATTEMPT_OUTCOMES, outcome)
+            alert_kind = member(event, "alert_kind", str, event_at, None)
+            if alert_kind not in _ALERT_KIND_SET:
+                raise _not_one_of(event_at + ".alert_kind", ALERT_KINDS, alert_kind)
             # positional: each read names its field, and keywords cost a third more here
-            events.append(Event(member(event, "kind", str, event_at),
+            events.append(Event(event_kind,
                                 member(event, "node", int, event_at),
-                                member(event, "outcome", str, event_at, None),
+                                outcome,
                                 tuple(member(event, "creds", [str], event_at, ())),
                                 member(event, "result", bool, event_at, None),
-                                member(event, "alert_kind", str, event_at, None),
+                                alert_kind,
                                 member(event, "duration", int, event_at, None)))
         records.append(StepRecord(
             member(step, "t", int, where),

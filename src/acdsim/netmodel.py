@@ -77,23 +77,17 @@ class NetworkTopology:
             raise UnknownNodeError(f"no node with id {node_id}")
         return self._adj[node_id]
 
-    def node_ids(self) -> tuple[int, ...]:
-        return self._node_ids
-
-    def target_id(self) -> int:
-        return self._target_id
-
     @cached_property
     def sorted_edges(self) -> tuple[tuple[int, int], ...]:
         return tuple(sorted(self.edges))
 
     @cached_property
-    def _node_ids(self) -> tuple[int, ...]:
+    def node_ids(self) -> tuple[int, ...]:
         return tuple(sorted(self._by_id))
 
     @cached_property
-    def _target_id(self) -> int:
-        # raising leaves nothing cached, so every call on a topology
+    def target_id(self) -> int:
+        # raising leaves nothing cached, so every read on a topology
         # without a target raises
         for n in self.nodes:
             if n.is_target:
@@ -139,7 +133,9 @@ class Scenario:
     horizon: int = DEFAULT_HORIZON
 
     @cached_property
-    def _digest(self) -> str:
+    def digest(self) -> str:
+        """SHA-256 of the canonical compact serialization, computed once per
+        scenario object."""
         return sha256_hex(canonical_json(scenario_to_obj(self)))
 
     @cached_property
@@ -350,9 +346,3 @@ def scenario_to_obj(s: Scenario) -> dict:
         "alerts": asdict(s.alerts),
         "horizon": s.horizon,
     }
-
-
-def scenario_digest(s: Scenario) -> str:
-    """SHA-256 of the canonical compact serialization, computed once per
-    scenario object."""
-    return s._digest

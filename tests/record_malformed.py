@@ -4,14 +4,17 @@ exact stderr line, from an in-process run of `acdsim.cli.main`.
 
     PYTHONPATH=src python tests/record_malformed.py
 
-The cases are those the CI workflow runs: each CI step that expects a
-non-zero exit, and the step that feeds every input kind an over-large
-integer, a mistyped field and an unknown key. `test_malformed_inputs.py`
-replays the table. A change that alters an exit code or an error message on
-purpose re-records it, so the table's diff names each case that changed.
+Each case feeds the command line one malformed input: a tampered log, a
+bad model, DBN spec or Q-table, an out-of-range option, an event value
+outside its set, and for every input kind an over-large integer, a mistyped
+field and an unknown key. `test_malformed_inputs.py` replays the table
+in-process, and a CI step replays it through the installed `acdsim`. A
+change that alters an exit code or an error message on purpose re-records
+it, so the table's diff names each case that changed.
 """
 
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -25,8 +28,8 @@ from acdsim.cli import default_scenario_path, main
 TABLE = Path(__file__).with_name("malformed_inputs.json")
 BIG = 10 ** 400  # an integer no float can hold
 
-# (file name, its text) for the models, specs, Q-tables and approval files
-# that CI writes with echo or json.dump
+# (file name, its document) of the models, specs, Q-tables, loop reports and
+# approval files the cases read
 DOCS = {
     "bad-model.json": {"variables": [{"name": "A"}], "parents": {}, "cpts": {"A": [0.5, 0.5]}},
     "latent-string.json": {"variables": [{"name": "A", "latent": "no"}], "parents": {},
@@ -82,6 +85,9 @@ LOG_EDITS = [
     ("big-log.jsonl", 1, ("reward",), BIG),
     ("typo-log.jsonl", 1, ("reward",), "1.0"),
     ("key-log.jsonl", 1, ("note",), 1),
+    ("event-kind.jsonl", 1, ("events", 0, "kind"), "bogus"),
+    ("outcome.jsonl", 1, ("events", 0, "outcome"), "bogus"),
+    ("alert-kind.jsonl", 1, ("events", 1, "alert_kind"), "bogus"),
 ]
 
 SPEC_CASES = ["bad-spec.json", "confounder-string.json", "schedule-mixed.json",
@@ -120,23 +126,40 @@ CASES = [
         ["evaluate", "--qtable", f"{fault}-q.json", "--episodes", "1"],
         ["loop", "--autonomy", "confirm", "--approve", f"file:{fault}-approvals.json",
          "--out", "bad.json"])],
+    # an event value outside its set
+    *[[command, "--log", log] for log in ("event-kind.jsonl", "outcome.jsonl", "alert-kind.jsonl")
+      for command in ("replay", "detect")],
 ]
 
 
-def run_case(argv: list[str]) -> tuple[int, str]:
-    """(exit code, stderr) of `main(argv)` in the current directory. An
-    exception that escapes `main` counts as exit 1 with the last line of its
-    traceback, as the interpreter would print it."""
-    err = io.StringIO()
-    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+def run_case(argv: list[str]) -> tuple[int, str, str]:
+    """(exit code, stdout, stderr) of `main(argv)` in the current directory.
+    An exception that escapes `main` counts as exit 1 with the last line of
+    its traceback on stderr, as the interpreter would print it."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
             code = main(argv)
         except Exception as exc:  # noqa: BLE001 - recorded, not handled
-            return 1, traceback.format_exception_only(exc)[-1]
-    return code, err.getvalue()
+            return 1, out.getvalue(), traceback.format_exception_only(exc)[-1]
+    return code, out.getvalue(), err.getvalue()
 
 
-def _edited(doc, path, value) -> str:
+def write_files(files: dict[str, str], directory) -> None:
+    """Write each {file name: text} of `files` into `directory`."""
+    for name, text in files.items():
+        Path(directory, name).write_text(text, encoding="utf-8")
+
+
+def file_digests(directory) -> dict[str, str]:
+    """{file name: sha256 of its bytes} of every file in `directory`."""
+    return {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+            for path in sorted(Path(directory).iterdir()) if path.is_file()}
+
+
+def edited(doc, path, value) -> str:
+    """The compact JSON text of `doc`, keys sorted, with the value at JSON
+    path `path` set to `value`; `doc` itself is left as it was."""
     doc = json.loads(json.dumps(doc))
     owner = doc
     for key in path[:-1]:
@@ -151,7 +174,7 @@ def make_files() -> dict[str, str]:
     with open(default_scenario_path(), encoding="utf-8") as fh:
         scenario = json.load(fh)
     for name, path, value in SCENARIO_EDITS:
-        files[name] = _edited(scenario, path, value)
+        files[name] = edited(scenario, path, value)
     with tempfile.TemporaryDirectory() as work:
         logs = {}
         for name, argv in (("s.jsonl", ["simulate", "--seed", "5"]),
@@ -159,14 +182,15 @@ def make_files() -> dict[str, str]:
                            ("c2.json", ["causal", "build", "--topology", "chain-a",
                                         "--slices", "2"])):
             path = os.path.join(work, name)
-            assert run_case(argv + ["--out", path]) == (0, "")
+            code, _, stderr = run_case(argv + ["--out", path])
+            assert (code, stderr) == (0, "")
             logs[name] = Path(path).read_text(encoding="utf-8")
     files["one.jsonl"], files["c2.json"] = logs["one.jsonl"], logs["c2.json"]
     lines = logs["s.jsonl"].splitlines()
     for name, line, path, value in LOG_EDITS:
-        edited = list(lines)
-        edited[line] = _edited(json.loads(lines[line]), path, value)
-        files[name] = "\n".join(edited) + "\n"
+        changed = list(lines)
+        changed[line] = edited(json.loads(lines[line]), path, value)
+        files[name] = "\n".join(changed) + "\n"
     return dict(sorted(files.items()))
 
 
@@ -174,13 +198,12 @@ def record() -> dict:
     files = make_files()
     cases = []
     with tempfile.TemporaryDirectory() as work:
-        for name, text in files.items():
-            Path(work, name).write_text(text, encoding="utf-8")
+        write_files(files, work)
         cwd = os.getcwd()
         os.chdir(work)
         try:
             for argv in CASES:
-                code, stderr = run_case(argv)
+                code, _, stderr = run_case(argv)
                 cases.append({"argv": argv, "exit": code, "stderr": stderr})
         finally:
             os.chdir(cwd)

@@ -158,19 +158,19 @@ class TestQUpdate:
     def test_single_backup_from_zero(self):
         table = QTable(("a", "b"))
         q_update(table, "k", 0, 1.0, "k2", LearningParams(alpha=0.1, gamma=0.95))
-        assert table.get("k", 0) == pytest.approx(0.1)
+        assert table.row("k")[0] == pytest.approx(0.1)
 
     def test_zero_reward_zero_table_fixed_point(self):
         table = QTable(("a", "b"))
         q_update(table, "k", 1, 0.0, "k2", LearningParams(alpha=0.1, gamma=0.95))
-        assert table.get("k", 1) == 0.0
+        assert table.row("k")[1] == 0.0
 
     def test_bootstrap_hand_arithmetic(self):
         table = QTable(("a", "b"))
         table.row("k")[0] = 1.0
         table.row("k2")[1] = 2.0
         q_update(table, "k", 0, 0.0, "k2", LearningParams(alpha=0.1, gamma=0.95))
-        assert table.get("k", 0) == pytest.approx(1.09)
+        assert table.row("k")[0] == pytest.approx(1.09)
 
     def test_greedy_tie_break_lowest_index(self):
         table = QTable(("a", "b", "c"))
@@ -213,7 +213,7 @@ class TestMdpOracle:
         for s in MDP_STATES:
             assert base.greedy(s) == scaled.greedy(s)
             for a in (0, 1):
-                assert scaled.get(s, a) == pytest.approx(2.0 * base.get(s, a), abs=1e-12)
+                assert scaled.row(s)[a] == pytest.approx(2.0 * base.row(s)[a], abs=1e-12)
 
 
 class TestTrain:
@@ -259,7 +259,7 @@ class TestTrain:
         for i in range(20):
             run_episode(chain3, agent, LateralAttacker(1), seed=i)
         assert agent.actions
-        node_ids = set(chain3.topology.node_ids())
+        node_ids = set(chain3.topology.node_ids)
         for action in agent.actions:
             assert action.kind in ("nop", "patch", "restore", "isolate", "scan")
             if action.kind != "nop":

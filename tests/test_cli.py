@@ -191,7 +191,9 @@ LOG_TYPES = [(0, ("seed",), [1]), (0, ("seed",), True), (1, ("t",), "a"),
              (1, ("events", 0, "outcome"), 3), (1, ("events", 0, "result"), "yes"),
              (1, ("events", 1, "alert_kind"), 5), (1, ("events", 0, "duration"), "1"),
              (-1, ("final", "terminal"), 3), (0, ("scenario_sha256",), 5),
-             (0, ("version",), 1), (1, ("events",), "x")]
+             (0, ("version",), 1), (1, ("events",), "x"),
+             (1, ("events", 0, "kind"), "bogus"), (1, ("events", 0, "outcome"), "bogus"),
+             (1, ("events", 1, "alert_kind"), "bogus")]
 
 
 @pytest.mark.parametrize("command", ["replay", "detect"])

@@ -18,7 +18,6 @@ from acdsim.netmodel import (
     NetworkTopology,
     NodeSpec,
     load_scenario,
-    scenario_digest,
     scenario_to_obj,
     validate_scenario,
 )
@@ -46,7 +45,7 @@ class TestLoadScenario:
         s = load_scenario(MINIMAL_SCENARIO)
         assert len(s.topology.nodes) == 2
         assert len(s.topology.edges) == 1
-        assert s.topology.target_id() == 1
+        assert s.topology.target_id == 1
         assert s.attacker.entry == frozenset({0})
 
     def test_defaults_filled_when_costs_omitted(self):
@@ -259,7 +258,7 @@ class TestShortestHops:
         rng = random.Random(7)
         for _ in range(25):
             s = load_random_scenario(rng)
-            ids = s.topology.node_ids()
+            ids = s.topology.node_ids
             for a, b in itertools.combinations(ids, 2):
                 assert shortest_hops(s.topology, a, b) == shortest_hops(s.topology, b, a)
             for a, b, c in itertools.islice(itertools.combinations(ids, 3), 20):
@@ -281,23 +280,23 @@ class TestSerialization:
         assert load_scenario(indented_json(scenario_to_obj(s))) == s
 
     def test_digest_stable_and_distinct(self, chain3):
-        assert scenario_digest(chain3) == scenario_digest(chain3)
+        assert chain3.digest == chain3.digest
         other = load_scenario(json.dumps(chain3_doc(strength=0.5)))
-        assert scenario_digest(chain3) != scenario_digest(other)
+        assert chain3.digest != other.digest
 
     def test_digest_is_recomputed_for_a_replaced_or_unpickled_scenario(self, chain3):
         def fresh(s):
             return sha256_hex(canonical_json(scenario_to_obj(s)))
 
         unpickled_cold = pickle.loads(pickle.dumps(chain3))
-        assert scenario_digest(chain3) == fresh(chain3)
+        assert chain3.digest == fresh(chain3)
         unpickled_warm = pickle.loads(pickle.dumps(chain3))
-        assert scenario_digest(unpickled_cold) == scenario_digest(unpickled_warm) == fresh(chain3)
+        assert unpickled_cold.digest == unpickled_warm.digest == fresh(chain3)
         longer = replace(chain3, horizon=chain3.horizon + 1)
-        assert scenario_digest(longer) == fresh(longer) != scenario_digest(chain3)
+        assert longer.digest == fresh(longer) != chain3.digest
         nodes = tuple(replace(n, defence=0.5) for n in chain3.topology.nodes)
         harder = replace(chain3, topology=replace(chain3.topology, nodes=nodes))
-        assert scenario_digest(harder) == fresh(harder) != scenario_digest(chain3)
+        assert harder.digest == fresh(harder) != chain3.digest
 
 
 class TestTopologyFacts:
@@ -306,12 +305,12 @@ class TestTopologyFacts:
         for _ in range(20):
             topo = load_random_scenario(rng).topology
             for _ in range(2):
-                assert topo.node_ids() == tuple(sorted(n.id for n in topo.nodes))
+                assert topo.node_ids == tuple(sorted(n.id for n in topo.nodes))
                 assert topo.sorted_edges == tuple(sorted(topo.edges))
-                assert topo.target_id() == next(n.id for n in topo.nodes if n.is_target)
+                assert topo.target_id == next(n.id for n in topo.nodes if n.is_target)
 
     def test_target_id_without_a_target_raises_every_time(self):
         topo = NetworkTopology(nodes=(NodeSpec(0), NodeSpec(1)), edges=frozenset({(0, 1)}))
         for _ in range(2):
             with pytest.raises(ValidationError, match="has none"):
-                topo.target_id()
+                topo.target_id

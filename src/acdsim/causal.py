@@ -147,6 +147,15 @@ def _check_assignment(m: Cgm, q: Assignment, what: str):
             raise SpecError(f"{what} value for {v} must be 0 or 1")
 
 
+def _check_evidence(m: Cgm, evidence: Assignment, what: str):
+    """`_check_assignment` for an assignment conditioned on, which may name
+    no latent variable; `observational` and `interventional` both ask it."""
+    _check_assignment(m, evidence, what)
+    for v in evidence:
+        if v in m.latent:
+            raise LatentEvidenceError(f"cannot condition on latent {v}")
+
+
 def _merged(target: Assignment, given: Assignment) -> Assignment | None:
     """Union of two assignments; None when they contradict each other."""
     out = dict(given)
@@ -206,10 +215,7 @@ def observational(m: Cgm, target: Assignment, given: Assignment) -> float:
     return 0.0 for a target that contradicts `given`.
     """
     _check_assignment(m, target, "target")
-    _check_assignment(m, given, "given")
-    for v in given:
-        if v in m.latent:
-            raise LatentEvidenceError(f"cannot condition on latent {v}")
+    _check_evidence(m, given, "given")
     free = len(m.variables) - len(given)
     if free > ENGINE_PREFERENCE:
         try:
@@ -245,11 +251,12 @@ def interventional(m: Cgm, target: Assignment, do: Assignment,
     """p(target | do, evidence) via mutilation plus conditioning.
 
     Evidence is only admitted on slices strictly before the earliest
-    intervened slice (condition on the past, intervene on the future).
+    intervened slice (condition on the past, intervene on the future), and
+    never on a latent variable.
     """
     evidence = dict(evidence or {})
     _check_assignment(m, do, "intervention")
-    _check_assignment(m, evidence, "evidence")
+    _check_evidence(m, evidence, "evidence")
     if not do:
         return observational(m, target, evidence)
     if evidence:

@@ -95,10 +95,12 @@ def _print_result(value: float):
 
 
 def _episode_seeds(args) -> list[int]:
-    """--seed, --seed + 1, ... for each of --episodes; a negative count is
-    refused."""
+    """--seed, --seed + 1, ... for each of --episodes; a negative count, or
+    a --parallel below 1, is refused."""
     if args.episodes < 0:
         raise ParseError(f"--episodes must be >= 0, got {args.episodes}")
+    if args.parallel < 1:
+        raise ParseError(f"--parallel must be >= 1, got {args.parallel}")
     return [args.seed + i for i in range(args.episodes)]
 
 

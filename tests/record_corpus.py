@@ -1,0 +1,364 @@
+"""Record `corpus.json`, the byte-identity corpus of the command line: every
+case, valid or refused, runs in order in one fresh directory after the
+corpus's `files` are written there, through in-process `acdsim.cli.main`.
+Later cases read what earlier ones wrote (a Q-table, logs, loop reports,
+models). Each case records its command line, its exit code, its exact
+stderr (`""` for a valid run), the sha256 of its stdout and the sha256 of
+each file it writes or changes; a refused case writes none.
+
+    PYTHONPATH=src python -m tests.record_corpus
+
+`test_corpus.py` replays the corpus and checks invariants on the files the
+replay writes; run as a module, it replays the corpus through the installed
+`acdsim`. A change that alters an output, an error message or an exit code
+on purpose re-records the corpus, so its diff names each case that changed.
+"""
+
+import contextlib
+import hashlib
+import io
+import json
+import os
+import subprocess
+import tempfile
+import traceback
+from pathlib import Path
+
+from acdsim._util import sha256_hex
+from acdsim.agents import META_ACTIONS
+from acdsim.cli import default_scenario_path, main
+
+CORPUS = Path(__file__).with_name("corpus.json")
+BIG = 10 ** 400  # an integer no float can hold
+
+# (file name, its document) of the models, specs, Q-tables, loop reports and
+# approval files the cases read
+DOCS = {
+    "fork.json": {"topology": "fork-b", "slices": 8},
+    "confounded.json": {"topology": "confounded-c", "slices": 8},
+    "confounded-slice.json": {"topology": "confounded-c", "slices": 8,
+                              "per_slice_confounder": True, "schedule": [1, 0, True]},
+    "chain-int.json": {"topology": "chain-a", "slices": 8,
+                       "params": {"spontaneous": 0, "edge_strength": 1}},
+    # deterministic: it cannot explain noiseless frames of most logs
+    "hard.json": {"topology": "chain-a", "slices": 8,
+                  "params": {"spontaneous": 0, "persistence": 1, "edge_strength": 1,
+                             "root_activation": 1}},
+    "approvals.json": [True, False, True, True, False],
+    "bad-model.json": {"variables": [{"name": "A"}], "parents": {}, "cpts": {"A": [0.5, 0.5]}},
+    "cycle-model.json": {"variables": [{"name": "A"}, {"name": "B"}],
+                         "parents": {"A": ["B"], "B": ["A"]},
+                         "cpts": {"A": [0.5, 0.5], "B": [0.5, 0.5]}},
+    "orphan-model.json": {"variables": [{"name": "A"}], "parents": {"A": ["B"]},
+                          "cpts": {"A": [0.5, 0.5]}},
+    "latent-string.json": {"variables": [{"name": "A", "latent": "no"}], "parents": {},
+                           "cpts": {"A": [0.5]}},
+    "cpt-string.json": {"variables": [{"name": "A"}], "parents": {}, "cpts": {"A": ["0.5"]}},
+    "cpt-bool.json": {"variables": [{"name": "A"}], "parents": {}, "cpts": {"A": [True]}},
+    "big-model.json": {"variables": [{"name": "A"}], "parents": {}, "cpts": {"A": [BIG]}},
+    "typo-model.json": {"variables": [{"name": "A", "slice": "0"}], "parents": {},
+                        "cpts": {"A": [0.5]}},
+    "key-model.json": {"variables": [{"name": "A"}], "parents": {}, "cpts": {"A": [0.5]},
+                       "note": 1},
+    "bad-spec.json": {"topology": "chain-a", "slices": 4, "params": {"spontaneous": 2.0}},
+    "confounder-string.json": {"topology": "confounded-c", "slices": 8,
+                               "per_slice_confounder": "false"},
+    "schedule-mixed.json": {"topology": "confounded-c", "slices": 8, "schedule": ["no", {}, 0]},
+    "schedule-empty.json": {"topology": "confounded-c", "slices": 8, "schedule": []},
+    "big-spec.json": {"topology": "chain-a", "slices": 4, "params": {"edge_strength": BIG}},
+    "typo-spec.json": {"topology": "chain-a", "slices": "4"},
+    "key-spec.json": {"topology": "chain-a", "slices": 4, "sloces": 5},
+    "q7.json": {"actions": [*META_ACTIONS, "extra"],
+                "entries": [{"key": [0, 0, 0], "values": [0.0] * 6 + [1.0]}]},
+    "q-nan.json": {"actions": list(META_ACTIONS),
+                   "entries": [{"key": [0, 0, 0], "values": [float("nan")] * 6}]},
+    "q-bit2.json": {"actions": ["nop"], "entries": [{"key": [0, 1, 0], "values": [0.0]},
+                                                    {"key": [0, 2, 0], "values": [0.0]}]},
+    "q-range.json": {"actions": ["nop"], "entries": [{"key": [-7, 0, 99], "values": [0.0]}]},
+    "q-twice.json": {"actions": ["nop"], "entries": [{"key": [0, 0, 0], "values": [0.0]},
+                                                     {"key": [0, 0, 0], "values": [0.0]}]},
+    "big-q.json": {"actions": ["nop"], "entries": [{"key": [0, 0, 0], "values": [BIG]}]},
+    "typo-q.json": {"actions": ["nop"], "entries": [{"key": ["0", 0, 0], "values": [0.0]}]},
+    "key-q.json": {"actions": ["nop"], "entries": [{"key": [0, 0, 0], "values": [0.0]}],
+                   "note": 1},
+    "report-int.json": {"episode_jsonl": 5},
+    "report-list.json": {"episode_jsonl": ["a"]},
+    "big-approvals.json": [BIG],
+    "typo-approvals.json": ["no"],
+    "key-approvals.json": {"0": True},
+}
+
+# (file name, JSON path, value) of each edit of the bundled scenario
+SCENARIO_EDITS = [
+    ("nan-cost.json", ("costs",), {"survival_bonus": float("nan")}),
+    ("two-targets.json", ("nodes", 6, "target"), True),
+    ("big-scenario.json", ("nodes", 0, "defence"), BIG),
+    ("typo-scenario.json", ("nodes", 0, "vulns", 0, "severity"), "0.9"),
+    ("key-scenario.json", ("nodes", 0, "colour"), "red"),
+]
+
+# (file name, line, JSON path, value) of each edit of the seed-5 nop log;
+# line 0 is the header, line 1 the first step
+LOG_EDITS = [
+    ("seed.jsonl", 0, ("seed",), 6),
+    ("bogus.jsonl", 1, ("def", "kind"), "bogus"),
+    ("big-log.jsonl", 1, ("reward",), BIG),
+    ("typo-log.jsonl", 1, ("reward",), "1.0"),
+    ("key-log.jsonl", 1, ("note",), 1),
+    ("event-kind.jsonl", 1, ("events", 0, "kind"), "bogus"),
+    ("outcome.jsonl", 1, ("events", 0, "outcome"), "bogus"),
+    ("alert-kind.jsonl", 1, ("events", 1, "alert_kind"), "bogus"),
+]
+
+LOOP = ["loop", "--seed", "7"]
+EVALUATE = ["evaluate", "--qtable", "q.json", "--episodes", "12", "--seed", "0"]
+SPEC_CASES = ["bad-spec.json", "confounder-string.json", "schedule-mixed.json",
+              "schedule-empty.json"]
+
+# Valid runs of every subcommand. Cases that differ only in `--parallel 2`
+# and in the names of the files they write are twins: they must give the
+# same bytes.
+VALID = [
+    ["--version"],
+    ["simulate", "--seed", "5", "--out", "s5.jsonl"],
+    ["simulate", "--seed", "3", "--horizon", "8", "--defender", "random", "--out", "r3.jsonl"],
+    ["simulate", "--lenient", "--scenario", "key-scenario.json", "--seed", "1",
+     "--out", "c1.jsonl"],
+    ["replay", "--log", "s5.jsonl"],
+    ["replay", "--log", "r3.jsonl"],
+    ["replay", "--log", "c1.jsonl"],
+    ["detect", "--log", "r3.jsonl"],
+    ["detect", "--log", "r3.jsonl", "--dbn", "confounded-slice.json", "--seed", "2",
+     "--indicators-out", "r3-ind.csv", "--out", "r3-detect.json"],
+    ["detect", "--log", "s5.jsonl"],
+    ["train", "--episodes", "60", "--seed", "0", "--out", "q.json", "--curve", "curve.csv"],
+    ["simulate", "--defender", "q:q.json", "--seed", "2", "--out", "q2.jsonl"],
+    [*EVALUATE, "--out", "e.json"],
+    [*EVALUATE, "--parallel", "2"],
+    [*EVALUATE, "--format", "csv", "--out", "e.csv"],
+    [*EVALUATE, "--format", "csv", "--parallel", "2"],
+    ["causal", "build", "--topology", "chain-a", "--slices", "5", "--out", "chain5.json"],
+    ["causal", "build", "--topology", "fork-b", "--slices", "3"],
+    ["causal", "build", "--topology", "confounded-c", "--slices", "6",
+     "--schedule", "1,0,0,1,1,0", "--out", "cc6.json"],
+    ["causal", "marginal", "--model", "chain5.json", "--query", "Y@4=1"],
+    ["causal", "observational", "--model", "chain5.json", "--target", "Y@4=1",
+     "--given", "X@0=1"],
+    ["causal", "do", "--model", "chain5.json", "--target", "Y@4=1", "--do", "X@2=0"],
+    ["causal", "do", "--model", "cc6.json", "--target", "Y@3=1", "--do", "X@3=1",
+     "--given", "X@0=1"],
+    ["causal", "marginal", "--model", "cc6.json", "--query", "U=1,Y@5=1"],
+    [*LOOP, "--autonomy", "advise", "--out", "l-advise.json"],
+    [*LOOP, "--autonomy", "confirm", "--dbn", "fork.json", "--approve", "file:approvals.json",
+     "--out", "l-fork.json"],
+    [*LOOP, "--autonomy", "auto", "--dbn", "confounded.json", "--out", "l-u.json"],
+    [*LOOP, "--autonomy", "auto", "--dbn", "confounded-slice.json", "--out", "l-us.json"],
+    [*LOOP, "--autonomy", "auto", "--dbn", "chain-int.json", "--tau", "0.6",
+     "--noise", "0.1,0.1", "--out", "l-int.json"],
+    [*LOOP, "--autonomy", "auto", "--episodes", "3", "--out", "l3.json"],
+    [*LOOP, "--autonomy", "auto", "--episodes", "3", "--parallel", "2", "--out", "l3p.json"],
+    [*LOOP, "--autonomy", "confirm", "--dbn", "confounded-slice.json", "--approve", "always",
+     "--episodes", "2", "--parallel", "2", "--out", "l2p.json"],
+    *[[command, "--log", report] for report in ("l-advise.json", "l-fork.json", "l-u.json",
+                                                "l-us.json", "l-int.json")
+      for command in ("replay", "detect")],
+    # every autonomy level over every spec, two episodes each
+    *[["loop", "--seed", "11", "--episodes", "2", "--autonomy", autonomy, *dbn,
+       "--approve", "file:approvals.json", "--window", "4", "--lookahead", "2",
+       "--out", f"g-{autonomy}-{i}.json"]
+      for i, dbn in enumerate(([], ["--dbn", "fork.json"], ["--dbn", "confounded.json"],
+                               ["--dbn", "confounded-slice.json"], ["--dbn", "chain-int.json"]))
+      for autonomy in ("advise", "confirm", "auto")],
+    [*LOOP, "--autonomy", "confirm", "--approve", "never", "--episodes", "2", "--out",
+     "l-never.json"],
+    *[["simulate", "--seed", str(seed), "--defender", defender, "--out", f"{defender}{seed}.jsonl"]
+      for seed in range(6) for defender in ("nop", "random")],
+    *[["replay", "--log", f"{defender}{seed}.jsonl"] for seed in range(6)
+      for defender in ("nop", "random")],
+    ["train", "--episodes", "40", "--seed", "3", "--alpha", "0.3", "--gamma", "0.9",
+     "--epsilon-start", "0.5", "--epsilon-end", "0.1", "--epsilon-decay", "0.9",
+     "--out", "q3.json"],
+    ["detect", "--log", "l-fork.json", "--dbn", "fork.json", "--out", "l-fork-detect.json"],
+    # a repeated run, and a serial twin of each run with --parallel 2
+    EVALUATE,
+    [*EVALUATE, "--format", "csv"],
+    [*LOOP, "--autonomy", "auto", "--episodes", "3", "--out", "l3-again.json"],
+    [*LOOP, "--autonomy", "auto", "--out", "r.json"],
+    ["replay", "--log", "r.json"],
+    *[[*LOOP, "--autonomy", "auto", "--dbn", "confounded.json", "--episodes", "4", *parallel,
+       "--out", f"u{i}.json"] for i, parallel in enumerate(([], ["--parallel", "2"]))],
+    *[[*LOOP, "--autonomy", "confirm", "--dbn", "fork.json", "--approve", "file:approvals.json",
+       "--episodes", "4", *parallel, "--out", f"f{i}.json"]
+      for i, parallel in enumerate(([], ["--parallel", "2"]))],
+    [*LOOP, "--autonomy", "confirm", "--dbn", "confounded-slice.json", "--approve", "always",
+     "--episodes", "2", "--out", "l2.json"],
+    # a model that cannot explain its frames: the loop plays the no-op, and
+    # detect labels the seed-1 log benign instead of failing
+    ["loop", "--dbn", "hard.json", "--noise", "0,0", "--autonomy", "auto", "--tau", "0",
+     "--episodes", "5", "--out", "hard-loop.json"],
+    ["detect", "--log", "one.jsonl", "--dbn", "hard.json", "--noise", "0,0",
+     "--out", "hard-verdict.json"],
+    ["train", "--episodes", "60", "--seed", "0", "--out", "q-again.json",
+     "--curve", "curve-again.csv"],
+    *[["causal", "build", "--topology", topology, "--slices", "8", "--out", f"{topology}-8.json"]
+      for topology in ("chain-a", "fork-b", "confounded-c")],
+]
+
+MALFORMED = [
+    ["replay", "--log", "seed.jsonl"],
+    ["replay", "--log", "bogus.jsonl"],
+    ["causal", "marginal", "--model", "bad-model.json", "--query", "A=1"],
+    *[argv for spec in SPEC_CASES for argv in (
+        ["detect", "--log", "one.jsonl", "--dbn", spec],
+        ["loop", "--dbn", spec, "--out", "bad.json"])],
+    *[["causal", "marginal", "--model", model, "--query", "A=1"]
+      for model in ("latent-string.json", "cpt-string.json", "cpt-bool.json")],
+    ["causal", "build", "--topology", "confounded-c", "--slices", "3", "--schedule", "1,x,0"],
+    ["causal", "marginal", "--model", "c2.json", "--query", "X@0=1,X@0=0"],
+    ["causal", "build", "--topology", "chain-a", "--slices", "0"],
+    ["causal", "build", "--topology", "chain-a", "--slices", "3", "--spontaneous", "2"],
+    ["evaluate", "--qtable", "q7.json", "--episodes", "1"],
+    ["train", "--episodes", "3", "--alpha", "nan", "--out", "bad-q.json"],
+    ["train", "--episodes", "3", "--epsilon-decay", "-1", "--out", "bad-q.json"],
+    ["evaluate", "--qtable", "q-nan.json", "--episodes", "1"],
+    *[[command, "--log", report] for report in ("report-int.json", "report-list.json")
+      for command in ("replay", "detect")],
+    ["simulate", "--scenario", "nan-cost.json", "--out", "nan.jsonl"],
+    ["train", "--scenario", "nan-cost.json", "--episodes", "20", "--out", "nan-q.json"],
+    *[["evaluate", "--qtable", table, "--episodes", "1"]
+      for table in ("q-bit2.json", "q-range.json", "q-twice.json")],
+    # every input kind: an over-large integer, a mistyped field, an unknown key
+    *[argv for fault in ("big", "typo", "key") for argv in (
+        ["simulate", "--scenario", f"{fault}-scenario.json", "--out", "bad.jsonl"],
+        ["replay", "--log", f"{fault}-log.jsonl"],
+        ["detect", "--log", f"{fault}-log.jsonl"],
+        ["detect", "--log", "one.jsonl", "--dbn", f"{fault}-spec.json"],
+        ["causal", "marginal", "--model", f"{fault}-model.json", "--query", "A=1"],
+        ["evaluate", "--qtable", f"{fault}-q.json", "--episodes", "1"],
+        ["loop", "--autonomy", "confirm", "--approve", f"file:{fault}-approvals.json",
+         "--out", "bad.json"])],
+    # an event value outside its set
+    *[[command, "--log", log] for log in ("event-kind.jsonl", "outcome.jsonl", "alert-kind.jsonl")
+      for command in ("replay", "detect")],
+    # latent evidence, with and without an intervention
+    ["causal", "do", "--model", "cc6.json", "--target", "Y@3=1", "--do", "X@3=1",
+     "--given", "U=1"],
+    ["causal", "observational", "--model", "cc6.json", "--target", "Y@3=1", "--given", "U=1"],
+    ["causal", "do", "--model", "cc6.json", "--target", "Y@3=1", "--do", "U=1"],
+    ["causal", "do", "--model", "chain5.json", "--target", "Y@4=1", "--do", "X@2=0",
+     "--given", "X@2=1"],
+    ["causal", "marginal", "--model", "chain-a-8.json", "--query", "Y@7=1"],
+    ["causal", "marginal", "--model", "chain5.json", "--query", "Y=1"],
+    ["causal", "marginal", "--model", "chain5.json", "--query", "Y@1=2"],
+    *[["causal", "marginal", "--model", model, "--query", "A=1"]
+      for model in ("cycle-model.json", "orphan-model.json")],
+    ["evaluate", "--qtable", "q.json", "--episodes", "-1", "--out", "bad.json"],
+    *[[*EVALUATE, "--parallel", parallel, "--out", "bad.json"] for parallel in ("0", "-3")],
+    [*LOOP, "--parallel", "0", "--out", "bad.json"],
+    ["evaluate", "--qtable", "missing.json", "--episodes", "1"],
+    *[["simulate", *option, "--out", "bad.jsonl"]
+      for option in (["--defender", "bogus"], ["--attacker", "bogus"], ["--horizon", "0"],
+                     ["--scenario", "two-targets.json"])],
+    ["simulate", "--out", "nodir/x.jsonl"],
+    *[[*LOOP, *option, "--out", "bad.json"]
+      for option in (["--approve", "bogus"], ["--window", "0"], ["--tau", "nan"])],
+    *[["detect", "--log", "s5.jsonl", *option]
+      for option in (["--threshold", "nan"], ["--noise", "1.5,0.1"])],
+]
+
+CASES = VALID + MALFORMED
+
+
+def run_case(argv: list[str], command: list[str] | None = None) -> tuple[int, str, str]:
+    """(exit code, stdout, stderr) of `argv` run in the current directory:
+    through in-process `main`, or as a subprocess of `command` (such as
+    `["acdsim"]`) when one is given. An exception that escapes `main` counts
+    as exit 1 with the last line of its traceback on stderr."""
+    if command:
+        run = subprocess.run([*command, *argv], capture_output=True, encoding="utf-8")
+        return run.returncode, run.stdout, run.stderr
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except Exception as exc:  # noqa: BLE001 - recorded, not handled
+            return 1, out.getvalue(), traceback.format_exception_only(exc)[-1]
+    return code, out.getvalue(), err.getvalue()
+
+
+def file_digests(directory) -> dict[str, str]:
+    """{file name: sha256 of its bytes} of every file in `directory`."""
+    return {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+            for path in sorted(Path(directory).iterdir()) if path.is_file()}
+
+
+def edited(doc, path, value) -> str:
+    """The compact JSON text of `doc`, keys sorted, with the value at JSON
+    path `path` set to `value`; `doc` itself is left as it was."""
+    doc = json.loads(json.dumps(doc))
+    owner = doc
+    for key in path[:-1]:
+        owner = owner[key]
+    owner[path[-1]] = value
+    return json.dumps(doc, sort_keys=True, separators=(",", ":"))
+
+
+def make_files() -> dict[str, str]:
+    """{file name: text} of every file the cases read and no case writes."""
+    files = {name: json.dumps(doc) + "\n" for name, doc in DOCS.items()}
+    with open(default_scenario_path(), encoding="utf-8") as fh:
+        scenario = json.load(fh)
+    for name, path, value in SCENARIO_EDITS:
+        files[name] = edited(scenario, path, value)
+    with tempfile.TemporaryDirectory() as work:
+        made = run_corpus({}, work, [["simulate", "--seed", "5", "--out", "s.jsonl"],
+                                     ["simulate", "--seed", "1", "--out", "one.jsonl"],
+                                     ["causal", "build", "--topology", "chain-a",
+                                      "--slices", "2", "--out", "c2.json"]])
+        assert all(case["exit"] == 0 for case in made)
+        logs = {name: Path(work, name).read_text(encoding="utf-8")
+                for name in ("s.jsonl", "one.jsonl", "c2.json")}
+    files["one.jsonl"], files["c2.json"] = logs["one.jsonl"], logs["c2.json"]
+    lines = logs["s.jsonl"].splitlines()
+    for name, line, path, value in LOG_EDITS:
+        changed = list(lines)
+        changed[line] = edited(json.loads(lines[line]), path, value)
+        files[name] = "\n".join(changed) + "\n"
+    return dict(sorted(files.items()))
+
+
+def run_corpus(files: dict[str, str], directory, cases: list[list[str]] = CASES,
+               command: list[str] | None = None) -> list[dict]:
+    """Each case's record, run in order in `directory` after writing `files`
+    there, in-process or through `command` as `run_case` runs it."""
+    for name, text in files.items():
+        Path(directory, name).write_text(text, encoding="utf-8")
+    cwd = os.getcwd()
+    os.chdir(directory)
+    try:
+        records = []
+        for argv in cases:
+            before = file_digests(".")
+            code, stdout, stderr = run_case(argv, command)
+            after = file_digests(".")
+            records.append({
+                "argv": argv,
+                "exit": code,
+                "stderr": stderr,
+                "stdout_sha256": sha256_hex(stdout),
+                "written": {name: digest for name, digest in after.items()
+                            if before.get(name) != digest},
+            })
+        return records
+    finally:
+        os.chdir(cwd)
+
+
+def record() -> dict:
+    files = make_files()
+    with tempfile.TemporaryDirectory() as work:
+        return {"files": files, "cases": run_corpus(files, work)}
+
+
+if __name__ == "__main__":
+    CORPUS.write_text(json.dumps(record(), indent=1, sort_keys=True) + "\n", encoding="utf-8")

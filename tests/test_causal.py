@@ -332,6 +332,9 @@ class TestInterventional:
         v0, v1, v2 = m.variables[0], m.variables[1], m.variables[2]
         with pytest.raises(EvidenceOrderingError):
             interventional(m, {v2: 1}, {v1: 1}, {v0: 1})
+        # latent evidence is refused as latent first, as `observational` refuses it
+        with pytest.raises(LatentEvidenceError):
+            interventional(confounded_example, {Y: 1}, {X: 1}, {VarId("U"): 1})
 
 
 class TestSample:

@@ -157,6 +157,12 @@ VALID = [
      "--noise", "0.1,0.1", "--out", "l-int.json"],
     [*LOOP, "--autonomy", "auto", "--episodes", "3", "--out", "l3.json"],
     [*LOOP, "--autonomy", "auto", "--episodes", "3", "--parallel", "2", "--out", "l3p.json"],
+    # a noise of -0.0 weighs as 0.0, here after the loop has cached its engines
+    *[["detect", "--log", "s5.jsonl", noise] for noise in ("--noise=-0.0,0.05",
+                                                             "--noise=0.2,-0.0")],
+    *[[*LOOP, "--autonomy", "auto", "--episodes", "3", "--noise=-0.0,0.05", *parallel,
+       "--out", f"l3z{i}.json"] for i, parallel in enumerate(([], ["--parallel", "2"]))],
+    [*LOOP, "--autonomy", "auto", "--episodes", "3", "--noise=0,0.05", "--out", "l3z.json"],
     [*LOOP, "--autonomy", "confirm", "--dbn", "confounded-slice.json", "--approve", "always",
      "--episodes", "2", "--parallel", "2", "--out", "l2p.json"],
     *[[command, "--log", report] for report in ("l-advise.json", "l-fork.json", "l-u.json",

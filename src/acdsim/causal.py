@@ -259,6 +259,7 @@ def interventional(m: Cgm, target: Assignment, do: Assignment,
     _check_evidence(m, evidence, "evidence")
     if not do:
         return observational(m, target, evidence)
+    mutilated = do_transform(m, do)  # refuses a latent intervention before the order checks
     if evidence:
         do_slices = [v.slice for v in do]
         if any(s is None for s in do_slices) or any(v.slice is None for v in evidence):
@@ -270,9 +271,7 @@ def interventional(m: Cgm, target: Assignment, do: Assignment,
             raise EvidenceOrderingError(
                 f"evidence at or after the intervention slice {cutoff}: "
                 f"{', '.join(str(v) for v in sorted(late, key=str))}")
-    mutilated = do_transform(m, do)
-    conditioning = _merged(do, evidence)
-    return observational(mutilated, target, conditioning)
+    return observational(mutilated, target, _merged(do, evidence))
 
 
 # ---------------------------------------------------------------------------
@@ -401,15 +400,16 @@ class DbnEngine:
     assignment, so their values carry over unchanged from slice to slice,
     and evidence on a global masks slice 0 (static nodes as part of every
     slice's hidden state, Murphy 2002, ch. 3). Queries take optional
-    per-slice `likelihoods` (from `frame_likelihoods`), multiplied into each
-    slice with its evidence masks. One scaled forward filter answers
-    `loglik`, and `conditional` is two of them. `posteriors` is the one
-    smoothing call: the filter and a backward pass scaled by its divisors
-    give every posterior, the last slice's filtered state and `loglik` at
-    once. The same backward recursion gives `prediction_vectors`, which
-    predict from a filtered state by a dot product. Computes the identical
-    sums to full enumeration, without the exponential blow-up in the number
-    of slices. Its build checks and keys each slice in one walk.
+    per-slice `likelihoods` (from `frame_likelihoods`, one shared array per
+    slice layout, frame and noise), multiplied into each slice with its
+    evidence masks. One scaled forward filter answers `loglik`, and
+    `conditional` is two of them. `posteriors` is the one smoothing call:
+    the filter and a backward pass scaled by its divisors give every
+    posterior, the last slice's filtered state and `loglik` at once. The
+    same backward recursion gives `prediction_vectors`, which predict from a
+    filtered state by a dot product. Computes the identical sums to full
+    enumeration, without the exponential blow-up in the number of slices.
+    Its build checks and keys each slice in one walk.
     """
 
     def __init__(self, m: Cgm):
@@ -436,7 +436,7 @@ class DbnEngine:
         # as (None for a global or the slice offset, position) and its CPT
         # rows, spelled out if they hold a zero (-0.0 == 0.0, but the
         # products keep the sign). Equal keys share one transition.
-        keys = []
+        keys, self._frame_layout, self._frame_table = [], [], {}  # see `frame_likelihoods`
         for t, svars in enumerate(self.slice_vars):
             if len(svars) > SLICE_STATE_LIMIT:
                 raise TooLargeError(
@@ -454,6 +454,9 @@ class DbnEngine:
                 cpt = m.cpts[v]
                 key.append((tuple(parents), cpt if 0.0 not in cpt else tuple(map(repr, cpt))))
             keys.append(tuple(key))
+            # what a frame's array depends on: the size and the observed positions
+            self._frame_layout.append(
+                (len(svars), tuple((v.name, i) for i, v in enumerate(svars) if v not in m.latent)))
         # bit value of each of n variables per state index, LSB = first: one
         # array per count, shared by the globals and the slices that have it
         layouts = {n: (np.arange(2 ** n)[None, :] >> np.arange(n)[:, None]) & 1
@@ -512,24 +515,28 @@ class DbnEngine:
     def frame_likelihoods(self, frames, miss: float, false_pos: float) -> list[np.ndarray]:
         """Frame i, {name: observed bit}, as slice i's likelihood array: each
         bit is the variable's copy flipped as in `attach_emissions`, summed
-        out into p(bit | variable) (virtual evidence, Pearl 1988, 2.2.2).
-        Names the slice lacks, and latent variables, are skipped. The arrays
-        are read-only, so a caller that keeps them cannot change them."""
+        out into p(bit | variable) (virtual evidence, Pearl 1988, 2.2.2), in
+        frame order. Names the slice lacks, and latent variables, are skipped;
+        a bit outside 0/1 zeroes the array. Each array is read-only and kept
+        per slice layout, frame and noise (-0.0 as 0.0): equal keys share one."""
         if not (0.0 <= miss <= 1.0 and 0.0 <= false_pos <= 1.0):
             raise SpecError(f"emission noise must be in [0,1], got {miss}, {false_pos}")
         if len(frames) > self.T:
             raise SpecError(f"{len(frames)} frames for a model of {self.T} slices")
-        # observed bit -> [p(bit | variable = 0), p(bit | variable = 1)]
-        emit = {0: np.array([1.0 - false_pos, miss]), 1: np.array([false_pos, 1.0 - miss])}
-        impossible = np.zeros(2)  # a bit outside 0/1
+        miss, false_pos = miss + 0.0, false_pos + 0.0
         out = []
-        for t, frame in enumerate(frames):
-            lik = np.ones((1, self.bits[t].shape[1]))
-            for name, bit in frame.items():
-                v = VarId(name, t)
-                if v in self.pos and v not in self.m.latent:
-                    lik = lik * emit.get(bit, impossible)[self.bits[t][self.pos[v]]]
-            lik.flags.writeable = False
+        for bits, layout, frame in zip(self.bits, self._frame_layout, frames):
+            key = (layout, tuple(frame.items()), miss, false_pos)
+            if (lik := self._frame_table.get(key)) is None:
+                # observed bit -> [p(bit | variable = 0), p(bit | variable = 1)]
+                emit = {0: np.array([1.0 - false_pos, miss]), 1: np.array([false_pos, 1.0 - miss])}
+                observed = dict(layout[1])
+                lik = np.ones((1, bits.shape[1]))
+                for name, bit in frame.items():
+                    if name in observed:
+                        lik = lik * emit.get(bit, np.zeros(2))[bits[observed[name]]]
+                lik.flags.writeable = False
+                self._frame_table[key] = lik
             out.append(lik)
         return out
 

@@ -48,9 +48,12 @@ def _read(path: str) -> str:
 def _write(path: str | None, text: str):
     if path is None or path == "-":
         sys.stdout.write(text)
-    else:
+        return
+    try:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
+    except OSError as exc:
+        raise ParseError(f"cannot write {path}: {exc}") from None
 
 
 def _load_scenario(args) -> netmodel.Scenario:

@@ -23,21 +23,19 @@ plan predicts from that state with one product: the do-slice follows the
 window, so the window's slices are the same in every candidate model, and
 each candidate's risk is a ratio of two linear functions of that state.
 
-One process-wide cache, `_window`, keyed by the DBN spec, the noise, the
-lookahead, the candidates and the window length and filled on first use,
-serves every episode and configuration. An entry holds the window's engine
-and detection keys, a table of each slice's likelihood array for each of the
-8 frame codes, and the plan matrix; a step indexes the table with its frames'
-codes, and its plan reads the same entry. Over one loop-auto benchmark round
-(20 auto episodes, seeds 0-19, 915 steps, 895 evaluated, 838 plans) it had
-887 hits and 8 misses. An entry is built from its key alone and no query
+One process-wide cache, `_window`, keyed by the DBN spec, the lookahead,
+the candidates and the window length and filled on first use, serves every
+episode and configuration. An entry holds the window's engine, whose frame
+table (`DbnEngine.frame_likelihoods`) fills as steps meet new frames, its
+detection keys and the plan matrix. Over one loop-auto benchmark round (20
+auto episodes, seeds 0-19, 915 steps, 895 evaluated, 838 plans) it had 887
+hits and 8 misses. An entry is built from its key alone and no query
 changes what an engine computes, so no report depends on earlier runs.
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
 import random
 from dataclasses import dataclass
 from typing import NamedTuple, Protocol
@@ -47,7 +45,7 @@ import numpy as np
 from . import __version__
 from ._util import child_seed, indented_json
 from .causal import DbnEngine, VarId, build_topology, do_transform
-from .config import AutonomyLevel, DbnSpec, EmissionNoise, LoopConfig
+from .config import AutonomyLevel, DbnSpec, LoopConfig
 from .detect import TACTICS, TruthTracker, apply_noise
 from .errors import ZeroEvidenceError
 from .game import (
@@ -161,25 +159,18 @@ class _Window(NamedTuple):
     engine: DbnEngine      # the tactic model of the window's w slices
     keys: tuple            # its tactic variables' detection keys, sorted
     index: np.ndarray      # and their indices into its posterior vector
-    table: np.ndarray      # [t, z*4 + x*2 + y]: slice t's array for that frame, read-only
     dos: tuple             # per candidate its do pairs at slice w
     readout: np.ndarray    # the plan matrix, read-only
 
 
 @functools.lru_cache(maxsize=256)
-def _window(dbn: DbnSpec, emission: EmissionNoise, lookahead: int, candidates: tuple,
-            w: int) -> _Window:
+def _window(dbn: DbnSpec, lookahead: int, candidates: tuple, w: int) -> _Window:
     """The entry for a window of w frames. The (states, 2C) plan matrix's
     columns are, over slice w-1's state, p(do, Y at the last slice = 1 |
-    state) for each candidate, then p(do | state) for each. A noise of -0.0
-    is the same key as 0.0, so both build with 0.0."""
+    state) for each candidate, then p(do | state) for each."""
     engine = DbnEngine(build_topology(dbn.with_slices(w)))
     keyed = sorted((str(v), i) for i, v in enumerate(engine.outputs)
                    if v.name in TACTICS and v.slice is not None)
-    noise = [p + 0.0 for p in emission]
-    # in the order `apply_noise` writes a frame, which the array product follows
-    frames = [{"Z": z, "X": x, "Y": y} for z, x, y in itertools.product((0, 1), repeat=3)]
-    table = np.stack([engine.frame_likelihoods([f] * w, *noise) for f in frames], axis=1)
     target = {VarId("Y", w + lookahead - 1): 1}
     dos = tuple(((VarId(cand[0], w), cand[1]),) if cand is not None else ()
                 for cand in candidates)
@@ -187,9 +178,9 @@ def _window(dbn: DbnSpec, emission: EmissionNoise, lookahead: int, candidates: t
     vectors = [DbnEngine(do_transform(model, dict(do))).prediction_vectors(target, dict(do), w)
                for do in dos]
     readout = np.stack([num for num, _ in vectors] + [den for _, den in vectors], axis=1)
-    table.flags.writeable = readout.flags.writeable = False
+    readout.flags.writeable = False
     return _Window(engine, tuple(k for k, _ in keyed),
-                   np.array([i for _, i in keyed], dtype=int), table, dos, readout)
+                   np.array([i for _, i in keyed], dtype=int), dos, readout)
 
 
 def _plan(entry: _Window, alpha) -> InterventionPlan:
@@ -239,11 +230,10 @@ class LoopDefender:
             return NOP
         cfg = self.cfg
         window = self.frames[-cfg.window:]
-        entry = _window(cfg.dbn, cfg.emission, cfg.lookahead, tuple(cfg.candidates), len(window))
-        codes = [f["Z"] * 4 + f["X"] * 2 + f["Y"] for f in window]
+        entry = _window(cfg.dbn, cfg.lookahead, tuple(cfg.candidates), len(window))
         try:
             posteriors, alpha, _ = entry.engine.posteriors(
-                {}, entry.table[np.arange(len(window)), codes])
+                {}, entry.engine.frame_likelihoods(window, *cfg.emission))
             tactic_post = dict(zip(entry.keys, posteriors[entry.index].tolist()))
         except ZeroEvidenceError:
             tactic_post, alpha = {}, None

@@ -250,7 +250,9 @@ MALFORMED = [
     ["causal", "do", "--model", "cc6.json", "--target", "Y@3=1", "--do", "X@3=1",
      "--given", "U=1"],
     ["causal", "observational", "--model", "cc6.json", "--target", "Y@3=1", "--given", "U=1"],
-    ["causal", "do", "--model", "cc6.json", "--target", "Y@3=1", "--do", "U=1"],
+    # a latent intervention is named before the evidence is ordered
+    *[["causal", "do", "--model", "cc6.json", "--target", "Y@3=1", "--do", "U=1", *given]
+      for given in ([], ["--given", "X@0=1"])],
     ["causal", "do", "--model", "chain5.json", "--target", "Y@4=1", "--do", "X@2=0",
      "--given", "X@2=1"],
     ["causal", "marginal", "--model", "chain-a-8.json", "--query", "Y@7=1"],
@@ -265,7 +267,9 @@ MALFORMED = [
     *[["simulate", *option, "--out", "bad.jsonl"]
       for option in (["--defender", "bogus"], ["--attacker", "bogus"], ["--horizon", "0"],
                      ["--scenario", "two-targets.json"])],
+    # an unwritable output, which writes nothing
     ["simulate", "--out", "nodir/x.jsonl"],
+    ["detect", "--log", "s5.jsonl", "--indicators-out", "nodir/x.csv"],
     *[[*LOOP, *option, "--out", "bad.json"]
       for option in (["--approve", "bogus"], ["--window", "0"], ["--tau", "nan"])],
     *[["detect", "--log", "s5.jsonl", *option]

@@ -326,6 +326,15 @@ class TestInterventional:
         with pytest.raises(EvidenceOrderingError):
             interventional(m, {Y2: 1}, {X1: 0}, {Z1: 1})
 
+    @pytest.mark.parametrize("evidence", [{}, {VarId("X", 0): 1}, {VarId("X", 4): 1}],
+                             ids=["none", "before", "after"])
+    def test_latent_intervention_named_before_the_evidence_order(self, evidence):
+        """A do on the global latent U is refused as latent, with or without
+        evidence, before the evidence's slices are compared with the do's."""
+        m = build_topology(DbnSpec(Topology.CONFOUNDED_C, 6))
+        with pytest.raises(LatentInterventionError, match="^cannot intervene on latent U$"):
+            interventional(m, {VarId("Y", 3): 1}, {VarId("U"): 1}, evidence)
+
     def test_sliceless_do_with_evidence_rejected(self, confounded_example):
         X, Y = VarId("X", 0), VarId("Y", 0)
         m = random_dag_model(random.Random(1))
@@ -1060,15 +1069,25 @@ class TestFrameLikelihoods:
                  cpts={VarId("Z", 0): (0.3,), VarId("X", 0): (0.4,), VarId("Y", 0): (0.5,),
                        VarId("X", 1): (0.2, 0.9), VarId("Y", 1): (0.6,)})
 
-    @pytest.mark.parametrize("model", [build_topology(DbnSpec(Topology.CHAIN_A, 3)), UNEVEN],
-                             ids=["chain", "uneven"])
+    # two slices of one size whose X and Y sit at swapped positions
+    SWAPPED = Cgm(variables=(VarId("X", 0), VarId("Y", 0), VarId("Y", 1), VarId("X", 1)),
+                  parents={}, cpts=dict.fromkeys((VarId("X", 0), VarId("Y", 0), VarId("Y", 1),
+                                                  VarId("X", 1)), (0.3,)))
+
+    @pytest.mark.parametrize("model", [
+        build_topology(DbnSpec(Topology.CHAIN_A, 3)), build_topology(DbnSpec(Topology.FORK_B, 3)),
+        build_topology(DbnSpec(Topology.CONFOUNDED_C, 3, schedule=(True, False, True))),
+        build_topology(DbnSpec(Topology.CONFOUNDED_C, 3, per_slice_confounder=True)),
+        UNEVEN, SWAPPED], ids=["chain", "fork", "global-U", "per-slice-U", "uneven", "swapped"])
     def test_cached_arrays_equal_a_fresh_engines_first_call(self, model):
         # an engine that has answered every frame before answers each again
-        # as a fresh engine does: no call leaves state behind
+        # as a fresh engine does: no call leaves state behind, and a noise
+        # of -0.0 weighs as 0.0, whichever came first
         T = DbnEngine(model).T
         frames = [dict(zip("ZXY", code)) for code in itertools.product((0, 1), repeat=3)]
         frames += [{"X": 2, "Y": 1}, {"W": 1, "Y": 0, "Z": 1}]  # a bit outside 0/1, a name absent
-        noises = [(0.2, 0.05), (0.05, 0.2)]
+        frames += [{"Y": 1, "X": 0, "U": 1}]  # another order, and a latent name
+        noises = [(0.2, 0.05), (0.05, 0.2), (-0.0, 0.05), (0.0, 0.05), (0.2, 0.0), (0.2, -0.0)]
         cached = DbnEngine(model)
         for frame, noise in itertools.product(frames, noises):
             cached.frame_likelihoods([frame] * T, *noise)
@@ -1078,9 +1097,38 @@ class TestFrameLikelihoods:
             fresh = [DbnEngine(model).frame_likelihoods([{}] * t + [frame], *noise)[t]
                      for t in range(T)]
             assert [a.tobytes() for a in got] == [a.tobytes() for a in fresh], (frame, noise)
+            unsigned = DbnEngine(model).frame_likelihoods([frame] * T, *(p + 0.0 for p in noise))
+            assert [a.tobytes() for a in got] == [a.tobytes() for a in unsigned], (frame, noise)
             for lik in got + fresh:
                 with pytest.raises(ValueError):
                     lik[0, 0] = 0.5
+
+    def test_slices_of_one_layout_share_each_array(self):
+        """The engine keeps one array per (slice layout, frame, noise):
+        slices of one layout that see one frame get the same object, in one
+        call or another, and a slice of another layout gets its own."""
+        engine = DbnEngine(build_topology(DbnSpec(Topology.CHAIN_A, 4)))
+        hot, cold = {"Z": 1, "X": 1, "Y": 0}, {"Z": 0, "X": 0, "Y": 0}
+        first = engine.frame_likelihoods([hot, cold, hot, hot], 0.2, 0.05)
+        assert first[0] is first[2] is first[3] and first[1] is not first[0]
+        assert len(engine._frame_table) == 2
+        again = engine.frame_likelihoods([cold, hot], 0.2, 0.05)
+        assert again[0] is first[1] and again[1] is first[0]
+        assert len(engine._frame_table) == 2
+        other = engine.frame_likelihoods([hot], 0.05, 0.2)  # another noise
+        assert other[0] is not first[0] and len(engine._frame_table) == 3
+        unsigned, signed = (engine.frame_likelihoods([hot], miss, 0.05)[0]
+                            for miss in (0.0, -0.0))
+        assert signed is unsigned and len(engine._frame_table) == 4
+        reordered = engine.frame_likelihoods([{"Y": 0, "X": 1, "Z": 1}], 0.2, 0.05)
+        assert reordered[0] is not first[0] and len(engine._frame_table) == 5
+        uneven = DbnEngine(self.UNEVEN)
+        both = uneven.frame_likelihoods([hot, hot], 0.2, 0.05)
+        assert both[0] is not both[1] and len(uneven._frame_table) == 2
+        swapped = DbnEngine(self.SWAPPED)
+        assert [len(svars) for svars in swapped.slice_vars] == [2, 2]
+        both = swapped.frame_likelihoods([hot, hot], 0.2, 0.05)
+        assert both[0] is not both[1] and both[0].tobytes() != both[1].tobytes()
 
     @pytest.mark.parametrize("spec", [
         DbnSpec(Topology.CHAIN_A, 5), DbnSpec(Topology.FORK_B, 5),

@@ -260,6 +260,40 @@ class TestClassify:
             classify(seq, benign_model_like(malign), malign, EmissionNoise())
             assert calls == [malign]
 
+    def test_a_malign_engine_keeps_one_array_per_distinct_frame(self, monkeypatch):
+        """Over the 88 enterprise8 nop logs of at most 16 steps (seeds
+        0-199), classified with default noise, the malign engines hold 406
+        arrays for 1,090 frames: one per distinct frame of a log, shared by
+        the slices that repeat it (chain-a's slices have one layout)."""
+        with open(default_scenario_path(), encoding="utf-8") as fh:
+            scenario = load_scenario(fh.read())
+        calls = []
+        frame_likelihoods = causal.DbnEngine.frame_likelihoods
+
+        def recording(self, *args):
+            calls.append((self, frame_likelihoods(self, *args)))
+            return calls[-1][1]
+
+        monkeypatch.setattr(causal.DbnEngine, "frame_likelihoods", recording)
+        logs = frames = arrays = 0
+        for seed in range(200):
+            log = run_episode(scenario, NopDefender(), LateralAttacker(scenario.attacker.spread),
+                              seed)
+            seq = extract_indicators(log, EmissionNoise(), seed)
+            if len(seq.frames) > 16:
+                continue
+            malign = build_topology(DbnSpec(Topology.CHAIN_A, len(seq.frames)))
+            calls.clear()
+            classify(seq, benign_model_like(malign), malign, EmissionNoise())
+            (engine, likelihoods), _ = calls  # the malign, then the benign engine
+            assert engine.m is malign
+            assert len({id(a) for a in likelihoods}) == len(engine._frame_table)
+            assert len(engine._frame_table) == len({tuple(f.items()) for f in seq.frames})
+            logs += 1
+            frames += len(seq.frames)
+            arrays += len(engine._frame_table)
+        assert (logs, frames, arrays) == (88, 1090, 406)
+
     @pytest.mark.parametrize("rows, llr", [
         ([(0, 0, 0)] * 4, float("-inf")),
         ([(1, 1, 1)] + [(0, 0, 0)] * 3, 0.0),

@@ -1,7 +1,6 @@
 """Intervention selection, action mapping, and the closed loop."""
 
 import hashlib
-import itertools
 import json
 import os
 import random
@@ -135,7 +134,7 @@ class TestPlanByPrediction:
             frames = [{name: rng.randint(0, 1) for name in "ZXY"} for _ in range(w)]
             engine = DbnEngine(build_topology(spec.with_slices(w)))
             _, alpha, _ = engine.posteriors({}, engine.frame_likelihoods(frames, *cfg.emission))
-            plan = _plan(_window(cfg.dbn, cfg.emission, cfg.lookahead, tuple(cfg.candidates), w),
+            plan = _plan(_window(cfg.dbn, cfg.lookahead, tuple(cfg.candidates), w),
                          alpha)
 
             model = attach_emissions(build_topology(spec.with_slices(w + lookahead)),
@@ -157,7 +156,7 @@ class TestPlanByPrediction:
         frames = [{"Z": 1, "X": 1, "Y": 0}] * 3
         engine = DbnEngine(build_topology(cfg.dbn.with_slices(3)))
         _, alpha, _ = engine.posteriors({}, engine.frame_likelihoods(frames, *cfg.emission))
-        plan = _plan(_window(cfg.dbn, cfg.emission, cfg.lookahead, tuple(cfg.candidates), 3),
+        plan = _plan(_window(cfg.dbn, cfg.lookahead, tuple(cfg.candidates), 3),
                      alpha)
         (nothing, r0), (first, r1), (second, r2) = plan.rationale
         assert r1 == r2 < r0
@@ -186,7 +185,7 @@ class TestPlanByPrediction:
     def test_an_impossible_filtered_state_raises(self, w):
         cfg = LoopConfig()
         _, alpha, _ = DbnEngine(build_topology(cfg.dbn.with_slices(w))).posteriors({}, ())
-        entry = _window(cfg.dbn, cfg.emission, cfg.lookahead, tuple(cfg.candidates), w)
+        entry = _window(cfg.dbn, cfg.lookahead, tuple(cfg.candidates), w)
         with pytest.raises(ZeroEvidenceError):
             _plan(entry, np.zeros_like(alpha))
 
@@ -214,26 +213,6 @@ class TestPlanByPrediction:
 
 
 class TestWindowCache:
-    @pytest.mark.parametrize("spec", [
-        DbnSpec(Topology.CHAIN_A, 8), DbnSpec(Topology.FORK_B, 8),
-        DbnSpec(Topology.CONFOUNDED_C, 8),
-        DbnSpec(Topology.CONFOUNDED_C, 8, per_slice_confounder=True),
-    ], ids=["chain", "fork", "global-U", "per-slice-U"])
-    def test_frame_table_holds_a_fresh_engines_arrays(self, spec):
-        """Entry [t, z*4 + x*2 + y] is that frame alone on slice t of a fresh
-        engine, bit for bit; confounded-c's slices have no Z to weigh."""
-        cfg = LoopConfig(dbn=spec, emission=EmissionNoise(0.3, 0.1))
-        for w in (1, 3, cfg.window):
-            table = _window(cfg.dbn, cfg.emission, cfg.lookahead, tuple(cfg.candidates), w).table
-            with pytest.raises(ValueError):
-                table[0, 0, 0, 0] = 0.5
-            model = build_topology(spec.with_slices(w))
-            assert table.shape[:3] == (w, 8, 1)
-            for t, (z, x, y) in itertools.product(range(w), itertools.product((0, 1), repeat=3)):
-                fresh = DbnEngine(model).frame_likelihoods([{}] * t + [{"Z": z, "X": x, "Y": y}],
-                                                           *cfg.emission)[t]
-                assert table[t, z * 4 + x * 2 + y].tobytes() == fresh.tobytes(), (w, t, z, x, y)
-
     def test_one_lookup_per_evaluated_step(self, enterprise):
         """A step looks its entry up once, and a plan reads that entry."""
         before = _window.cache_info()

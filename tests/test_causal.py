@@ -1070,9 +1070,8 @@ class TestFrameLikelihoods:
                        VarId("X", 1): (0.2, 0.9), VarId("Y", 1): (0.6,)})
 
     # two slices of one size whose X and Y sit at swapped positions
-    SWAPPED = Cgm(variables=(VarId("X", 0), VarId("Y", 0), VarId("Y", 1), VarId("X", 1)),
-                  parents={}, cpts=dict.fromkeys((VarId("X", 0), VarId("Y", 0), VarId("Y", 1),
-                                                  VarId("X", 1)), (0.3,)))
+    SWAPPED = Cgm(variables=tuple(map(VarId, "XYYX", (0, 0, 1, 1))), parents={},
+                  cpts=dict.fromkeys(map(VarId, "XYYX", (0, 0, 1, 1)), (0.3,)))
 
     @pytest.mark.parametrize("model", [
         build_topology(DbnSpec(Topology.CHAIN_A, 3)), build_topology(DbnSpec(Topology.FORK_B, 3)),

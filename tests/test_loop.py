@@ -134,8 +134,7 @@ class TestPlanByPrediction:
             frames = [{name: rng.randint(0, 1) for name in "ZXY"} for _ in range(w)]
             engine = DbnEngine(build_topology(spec.with_slices(w)))
             _, alpha, _ = engine.posteriors({}, engine.frame_likelihoods(frames, *cfg.emission))
-            plan = _plan(_window(cfg.dbn, cfg.lookahead, tuple(cfg.candidates), w),
-                         alpha)
+            plan = _plan(_window(cfg.dbn, cfg.lookahead, tuple(cfg.candidates), w), alpha)
 
             model = attach_emissions(build_topology(spec.with_slices(w + lookahead)),
                                      cfg.emission.miss, cfg.emission.false_pos)
@@ -156,8 +155,7 @@ class TestPlanByPrediction:
         frames = [{"Z": 1, "X": 1, "Y": 0}] * 3
         engine = DbnEngine(build_topology(cfg.dbn.with_slices(3)))
         _, alpha, _ = engine.posteriors({}, engine.frame_likelihoods(frames, *cfg.emission))
-        plan = _plan(_window(cfg.dbn, cfg.lookahead, tuple(cfg.candidates), 3),
-                     alpha)
+        plan = _plan(_window(cfg.dbn, cfg.lookahead, tuple(cfg.candidates), 3), alpha)
         (nothing, r0), (first, r1), (second, r2) = plan.rationale
         assert r1 == r2 < r0
         assert plan.do is first and plan.do is not second

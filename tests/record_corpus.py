@@ -51,6 +51,16 @@ DOCS = {
                          "cpts": {"A": [0.5, 0.5], "B": [0.5, 0.5]}},
     "orphan-model.json": {"variables": [{"name": "A"}], "parents": {"A": ["B"]},
                           "cpts": {"A": [0.5, 0.5]}},
+    "twice-model.json": {"variables": [{"name": "A"}, {"name": "A"}], "parents": {},
+                         "cpts": {"A": [0.5]}},
+    "cpt-high.json": {"variables": [{"name": "A"}], "parents": {}, "cpts": {"A": [1.5]}},
+    "unnamed-model.json": {"variables": [{"name": ""}], "parents": {}, "cpts": {}},
+    "undeclared-model.json": {"variables": [{"name": "A"}], "parents": {"B": []},
+                              "cpts": {"A": [0.5]}},
+    "ref-at-model.json": {"variables": [{"name": "A"}], "parents": {"X@": []},
+                          "cpts": {"A": [0.5]}},
+    "ref-empty-model.json": {"variables": [{"name": "A"}], "parents": {"": []},
+                             "cpts": {"A": [0.5]}},
     "latent-string.json": {"variables": [{"name": "A", "latent": "no"}], "parents": {},
                            "cpts": {"A": [0.5]}},
     "cpt-string.json": {"variables": [{"name": "A"}], "parents": {}, "cpts": {"A": ["0.5"]}},
@@ -68,6 +78,11 @@ DOCS = {
     "big-spec.json": {"topology": "chain-a", "slices": 4, "params": {"edge_strength": BIG}},
     "typo-spec.json": {"topology": "chain-a", "slices": "4"},
     "key-spec.json": {"topology": "chain-a", "slices": 4, "sloces": 5},
+    "topology-spec.json": {"topology": "chain-z", "slices": 4},
+    "param-spec.json": {"topology": "chain-a", "slices": 4, "params": {"persistence": 1.5}},
+    "strength-spec.json": {"topology": "chain-a", "slices": 4,
+                           "params": {"spontaneous": 0.5, "edge_strength": 0.1}},
+    "alternating.json": {"topology": "confounded-c", "slices": 4, "schedule": [True, False]},
     "q7.json": {"actions": [*META_ACTIONS, "extra"],
                 "entries": [{"key": [0, 0, 0], "values": [0.0] * 6 + [1.0]}]},
     "q-nan.json": {"actions": list(META_ACTIONS),
@@ -78,6 +93,8 @@ DOCS = {
     "q-twice.json": {"actions": ["nop"], "entries": [{"key": [0, 0, 0], "values": [0.0]},
                                                      {"key": [0, 0, 0], "values": [0.0]}]},
     "big-q.json": {"actions": ["nop"], "entries": [{"key": [0, 0, 0], "values": [BIG]}]},
+    "q-key2.json": {"actions": ["nop"], "entries": [{"key": [0, 0], "values": [0.0]}]},
+    "q-values.json": {"actions": ["nop"], "entries": [{"key": [0, 0, 0], "values": [0.0, 0.0]}]},
     "typo-q.json": {"actions": ["nop"], "entries": [{"key": ["0", 0, 0], "values": [0.0]}]},
     "key-q.json": {"actions": ["nop"], "entries": [{"key": [0, 0, 0], "values": [0.0]}],
                    "note": 1},
@@ -88,32 +105,51 @@ DOCS = {
     "key-approvals.json": {"0": True},
 }
 
-# (file name, JSON path, value) of each edit of the bundled scenario
+# (file name, text) of inputs that `json.dumps` does not write: no JSON, and
+# JSON after leading whitespace
+TEXTS = {
+    "brace.json": "{",
+    "spaced-model.json": "\n  " + json.dumps({"variables": [{"name": "A"}], "parents": {},
+                                              "cpts": {"A": [0.25]}}) + "\n",
+}
+
+# (file name, {JSON path: value}) of each edit of the bundled scenario
 SCENARIO_EDITS = [
-    ("nan-cost.json", ("costs",), {"survival_bonus": float("nan")}),
-    ("two-targets.json", ("nodes", 6, "target"), True),
-    ("big-scenario.json", ("nodes", 0, "defence"), BIG),
-    ("typo-scenario.json", ("nodes", 0, "vulns", 0, "severity"), "0.9"),
-    ("key-scenario.json", ("nodes", 0, "colour"), "red"),
+    ("nan-cost.json", {("costs",): {"survival_bonus": float("nan")}}),
+    ("two-targets.json", {("nodes", 6, "target"): True}),
+    ("big-scenario.json", {("nodes", 0, "defence"): BIG}),
+    ("typo-scenario.json", {("nodes", 0, "vulns", 0, "severity"): "0.9"}),
+    ("key-scenario.json", {("nodes", 0, "colour"): "red"}),
+    # a self-loop, an unknown endpoint, node 7 cut off and made an entry,
+    # a negative cost, patch_delta 0, horizon 0 and an alert probability
+    # above 1: one message of every broken rule
+    ("broken-scenario.json", {
+        ("edges",): [[0, 0], [0, 99], [0, 2], [0, 3], [1, 2], [1, 3], [2, 4], [3, 5], [4, 5],
+                     [4, 6], [5, 6]],
+        ("attacker", "entry"): [0, 7],
+        ("costs",): {"scan_cost": -1.0, "patch_delta": 0.0},
+        ("horizon",): 0,
+        ("alerts", "p_false_alert"): 1.5}),
 ]
 
-# (file name, line, JSON path, value) of each edit of the seed-5 nop log;
+# (file name, line, {JSON path: value}) of each edit of the seed-5 nop log;
 # line 0 is the header, line 1 the first step
 LOG_EDITS = [
-    ("seed.jsonl", 0, ("seed",), 6),
-    ("bogus.jsonl", 1, ("def", "kind"), "bogus"),
-    ("big-log.jsonl", 1, ("reward",), BIG),
-    ("typo-log.jsonl", 1, ("reward",), "1.0"),
-    ("key-log.jsonl", 1, ("note",), 1),
-    ("event-kind.jsonl", 1, ("events", 0, "kind"), "bogus"),
-    ("outcome.jsonl", 1, ("events", 0, "outcome"), "bogus"),
-    ("alert-kind.jsonl", 1, ("events", 1, "alert_kind"), "bogus"),
+    ("seed.jsonl", 0, {("seed",): 6}),
+    ("bogus.jsonl", 1, {("def", "kind"): "bogus"}),
+    ("big-log.jsonl", 1, {("reward",): BIG}),
+    ("typo-log.jsonl", 1, {("reward",): "1.0"}),
+    ("key-log.jsonl", 1, {("note",): 1}),
+    ("event-kind.jsonl", 1, {("events", 0, "kind"): "bogus"}),
+    ("outcome.jsonl", 1, {("events", 0, "outcome"): "bogus"}),
+    ("alert-kind.jsonl", 1, {("events", 1, "alert_kind"): "bogus"}),
 ]
 
 LOOP = ["loop", "--seed", "7"]
 EVALUATE = ["evaluate", "--qtable", "q.json", "--episodes", "12", "--seed", "0"]
 SPEC_CASES = ["bad-spec.json", "confounder-string.json", "schedule-mixed.json",
-              "schedule-empty.json"]
+              "schedule-empty.json", "topology-spec.json", "param-spec.json",
+              "strength-spec.json"]
 
 # Valid runs of every subcommand. Cases that differ only in `--parallel 2`
 # and in the names of the files they write are twins: they must give the
@@ -145,6 +181,8 @@ VALID = [
     ["causal", "observational", "--model", "chain5.json", "--target", "Y@4=1",
      "--given", "X@0=1"],
     ["causal", "do", "--model", "chain5.json", "--target", "Y@4=1", "--do", "X@2=0"],
+    ["causal", "do", "--model", "chain5.json", "--target", "Y@4=1", "--do", "X@2=0",
+     "--given", "X@0=1"],
     ["causal", "do", "--model", "cc6.json", "--target", "Y@3=1", "--do", "X@3=1",
      "--given", "X@0=1"],
     ["causal", "marginal", "--model", "cc6.json", "--query", "U=1,Y@5=1"],
@@ -160,6 +198,10 @@ VALID = [
     # a noise of -0.0 weighs as 0.0, here after the loop has cached its engines
     *[["detect", "--log", "s5.jsonl", noise] for noise in ("--noise=-0.0,0.05",
                                                              "--noise=0.2,-0.0")],
+    # the spaced spelling of a value that starts with '-'
+    ["detect", "--log", "s5.jsonl", "--noise", "-0.0,0.05"],
+    ["detect", "--log", "s5.jsonl", "--threshold", "-inf"],
+    [*LOOP, "--autonomy", "auto", "--tau", "-inf", "--out", "l-tau.json"],
     *[[*LOOP, "--autonomy", "auto", "--episodes", "3", "--noise=-0.0,0.05", *parallel,
        "--out", f"l3z{i}.json"] for i, parallel in enumerate(([], ["--parallel", "2"]))],
     [*LOOP, "--autonomy", "auto", "--episodes", "3", "--noise=0,0.05", "--out", "l3z.json"],
@@ -208,6 +250,11 @@ VALID = [
      "--curve", "curve-again.csv"],
     *[["causal", "build", "--topology", topology, "--slices", "8", "--out", f"{topology}-8.json"]
       for topology in ("chain-a", "fork-b", "confounded-c")],
+    ["causal", "marginal", "--model", "spaced-model.json", "--query", "A=1"],
+    # a 4-step log, scored under two models
+    ["simulate", "--seed", "5", "--horizon", "4", "--out", "short.jsonl"],
+    ["detect", "--log", "short.jsonl", "--indicators-out", "short.csv"],
+    ["detect", "--log", "short.jsonl", "--dbn", "alternating.json"],
 ]
 
 MALFORMED = [
@@ -227,12 +274,13 @@ MALFORMED = [
     ["train", "--episodes", "3", "--alpha", "nan", "--out", "bad-q.json"],
     ["train", "--episodes", "3", "--epsilon-decay", "-1", "--out", "bad-q.json"],
     ["evaluate", "--qtable", "q-nan.json", "--episodes", "1"],
-    *[[command, "--log", report] for report in ("report-int.json", "report-list.json")
+    *[[command, "--log", report] for report in ("report-int.json", "report-list.json", "l2.json")
       for command in ("replay", "detect")],
     ["simulate", "--scenario", "nan-cost.json", "--out", "nan.jsonl"],
     ["train", "--scenario", "nan-cost.json", "--episodes", "20", "--out", "nan-q.json"],
     *[["evaluate", "--qtable", table, "--episodes", "1"]
-      for table in ("q-bit2.json", "q-range.json", "q-twice.json")],
+      for table in ("q-bit2.json", "q-range.json", "q-twice.json", "q-key2.json",
+                    "q-values.json")],
     # every input kind: an over-large integer, a mistyped field, an unknown key
     *[argv for fault in ("big", "typo", "key") for argv in (
         ["simulate", "--scenario", f"{fault}-scenario.json", "--out", "bad.jsonl"],
@@ -259,19 +307,23 @@ MALFORMED = [
     ["causal", "marginal", "--model", "chain5.json", "--query", "Y=1"],
     ["causal", "marginal", "--model", "chain5.json", "--query", "Y@1=2"],
     *[["causal", "marginal", "--model", model, "--query", "A=1"]
-      for model in ("cycle-model.json", "orphan-model.json")],
+      for model in ("cycle-model.json", "orphan-model.json", "twice-model.json", "cpt-high.json",
+                    "unnamed-model.json", "undeclared-model.json", "ref-at-model.json",
+                    "ref-empty-model.json")],
     ["evaluate", "--qtable", "q.json", "--episodes", "-1", "--out", "bad.json"],
     *[[*EVALUATE, "--parallel", parallel, "--out", "bad.json"] for parallel in ("0", "-3")],
     [*LOOP, "--parallel", "0", "--out", "bad.json"],
     ["evaluate", "--qtable", "missing.json", "--episodes", "1"],
     *[["simulate", *option, "--out", "bad.jsonl"]
       for option in (["--defender", "bogus"], ["--attacker", "bogus"], ["--horizon", "0"],
-                     ["--scenario", "two-targets.json"])],
+                     ["--scenario", "two-targets.json"], ["--scenario", "brace.json"],
+                     ["--scenario", "broken-scenario.json"])],
     # an unwritable output, which writes nothing
     ["simulate", "--out", "nodir/x.jsonl"],
     ["detect", "--log", "s5.jsonl", "--indicators-out", "nodir/x.csv"],
     *[[*LOOP, *option, "--out", "bad.json"]
-      for option in (["--approve", "bogus"], ["--window", "0"], ["--tau", "nan"])],
+      for option in (["--approve", "bogus"], ["--window", "0"], ["--tau", "nan"],
+                     ["--lookahead", "0"])],
     *[["detect", "--log", "s5.jsonl", *option]
       for option in (["--threshold", "nan"], ["--noise", "1.5,0.1"])],
 ]
@@ -302,24 +354,25 @@ def file_digests(directory) -> dict[str, str]:
             for path in sorted(Path(directory).iterdir()) if path.is_file()}
 
 
-def edited(doc, path, value) -> str:
-    """The compact JSON text of `doc`, keys sorted, with the value at JSON
-    path `path` set to `value`; `doc` itself is left as it was."""
+def edited(doc, edits: dict) -> str:
+    """The compact JSON text of `doc`, keys sorted, with the value at each
+    JSON path of `edits` set to its value; `doc` itself is left as it was."""
     doc = json.loads(json.dumps(doc))
-    owner = doc
-    for key in path[:-1]:
-        owner = owner[key]
-    owner[path[-1]] = value
+    for path, value in edits.items():
+        owner = doc
+        for key in path[:-1]:
+            owner = owner[key]
+        owner[path[-1]] = value
     return json.dumps(doc, sort_keys=True, separators=(",", ":"))
 
 
 def make_files() -> dict[str, str]:
     """{file name: text} of every file the cases read and no case writes."""
-    files = {name: json.dumps(doc) + "\n" for name, doc in DOCS.items()}
+    files = {name: json.dumps(doc) + "\n" for name, doc in DOCS.items()} | TEXTS
     with open(default_scenario_path(), encoding="utf-8") as fh:
         scenario = json.load(fh)
-    for name, path, value in SCENARIO_EDITS:
-        files[name] = edited(scenario, path, value)
+    for name, edits in SCENARIO_EDITS:
+        files[name] = edited(scenario, edits)
     with tempfile.TemporaryDirectory() as work:
         made = run_corpus({}, work, [["simulate", "--seed", "5", "--out", "s.jsonl"],
                                      ["simulate", "--seed", "1", "--out", "one.jsonl"],
@@ -330,9 +383,9 @@ def make_files() -> dict[str, str]:
                 for name in ("s.jsonl", "one.jsonl", "c2.json")}
     files["one.jsonl"], files["c2.json"] = logs["one.jsonl"], logs["c2.json"]
     lines = logs["s.jsonl"].splitlines()
-    for name, line, path, value in LOG_EDITS:
+    for name, line, edits in LOG_EDITS:
         changed = list(lines)
-        changed[line] = edited(json.loads(lines[line]), path, value)
+        changed[line] = edited(json.loads(lines[line]), edits)
         files[name] = "\n".join(changed) + "\n"
     return dict(sorted(files.items()))
 

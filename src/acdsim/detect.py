@@ -23,7 +23,7 @@ from . import __version__
 from ._util import indented_json, versioned_csv
 from .causal import Cgm, DbnEngine, check_smoothing_slices
 from .config import EmissionNoise
-from .errors import ParseError, SpecError, ZeroEvidenceError
+from .errors import SpecError, ZeroEvidenceError
 from .game import EpisodeLog
 
 TACTICS = ("Z", "X", "Y")
@@ -113,25 +113,6 @@ def extract_indicators(log: EpisodeLog, noise: EmissionNoise, seed: int) -> Indi
 def sequence_to_csv(seq: IndicatorSequence) -> str:
     return versioned_csv("t,Z,X,Y", ((t, f["Z"], f["X"], f["Y"])
                                      for t, f in enumerate(seq.frames)))
-
-
-def sequence_from_csv(text: str) -> IndicatorSequence:
-    frames = []
-    for line in text.splitlines():
-        line = line.strip()
-        if not line or line.startswith("#") or line.startswith("t,"):
-            continue
-        parts = line.split(",")
-        if len(parts) != 4:
-            raise ParseError(f"indicator row must be t,Z,X,Y: '{line}'")
-        try:
-            t, z, x, y = (int(p) for p in parts)
-        except ValueError:
-            raise ParseError(f"indicator row must be integers: '{line}'") from None
-        if t != len(frames):
-            raise ParseError(f"indicator row {len(frames)} has t={t}: '{line}'")
-        frames.append({"Z": z, "X": x, "Y": y})
-    return IndicatorSequence(tuple(frames))
 
 
 # ---------------------------------------------------------------------------

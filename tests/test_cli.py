@@ -4,6 +4,7 @@ import concurrent.futures
 import contextlib
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -14,9 +15,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import acdsim
-from acdsim import agents, causal, cli, netmodel
-from acdsim.causal import save_model
+from acdsim import agents, causal, cli, detect, game, netmodel
+from acdsim.causal import VarId, save_model
 from acdsim.cli import main
+from acdsim.config import EmissionNoise
 from acdsim.errors import ParseError
 from .conftest import (
     AMBIGUOUS_KEY_QTABLES,
@@ -251,6 +253,25 @@ class TestCausal:
                     "--target", "Y=1", "--do", "X=1"]) == 0
         assert capsys.readouterr().out == "0.500000000000\n"
 
+    @pytest.mark.parametrize("query,do,given", [
+        (["observational", "--given", "X@0=1"], {}, {VarId("X", 0): 1}),
+        (["do", "--do", "X@2=0"], {VarId("X", 2): 0}, {}),
+        (["do", "--do", "X@2=0", "--given", "X@0=1"], {VarId("X", 2): 0}, {VarId("X", 0): 1}),
+    ], ids=["observational", "do", "do-given"])
+    def test_engine_route_query_prints_what_enumeration_gives(self, tmp_path, capsys, query,
+                                                              do, given):
+        path = tmp_path / "chain5.json"
+        assert run(["causal", "build", "--topology", "chain-a", "--slices", "5",
+                    "--out", str(path)]) == 0
+        assert run(["causal", query[0], "--model", str(path), "--target", "Y@4=1",
+                    *query[1:]]) == 0
+        m = causal.load_model(path.read_text())
+        cut = causal.do_transform(m, do) if do else m
+        evidence = {**do, **given}
+        joint = {VarId("Y", 4): 1, **evidence}
+        want = causal.marginal(cut, joint) / causal.marginal(cut, evidence)
+        assert capsys.readouterr().out == format(want, "#.12g") + "\n"
+
     def test_build_writes_loadable_model(self, tmp_path):
         out = tmp_path / "dbn.json"
         assert run(["causal", "build", "--topology", "chain-a", "--slices", "3",
@@ -343,6 +364,33 @@ class TestDetect:
         result = json.loads(result_path.read_text())
         assert result["label"] in ("benign", "malign")
         assert csv_path.read_text().splitlines()[1] == "t,Z,X,Y"
+
+    @pytest.mark.parametrize("spec", [
+        None, {"topology": "confounded-c", "slices": 4, "schedule": [True, False]},
+    ], ids=["chain-a", "confounded-c-alternating"])
+    def test_llr_on_a_short_log_equals_enumeration(self, tmp_path, spec):
+        log_path, out = tmp_path / "short.jsonl", tmp_path / "llr.json"
+        assert run(["simulate", "--seed", "5", "--horizon", "4", "--out", str(log_path)]) == 0
+        dbn = []
+        if spec is not None:
+            (tmp_path / "spec.json").write_text(json.dumps(spec))
+            dbn = ["--dbn", str(tmp_path / "spec.json")]
+        assert run(["detect", "--log", str(log_path), *dbn, "--out", str(out)]) == 0
+        frames = detect.extract_indicators(game.parse_episode_jsonl(log_path.read_text()),
+                                           EmissionNoise(), 0).frames
+        assert len(frames) == 4
+        spec = causal.load_spec(json.dumps(spec)) if spec else causal.DbnSpec(
+            causal.Topology.CHAIN_A, 4)
+        malign = causal.build_topology(spec.with_slices(len(frames)))
+        loglik = []
+        for m in (malign, detect.benign_model_like(malign)):
+            evidence = {causal.emission_var(VarId(name, t)): bit
+                        for t, frame in enumerate(frames) for name, bit in frame.items()
+                        if m.has(VarId(name, t))}
+            loglik.append(math.log(causal.marginal(causal.attach_emissions(m, *EmissionNoise()),
+                                                   evidence)))
+        llr = json.loads(out.read_text())["llr"]
+        assert format(llr, "#.12g") == format(loglik[0] - loglik[1], "#.12g")
 
     def test_bad_noise_exits_2(self, tmp_path):
         log_path = tmp_path / "log.jsonl"

@@ -7,8 +7,6 @@ import math
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from acdsim.agents import LateralAttacker, NopDefender
 from acdsim import causal
@@ -22,15 +20,14 @@ from acdsim.detect import (
     classify,
     extract_indicators,
     ground_truth_bits,
-    sequence_from_csv,
     sequence_loglik,
     sequence_to_csv,
 )
-from acdsim.errors import ParseError, SpecError, TooLargeError
+from acdsim.errors import SpecError, TooLargeError
 from acdsim.game import NOP, restore, run_episode
 from acdsim.netmodel import load_scenario
 
-from .conftest import PassingAttacker, chain3_doc, mutated, sample_indicator_sequence
+from .conftest import PassingAttacker, chain3_doc, sample_indicator_sequence
 
 ZERO_NOISE = EmissionNoise(miss=0.0, false_pos=0.0)
 
@@ -343,30 +340,6 @@ class TestSeparation:
             benign_llrs.append(sequence_loglik(malign, seq_b, noise)
                                - sequence_loglik(benign, seq_b, noise))
         assert sum(malign_llrs) / 40 > sum(benign_llrs) / 40
-
-
-class TestSequenceIO:
-    @settings(max_examples=200, deadline=None)
-    @given(st.one_of(st.text(), mutated("# acdsim\nt,Z,X,Y\n0,0,1,0\n1,1,1,1\n")))
-    def test_any_text_parses_or_raises_parse_error(self, text):
-        try:
-            seq = sequence_from_csv(text)
-        except ParseError:
-            return
-        assert all(list(f) == ["Z", "X", "Y"] for f in seq.frames)
-
-    @pytest.mark.parametrize("rows", [
-        "5,1,0,0\n5,0,1,0\n9,1,1,1", "1,0,0,0", "0,0,0,0\n0,1,1,1", "0,0,0,0\n2,1,1,1",
-    ], ids=["renumbered", "starts-at-1", "repeated", "skipped"])
-    def test_t_other_than_the_row_position_is_refused(self, rows):
-        with pytest.raises(ParseError, match="t="):
-            sequence_from_csv(f"# acdsim\nt,Z,X,Y\n{rows}\n")
-
-    def test_csv_round_trip(self, chain3):
-        log = run_episode(chain3, NopDefender(), LateralAttacker(1), seed=2)
-        seq = extract_indicators(log, EmissionNoise(), seed=3)
-        parsed = sequence_from_csv(sequence_to_csv(seq))
-        assert parsed.frames == seq.frames
 
 
 class TestRecordedDigests:

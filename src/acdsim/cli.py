@@ -250,12 +250,12 @@ def cmd_detect(args) -> int:
     log = game.parse_episode_jsonl(game.extract_episode_jsonl(_read(args.log)))
     noise = _parse_noise(args.noise)
     seq = detect.extract_indicators(log, noise, args.seed)
-    if args.indicators_out:
-        _write(args.indicators_out, detect.sequence_to_csv(seq))
     spec = _load_dbn_spec(args.dbn).with_slices(len(seq.frames))
     malign = causal.build_topology(spec)
     benign = detect.benign_model_like(malign)
     result = detect.classify(seq, benign, malign, noise, threshold=args.threshold)
+    if args.indicators_out:  # after `classify`, so that a refused log writes no file
+        _write(args.indicators_out, detect.sequence_to_csv(seq))
     _write(args.out, result.to_json() + "\n")
     return EXIT_OK
 

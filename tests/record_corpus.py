@@ -321,6 +321,11 @@ MALFORMED = [
     # an unwritable output, which writes nothing
     ["simulate", "--out", "nodir/x.jsonl"],
     ["detect", "--log", "s5.jsonl", "--indicators-out", "nodir/x.csv"],
+    # a log of no step, and one of 32 steps, which smoothing refuses: a
+    # refused detect writes no indicator CSV
+    ["detect", "--log", "zero.jsonl", "--indicators-out", "zero.csv"],
+    ["replay", "--log", "zero.jsonl"],
+    ["detect", "--log", "nop0.jsonl", "--indicators-out", "long.csv", "--out", "long.json"],
     *[[*LOOP, *option, "--out", "bad.json"]
       for option in (["--approve", "bogus"], ["--window", "0"], ["--tau", "nan"],
                      ["--lookahead", "0"])],
@@ -387,6 +392,7 @@ def make_files() -> dict[str, str]:
         changed = list(lines)
         changed[line] = edited(json.loads(lines[line]), edits)
         files[name] = "\n".join(changed) + "\n"
+    files["zero.jsonl"] = f"{lines[0]}\n{lines[-1]}\n"  # the header and the final line alone
     return dict(sorted(files.items()))
 
 

@@ -389,7 +389,12 @@ class TestReplay:
             replay_episode(replace(log, steps=log.steps[:-1]))
         lines = episode_to_jsonl(log).splitlines()
         del lines[-2]
-        assert not verify_replay("\n".join(lines) + "\n")
+        text = "\n".join(lines) + "\n"
+        if len(log.steps) > 1:
+            assert not verify_replay(text)
+        else:  # no step is left: a parse error, as the game never writes such a log
+            with pytest.raises(ParseError, match="holds no step"):
+                verify_replay(text)
 
     @settings(max_examples=150, deadline=None)
     @given(st.one_of(st.text(), mutated(LOG), jsonl_mutated(LOG)))

@@ -524,7 +524,7 @@ def parse_episode_jsonl(text: str) -> EpisodeLog:
     lines = [parse_json(ln, "episode log") for ln in text.splitlines() if ln.strip()]
     if len(lines) < 2:
         raise ParseError("episode log needs a header and a final summary")
-    if len(lines) == 2:  # `run_episode` steps until the episode ends
+    if len(lines) == 2:  # the game writes none: `run_episode` steps until an episode ends
         raise ParseError("episode log holds no step")
     header = json_object(lines[0], "lines[0]", _HEADER_KEYS)
     last = f"lines[{len(lines) - 1}]"

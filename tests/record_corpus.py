@@ -120,9 +120,9 @@ SCENARIO_EDITS = [
     ("big-scenario.json", {("nodes", 0, "defence"): BIG}),
     ("typo-scenario.json", {("nodes", 0, "vulns", 0, "severity"): "0.9"}),
     ("key-scenario.json", {("nodes", 0, "colour"): "red"}),
-    # a self-loop, an unknown endpoint, node 7 cut off and made an entry,
-    # a negative cost, patch_delta 0, horizon 0 and an alert probability
-    # above 1: one message of every broken rule
+    # a self-loop, an unknown endpoint, the target (node 7) cut off and
+    # made an entry, a negative cost, patch_delta 0, horizon 0 and an alert
+    # probability above 1: one message names every broken rule
     ("broken-scenario.json", {
         ("edges",): [[0, 0], [0, 99], [0, 2], [0, 3], [1, 2], [1, 3], [2, 4], [3, 5], [4, 5],
                      [4, 6], [5, 6]],

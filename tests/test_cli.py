@@ -372,7 +372,7 @@ class TestDetect:
         log_path, out = tmp_path / "short.jsonl", tmp_path / "llr.json"
         assert run(["simulate", "--seed", "5", "--horizon", "4", "--out", str(log_path)]) == 0
         dbn = []
-        if spec is not None:
+        if spec:
             (tmp_path / "spec.json").write_text(json.dumps(spec))
             dbn = ["--dbn", str(tmp_path / "spec.json")]
         assert run(["detect", "--log", str(log_path), *dbn, "--out", str(out)]) == 0

@@ -130,6 +130,7 @@ SCENARIO_EDITS = [
         ("costs",): {"scan_cost": -1.0, "patch_delta": 0.0},
         ("horizon",): 0,
         ("alerts", "p_false_alert"): 1.5}),
+    ("edge3-scenario.json", {("edges", 9): [6, 7, 5]}),
 ]
 
 # (file name, line, {JSON path: value}) of each edit of the seed-5 nop log;
@@ -331,6 +332,12 @@ MALFORMED = [
                      ["--lookahead", "0"])],
     *[["detect", "--log", "s5.jsonl", *option]
       for option in (["--threshold", "nan"], ["--noise", "1.5,0.1"])],
+    # a bare name and an unknown variable, a schedule of the wrong length, a
+    # log of one line and an edge of three node ids
+    *[["causal", "marginal", "--model", "c2.json", "--query", query] for query in ("X", "Q=1")],
+    ["causal", "build", "--topology", "confounded-c", "--slices", "5", "--schedule", "1,0"],
+    ["replay", "--log", "header.jsonl"],
+    ["simulate", "--scenario", "edge3-scenario.json", "--out", "bad.jsonl"],
 ]
 
 CASES = VALID + MALFORMED
@@ -393,6 +400,7 @@ def make_files() -> dict[str, str]:
         changed[line] = edited(json.loads(lines[line]), edits)
         files[name] = "\n".join(changed) + "\n"
     files["zero.jsonl"] = f"{lines[0]}\n{lines[-1]}\n"  # the header and the final line alone
+    files["header.jsonl"] = f"{lines[0]}\n"
     return dict(sorted(files.items()))
 
 

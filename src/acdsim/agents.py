@@ -244,7 +244,8 @@ class QTable:
             if len(key) != len(FeatureKey._fields):
                 raise ParseError(f"{where}.key must hold {len(FeatureKey._fields)} integers")
             if len(values) != len(actions):
-                raise ParseError(f"{where}.values must hold {len(actions)} numbers")
+                raise ParseError(f"{where}.values must hold {len(actions)} "
+                                 f"{'number' if len(actions) == 1 else 'numbers'}")
             if not (0 <= key[0] <= 3 and key[1] in (0, 1) and 0 <= key[2] <= 2):
                 raise ParseError(f"{where}.key {key} is outside [0..3, 0..1, 0..2]")
             feature = FeatureKey(key[0], bool(key[1]), key[2])

@@ -10,6 +10,7 @@ error, 4 replay mismatch.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import math
@@ -45,15 +46,33 @@ def _read(path: str) -> str:
         raise ParseError(f"cannot read {path}: {exc}") from None
 
 
-def _write(path: str | None, text: str):
-    if path is None or path == "-":
-        sys.stdout.write(text)
-        return
+def _write_all(outputs: list[tuple[str | None, str]]):
+    """Write each (path, text) a command returned: the files in order, then
+    the texts of path None or "-" to stdout in order. A file that cannot be
+    written is a parse error, and then every file this call created is
+    removed and nothing is printed; a file that existed before is written
+    in place, never renamed over, so `--out /dev/null` stays a device."""
+    created = []
     try:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        for path, text in outputs:
+            if path not in (None, "-"):
+                if not os.path.lexists(path):
+                    created.append(path)
+                with open(path, "w", encoding="utf-8") as fh:
+                    fh.write(text)
     except OSError as exc:
+        for name in created:
+            with contextlib.suppress(FileNotFoundError):
+                os.remove(name)
         raise ParseError(f"cannot write {path}: {exc}") from None
+    for path, text in outputs:
+        if path in (None, "-"):
+            sys.stdout.write(text)
+
+
+def _summary(**values) -> tuple[None, str]:
+    """The one-line JSON summary that a command prints last."""
+    return None, json.dumps({"version": __version__, **values}, sort_keys=True) + "\n"
 
 
 def _load_scenario(args) -> netmodel.Scenario:
@@ -93,10 +112,6 @@ def _mean(values: list) -> float:
     return sum(values) / len(values) if values else 0.0
 
 
-def _print_result(value: float):
-    sys.stdout.write(format(value, "#.12g") + "\n")
-
-
 def _episode_seeds(args) -> list[int]:
     """--seed, --seed + 1, ... for each of --episodes; a negative count, or
     a --parallel below 1, is refused."""
@@ -122,10 +137,10 @@ def _map_seeds(fn, common: tuple, seeds: list[int], parallel: int) -> list:
 
 
 # ---------------------------------------------------------------------------
-# Subcommands
+# Subcommands: each returns its outputs, for `main` to write (`_write_all`)
 # ---------------------------------------------------------------------------
 
-def cmd_simulate(args) -> int:
+def cmd_simulate(args) -> list:
     scenario = _load_scenario(args)
     defender = _make_defender(args.defender)
     if args.attacker != "lateral":
@@ -133,17 +148,12 @@ def cmd_simulate(args) -> int:
     attacker = agents.LateralAttacker(scenario.attacker.spread)
     log = game.run_episode(scenario, defender, attacker, args.seed,
                            horizon_override=args.horizon)
-    _write(args.out, game.episode_to_jsonl(log))
-    sys.stdout.write(json.dumps({
-        "version": __version__,
-        "terminal": log.final["terminal"],
-        "steps": log.final["t"],
-        "return": log.total_reward(),
-    }, sort_keys=True) + "\n")
-    return EXIT_OK
+    return [(args.out, game.episode_to_jsonl(log)), _summary(**{
+        "terminal": log.final["terminal"], "steps": log.final["t"], "return": log.total_reward(),
+    })]
 
 
-def cmd_train(args) -> int:
+def cmd_train(args) -> list:
     scenario = _load_scenario(args)
     try:
         params = agents.LearningParams(
@@ -154,17 +164,12 @@ def cmd_train(args) -> int:
     except SpecError as exc:
         raise ParseError(f"bad learning parameter: {exc}") from None
     table, curve = agents.train(scenario, params, args.seed)
-    _write(args.out, table.save() + "\n")
+    outputs = [(args.out, table.save() + "\n")]
     if args.curve:
-        _write(args.curve, agents.curve_to_csv(curve))
+        outputs.append((args.curve, agents.curve_to_csv(curve)))
     mean_tail = (sum(curve[-100:]) / min(len(curve), 100)) if curve else 0.0
-    sys.stdout.write(json.dumps({
-        "version": __version__,
-        "episodes": len(curve),
-        "keys": len(table.values),
-        "mean_return_last_100": mean_tail,
-    }, sort_keys=True) + "\n")
-    return EXIT_OK
+    return [*outputs, _summary(episodes=len(curve), keys=len(table.values),
+                               mean_return_last_100=mean_tail)]
 
 
 def _evaluate_episode(scenario: netmodel.Scenario, table: agents.QTable, seed: int) -> dict:
@@ -178,7 +183,7 @@ def _evaluate_episode(scenario: netmodel.Scenario, table: agents.QTable, seed: i
     }
 
 
-def cmd_evaluate(args) -> int:
+def cmd_evaluate(args) -> list:
     scenario = _load_scenario(args)
     table = agents.QTable.load(_read(args.qtable))
     seeds = _episode_seeds(args)
@@ -193,16 +198,14 @@ def cmd_evaluate(args) -> int:
         "mean_time_to_target": _mean([r["time_to_target"] for r in rows]),
     }
     if args.format == "csv":
-        _write(args.out, versioned_csv(METRIC_COLUMNS, (
-            [row[k] for k in METRIC_COLUMNS.split(",")] for row in rows)))
-    else:
-        _write(args.out, indented_json({
-            "version": __version__, "episodes": rows, "summary": summary,
-        }) + "\n")
-    return EXIT_OK
+        return [(args.out, versioned_csv(METRIC_COLUMNS, (
+            [row[k] for k in METRIC_COLUMNS.split(",")] for row in rows)))]
+    return [(args.out, indented_json({
+        "version": __version__, "episodes": rows, "summary": summary,
+    }) + "\n")]
 
 
-def cmd_causal(args) -> int:
+def cmd_causal(args) -> list:
     from . import causal
     if args.causal_cmd == "build":
         params = causal.DbnParams(**{f.name: getattr(args, f.name)
@@ -221,29 +224,28 @@ def cmd_causal(args) -> int:
             model = causal.build_topology(spec)
         except SpecError as exc:
             raise ParseError(f"bad build option: {exc}") from None
-        _write(args.out, causal.save_model(model) + "\n")
-        return EXIT_OK
+        return [(args.out, causal.save_model(model) + "\n")]
 
     model = causal.load_model(_read(args.model))
     if args.causal_cmd == "marginal":
-        _print_result(causal.marginal(model, causal.parse_assignment(model, args.query)))
+        value = causal.marginal(model, causal.parse_assignment(model, args.query))
     elif args.causal_cmd == "observational":
-        _print_result(causal.observational(
+        value = causal.observational(
             model,
             causal.parse_assignment(model, args.target),
             causal.parse_assignment(model, args.given or ""),
-        ))
-    elif args.causal_cmd == "do":
-        _print_result(causal.interventional(
+        )
+    else:
+        value = causal.interventional(
             model,
             causal.parse_assignment(model, args.target),
             causal.parse_assignment(model, args.do),
             causal.parse_assignment(model, args.given or ""),
-        ))
-    return EXIT_OK
+        )
+    return [(None, format(value, "#.12g") + "\n")]
 
 
-def cmd_detect(args) -> int:
+def cmd_detect(args) -> list:
     from . import causal, detect
     if math.isnan(args.threshold):
         raise ParseError("--threshold must be a number, got nan")
@@ -254,10 +256,8 @@ def cmd_detect(args) -> int:
     malign = causal.build_topology(spec)
     benign = detect.benign_model_like(malign)
     result = detect.classify(seq, benign, malign, noise, threshold=args.threshold)
-    if args.indicators_out:  # after `classify`, so that a refused log writes no file
-        _write(args.indicators_out, detect.sequence_to_csv(seq))
-    _write(args.out, result.to_json() + "\n")
-    return EXIT_OK
+    indicators = [(args.indicators_out, detect.sequence_to_csv(seq))] if args.indicators_out else []
+    return [*indicators, (args.out, result.to_json() + "\n")]
 
 
 def _load_approver(spec: str):
@@ -280,7 +280,7 @@ def _run_loop_episode(scenario: netmodel.Scenario, cfg: config.LoopConfig, new_a
     return loop.run_loop(scenario, cfg, seed, approval=new_approver()).to_obj()
 
 
-def cmd_loop(args) -> int:
+def cmd_loop(args) -> list:
     scenario = _load_scenario(args)
     dbn = _load_dbn_spec(args.dbn)
     new_approver = _load_approver(args.approve)
@@ -295,28 +295,19 @@ def cmd_loop(args) -> int:
     seeds = _episode_seeds(args)
     reports = _map_seeds(_run_loop_episode, (scenario, cfg, new_approver), seeds,
                          args.parallel)
-    if args.episodes == 1:
-        _write(args.out, indented_json(reports[0]) + "\n")
-    else:
-        _write(args.out, indented_json({"version": __version__, "reports": reports}) + "\n")
-    summary = {
-        "version": __version__,
-        "episodes": len(reports),
-        "mean_time_to_target": _mean([r["summary"]["time_to_target"] for r in reports]),
-        "proposed": sum(r["summary"]["proposed"] for r in reports),
-        "applied": sum(r["summary"]["applied"] for r in reports),
-    }
-    sys.stdout.write(json.dumps(summary, sort_keys=True) + "\n")
-    return EXIT_OK
+    result = reports[0] if args.episodes == 1 else {"version": __version__, "reports": reports}
+    return [(args.out, indented_json(result) + "\n"), _summary(
+        episodes=len(reports),
+        mean_time_to_target=_mean([r["summary"]["time_to_target"] for r in reports]),
+        proposed=sum(r["summary"]["proposed"] for r in reports),
+        applied=sum(r["summary"]["applied"] for r in reports),
+    )]
 
 
-def cmd_replay(args) -> int:
-    text = game.extract_episode_jsonl(_read(args.log))
-    if game.verify_replay(text):
-        sys.stdout.write(json.dumps({"version": __version__, "replay": "ok"},
-                                    sort_keys=True) + "\n")
-        return EXIT_OK
-    raise ReplayMismatchError("replay did not reproduce the recorded log")
+def cmd_replay(args) -> list:
+    if not game.verify_replay(game.extract_episode_jsonl(_read(args.log))):
+        raise ReplayMismatchError("replay did not reproduce the recorded log")
+    return [_summary(replay="ok")]
 
 
 # ---------------------------------------------------------------------------
@@ -456,7 +447,8 @@ def main(argv=None) -> int:
         # argparse exits 2 on usage errors and 0 on --help/--version
         return int(exc.code or 0)
     try:
-        return args.func(args)
+        _write_all(args.func(args))
+        return EXIT_OK
     except (ParseError, ValidationError) as exc:
         _emit_error(type(exc).__name__, str(exc))
         return EXIT_CONFIG

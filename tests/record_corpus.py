@@ -4,7 +4,7 @@ corpus's `files` are written there, through in-process `acdsim.cli.main`.
 Later cases read what earlier ones wrote (a Q-table, logs, loop reports,
 models). Each case records its command line, its exit code, its exact
 stderr (`""` for a valid run), the sha256 of its stdout and the sha256 of
-each file it writes or changes; a refused case writes none.
+each file it writes or changes; a refused case writes and prints nothing.
 
     PYTHONPATH=src python -m tests.record_corpus
 
@@ -338,6 +338,11 @@ MALFORMED = [
     ["causal", "build", "--topology", "confounded-c", "--slices", "5", "--schedule", "1,0"],
     ["replay", "--log", "header.jsonl"],
     ["simulate", "--scenario", "edge3-scenario.json", "--out", "bad.jsonl"],
+    # a second output that cannot be written: the first, a new file or
+    # stdout, is not left behind either
+    ["detect", "--log", "s5.jsonl", "--indicators-out", "a.csv", "--out", "nodir/x.json"],
+    ["train", "--episodes", "5", "--out", "q5.json", "--curve", "nodir/c.csv"],
+    ["train", "--episodes", "3", "--out", "-", "--curve", "nodir/c.csv"],
 ]
 
 CASES = VALID + MALFORMED

@@ -4,7 +4,6 @@ Run with `pytest tests/test_acceptance.py -v -s` to see one line per criterion.
 """
 
 import dataclasses
-import json
 import math
 import random
 import time

@@ -117,6 +117,14 @@ class TestSimulate:
     def test_default_scenario_is_bundled(self, tmp_path):
         assert run(["simulate", "--seed", "1", "--out", str(tmp_path / "d.jsonl")]) == 0
 
+    def test_out_devnull_is_written_in_place(self, capsys):
+        # an existing output is opened and written, never replaced by a
+        # renamed file, which would turn the device into a regular file
+        assert run(["simulate", "--seed", "1", "--out", os.devnull]) == 0
+        summary = json.loads(capsys.readouterr().out)
+        assert sorted(summary) == ["return", "steps", "terminal", "version"]
+        assert not os.path.isfile(os.devnull)
+
     def test_random_defender_and_qtable(self, tmp_path, chain3_path):
         out = tmp_path / "r.jsonl"
         assert run(["simulate", "--scenario", chain3_path, "--defender", "random",

@@ -3,9 +3,9 @@ in one fresh directory through in-process `main`: the same exit code, the
 same stderr, byte for byte, and the same bytes on stdout and in each file it
 writes. On the replay it also checks that twins (cases that differ only in
 `--parallel 2` and in the names of the files they write) give the same
-bytes, that a refused case writes nothing, that each written CSV starts with
-the version line and holds no carriage return, and that each written JSON
-file is what `json.dumps(..., sort_keys=True, indent=2)` writes.
+bytes, that a refused case writes and prints nothing, that each written CSV
+starts with the version line and holds no carriage return, and that each
+written JSON file is what `json.dumps(..., sort_keys=True, indent=2)` writes.
 `record_corpus.py` records the corpus and names the cases.
 
     python -m tests.test_corpus
@@ -21,10 +21,13 @@ from pathlib import Path
 
 import pytest
 
+from acdsim._util import sha256_hex
+
 from .record_corpus import CASES, CORPUS, make_files, run_corpus
 
 RECORDED = json.loads(CORPUS.read_text(encoding="utf-8"))
 OUTPUT_OPTIONS = ("--out", "--curve", "--indicators-out")
+NO_OUTPUT = sha256_hex("")
 
 
 def _twin_key(argv: list[str]) -> tuple[tuple, bool]:
@@ -60,8 +63,9 @@ def twins_differ(records: list[dict], directory) -> list[str]:
 
 
 def refusals_write(records: list[dict], directory) -> list[str]:
-    return [f"refused but wrote {sorted(record['written'])}: {' '.join(record['argv'])}"
-            for record in records if record["exit"] != 0 and record["written"]]
+    return [f"refused but wrote {sorted(record['written'])} or printed: {' '.join(record['argv'])}"
+            for record in records if record["exit"] != 0
+            and (record["written"] or record["stdout_sha256"] != NO_OUTPUT)]
 
 
 def _written(records: list[dict], directory, suffix: str) -> list[Path]:

@@ -23,6 +23,7 @@ import subprocess
 import tempfile
 import traceback
 from pathlib import Path
+from unittest import mock
 
 from acdsim._util import sha256_hex
 from acdsim.agents import META_ACTIONS
@@ -30,6 +31,77 @@ from acdsim.cli import default_scenario_path, main
 
 CORPUS = Path(__file__).with_name("corpus.json")
 BIG = 10 ** 400  # an integer no float can hold
+
+
+def point_masses(parents: dict) -> dict:
+    """A model document of the variables "NAME" or "NAME@SLICE" in `parents`, each with
+    its parents there and every CPT row 1.0, so enumeration follows one path."""
+    return {"variables": [{"name": name, "slice": int(at)} if at else {"name": name}
+                          for name, _, at in (v.partition("@") for v in parents)],
+            "parents": parents, "cpts": {v: [1.0] * 2 ** len(ps) for v, ps in parents.items()}}
+
+
+def model(**doc) -> dict:
+    """A model document of one variable X, `doc`'s members in place of its own."""
+    return {"variables": [{"name": "X"}], "parents": {}, "cpts": {"X": [0.5]}, **doc}
+
+
+def spec(**doc) -> dict:
+    """A chain-a DBN spec of 8 slices, `doc`'s members in place of its own."""
+    return {"topology": "chain-a", "slices": 8, **doc}
+
+
+# (file name, target) of models of 13 point masses that the slice engine refuses,
+# so `causal observational` enumerates them: no time-indexed variable, a global
+# with a parent, a missing slice, 13 variables in one slice, a parent two back
+UNSLICED = {
+    "untimed-model.json": ({f"A{i}": [] for i in range(13)}, "A0=1"),
+    "global-parent-model.json": ({**{f"X@{t}": [] for t in range(12)}, "G": ["X@0"]}, "G=1"),
+    "gap-model.json": ({f"X@{t}": [] for t in (0, *range(2, 14))}, "X@13=1"),
+    "wide-model.json": ({f"X{i}@0": [] for i in range(13)}, "X0=1"),
+    "skip-model.json": ({f"X@{t}": [f"X@{t - 1 - (t == 2)}"] if t else [] for t in range(13)},
+                        "X@12=1"),
+}
+
+# (file name, document) of models, DBN specs and Q-tables that break a rule
+BAD_MODELS = {
+    "nameless-model.json": model(variables=[{"slice": 0}]),
+    "name-int-model.json": model(variables=[{"name": 3}]),
+    "variable-string-model.json": model(variables=["X"]),
+    "variables-object-model.json": model(variables={"X": {}}),
+    "parents-list-model.json": model(parents=[]),
+    "cpts-list-model.json": model(cpts=[[0.5]]),
+    "list-model.json": [{"name": "X"}],
+    "cpt-undeclared-model.json": model(cpts={"X": [0.5], "B": [0.3]}),
+    "latent-int-model.json": model(variables=[{"name": "X", "latent": 1}]),
+    "cpt-text-model.json": model(cpts={"X": "1"}),
+    "parents-string-model.json": model(parents={"X": "B"}),
+    "superscript-model.json": model(cpts={"X@\u00b2": [0.5]}),
+}
+BAD_SPECS = {
+    "param-key-spec.json": spec(params={"bogus": 1}),
+    "param-string-spec.json": spec(params={"persistence": "high"}),
+    "params-list-spec.json": spec(params=[0.9]),
+    "schedule-int-spec.json": spec(schedule=1),
+    "list-spec.json": ["chain-a", 8],
+    "weak-spec.json": spec(params={"persistence": 0.01}),
+    "zero-slices-spec.json": spec(slices=0),
+    "bool-slices-spec.json": spec(slices=True),
+    "confounder-int-spec.json": spec(topology="confounded-c", per_slice_confounder=0),
+    "schedule-two-spec.json": spec(topology="confounded-c", schedule=[1, 2]),
+    "schedule-float-spec.json": spec(topology="confounded-c", schedule=[1.0, 0]),
+}
+BAD_QTABLES = {
+    "q-key1.json": {"actions": ["nop"], "entries": [{"key": [1], "values": [0.0]}]},
+    "q-no-values.json": {"actions": ["nop"], "entries": [{"key": [1, 0, 0]}]},
+    "q-entries-object.json": {"actions": ["nop"], "entries": {"key": [1, 0, 0], "values": [0.0]}},
+    "q-entry-list.json": {"actions": ["nop"], "entries": [[1, 0, 0]]},
+    "q-ninf.json": {"actions": ["nop"],
+                    "entries": [{"key": [1, 0, 0], "values": [float("-inf")]}]},
+    "q-bool.json": {"actions": ["nop"], "entries": [{"key": [1, 0, 0], "values": [False]}]},
+    "q-key-bool.json": {"actions": ["nop"], "entries": [{"key": [1, True, 0], "values": [0.0]}]},
+    "q-no-actions.json": {"actions": [], "entries": [{"key": [0, 0, 0], "values": []}]},
+}
 
 # (file name, its document) of the models, specs, Q-tables, loop reports and
 # approval files the cases read
@@ -98,6 +170,17 @@ DOCS = {
     "typo-q.json": {"actions": ["nop"], "entries": [{"key": ["0", 0, 0], "values": [0.0]}]},
     "key-q.json": {"actions": ["nop"], "entries": [{"key": [0, 0, 0], "values": [0.0]}],
                    "note": 1},
+    # the single-slice chain Z -> X -> Y, and two untimed variables A -> B
+    "chain1.json": {"variables": [{"name": n, "slice": 0} for n in "ZXY"],
+                    "parents": {"X@0": ["Z@0"], "Y@0": ["X@0"]},
+                    "cpts": {"Z@0": [0.5], "X@0": [0.1, 0.9], "Y@0": [0.2, 0.8]}},
+    "ab-model.json": {"variables": [{"name": "A"}, {"name": "B"}], "parents": {"B": ["A"]},
+                      "cpts": {"A": [0.5], "B": [0.1, 0.9]}},
+    **{name: point_masses(parents) for name, (parents, _) in UNSLICED.items()},
+    # plan denominators p(do | state) an ulp or two off 1.0
+    "plan-den-spec.json": spec(params={"spontaneous": 0, "persistence": 0.9,
+                                       "edge_strength": 0.95, "root_activation": 0.4}),
+    **BAD_MODELS, **BAD_SPECS, **BAD_QTABLES,
     "report-int.json": {"episode_jsonl": 5},
     "report-list.json": {"episode_jsonl": ["a"]},
     "big-approvals.json": [BIG],
@@ -111,6 +194,9 @@ TEXTS = {
     "brace.json": "{",
     "spaced-model.json": "\n  " + json.dumps({"variables": [{"name": "A"}], "parents": {},
                                               "cpts": {"A": [0.25]}}) + "\n",
+    **{f"{name}-approvals.json": text for name, text in (
+        ("no-0", '["no", 0]'), ("one", "[true, 1]"), ("null", "[null]"), ("open", "[true,"),
+        ("empty", ""))},
 }
 
 # (file name, {JSON path: value}) of each edit of the bundled scenario
@@ -131,6 +217,19 @@ SCENARIO_EDITS = [
         ("horizon",): 0,
         ("alerts", "p_false_alert"): 1.5}),
     ("edge3-scenario.json", {("edges", 9): [6, 7, 5]}),
+    # node 0 renamed -1, so its edges name no node; a defence, a severity and the
+    # attacker out of range; a vulnerability id twice and one empty; an unknown
+    # entry node; a non-negative target-loss penalty
+    ("ranges-scenario.json", {
+        ("nodes", 0, "id"): -1,
+        ("nodes", 1, "defence"): 1.5,
+        ("nodes", 2, "vulns"): [{"id": "a", "severity": 2.0}, {"id": "a", "severity": 0.5},
+                                {"id": "", "severity": 0.5}],
+        ("attacker",): {"strength": 1.5, "spread": 0, "entry": [99]},
+        ("costs",): {"target_loss_penalty": 1.0}}),
+    ("twice-id-scenario.json", {("nodes", 1, "id"): 0}),
+    ("no-entry-scenario.json", {("attacker", "entry"): []}),
+    ("attacker-list-scenario.json", {("attacker",): [0, 1]}),
 ]
 
 # (file name, line, {JSON path: value}) of each edit of the seed-5 nop log;
@@ -144,6 +243,15 @@ LOG_EDITS = [
     ("event-kind.jsonl", 1, {("events", 0, "kind"): "bogus"}),
     ("outcome.jsonl", 1, {("events", 0, "outcome"): "bogus"}),
     ("alert-kind.jsonl", 1, {("events", 1, "alert_kind"): "bogus"}),
+    # recorded actions the replayed game refuses
+    ("patch-99.jsonl", 1, {("def",): {"kind": "patch", "node": 99}}),
+    ("isolate-0.jsonl", 1, {("def",): {"kind": "isolate", "node": 0, "duration": 0}}),
+    ("spread-2.jsonl", 1, {("atk", "attempts"): [2, 3]}),
+    ("attempt-99.jsonl", 1, {("atk", "attempts"): [99]}),
+    # replays that diverge: a reward, and no attempt, so that a later
+    # attempt is on a node next to no compromised one
+    ("reward.jsonl", 1, {("reward",): 99.0}),
+    ("no-attempts.jsonl", 1, {("atk", "attempts"): []}),
 ]
 
 LOOP = ["loop", "--seed", "7"]
@@ -256,6 +364,28 @@ VALID = [
     ["simulate", "--seed", "5", "--horizon", "4", "--out", "short.jsonl"],
     ["detect", "--log", "short.jsonl", "--indicators-out", "short.csv"],
     ["detect", "--log", "short.jsonl", "--dbn", "alternating.json"],
+    # a target that contradicts the evidence, a root that is always on, no
+    # intervention at all, a variable named twice with one value
+    ["causal", "observational", "--model", "c2.json", "--target", "X@0=1", "--given", "X@0=0"],
+    ["causal", "build", "--topology", "chain-a", "--slices", "2", "--root-activation", "1",
+     "--out", "on2.json"],
+    ["causal", "marginal", "--model", "on2.json", "--query", "Y@1=1"],
+    ["causal", "do", "--model", "c2.json", "--target", "Y@1=1", "--do", ""],
+    ["causal", "marginal", "--model", "chain1.json", "--query", "X=1,X@0=1"],
+    # each output on stdout, by `-`
+    *[[*argv, "--out", "-"] for argv in (
+        ["simulate", "--seed", "2"], ["train", "--episodes", "3", "--curve", "-"],
+        ["evaluate", "--qtable", "q.json", "--episodes", "2"], ["loop", "--seed", "3"],
+        ["causal", "build", "--topology", "chain-a", "--slices", "2"],
+        ["detect", "--log", "r3.jsonl", "--indicators-out", "-"])],
+    # models the slice engine refuses, enumerated; evidence on a global it takes
+    *[["causal", "observational", "--model", name, "--target", target]
+      for name, (_, target) in UNSLICED.items()],
+    ["causal", "observational", "--model", "u8.json", "--target", "Y@7=1", "--given", "U=1"],
+    ["causal", "build", "--topology", "chain-a", "--slices", "5", "--root-activation", "0",
+     "--spontaneous", "0", "--out", "off5.json"],
+    [*LOOP, "--autonomy", "auto", "--dbn", "plan-den-spec.json", "--out", "l-den.json"],
+    ["replay", "--log", "l-den.json"],
 ]
 
 MALFORMED = [
@@ -343,6 +473,49 @@ MALFORMED = [
     ["detect", "--log", "s5.jsonl", "--indicators-out", "a.csv", "--out", "nodir/x.json"],
     ["train", "--episodes", "5", "--out", "q5.json", "--curve", "nodir/c.csv"],
     ["train", "--episodes", "3", "--out", "-", "--curve", "nodir/c.csv"],
+    # every rule of scenario validation, an object given as a list, no file
+    *[["simulate", "--scenario", name, "--out", "bad.jsonl"]
+      for name in ("ranges-scenario.json", "twice-id-scenario.json", "no-entry-scenario.json",
+                   "attacker-list-scenario.json", "missing.json")],
+    ["causal", "marginal", "--model", "c2.json", "--query", "X@9=1"],
+    # impossible evidence, enumerated and on the engine, and evidence with
+    # an untimed intervention
+    ["causal", "observational", "--model", "on2.json", "--target", "Y@1=1", "--given", "Z@0=0"],
+    ["causal", "observational", "--model", "off5.json", "--target", "Y@4=1", "--given", "X@3=1"],
+    ["causal", "do", "--model", "ab-model.json", "--target", "B=1", "--do", "B=1",
+     "--given", "A=1"],
+    *[["replay", "--log", log] for log in ("patch-99.jsonl", "isolate-0.jsonl", "spread-2.jsonl",
+                                           "attempt-99.jsonl", "cut.jsonl", "reward.jsonl",
+                                           "no-attempts.jsonl")],
+    # options, queries and input files out of range or malformed, and usage
+    # errors
+    *[["causal", "build", "--topology", topology, "--slices", "3", *option, "--out", "bad.json"]
+      for topology, *option in (("chain-a", "--persistence", "nan"),
+                                ("confounded-c", "--schedule", "1,0"),
+                                ("confounded-c", "--schedule", "1,True,0"))],
+    *[["causal", command, "--model", "chain1.json", *query] for command, *query in (
+        ("marginal", "--query", "NOPE=1"), ("marginal", "--query", "X@\u00b2=1"),
+        ("marginal", "--query", "X@0=1,X@0=0"), ("marginal", "--query", "X=0,X@0=1"),
+        ("observational", "--target", "Y=1,Y=0", "--given", "X=1"),
+        ("observational", "--target", "Y=1", "--given", "X=1,X@0=0"),
+        ("do", "--target", "Y=1", "--do", "X=1,X=0"))],
+    *[["causal", "marginal", "--model", model, "--query", "X=1"] for model in BAD_MODELS],
+    *[[*command, *noise, "--out", "bad.json"]
+      for command in (["detect", "--log", "s5.jsonl"], ["loop", "--autonomy", "auto"])
+      for noise in (["--noise", "lots"], ["--noise=1.5,0.1"], ["--noise=0.2,nan"],
+                    ["--noise=-0.5,0.1"], ["--noise", "-x"])],
+    *[["loop", *option, "--out", "bad.json"]
+      for option in (["--autonomy", "sentient"], ["--window", "17"], ["--window", "40"],
+                     ["--episodes", "-1"])],
+    *[["loop", "--dbn", spec, "--out", "bad.json"] for spec in BAD_SPECS],
+    *[["train", *option, "--out", "bad-q.json"]
+      for option in (["--alpha", "0"], ["--gamma", "5"], ["--gamma", "inf"],
+                     ["--epsilon-start", "-0.5"], ["--epsilon-end", "2"], ["--episodes", "-1"])],
+    *[["evaluate", "--qtable", table, "--episodes", "1"] for table in BAD_QTABLES],
+    *[["loop", "--autonomy", "confirm", "--approve", f"file:{name}", "--out", "bad.json"]
+      for name in TEXTS if name.endswith("-approvals.json")],
+    ["frobnicate"],
+    ["simulate"],
 ]
 
 CASES = VALID + MALFORMED
@@ -394,11 +567,15 @@ def make_files() -> dict[str, str]:
         made = run_corpus({}, work, [["simulate", "--seed", "5", "--out", "s.jsonl"],
                                      ["simulate", "--seed", "1", "--out", "one.jsonl"],
                                      ["causal", "build", "--topology", "chain-a",
-                                      "--slices", "2", "--out", "c2.json"]])
+                                      "--slices", "2", "--out", "c2.json"],
+                                     ["causal", "build", "--topology", "confounded-c",
+                                      "--slices", "8", "--out", "c8.json"]])
         assert all(case["exit"] == 0 for case in made)
         logs = {name: Path(work, name).read_text(encoding="utf-8")
-                for name in ("s.jsonl", "one.jsonl", "c2.json")}
+                for name in ("s.jsonl", "one.jsonl", "c2.json", "c8.json")}
     files["one.jsonl"], files["c2.json"] = logs["one.jsonl"], logs["c2.json"]
+    # confounded-c over 8 slices, its global U not latent
+    files["u8.json"] = edited(json.loads(logs["c8.json"]), {("variables", 0, "latent"): False})
     lines = logs["s.jsonl"].splitlines()
     for name, line, edits in LOG_EDITS:
         changed = list(lines)
@@ -406,9 +583,13 @@ def make_files() -> dict[str, str]:
         files[name] = "\n".join(changed) + "\n"
     files["zero.jsonl"] = f"{lines[0]}\n{lines[-1]}\n"  # the header and the final line alone
     files["header.jsonl"] = f"{lines[0]}\n"
+    files["cut.jsonl"] = "\n".join(lines[:-2] + lines[-1:]) + "\n"  # the last step cut
     return dict(sorted(files.items()))
 
 
+# argparse wraps a usage error's text to the terminal's width unless COLUMNS
+# is set; the subprocesses of `command` inherit it
+@mock.patch.dict(os.environ, COLUMNS="80")
 def run_corpus(files: dict[str, str], directory, cases: list[list[str]] = CASES,
                command: list[str] | None = None) -> list[dict]:
     """Each case's record, run in order in `directory` after writing `files`

@@ -447,6 +447,8 @@ def main(argv=None) -> int:
         # argparse exits 2 on usage errors and 0 on --help/--version
         return int(exc.code or 0)
     try:
+        if getattr(args, "seed", 0) < 0:  # random.Random(-n) draws what random.Random(n) does
+            raise ParseError(f"--seed must be >= 0, got {args.seed}")
         _write_all(args.func(args))
         return EXIT_OK
     except (ParseError, ValidationError) as exc:
@@ -463,9 +465,5 @@ def main(argv=None) -> int:
         return EXIT_CONFIG
 
 
-def entrypoint():
-    sys.exit(main())
-
-
 if __name__ == "__main__":
-    entrypoint()
+    sys.exit(main())

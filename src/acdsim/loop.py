@@ -193,9 +193,8 @@ def _plan(entry: _Window, alpha) -> InterventionPlan:
     model's, as each depends only on itself and earlier slices and the
     do-slice is w."""
     joint = alpha.reshape(-1) @ entry.readout
+    # den, alpha . p(do | state) under a point-mass do, is 1 within ulps and never 0
     num, den = joint[:len(entry.dos)], joint[len(entry.dos):]
-    if not den.all():
-        raise ZeroEvidenceError("conditioning event has probability zero")
     candidates, risks = [dict(do) for do in entry.dos], (num / den).tolist()
     best = min(range(len(risks)), key=risks.__getitem__)  # the first of equal minima
     return InterventionPlan(do=candidates[best], predicted_risk=risks[best],

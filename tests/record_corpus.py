@@ -516,6 +516,13 @@ MALFORMED = [
       for name in TEXTS if name.endswith("-approvals.json")],
     ["frobnicate"],
     ["simulate"],
+    # a negative seed, which `random.Random` would read as its absolute
+    # value, for each command that takes one
+    ["simulate", "--seed", "-5", "--out", "bad.jsonl"],
+    ["train", "--episodes", "3", "--seed", "-1", "--out", "bad-q.json"],
+    ["evaluate", "--qtable", "q.json", "--seed", "-3", "--episodes", "7"],
+    ["detect", "--log", "s5.jsonl", "--seed", "-1"],
+    ["loop", "--seed", "-1", "--out", "bad.json"],
 ]
 
 CASES = VALID + MALFORMED

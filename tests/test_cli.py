@@ -11,7 +11,7 @@ import sys
 from pathlib import Path
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import acdsim
@@ -21,7 +21,6 @@ from acdsim.cli import main
 from acdsim.config import EmissionNoise
 from acdsim.errors import ParseError
 from .conftest import (
-    AMBIGUOUS_KEY_QTABLES,
     chain3_doc,
     chain3_full_doc,
     chain3_log_text,
@@ -38,14 +37,6 @@ JSON_VALUES = st.recursive(
     lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner,
                                                                 max_size=3),
     max_leaves=8)
-
-
-# Q-tables whose greedy index is no meta-action: one past the last, and none
-OTHER_ACTIONS_QTABLES = [
-    {"actions": list(agents.META_ACTIONS) + ["extra"],
-     "entries": [{"key": [0, 0, 0], "values": [0.0] * 6 + [1.0]}]},
-    {"actions": [], "entries": [{"key": [0, 0, 0], "values": []}]},
-]
 
 
 @pytest.fixture
@@ -91,32 +82,6 @@ class TestSimulate:
         summary = json.loads(capsys.readouterr().out.splitlines()[-1])
         assert summary["terminal"] == "target_compromised"
 
-    def test_missing_scenario_exits_2(self, tmp_path, capsys):
-        code = run(["simulate", "--scenario", str(tmp_path / "missing.json"),
-                    "--out", str(tmp_path / "x.jsonl")])
-        assert code == 2
-        err = json.loads(capsys.readouterr().err)
-        assert "error" in err
-
-    def test_invalid_scenario_exits_2(self, tmp_path):
-        bad = tmp_path / "bad.json"
-        doc = chain3_doc(defence=3.0)
-        bad.write_text(json.dumps(doc))
-        assert run(["simulate", "--scenario", str(bad),
-                    "--out", str(tmp_path / "x.jsonl")]) == 2
-
-    def test_lenient_accepts_unknown_keys(self, tmp_path):
-        doc = chain3_doc()
-        doc["annotation"] = "extra"
-        path = tmp_path / "annotated.json"
-        path.write_text(json.dumps(doc))
-        out = str(tmp_path / "log.jsonl")
-        assert run(["simulate", "--scenario", str(path), "--out", out]) == 2
-        assert run(["simulate", "--scenario", str(path), "--lenient", "--out", out]) == 0
-
-    def test_default_scenario_is_bundled(self, tmp_path):
-        assert run(["simulate", "--seed", "1", "--out", str(tmp_path / "d.jsonl")]) == 0
-
     def test_out_devnull_is_written_in_place(self, capsys):
         # an existing output is opened and written, never replaced by a
         # renamed file, which would turn the device into a regular file
@@ -124,33 +89,6 @@ class TestSimulate:
         summary = json.loads(capsys.readouterr().out)
         assert sorted(summary) == ["return", "steps", "terminal", "version"]
         assert not os.path.isfile(os.devnull)
-
-    def test_random_defender_and_qtable(self, tmp_path, chain3_path):
-        out = tmp_path / "r.jsonl"
-        assert run(["simulate", "--scenario", chain3_path, "--defender", "random",
-                    "--out", str(out)]) == 0
-        qt = tmp_path / "q.json"
-        assert run(["train", "--scenario", chain3_path, "--episodes", "20",
-                    "--out", str(qt)]) == 0
-        assert run(["simulate", "--scenario", chain3_path,
-                    "--defender", f"q:{qt}", "--out", str(out)]) == 0
-
-
-class TestReplay:
-    def test_replay_ok(self, tmp_path, chain3_path):
-        out = tmp_path / "log.jsonl"
-        run(["simulate", "--scenario", chain3_path, "--seed", "3", "--out", str(out)])
-        assert run(["replay", "--log", str(out)]) == 0
-
-    def test_replay_mismatch_exits_4(self, tmp_path, chain3_path, capsys):
-        out = tmp_path / "log.jsonl"
-        run(["simulate", "--scenario", chain3_path, "--seed", "3", "--out", str(out)])
-        lines = out.read_text().splitlines()
-        body = json.loads(lines[1])
-        body["reward"] += 5.0
-        lines[1] = json.dumps(body, sort_keys=True, separators=(",", ":"))
-        out.write_text("\n".join(lines) + "\n")
-        assert run(["replay", "--log", str(out)]) == 4
 
 
 def assert_one_parse_error(capsys):
@@ -209,6 +147,8 @@ LOG_TYPES = [(0, ("seed",), [1]), (0, ("seed",), True), (1, ("t",), "a"),
 @pytest.mark.parametrize("command", ["replay", "detect"])
 @pytest.mark.parametrize("line,path,value", LOG_TYPES,
                          ids=[f"{'.'.join(map(str, p))}={v!r:.12}" for _, p, v in LOG_TYPES])
+
+
 def test_log_wrong_type_exits_2(tmp_path, capsys, command, line, path, value):
     """A mistyped field is malformed input for both commands, and the error
     names its JSON path, rooted at the line."""
@@ -221,23 +161,6 @@ def test_log_wrong_type_exits_2(tmp_path, capsys, command, line, path, value):
     error = json.loads(err[0])["error"]
     where = json_path(path, f"lines[{line % len(Path(log_path).read_text().splitlines())}]")
     assert error["type"] == "ParseError" and error["message"].startswith(where)
-
-
-# Tampered logs whose replay diverges until a recorded action is illegal
-# ("attempt on node 7 not adjacent to a compromised node"): a mismatch
-REPLAY_DIVERGENCES = [(0, ("seed",), lambda owner, key: owner.__setitem__(key, owner[key] + 1)),
-                      (1, ("atk", "attempts"), lambda owner, key: owner[key].clear())]
-
-
-@pytest.mark.parametrize("line,path,edit", REPLAY_DIVERGENCES,
-                         ids=["seed+1", "step1-attempts-emptied"])
-def test_replay_reaching_an_illegal_action_exits_4(tmp_path, capsys, line, path, edit):
-    log_path = write_edited_log(tmp_path, line, path, edit)
-    capsys.readouterr()
-    assert run(["replay", "--log", log_path]) == 4
-    err = capsys.readouterr().err.splitlines()
-    assert len(err) == 1
-    assert json.loads(err[0])["error"]["type"] == "ReplayMismatchError"
 
 
 class TestCausal:
@@ -266,6 +189,7 @@ class TestCausal:
         (["do", "--do", "X@2=0"], {VarId("X", 2): 0}, {}),
         (["do", "--do", "X@2=0", "--given", "X@0=1"], {VarId("X", 2): 0}, {VarId("X", 0): 1}),
     ], ids=["observational", "do", "do-given"])
+
     def test_engine_route_query_prints_what_enumeration_gives(self, tmp_path, capsys, query,
                                                               do, given):
         path = tmp_path / "chain5.json"
@@ -279,85 +203,6 @@ class TestCausal:
         joint = {VarId("Y", 4): 1, **evidence}
         want = causal.marginal(cut, joint) / causal.marginal(cut, evidence)
         assert capsys.readouterr().out == format(want, "#.12g") + "\n"
-
-    def test_build_writes_loadable_model(self, tmp_path):
-        out = tmp_path / "dbn.json"
-        assert run(["causal", "build", "--topology", "chain-a", "--slices", "3",
-                    "--out", str(out)]) == 0
-        from acdsim.causal import load_model
-        model = load_model(out.read_text())
-        assert len(model.variables) == 9
-
-    @pytest.mark.parametrize("options", [
-        ["--topology", "chain-a", "--slices", "0"],
-        ["--topology", "chain-a", "--slices", "3", "--spontaneous", "2"],
-        ["--topology", "chain-a", "--slices", "3", "--persistence", "nan"],
-        ["--topology", "confounded-c", "--slices", "3", "--schedule", "1,0"],
-        ["--topology", "confounded-c", "--slices", "3", "--schedule", "1,x,0"],
-        ["--topology", "confounded-c", "--slices", "3", "--schedule", "1,True,0"],
-    ], ids=["slices-0", "spontaneous-2", "persistence-nan", "short-schedule", "schedule-x",
-            "schedule-True"])
-    def test_out_of_range_build_option_exits_2(self, tmp_path, capsys, options):
-        out = tmp_path / "dbn.json"
-        assert run(["causal", "build", *options, "--out", str(out)]) == 2
-        assert_one_parse_error(capsys)
-        assert not out.exists()
-
-    @pytest.mark.parametrize("query", [
-        ["marginal", "--query", "NOPE=1"],
-        ["marginal", "--query", "X@\u00b2=1"],
-        ["marginal", "--query", "X@0=1,X@0=0"],
-        ["marginal", "--query", "X=0,X@0=1"],
-        ["observational", "--target", "Y=1,Y=0", "--given", "X=1"],
-        ["observational", "--target", "Y=1", "--given", "X=1,X@0=0"],
-        ["do", "--target", "Y=1", "--do", "X=1,X=0"],
-    ], ids=["unknown", "bad-slice", "conflict-query", "conflict-bare-and-qualified",
-            "conflict-target", "conflict-given", "conflict-do"])
-    def test_bad_query_exits_2(self, chain_model_path, capsys, query):
-        assert run(["causal", query[0], "--model", chain_model_path, *query[1:]]) == 2
-        assert_one_parse_error(capsys)
-
-    def test_identical_repeat_is_one_assignment(self, chain_model_path, capsys):
-        assert run(["causal", "marginal", "--model", chain_model_path,
-                    "--query", "X=1,X@0=1"]) == 0
-        assert capsys.readouterr().out == "0.500000000000\n"
-
-    @pytest.mark.parametrize("doc", [
-        {"variables": [{"slice": 0}], "parents": {}, "cpts": {}},
-        {"variables": [{"name": 3}], "parents": {}, "cpts": {}},
-        {"variables": [{"name": "X", "slice": "0"}], "parents": {}, "cpts": {}},
-        {"variables": ["X"], "parents": {}, "cpts": {}},
-        {"variables": {"X": {}}, "parents": {}, "cpts": {}},
-        {"variables": [{"name": "X"}], "parents": [], "cpts": {"X": [0.5]}},
-        {"variables": [{"name": "X"}], "parents": {}, "cpts": [[0.5]]},
-        [{"name": "X"}],
-        {"variables": [{"name": "X"}], "parents": {}, "cpts": {"X": [0.5], "B": [0.3]}},
-        {"variables": [{"name": "X"}], "parents": {"B": []}, "cpts": {"X": [0.5]}},
-        {"variables": [{"name": "X"}], "parents": {}, "cpts": {"X": [0.5, 0.5]}},
-        {"variables": [{"name": "X"}], "parents": {}, "cpts": {"X": [1.5]}},
-        {"variables": [{"name": "X"}, {"name": "X"}], "parents": {}, "cpts": {"X": [0.5]}},
-        {"variables": [{"name": "X"}], "parents": {"X": ["B"]}, "cpts": {"X": [0.5, 0.5]}},
-        {"variables": [{"name": "X", "latent": "no"}], "parents": {}, "cpts": {"X": [0.5]}},
-        {"variables": [{"name": "X", "latent": 1}], "parents": {}, "cpts": {"X": [0.5]}},
-        {"variables": [{"name": "X"}], "parents": {}, "cpts": {"X": ["0.5"]}},
-        {"variables": [{"name": "X"}], "parents": {}, "cpts": {"X": [True]}},
-        {"variables": [{"name": "X"}], "parents": {}, "cpts": {"X": "1"}},
-        {"variables": [{"name": "X"}], "parents": {}, "cpts": {"X": [10 ** 400]}},
-        {"variables": [{"name": "X"}, {"name": "B"}], "parents": {"B": "X"},
-         "cpts": {"X": [0.5], "B": [0.1, 0.9]}},
-        {"variables": [{"name": "X", "slice": 2}], "parents": {}, "cpts": {"X@\u00b2": [0.5]}},
-    ])
-    def test_malformed_model_exits_2(self, tmp_path, capsys, doc):
-        path = tmp_path / "model.json"
-        path.write_text(json.dumps(doc))
-        assert run(["causal", "marginal", "--model", str(path), "--query", "X=1"]) == 2
-        assert_one_parse_error(capsys)
-
-    def test_latent_do_exits_3(self, tmp_path, confounded_example):
-        path = tmp_path / "conf.json"
-        path.write_text(save_model(confounded_example))
-        assert run(["causal", "do", "--model", str(path),
-                    "--target", "Y=1", "--do", "U=1"]) == 3
 
 
 class TestDetect:
@@ -376,6 +221,7 @@ class TestDetect:
     @pytest.mark.parametrize("spec", [
         None, {"topology": "confounded-c", "slices": 4, "schedule": [True, False]},
     ], ids=["chain-a", "confounded-c-alternating"])
+
     def test_llr_on_a_short_log_equals_enumeration(self, tmp_path, spec):
         log_path, out = tmp_path / "short.jsonl", tmp_path / "llr.json"
         assert run(["simulate", "--seed", "5", "--horizon", "4", "--out", str(log_path)]) == 0
@@ -400,23 +246,6 @@ class TestDetect:
         llr = json.loads(out.read_text())["llr"]
         assert format(llr, "#.12g") == format(loglik[0] - loglik[1], "#.12g")
 
-    def test_bad_noise_exits_2(self, tmp_path):
-        log_path = tmp_path / "log.jsonl"
-        run(["simulate", "--seed", "5", "--out", str(log_path)])
-        assert run(["detect", "--log", str(log_path), "--noise", "lots"]) == 2
-
-    @pytest.mark.parametrize("command", ["detect", "loop"])
-    @pytest.mark.parametrize("noise", ["--noise=1.5,0.1", "--noise=0.2,nan",
-                                       "--noise=-0.5,0.1"])
-    def test_out_of_range_noise_exits_2(self, tmp_path, capsys, command, noise):
-        log_path = tmp_path / "log.jsonl"
-        run(["simulate", "--seed", "5", "--out", str(log_path)])
-        capsys.readouterr()
-        args = ["--log", str(log_path)] if command == "detect" else ["--autonomy", "auto"]
-        assert run([command, *args, noise, "--out", str(tmp_path / "r.json")]) == 2
-        assert_one_parse_error(capsys)
-        assert not (tmp_path / "r.json").exists()
-
     @pytest.mark.parametrize("command", ["detect", "loop"])
     def test_noise_starting_with_minus_parses_spaced_or_joined(self, tmp_path, command):
         log_path = tmp_path / "log.jsonl"
@@ -430,19 +259,10 @@ class TestDetect:
             outputs.append(out.read_bytes())
         assert outputs[0] == outputs[1] == outputs[2]
 
-    def test_nan_threshold_exits_2(self, tmp_path, capsys):
-        log_path = tmp_path / "log.jsonl"
-        run(["simulate", "--seed", "1", "--out", str(log_path)])
-        capsys.readouterr()
-        out = tmp_path / "r.json"
-        assert run(["detect", "--log", str(log_path), "--threshold", "nan",
-                    "--out", str(out)]) == 2
-        assert_one_parse_error(capsys)
-        assert not out.exists()
-
     @pytest.mark.parametrize("command,option,value", [("detect", "--threshold", "-inf"),
                                                       ("detect", "--threshold", "-1e3"),
                                                       ("loop", "--tau", "-inf")])
+
     def test_signed_value_parses_spaced_or_joined(self, tmp_path, command, option, value):
         log_path = tmp_path / "log.jsonl"
         run(["simulate", "--seed", "5", "--horizon", "8", "--out", str(log_path)])
@@ -455,43 +275,8 @@ class TestDetect:
             outputs.append(out.read_bytes())
         assert outputs[0] == outputs[1] == outputs[2]
 
-    @pytest.mark.parametrize("command", ["detect", "loop"])
-    def test_noise_that_is_no_number_exits_2(self, tmp_path, command):
-        log_path = tmp_path / "log.jsonl"
-        run(["simulate", "--seed", "5", "--out", str(log_path)])
-        args = ["--log", str(log_path)] if command == "detect" else ["--autonomy", "auto"]
-        assert run([command, *args, "--noise", "-x", "--out", str(tmp_path / "r.json")]) == 2
-        assert not (tmp_path / "r.json").exists()
-
 
 class TestLoop:
-    def test_loop_deterministic_and_replayable(self, tmp_path):
-        out1, out2 = tmp_path / "r1.json", tmp_path / "r2.json"
-        args = ["loop", "--autonomy", "auto", "--tau", "0.8", "--seed", "4"]
-        assert run(args + ["--out", str(out1)]) == 0
-        assert run(args + ["--out", str(out2)]) == 0
-        assert out1.read_bytes() == out2.read_bytes()
-        assert run(["replay", "--log", str(out1)]) == 0
-
-    @pytest.mark.parametrize("command", ["replay", "detect"])
-    def test_multi_episode_report_is_refused(self, tmp_path, capsys, command):
-        out = tmp_path / "r.json"
-        assert run(["loop", "--autonomy", "auto", "--episodes", "2", "--seed", "4",
-                    "--out", str(out)]) == 0
-        capsys.readouterr()
-        assert run([command, "--log", str(out)]) == 2
-        err = json.loads(capsys.readouterr().err)["error"]
-        assert err["type"] == "ParseError" and "multi-episode" in err["message"]
-
-    @pytest.mark.parametrize("value", [5, ["a"]], ids=["int", "list"])
-    @pytest.mark.parametrize("command", ["replay", "detect"])
-    def test_a_report_whose_episode_log_is_no_string_exits_2(self, tmp_path, capsys,
-                                                             command, value):
-        report = tmp_path / "r.json"
-        report.write_text(json.dumps({"episode_jsonl": value}) + "\n")
-        assert run([command, "--log", str(report)]) == 2
-        assert_one_parse_error(capsys)
-
     def test_loop_confirm_with_approval_file(self, tmp_path):
         decisions = tmp_path / "decisions.json"
         decisions.write_text("[true, true, false]")
@@ -502,22 +287,12 @@ class TestLoop:
         applied = [i for i in report["interventions"] if i["applied"]]
         assert len(applied) <= 2
 
-    @pytest.mark.parametrize("text", ['["no", 0]', "[true, 1]", "[null]", '{"0": true}',
-                                      "[true,", ""])
-    def test_approval_file_of_non_booleans_exits_2(self, tmp_path, capsys, text):
-        decisions = tmp_path / "decisions.json"
-        decisions.write_text(text)
-        out = tmp_path / "r.json"
-        assert run(["loop", "--autonomy", "confirm", "--approve", f"file:{decisions}",
-                    "--seed", "2", "--out", str(out)]) == 2
-        assert_one_parse_error(capsys)
-        assert not out.exists()
-
     @settings(max_examples=100, deadline=None)
     @given(st.one_of(
         st.text().map(str.encode), st.binary(max_size=16),
         mutated("[true, false, true]").map(str.encode),
         st.lists(st.booleans() | JSON_VALUES).map(lambda v: json.dumps(v).encode())))
+
     def test_approval_file_parses_or_raises_parse_error(self, tmp_path_factory, data):
         path = tmp_path_factory.getbasetemp() / "decisions.json"
         path.write_bytes(data)
@@ -532,42 +307,6 @@ class TestLoop:
             assert not booleans
             return
         assert booleans and factory().decisions == decisions
-
-    def test_bad_autonomy_exits_2(self, tmp_path):
-        assert run(["loop", "--autonomy", "sentient",
-                    "--out", str(tmp_path / "r.json")]) == 2
-
-    @pytest.mark.parametrize("spec", [
-        {"topology": "chain-a", "slices": 8, "params": {"bogus": 1}},
-        {"topology": "chain-a", "slices": 8, "params": {"persistence": "high"}},
-        {"topology": "chain-a", "slices": 8, "params": [0.9]},
-        {"topology": "chain-a", "slices": 8, "schedule": 1},
-        ["chain-a", 8],
-        {"topology": "chain-a", "slices": 4, "params": {"spontaneous": 2.0}},
-        {"topology": "chain-a", "slices": 4, "params": {"persistence": 0.01}},
-        {"topology": "chain-a", "slices": 0},
-        {"topology": "chain-a", "slices": True},
-        {"topology": "confounded-c", "slices": 8, "per_slice_confounder": "false"},
-        {"topology": "confounded-c", "slices": 8, "per_slice_confounder": 0},
-        {"topology": "confounded-c", "slices": 8, "schedule": ["no", {}, 0]},
-        {"topology": "confounded-c", "slices": 8, "schedule": []},
-        {"topology": "confounded-c", "slices": 8, "schedule": [1, 2]},
-        {"topology": "confounded-c", "slices": 8, "schedule": [1.0, 0]},
-    ])
-    def test_malformed_dbn_spec_exits_2(self, tmp_path, capsys, spec):
-        path = tmp_path / "spec.json"
-        path.write_text(json.dumps(spec))
-        assert run(["loop", "--dbn", str(path), "--out", str(tmp_path / "r.json")]) == 2
-        err = capsys.readouterr().err.splitlines()
-        assert len(err) == 1
-        assert json.loads(err[0])["error"]["type"] == "ParseError"
-
-    def test_loop_parallel_matches_serial(self, tmp_path):
-        serial, parallel = tmp_path / "s.json", tmp_path / "p.json"
-        base = ["loop", "--autonomy", "auto", "--seed", "6", "--episodes", "2"]
-        assert run(base + ["--out", str(serial)]) == 0
-        assert run(base + ["--parallel", "2", "--out", str(parallel)]) == 0
-        assert serial.read_bytes() == parallel.read_bytes()
 
     def test_every_episode_starts_at_the_first_approval(self, tmp_path):
         decisions = [True, False, True]
@@ -592,19 +331,6 @@ class TestLoop:
         summary = json.loads(capsys.readouterr().out)
         assert summary["episodes"] == 0 and summary["mean_time_to_target"] == 0.0
 
-    @pytest.mark.parametrize("option", [("--window", "0"), ("--window", "17"),
-                                        ("--window", "40"), ("--lookahead", "0"),
-                                        ("--tau", "nan")])
-    def test_out_of_range_option_exits_2(self, tmp_path, capsys, option):
-        assert run(["loop", *option, "--out", str(tmp_path / "r.json")]) == 2
-        assert_one_parse_error(capsys)
-        assert not (tmp_path / "r.json").exists()
-
-    def test_negative_episodes_exits_2(self, tmp_path, capsys):
-        assert run(["loop", "--episodes", "-1", "--out", str(tmp_path / "r.json")]) == 2
-        assert_one_parse_error(capsys)
-        assert not (tmp_path / "r.json").exists()
-
     def test_inputs_parsed_once(self, tmp_path, input_calls):
         spec = tmp_path / "spec.json"
         spec.write_text(json.dumps({"topology": "chain-a", "slices": 8}))
@@ -617,19 +343,6 @@ class TestLoop:
 
 
 class TestTrain:
-    @pytest.mark.parametrize("option", [
-        ("--alpha", "nan"), ("--alpha", "0"), ("--gamma", "5"), ("--gamma", "inf"),
-        ("--epsilon-start", "-0.5"), ("--epsilon-end", "2"), ("--epsilon-decay", "-1"),
-        ("--episodes", "-1"),
-    ])
-    def test_out_of_range_learning_parameter_exits_2(self, tmp_path, chain3_path, capsys,
-                                                     option):
-        out = tmp_path / "q.json"
-        assert run(["train", "--scenario", chain3_path, "--episodes", "3", *option,
-                    "--out", str(out)]) == 2
-        assert_one_parse_error(capsys)
-        assert not out.exists()
-
     def test_zero_episodes_writes_an_empty_table(self, tmp_path, chain3_path):
         out = tmp_path / "q.json"
         assert run(["train", "--scenario", chain3_path, "--episodes", "0",
@@ -678,50 +391,6 @@ class TestEvaluate:
             {"seed": seed, "steps": log.final["t"], "return": log.total_reward(),
              "terminal": log.final["terminal"], "time_to_target": log.time_to_target()}
             for seed, log in enumerate(logs)]
-
-    @pytest.mark.parametrize("doc", [
-        {"actions": ["nop"], "entries": [{"key": [1], "values": [0.0]}]},
-        {"actions": ["nop"], "entries": [{"key": [1, 0, 0]}]},
-        {"actions": ["nop"], "entries": [{"key": [1, 0, 0], "values": [0.0, 1.0]}]},
-        {"actions": ["nop"], "entries": {"key": [1, 0, 0], "values": [0.0]}},
-        {"actions": ["nop"], "entries": [[1, 0, 0]]},
-        {"actions": ["nop"], "entries": [{"key": [1, 0, 0], "values": [float("nan")]}]},
-        {"actions": ["nop"], "entries": [{"key": [1, 0, 0], "values": [float("-inf")]}]},
-        {"actions": ["nop"], "entries": [{"key": [1, 0, 0], "values": [False]}]},
-        {"actions": ["nop"], "entries": [{"key": [1, True, 0], "values": [0.0]}]},
-        *OTHER_ACTIONS_QTABLES,
-    ])
-    def test_malformed_qtable_exits_2(self, tmp_path, chain3_path, capsys, doc):
-        qt = tmp_path / "q.json"
-        qt.write_text(json.dumps(doc))
-        assert run(["evaluate", "--scenario", chain3_path, "--qtable", str(qt),
-                    "--episodes", "1"]) == 2
-        err = capsys.readouterr().err.splitlines()
-        assert len(err) == 1
-        assert json.loads(err[0])["error"]["type"] == "ParseError"
-
-    def test_negative_episodes_exits_2(self, tmp_path, chain3_path, capsys):
-        qt = tmp_path / "q.json"
-        run(["train", "--scenario", chain3_path, "--episodes", "20", "--out", str(qt)])
-        capsys.readouterr()
-        out = tmp_path / "e.json"
-        assert run(["evaluate", "--scenario", chain3_path, "--qtable", str(qt),
-                    "--episodes", "-1", "--out", str(out)]) == 2
-        assert_one_parse_error(capsys)
-        assert not out.exists()
-
-    def test_parallel_matches_serial(self, tmp_path, chain3_path):
-        qt = tmp_path / "q.json"
-        run(["train", "--scenario", chain3_path, "--episodes", "20", "--out", str(qt)])
-        serial = tmp_path / "serial.json"
-        parallel = tmp_path / "parallel.json"
-        run(["evaluate", "--scenario", chain3_path, "--qtable", str(qt),
-             "--episodes", "4", "--seed", "9", "--out", str(serial)])
-        run(["evaluate", "--scenario", chain3_path, "--qtable", str(qt),
-             "--episodes", "4", "--seed", "9", "--parallel", "2",
-             "--out", str(parallel)])
-        assert serial.read_bytes() == parallel.read_bytes()
-
 
     def test_inputs_parsed_once(self, tmp_path, chain3_path, input_calls):
         qt = tmp_path / "q.json"
@@ -787,6 +456,8 @@ def test_parallel_workers_capped_at_cpu_count(tmp_path, chain3_path, monkeypatch
 # Modules only the engine commands need: numpy and what imports it, and the
 # process pool's module, which only `--parallel` above 1 needs.
 ENGINE_MODULES = ("numpy", "acdsim.causal", "acdsim.detect", "acdsim.loop")
+
+
 POOL_MODULE = "concurrent.futures.process"
 
 
@@ -850,6 +521,8 @@ def test_parallel_evaluate_parent_loads_no_engine_module(footprint_inputs):
     ["loop", "--autonomy", "auto", "--seed", "2", "--out", "r.json"],
     ["causal", "build", "--topology", "chain-a", "--slices", "3", "--out", "m.json"],
 ], ids=["detect", "loop", "causal"])
+
+
 def test_engine_commands_still_run(footprint_inputs, args):
     proc = run_fresh(args, cwd=footprint_inputs)
     assert proc.returncode == 0, proc.stderr
@@ -861,6 +534,8 @@ def test_engine_commands_still_run(footprint_inputs, args):
      "--seed", "4"],
     ["loop", "--autonomy", "auto", "--episodes", "3", "--seed", "2"],
 ], ids=["evaluate", "loop"])
+
+
 def test_forkserver_workers_write_the_serial_bytes(footprint_inputs, monkeypatch, args):
     """Workers that start from a fresh import, not a fork of the parent,
     find every module their task needs and write what a serial run writes."""
@@ -880,10 +555,20 @@ def test_forkserver_workers_write_the_serial_bytes(footprint_inputs, monkeypatch
 
 
 SCENARIO = chain3_full_doc()
+
+
 LOG = chain3_log_text()
+
+
 QTABLE = qtable_doc()
+
+
 SPEC = spec_to_obj(causal.DbnSpec(causal.Topology.CONFOUNDED_C, 4, schedule=(True, False)))
+
+
 MODEL = json.loads(save_model(causal.build_topology(causal.DbnSpec(causal.Topology.CHAIN_A, 2))))
+
+
 # (command, text of the file it reads)
 MALFORMED_FILES = st.one_of(
     st.tuples(st.just("simulate"),
@@ -899,13 +584,6 @@ MALFORMED_FILES = st.one_of(
 
 @settings(max_examples=120, deadline=None)
 @given(MALFORMED_FILES)
-@example(("evaluate", json.dumps(OTHER_ACTIONS_QTABLES[0])))
-@example(("evaluate", json.dumps(OTHER_ACTIONS_QTABLES[1])))
-@example(("replay", '{"episode_jsonl": 5}\n'))
-@example(("detect", '{"episode_jsonl": 5}\n'))
-@example(("evaluate", json.dumps(AMBIGUOUS_KEY_QTABLES[0])))
-@example(("evaluate", json.dumps(AMBIGUOUS_KEY_QTABLES[1])))
-@example(("evaluate", json.dumps(AMBIGUOUS_KEY_QTABLES[2])))
 def test_a_malformed_file_exits_with_one_json_error(tmp_path_factory, case):
     """`main` on an edited scenario, log, Q-table, DBN spec or model returns
     0, 2, 3 or 4 and never raises; a non-zero return writes exactly one JSON
@@ -941,6 +619,8 @@ def test_a_malformed_file_exits_with_one_json_error(tmp_path_factory, case):
 
 @pytest.mark.parametrize("text", [f'[{"1" * 5000}]', "[" * 100_000 + "]" * 100_000],
                          ids=["5000-digit-integer", "deep-nesting"])
+
+
 @pytest.mark.parametrize("kind", ["scenario", "log", "spec", "model", "qtable", "approvals"])
 def test_json_the_decoder_refuses_exits_2(tmp_path, capsys, chain3_path, kind, text):
     """Python's decoder raises ValueError, not JSONDecodeError, on an integer
@@ -959,11 +639,3 @@ def test_json_the_decoder_refuses_exits_2(tmp_path, capsys, chain3_path, kind, t
                           "--out", out]}[kind]
     assert run(argv) == 2
     assert_one_parse_error(capsys)
-
-
-class TestUsageErrors:
-    def test_unknown_subcommand_exits_2(self):
-        assert run(["frobnicate"]) == 2
-
-    def test_missing_required_flag_exits_2(self):
-        assert run(["simulate"]) == 2

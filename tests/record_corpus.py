@@ -3,8 +3,9 @@ case, valid or refused, runs in order in one fresh directory after the
 corpus's `files` are written there, through in-process `acdsim.cli.main`.
 Later cases read what earlier ones wrote (a Q-table, logs, loop reports,
 models). Each case records its command line, its exit code, its exact
-stderr (`""` for a valid run), the sha256 of its stdout and the sha256 of
-each file it writes or changes; a refused case writes and prints nothing.
+stderr (`""` for a valid run, `USAGE_ERROR` for an argparse usage error),
+the sha256 of its stdout and the sha256 of each file it writes or changes;
+a refused case writes and prints nothing.
 
     PYTHONPATH=src python -m tests.record_corpus
 
@@ -23,7 +24,6 @@ import subprocess
 import tempfile
 import traceback
 from pathlib import Path
-from unittest import mock
 
 from acdsim._util import sha256_hex
 from acdsim.agents import META_ACTIONS
@@ -31,6 +31,9 @@ from acdsim.cli import default_scenario_path, main
 
 CORPUS = Path(__file__).with_name("corpus.json")
 BIG = 10 ** 400  # an integer no float can hold
+# argparse's usage-error text (its wording, its wrapping to the terminal)
+# changes between Python versions, so the record keeps only that it was one
+USAGE_ERROR = "usage error"
 
 
 def point_masses(parents: dict) -> dict:
@@ -594,9 +597,6 @@ def make_files() -> dict[str, str]:
     return dict(sorted(files.items()))
 
 
-# argparse wraps a usage error's text to the terminal's width unless COLUMNS
-# is set; the subprocesses of `command` inherit it
-@mock.patch.dict(os.environ, COLUMNS="80")
 def run_corpus(files: dict[str, str], directory, cases: list[list[str]] = CASES,
                command: list[str] | None = None) -> list[dict]:
     """Each case's record, run in order in `directory` after writing `files`
@@ -614,7 +614,7 @@ def run_corpus(files: dict[str, str], directory, cases: list[list[str]] = CASES,
             records.append({
                 "argv": argv,
                 "exit": code,
-                "stderr": stderr,
+                "stderr": USAGE_ERROR if stderr.startswith("usage: ") else stderr,
                 "stdout_sha256": sha256_hex(stdout),
                 "written": {name: digest for name, digest in after.items()
                             if before.get(name) != digest},

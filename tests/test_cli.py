@@ -11,7 +11,7 @@ import sys
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import acdsim
@@ -21,6 +21,7 @@ from acdsim.cli import main
 from acdsim.config import EmissionNoise
 from acdsim.errors import ParseError
 from .conftest import (
+    AMBIGUOUS_KEY_QTABLES,
     chain3_doc,
     chain3_full_doc,
     chain3_log_text,
@@ -37,6 +38,14 @@ JSON_VALUES = st.recursive(
     lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner,
                                                                 max_size=3),
     max_leaves=8)
+
+
+# Q-tables whose greedy index is no meta-action: one past the last, and none
+OTHER_ACTIONS_QTABLES = [
+    {"actions": list(agents.META_ACTIONS) + ["extra"],
+     "entries": [{"key": [0, 0, 0], "values": [0.0] * 6 + [1.0]}]},
+    {"actions": [], "entries": [{"key": [0, 0, 0], "values": []}]},
+]
 
 
 @pytest.fixture
@@ -82,6 +91,18 @@ class TestSimulate:
         summary = json.loads(capsys.readouterr().out.splitlines()[-1])
         assert summary["terminal"] == "target_compromised"
 
+    def test_lenient_accepts_unknown_keys(self, tmp_path):
+        doc = chain3_doc()
+        doc["annotation"] = "extra"
+        path = tmp_path / "annotated.json"
+        path.write_text(json.dumps(doc))
+        out = str(tmp_path / "log.jsonl")
+        assert run(["simulate", "--scenario", str(path), "--out", out]) == 2
+        assert run(["simulate", "--scenario", str(path), "--lenient", "--out", out]) == 0
+
+    def test_default_scenario_is_bundled(self, tmp_path):
+        assert run(["simulate", "--seed", "1", "--out", str(tmp_path / "d.jsonl")]) == 0
+
     def test_out_devnull_is_written_in_place(self, capsys):
         # an existing output is opened and written, never replaced by a
         # renamed file, which would turn the device into a regular file
@@ -89,6 +110,33 @@ class TestSimulate:
         summary = json.loads(capsys.readouterr().out)
         assert sorted(summary) == ["return", "steps", "terminal", "version"]
         assert not os.path.isfile(os.devnull)
+
+    def test_random_defender_and_qtable(self, tmp_path, chain3_path):
+        out = tmp_path / "r.jsonl"
+        assert run(["simulate", "--scenario", chain3_path, "--defender", "random",
+                    "--out", str(out)]) == 0
+        qt = tmp_path / "q.json"
+        assert run(["train", "--scenario", chain3_path, "--episodes", "20",
+                    "--out", str(qt)]) == 0
+        assert run(["simulate", "--scenario", chain3_path,
+                    "--defender", f"q:{qt}", "--out", str(out)]) == 0
+
+
+class TestReplay:
+    def test_replay_ok(self, tmp_path, chain3_path):
+        out = tmp_path / "log.jsonl"
+        run(["simulate", "--scenario", chain3_path, "--seed", "3", "--out", str(out)])
+        assert run(["replay", "--log", str(out)]) == 0
+
+    def test_replay_mismatch_exits_4(self, tmp_path, chain3_path, capsys):
+        out = tmp_path / "log.jsonl"
+        run(["simulate", "--scenario", chain3_path, "--seed", "3", "--out", str(out)])
+        lines = out.read_text().splitlines()
+        body = json.loads(lines[1])
+        body["reward"] += 5.0
+        lines[1] = json.dumps(body, sort_keys=True, separators=(",", ":"))
+        out.write_text("\n".join(lines) + "\n")
+        assert run(["replay", "--log", str(out)]) == 4
 
 
 def assert_one_parse_error(capsys):
@@ -147,8 +195,6 @@ LOG_TYPES = [(0, ("seed",), [1]), (0, ("seed",), True), (1, ("t",), "a"),
 @pytest.mark.parametrize("command", ["replay", "detect"])
 @pytest.mark.parametrize("line,path,value", LOG_TYPES,
                          ids=[f"{'.'.join(map(str, p))}={v!r:.12}" for _, p, v in LOG_TYPES])
-
-
 def test_log_wrong_type_exits_2(tmp_path, capsys, command, line, path, value):
     """A mistyped field is malformed input for both commands, and the error
     names its JSON path, rooted at the line."""
@@ -161,6 +207,23 @@ def test_log_wrong_type_exits_2(tmp_path, capsys, command, line, path, value):
     error = json.loads(err[0])["error"]
     where = json_path(path, f"lines[{line % len(Path(log_path).read_text().splitlines())}]")
     assert error["type"] == "ParseError" and error["message"].startswith(where)
+
+
+# Tampered logs whose replay diverges until a recorded action is illegal
+# ("attempt on node 7 not adjacent to a compromised node"): a mismatch
+REPLAY_DIVERGENCES = [(0, ("seed",), lambda owner, key: owner.__setitem__(key, owner[key] + 1)),
+                      (1, ("atk", "attempts"), lambda owner, key: owner[key].clear())]
+
+
+@pytest.mark.parametrize("line,path,edit", REPLAY_DIVERGENCES,
+                         ids=["seed+1", "step1-attempts-emptied"])
+def test_replay_reaching_an_illegal_action_exits_4(tmp_path, capsys, line, path, edit):
+    log_path = write_edited_log(tmp_path, line, path, edit)
+    capsys.readouterr()
+    assert run(["replay", "--log", log_path]) == 4
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert json.loads(err[0])["error"]["type"] == "ReplayMismatchError"
 
 
 class TestCausal:
@@ -189,7 +252,6 @@ class TestCausal:
         (["do", "--do", "X@2=0"], {VarId("X", 2): 0}, {}),
         (["do", "--do", "X@2=0", "--given", "X@0=1"], {VarId("X", 2): 0}, {VarId("X", 0): 1}),
     ], ids=["observational", "do", "do-given"])
-
     def test_engine_route_query_prints_what_enumeration_gives(self, tmp_path, capsys, query,
                                                               do, given):
         path = tmp_path / "chain5.json"
@@ -203,6 +265,19 @@ class TestCausal:
         joint = {VarId("Y", 4): 1, **evidence}
         want = causal.marginal(cut, joint) / causal.marginal(cut, evidence)
         assert capsys.readouterr().out == format(want, "#.12g") + "\n"
+
+    def test_build_writes_loadable_model(self, tmp_path):
+        out = tmp_path / "dbn.json"
+        assert run(["causal", "build", "--topology", "chain-a", "--slices", "3",
+                    "--out", str(out)]) == 0
+        from acdsim.causal import load_model
+        model = load_model(out.read_text())
+        assert len(model.variables) == 9
+
+    def test_identical_repeat_is_one_assignment(self, chain_model_path, capsys):
+        assert run(["causal", "marginal", "--model", chain_model_path,
+                    "--query", "X=1,X@0=1"]) == 0
+        assert capsys.readouterr().out == "0.500000000000\n"
 
 
 class TestDetect:
@@ -221,7 +296,6 @@ class TestDetect:
     @pytest.mark.parametrize("spec", [
         None, {"topology": "confounded-c", "slices": 4, "schedule": [True, False]},
     ], ids=["chain-a", "confounded-c-alternating"])
-
     def test_llr_on_a_short_log_equals_enumeration(self, tmp_path, spec):
         log_path, out = tmp_path / "short.jsonl", tmp_path / "llr.json"
         assert run(["simulate", "--seed", "5", "--horizon", "4", "--out", str(log_path)]) == 0
@@ -262,7 +336,6 @@ class TestDetect:
     @pytest.mark.parametrize("command,option,value", [("detect", "--threshold", "-inf"),
                                                       ("detect", "--threshold", "-1e3"),
                                                       ("loop", "--tau", "-inf")])
-
     def test_signed_value_parses_spaced_or_joined(self, tmp_path, command, option, value):
         log_path = tmp_path / "log.jsonl"
         run(["simulate", "--seed", "5", "--horizon", "8", "--out", str(log_path)])
@@ -277,6 +350,33 @@ class TestDetect:
 
 
 class TestLoop:
+    def test_loop_deterministic_and_replayable(self, tmp_path):
+        out1, out2 = tmp_path / "r1.json", tmp_path / "r2.json"
+        args = ["loop", "--autonomy", "auto", "--tau", "0.8", "--seed", "4"]
+        assert run(args + ["--out", str(out1)]) == 0
+        assert run(args + ["--out", str(out2)]) == 0
+        assert out1.read_bytes() == out2.read_bytes()
+        assert run(["replay", "--log", str(out1)]) == 0
+
+    @pytest.mark.parametrize("command", ["replay", "detect"])
+    def test_multi_episode_report_is_refused(self, tmp_path, capsys, command):
+        out = tmp_path / "r.json"
+        assert run(["loop", "--autonomy", "auto", "--episodes", "2", "--seed", "4",
+                    "--out", str(out)]) == 0
+        capsys.readouterr()
+        assert run([command, "--log", str(out)]) == 2
+        err = json.loads(capsys.readouterr().err)["error"]
+        assert err["type"] == "ParseError" and "multi-episode" in err["message"]
+
+    @pytest.mark.parametrize("value", [5, ["a"]], ids=["int", "list"])
+    @pytest.mark.parametrize("command", ["replay", "detect"])
+    def test_a_report_whose_episode_log_is_no_string_exits_2(self, tmp_path, capsys,
+                                                             command, value):
+        report = tmp_path / "r.json"
+        report.write_text(json.dumps({"episode_jsonl": value}) + "\n")
+        assert run([command, "--log", str(report)]) == 2
+        assert_one_parse_error(capsys)
+
     def test_loop_confirm_with_approval_file(self, tmp_path):
         decisions = tmp_path / "decisions.json"
         decisions.write_text("[true, true, false]")
@@ -287,12 +387,22 @@ class TestLoop:
         applied = [i for i in report["interventions"] if i["applied"]]
         assert len(applied) <= 2
 
+    @pytest.mark.parametrize("text", ['["no", 0]', "[true, 1]", "[null]", '{"0": true}',
+                                      "[true,", ""])
+    def test_approval_file_of_non_booleans_exits_2(self, tmp_path, capsys, text):
+        decisions = tmp_path / "decisions.json"
+        decisions.write_text(text)
+        out = tmp_path / "r.json"
+        assert run(["loop", "--autonomy", "confirm", "--approve", f"file:{decisions}",
+                    "--seed", "2", "--out", str(out)]) == 2
+        assert_one_parse_error(capsys)
+        assert not out.exists()
+
     @settings(max_examples=100, deadline=None)
     @given(st.one_of(
         st.text().map(str.encode), st.binary(max_size=16),
         mutated("[true, false, true]").map(str.encode),
         st.lists(st.booleans() | JSON_VALUES).map(lambda v: json.dumps(v).encode())))
-
     def test_approval_file_parses_or_raises_parse_error(self, tmp_path_factory, data):
         path = tmp_path_factory.getbasetemp() / "decisions.json"
         path.write_bytes(data)
@@ -307,6 +417,13 @@ class TestLoop:
             assert not booleans
             return
         assert booleans and factory().decisions == decisions
+
+    def test_loop_parallel_matches_serial(self, tmp_path):
+        serial, parallel = tmp_path / "s.json", tmp_path / "p.json"
+        base = ["loop", "--autonomy", "auto", "--seed", "6", "--episodes", "2"]
+        assert run(base + ["--out", str(serial)]) == 0
+        assert run(base + ["--parallel", "2", "--out", str(parallel)]) == 0
+        assert serial.read_bytes() == parallel.read_bytes()
 
     def test_every_episode_starts_at_the_first_approval(self, tmp_path):
         decisions = [True, False, True]
@@ -392,6 +509,18 @@ class TestEvaluate:
              "terminal": log.final["terminal"], "time_to_target": log.time_to_target()}
             for seed, log in enumerate(logs)]
 
+    def test_parallel_matches_serial(self, tmp_path, chain3_path):
+        qt = tmp_path / "q.json"
+        run(["train", "--scenario", chain3_path, "--episodes", "20", "--out", str(qt)])
+        serial = tmp_path / "serial.json"
+        parallel = tmp_path / "parallel.json"
+        run(["evaluate", "--scenario", chain3_path, "--qtable", str(qt),
+             "--episodes", "4", "--seed", "9", "--out", str(serial)])
+        run(["evaluate", "--scenario", chain3_path, "--qtable", str(qt),
+             "--episodes", "4", "--seed", "9", "--parallel", "2",
+             "--out", str(parallel)])
+        assert serial.read_bytes() == parallel.read_bytes()
+
     def test_inputs_parsed_once(self, tmp_path, chain3_path, input_calls):
         qt = tmp_path / "q.json"
         run(["train", "--scenario", chain3_path, "--episodes", "20", "--out", str(qt)])
@@ -456,8 +585,6 @@ def test_parallel_workers_capped_at_cpu_count(tmp_path, chain3_path, monkeypatch
 # Modules only the engine commands need: numpy and what imports it, and the
 # process pool's module, which only `--parallel` above 1 needs.
 ENGINE_MODULES = ("numpy", "acdsim.causal", "acdsim.detect", "acdsim.loop")
-
-
 POOL_MODULE = "concurrent.futures.process"
 
 
@@ -521,8 +648,6 @@ def test_parallel_evaluate_parent_loads_no_engine_module(footprint_inputs):
     ["loop", "--autonomy", "auto", "--seed", "2", "--out", "r.json"],
     ["causal", "build", "--topology", "chain-a", "--slices", "3", "--out", "m.json"],
 ], ids=["detect", "loop", "causal"])
-
-
 def test_engine_commands_still_run(footprint_inputs, args):
     proc = run_fresh(args, cwd=footprint_inputs)
     assert proc.returncode == 0, proc.stderr
@@ -534,8 +659,6 @@ def test_engine_commands_still_run(footprint_inputs, args):
      "--seed", "4"],
     ["loop", "--autonomy", "auto", "--episodes", "3", "--seed", "2"],
 ], ids=["evaluate", "loop"])
-
-
 def test_forkserver_workers_write_the_serial_bytes(footprint_inputs, monkeypatch, args):
     """Workers that start from a fresh import, not a fork of the parent,
     find every module their task needs and write what a serial run writes."""
@@ -555,20 +678,10 @@ def test_forkserver_workers_write_the_serial_bytes(footprint_inputs, monkeypatch
 
 
 SCENARIO = chain3_full_doc()
-
-
 LOG = chain3_log_text()
-
-
 QTABLE = qtable_doc()
-
-
 SPEC = spec_to_obj(causal.DbnSpec(causal.Topology.CONFOUNDED_C, 4, schedule=(True, False)))
-
-
 MODEL = json.loads(save_model(causal.build_topology(causal.DbnSpec(causal.Topology.CHAIN_A, 2))))
-
-
 # (command, text of the file it reads)
 MALFORMED_FILES = st.one_of(
     st.tuples(st.just("simulate"),
@@ -584,6 +697,13 @@ MALFORMED_FILES = st.one_of(
 
 @settings(max_examples=120, deadline=None)
 @given(MALFORMED_FILES)
+@example(("evaluate", json.dumps(OTHER_ACTIONS_QTABLES[0])))
+@example(("evaluate", json.dumps(OTHER_ACTIONS_QTABLES[1])))
+@example(("replay", '{"episode_jsonl": 5}\n'))
+@example(("detect", '{"episode_jsonl": 5}\n'))
+@example(("evaluate", json.dumps(AMBIGUOUS_KEY_QTABLES[0])))
+@example(("evaluate", json.dumps(AMBIGUOUS_KEY_QTABLES[1])))
+@example(("evaluate", json.dumps(AMBIGUOUS_KEY_QTABLES[2])))
 def test_a_malformed_file_exits_with_one_json_error(tmp_path_factory, case):
     """`main` on an edited scenario, log, Q-table, DBN spec or model returns
     0, 2, 3 or 4 and never raises; a non-zero return writes exactly one JSON
@@ -619,8 +739,6 @@ def test_a_malformed_file_exits_with_one_json_error(tmp_path_factory, case):
 
 @pytest.mark.parametrize("text", [f'[{"1" * 5000}]', "[" * 100_000 + "]" * 100_000],
                          ids=["5000-digit-integer", "deep-nesting"])
-
-
 @pytest.mark.parametrize("kind", ["scenario", "log", "spec", "model", "qtable", "approvals"])
 def test_json_the_decoder_refuses_exits_2(tmp_path, capsys, chain3_path, kind, text):
     """Python's decoder raises ValueError, not JSONDecodeError, on an integer
@@ -639,3 +757,4 @@ def test_json_the_decoder_refuses_exits_2(tmp_path, capsys, chain3_path, kind, t
                           "--out", out]}[kind]
     assert run(argv) == 2
     assert_one_parse_error(capsys)
+

@@ -11,7 +11,10 @@ written JSON file is what `json.dumps(..., sort_keys=True, indent=2)` writes.
 The replay runs under a line trace of `src/acdsim`: each line of a function
 body there is run by some case or listed in `UNRUN` with a reason from
 `REASONS`, and a line a command can reach gets a case, not an entry. When
-the list is out of date, the test prints each entry to set or drop.
+the list is out of date, the test prints each entry to set or drop. The
+list is checked on `UNRUN_PYTHON` alone: which lines a function's code
+holds, and which of them the tracer reports, can differ between CPython
+versions.
 
     python -m tests.test_corpus
 
@@ -120,7 +123,9 @@ REASONS = {
 }
 
 # (module, function, stripped line, how many such lines, reason) of the
-# function-body lines of `src/acdsim` that the replay leaves unrun
+# function-body lines of `src/acdsim` that the replay leaves unrun, as
+# CPython UNRUN_PYTHON numbers them
+UNRUN_PYTHON = (3, 11)
 UNRUN = [
     ('causal', 'Cgm.__post_init__',
      'raise SpecError(f"latent {v} is not a model variable")', 1, 'hidden'),
@@ -253,6 +258,8 @@ def test_the_replay_breaks_no_invariant(replayed, invariant):
     assert invariant(records, directory) == []
 
 
+@pytest.mark.skipif(sys.version_info[:2] != UNRUN_PYTHON,
+                    reason="UNRUN lists the lines as CPython %d.%d numbers them" % UNRUN_PYTHON)
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda path: path.stem)
 def test_the_replay_runs_every_line_but_those_unrun_lists(replayed, path):
     unrun = Counter((path.stem, function, text)

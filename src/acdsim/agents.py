@@ -50,10 +50,11 @@ class LateralAttacker:
         credential unlocks, then the rest of the frontier; ties broken by
         ascending node id. Passes when the frontier is empty.
         """
+        compromised, known_nodes = view.compromised, view.known_nodes
         frontier = set()
-        for c in view.compromised:
-            for n in view.known_nodes.get(c, ()):
-                if n not in view.compromised:
+        for c in compromised:
+            for n in known_nodes.get(c, ()):
+                if n not in compromised:
                     frontier.add(n)
         if not frontier:
             return PASS

@@ -314,8 +314,16 @@ def cmd_replay(args) -> list:
 # Parser
 # ---------------------------------------------------------------------------
 
+class _Parser(argparse.ArgumentParser):
+    """A parser whose usage errors raise ParseError, so that `main` reports
+    them as one JSON error object; its subparsers are of this class too."""
+
+    def error(self, message):
+        raise ParseError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="acdsim",
         description="Deterministic lateral-movement defence arena.",
         epilog=f"evaluate CSV columns: {METRIC_COLUMNS}",
@@ -440,17 +448,15 @@ def _join_signed_values(argv: list[str]) -> list[str]:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(_join_signed_values(sys.argv[1:] if argv is None else argv))
-    except SystemExit as exc:
-        # argparse exits 2 on usage errors and 0 on --help/--version
-        return int(exc.code or 0)
-    try:
+        args = build_parser().parse_args(  # a usage error raises ParseError
+            _join_signed_values(sys.argv[1:] if argv is None else argv))
         if getattr(args, "seed", 0) < 0:  # random.Random(-n) draws what random.Random(n) does
             raise ParseError(f"--seed must be >= 0, got {args.seed}")
         _write_all(args.func(args))
         return EXIT_OK
+    except SystemExit as exc:  # --help and --version print their text and exit 0
+        return int(exc.code or 0)
     except (ParseError, ValidationError) as exc:
         _emit_error(type(exc).__name__, str(exc))
         return EXIT_CONFIG

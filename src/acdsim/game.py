@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from . import __version__
 from ._util import canonical_json, child_seed, json_object, member, parse_json
@@ -63,8 +64,7 @@ CRED_COMPROMISE_PROB = 0.9
 # Actions and events
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class DefenderAction:
+class DefenderAction(NamedTuple):
     kind: str  # one of DEFENDER_KINDS
     node: int | None = None
     duration: int = 1
@@ -89,16 +89,14 @@ def scan(node: int) -> DefenderAction:
     return DefenderAction("scan", node)
 
 
-@dataclass(frozen=True)
-class AttackerAction:
+class AttackerAction(NamedTuple):
     attempts: frozenset[int] = frozenset()  # empty set = pass
 
 
 PASS = AttackerAction()
 
 
-@dataclass(frozen=True)
-class Event:
+class Event(NamedTuple):
     kind: str  # one of EVENT_KINDS
     node: int
     outcome: str | None = None      # attempt: one of ATTEMPT_OUTCOMES
@@ -122,8 +120,7 @@ class Event:
         return obj
 
 
-@dataclass(frozen=True)
-class StepOutcome:
+class StepOutcome(NamedTuple):
     reward: float
     events: tuple[Event, ...]
     terminal_cause: str | None = None
@@ -157,8 +154,7 @@ class GameState:
         return target if target in self.attacker_known else None
 
 
-@dataclass(frozen=True)
-class AttackerView:
+class AttackerView(NamedTuple):
     """What the attacker knows: the discovered subgraph, never the full map."""
 
     known_nodes: dict[int, tuple[int, ...]]  # neighbor lists restricted to known
@@ -168,8 +164,7 @@ class AttackerView:
     target_seen: int | None
 
 
-@dataclass(frozen=True)
-class DefenderView:
+class DefenderView(NamedTuple):
     """What the defender knows: full topology, never the true compromise set."""
 
     topology_nodes: tuple[int, ...]
@@ -275,16 +270,19 @@ def _check_defender_action(st: GameState, d: DefenderAction):
         raise IllegalActionError("isolation duration must be >= 1")
 
 
-def _check_attacker_action(st: GameState, a: AttackerAction):
+def _check_attacker_action(st: GameState, a: AttackerAction) -> list[int]:
+    """The attempts of `a` in ascending node id, each checked legal."""
     if len(a.attempts) > st.scenario.attacker.spread:
         raise IllegalActionError(
             f"{len(a.attempts)} attempts exceed spread {st.scenario.attacker.spread}")
     topo = st.scenario.topology
-    for n in sorted(a.attempts):
+    attempts = sorted(a.attempts)
+    for n in attempts:
         if not topo.has_node(n):
             raise IllegalActionError(f"attempt on unknown node {n}")
-        if not any(adj in st.compromised for adj in topo.neighbors(n)):
+        if st.compromised.isdisjoint(topo.neighbors(n)):
             raise IllegalActionError(f"attempt on node {n} not adjacent to a compromised node")
+    return attempts
 
 
 def step(st: GameState, d: DefenderAction, a: AttackerAction) -> tuple[GameState, StepOutcome]:
@@ -296,11 +294,12 @@ def step(st: GameState, d: DefenderAction, a: AttackerAction) -> tuple[GameState
     if st.terminal is not None:
         raise TerminalStateError(f"episode ended: {st.terminal}")
     _check_defender_action(st, d)
-    _check_attacker_action(st, a)
+    attempts = _check_attacker_action(st, a)
 
     s = st.scenario
     topo = s.topology
     costs = s.costs
+    draw = st.rng.random
     events: list[Event] = []
     action_cost = 0.0
 
@@ -317,7 +316,7 @@ def step(st: GameState, d: DefenderAction, a: AttackerAction) -> tuple[GameState
         st.isolation[d.node] = max(st.isolation.get(d.node, 0), d.duration)
         events.append(Event("isolate", d.node, duration=d.duration))
     elif d.kind == "scan":
-        u = st.rng.random()
+        u = draw()
         truly = d.node in st.compromised
         result = (u < s.alerts.scan_tpr) if truly else (u < s.alerts.scan_fpr)
         st.scan_results[d.node] = (st.t, result)
@@ -330,15 +329,15 @@ def step(st: GameState, d: DefenderAction, a: AttackerAction) -> tuple[GameState
     # (2) attempts, ascending node id; isolated or already-taken nodes are
     # skipped silently and draw nothing
     newly: list[int] = []
-    for n in sorted(a.attempts):
+    for n in attempts:
         if n in st.isolation or n in st.compromised:
             events.append(Event("attempt", n, outcome=ATTEMPT_SKIPPED))
             continue
         node = topo.node(n)
         cred_held = bool(st.attacker_creds & node.unlocks)
         p = compromise_probability(s.attacker.strength, node, st.defence_now[n], cred_held)
-        success = st.rng.random() < p
-        alert_u = st.rng.random()
+        success = draw() < p
+        alert_u = draw()
         events.append(Event("attempt", n, outcome=ATTEMPT_SUCCESS if success else ATTEMPT_FAIL))
         if success:
             newly.append(n)
@@ -361,12 +360,13 @@ def step(st: GameState, d: DefenderAction, a: AttackerAction) -> tuple[GameState
 
     # (5) false alerts, ascending node id
     for n in topo.node_ids:
-        if st.rng.random() < s.alerts.p_false_alert:
+        if draw() < s.alerts.p_false_alert:
             events.append(Event("alert", n, alert_kind=ALERT_FALSE_POSITIVE))
     st.last_alerts = tuple(sorted(e.node for e in events if e.kind == "alert"))
 
     # (6) isolation timers
-    st.isolation = {n: k - 1 for n, k in st.isolation.items() if k - 1 > 0}
+    if st.isolation:
+        st.isolation = {n: k - 1 for n, k in st.isolation.items() if k - 1 > 0}
 
     # (7) reward
     target = topo.target_id
@@ -392,8 +392,7 @@ def step(st: GameState, d: DefenderAction, a: AttackerAction) -> tuple[GameState
 # Episodes and logs
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class StepRecord:
+class StepRecord(NamedTuple):
     t: int
     defender: DefenderAction
     attacker: AttackerAction

@@ -3,7 +3,7 @@ case, valid or refused, runs in order in one fresh directory after the
 corpus's `files` are written there, through in-process `acdsim.cli.main`.
 Later cases read what earlier ones wrote (a Q-table, logs, loop reports,
 models). Each case records its command line, its exit code, its exact
-stderr (`""` for a valid run, `USAGE_ERROR` for an argparse usage error),
+stderr (`""` for a valid run, `USAGE_ERROR` for a usage error),
 the sha256 of its stdout and the sha256 of each file it writes or changes;
 a refused case writes and prints nothing.
 
@@ -31,8 +31,8 @@ from acdsim.cli import default_scenario_path, main
 
 CORPUS = Path(__file__).with_name("corpus.json")
 BIG = 10 ** 400  # an integer no float can hold
-# argparse's usage-error text (its wording, its wrapping to the terminal)
-# changes between Python versions, so the record keeps only that it was one
+# the message argparse gives a usage error changes between Python versions,
+# so the record keeps only that it was one
 USAGE_ERROR = "usage error"
 
 
@@ -597,6 +597,16 @@ def make_files() -> dict[str, str]:
     return dict(sorted(files.items()))
 
 
+def recorded_stderr(stderr: str) -> str:
+    """`stderr` as a record keeps it: `USAGE_ERROR` for a usage error's,
+    one JSON error object of type ParseError whose message starts with the
+    name of the parser, `acdsim` or `acdsim COMMAND`."""
+    if (stderr.startswith('{"error": {"message": "acdsim')
+            and stderr.endswith('"type": "ParseError"}}\n') and stderr.count("\n") == 1):
+        return USAGE_ERROR
+    return stderr
+
+
 def run_corpus(files: dict[str, str], directory, cases: list[list[str]] = CASES,
                command: list[str] | None = None) -> list[dict]:
     """Each case's record, run in order in `directory` after writing `files`
@@ -614,7 +624,7 @@ def run_corpus(files: dict[str, str], directory, cases: list[list[str]] = CASES,
             records.append({
                 "argv": argv,
                 "exit": code,
-                "stderr": USAGE_ERROR if stderr.startswith("usage: ") else stderr,
+                "stderr": recorded_stderr(stderr),
                 "stdout_sha256": sha256_hex(stdout),
                 "written": {name: digest for name, digest in after.items()
                             if before.get(name) != digest},

@@ -145,6 +145,15 @@ def assert_one_parse_error(capsys):
     assert json.loads(err[0])["error"]["type"] == "ParseError"
 
 
+@pytest.mark.parametrize("args,text", [
+    (["--version"], f"acdsim {acdsim.__version__}\n"), (["--help"], "usage: acdsim "),
+    (["causal", "do", "--help"], "usage: acdsim causal do ")])
+def test_help_and_version_print_their_text_and_exit_0(capsys, args, text):
+    assert main(args) == 0
+    out, err = capsys.readouterr()
+    assert out.startswith(text) and err == ""
+
+
 # (line, key path) of each required field of an episode log: line 0 is the
 # header, line 1 the first step
 LOG_FIELDS = [(1, ("def",)), (1, ("atk",)), (1, ("atk", "attempts")), (1, ("t",)),

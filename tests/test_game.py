@@ -3,6 +3,7 @@
 import dataclasses
 import hashlib
 import json
+import pickle
 import random
 import re
 import types
@@ -22,6 +23,7 @@ from acdsim.agents import (
     train,
 )
 from acdsim import game
+from acdsim._util import canonical_json, indented_json
 from acdsim.cli import default_scenario_path
 from acdsim.errors import (
     IllegalActionError,
@@ -36,7 +38,13 @@ from acdsim.game import (
     PASS,
     TARGET_COMPROMISED,
     AttackerAction,
+    AttackerView,
+    DefenderAction,
+    DefenderView,
     EpisodeLog,
+    Event,
+    StepOutcome,
+    StepRecord,
     attacker_view,
     compromise_probability,
     defender_view,
@@ -267,7 +275,7 @@ class TestInvariants:
             for _ in range(5):
                 if st.terminal is not None:
                     break
-                assert "compromised" not in dataclasses.asdict(defender_view(st))
+                assert "compromised" not in defender_view(st)._asdict()
                 st, _ = step(st, NOP,
                              LateralAttacker(s.attacker.spread).act(attacker_view(st), rng))
 
@@ -283,7 +291,7 @@ class TestInvariants:
                 for node, neighbors in view.known_nodes.items():
                     assert node in known
                     assert all(x in known for x in neighbors)
-                assert "defence" not in {f.name for f in dataclasses.fields(view)}
+                assert "defence" not in type(view)._fields
                 st, _ = step(st, NOP, attacker.act(view, rng))
 
     def test_mutating_an_attacker_view_leaves_the_next_one_unchanged(self):
@@ -424,9 +432,9 @@ def test_an_unknown_log_key_is_refused(line, path):
 
 
 def has_declared_types(value, hint) -> bool:
-    """Whether `value` has the type `hint`, every field of a dataclass and
-    every item of a tuple or frozenset checked against its annotation, and a
-    bool not taken for an int nor an int for a float."""
+    """Whether `value` has the type `hint`, every field of a dataclass or a
+    named tuple and every item of a tuple or frozenset checked against its
+    annotation, and a bool not taken for an int nor an int for a float."""
     origin, args = typing.get_origin(hint), typing.get_args(hint)
     if origin is types.UnionType:
         return any(has_declared_types(value, arg) for arg in args)
@@ -436,10 +444,13 @@ def has_declared_types(value, hint) -> bool:
     if origin in (tuple, frozenset):
         return type(value) is origin and all(has_declared_types(v, args[0]) for v in value)
     if dataclasses.is_dataclass(hint):
+        names = [f.name for f in dataclasses.fields(hint)]
+    else:
+        names = getattr(hint, "_fields", None)  # a named tuple's
+    if names is not None:
         hints = typing.get_type_hints(hint)
         return type(value) is hint and all(
-            has_declared_types(getattr(value, f.name), hints[f.name])
-            for f in dataclasses.fields(hint))
+            has_declared_types(getattr(value, name), hints[name]) for name in names)
     return type(value) is (origin or hint)
 
 
@@ -489,3 +500,35 @@ class TestPinnedBytes:
                 log = run_episode(s, make(), LateralAttacker(s.attacker.spread), seed)
                 digest.update(episode_to_jsonl(log).encode())
             assert digest.hexdigest() == self.LOGS[name], name
+
+
+# each per-step record type with a value for each of its fields, in order,
+# that both JSON writers take: a record checks no field's type, so a list
+# stands in for a frozenset and a str key for an int
+RECORD_FIELDS = {
+    DefenderAction: ("isolate", 3, 2),
+    AttackerAction: ([2, 4],),
+    Event: ("loot", 5, None, ("a", "b"), None, None, None),
+    StepOutcome: (-1.5, (("alert", 2, None, (), None, "false_positive", None),), None),
+    AttackerView: ({"2": (4,)}, {"2": ["a"]}, [2], ["a"], None),
+    DefenderView: ((0, 1), ((0, 1),), 1, (0,), 3, (), {}, {"1": 2}, {"0": 0.25}, -2.0),
+    StepRecord: (0, ("nop", None, 1), ([],), (0.5, (), "horizon_reached")),
+}
+
+
+@pytest.mark.parametrize("kind", RECORD_FIELDS, ids=lambda kind: kind.__name__)
+def test_a_record_is_a_tuple_of_its_fields(kind):
+    """A per-step record is a named tuple, as `VarId` is
+    (`TestVarId::test_is_a_tuple_of_its_fields`): it equals the plain tuple
+    of its fields, and both JSON writers write it as a list. It stays
+    immutable, and a pickle round trip, which a process pool makes of what
+    it passes, keeps its type."""
+    values = RECORD_FIELDS[kind]
+    record = kind(*values)
+    assert record == values and len(kind._fields) == len(values)
+    assert indented_json(record) == json.dumps(list(values), sort_keys=True, indent=2)
+    assert canonical_json(record) == canonical_json(list(values))
+    with pytest.raises(AttributeError):
+        setattr(record, kind._fields[0], values[0])
+    copy = pickle.loads(pickle.dumps(record))
+    assert type(copy) is kind and copy == record

@@ -196,6 +196,27 @@ class TestPinnedTopologyBytes:
             digest.update(" ".join(map(str, m.order)).encode())
         assert digest.hexdigest() == self.MODELS[topology.value][per_slice_confounder]
 
+    # the same digest of slices 17, 40, 64 and 508 with default DbnParams and
+    # the default or PIN_PATTERN schedule: detect-logs builds up to about 70
+    # slices and the loop's window w + L
+    LONG_MODELS = {
+        "chain-a": ("544b118f4523aae6fef44a12193f707e1bdb5c3bdc1151292995ff2647868e9e",) * 2,
+        "fork-b": ("ad22fbc3fa4a3e2f40b3191f772a97ee2f87461917314daeab9ed95f8be441ff",) * 2,
+        "confounded-c": ("88fd8cafcf21c84091b089e1ce76fcaca8638648b8ad48c2d4b1a596e3f070ad",
+                         "9e7afd85d3db2f1d0b69f7df63146ef56f55bae755d63d17734713713be7f2e7"),
+    }
+
+    @pytest.mark.parametrize("topology,per_slice_confounder", CELLS, ids=str)
+    def test_long_unrollings(self, topology, per_slice_confounder):
+        digest = hashlib.sha256()
+        for slices in (17, 40, 64, 508):
+            for schedule in (None, tuple(PIN_PATTERN[t % 6] for t in range(slices))):
+                m = build_topology(DbnSpec(topology, slices, schedule,
+                                           per_slice_confounder=per_slice_confounder))
+                digest.update(save_model(m).encode())
+                digest.update(" ".join(map(str, m.order)).encode())
+        assert digest.hexdigest() == self.LONG_MODELS[topology.value][per_slice_confounder]
+
     @pytest.mark.parametrize("topology,per_slice_confounder", CELLS, ids=str)
     def test_engine_factors(self, topology, per_slice_confounder):
         digest = hashlib.sha256()

@@ -99,9 +99,10 @@ class Cgm:
         for i, v in enumerate(self.variables):
             ps = self.parents.get(v, ())
             for p in ps:
-                if p not in index:
+                j = index.get(p)
+                if j is None:
                     raise SpecError(f"parent {p} of {v} is not a model variable")
-                children[index[p]].append(i)
+                children[j].append(i)
             waiting.append(len(ps))
             cpt = self.cpts.get(v)
             if cpt is None or len(cpt) != 2 ** len(ps):
@@ -115,8 +116,10 @@ class Cgm:
         depth = [0] * len(self.variables)
         ready = [i for i, n in enumerate(waiting) if n == 0]
         for i in ready:  # Kahn's algorithm; `ready` grows while it is walked
+            d = depth[i] + 1
             for c in children[i]:
-                depth[c] = max(depth[c], depth[i] + 1)
+                if depth[c] < d:
+                    depth[c] = d
                 waiting[c] -= 1
                 if waiting[c] == 0:
                     ready.append(c)
@@ -330,7 +333,8 @@ def build_topology(spec: DbnSpec) -> Cgm:
     global latent U drives X_t and Y_t on every slice (or a fresh U_t per
     slice when `per_slice_confounder` is set), and the table's X_t -> Y_t
     edge is switched per slice by the schedule. A variable without parents
-    is a root at slice 0, active with `root_activation`.
+    is a root at slice 0, active with `root_activation`. Each VarId is made
+    once: a slice's and the previous slice's serve as the parents.
     """
     _check_spec(spec)
     p = spec.params
@@ -347,21 +351,27 @@ def build_topology(spec: DbnSpec) -> Cgm:
     parents: dict = {}  # in declaration order
     cpts: dict = {}
     latent: set = set()
+    before: dict = {}  # name -> the previous slice's VarId
     for t in range(spec.slices):
         if confounded and (t == 0 or spec.per_slice_confounder):
             u = VarId("U", t if spec.per_slice_confounder else None)
             parents[u] = ()
             cpts[u] = (p.confounder_prior,)
             latent.add(u)
+        now: dict = {}  # name -> this slice's VarId, the parent of its later tactics
         for name, within in TACTIC_CAUSES[spec.topology].items():
-            causes = [(VarId(name, t - 1), w_persist)] if t > 0 else []
+            ps, ws = ([before[name]], [w_persist]) if t else ([], [])
             if confounded:
-                causes.append((u, w_conf))
+                ps.append(u)
+                ws.append(w_conf)
             if not confounded or schedule[t]:
-                causes += [(VarId(c, t), w_edge) for c in within]
-            v = VarId(name, t)
-            parents[v] = tuple(c for c, _ in causes)
-            cpts[v] = noisy_or(tuple(w for _, w in causes)) if causes else (p.root_activation,)
+                for c in within:
+                    ps.append(now[c])
+                    ws.append(w_edge)
+            v = now[name] = VarId(name, t)
+            parents[v] = tuple(ps)
+            cpts[v] = noisy_or(tuple(ws)) if ps else (p.root_activation,)
+        before = now
     return Cgm(variables=tuple(parents), parents=parents, cpts=cpts,
                latent=frozenset(latent))
 

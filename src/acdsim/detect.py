@@ -73,16 +73,18 @@ class TruthTracker:
 
     def step(self, t: int, events) -> dict:
         """Bits for the step that started at `t` and produced `events`."""
-        bits = {
-            "Z": int(t % BEACON_PERIOD == 0 and bool(self.compromised)),
-            "X": int(any(e.kind == "attempt" for e in events)),
-            "Y": int(any(e.kind == "loot" for e in events)),
-        }
+        # Z reads the set as it was at the start of the step
+        bits = {"Z": int(t % BEACON_PERIOD == 0 and bool(self.compromised)), "X": 0, "Y": 0}
         for e in events:
-            if e.kind == "restore":
+            kind = e.kind
+            if kind == "attempt":
+                bits["X"] = 1
+                if e.outcome == "success":
+                    self.compromised.add(e.node)
+            elif kind == "loot":
+                bits["Y"] = 1
+            elif kind == "restore":
                 self.compromised.discard(e.node)
-            elif e.kind == "attempt" and e.outcome == "success":
-                self.compromised.add(e.node)
         return bits
 
 

@@ -115,6 +115,14 @@ class TestBuildTopology:
         assert ("U@0", "X@1") not in edges
         assert marginal(m, {}) == pytest.approx(1.0)
 
+    @pytest.mark.parametrize("topology,per_slice_confounder",
+                             [(t, False) for t in Topology] + [(Topology.CONFOUNDED_C, True)],
+                             ids=str)
+    def test_parents_are_the_variables_themselves(self, topology, per_slice_confounder):
+        m = build_topology(DbnSpec(topology, 6, per_slice_confounder=per_slice_confounder))
+        own = {v: v for v in m.variables}
+        assert all(p is own[p] for v in m.variables for p in m.parents[v])
+
     def test_persistence_edges_on_unrolling(self):
         m = build_topology(DbnSpec(Topology.CHAIN_A, 3))
         edges = edge_set(m)
@@ -722,14 +730,27 @@ class TestOneWalk:
          "duplicate variable B"),
         ((A,), {A: (Q,)}, {A: (0.5,)}, (), "parent Q of A is not a model variable"),
         ((A, B), {B: (Q,)}, {A: (0.5, 0.5), B: (0.5, 0.5)}, (), "CPT for A must have 1 rows"),
+        ((A, B), {B: (A, Q)}, {A: (0.5,), B: (0.5,) * 4}, (),
+         "parent Q of B is not a model variable"),
         ((A,), {}, {A: (1.5,)}, (L,), r"CPT entry out of \[0,1\] for A: 1.5"),
         ((A, B), {A: (B,), B: (A,)}, {A: (0.5, 0.5), B: (0.5, 0.5)}, (L,),
          "latent L is not a model variable"),
     ], ids=["duplicate+parent", "parent+short-cpt", "short-cpt+later-parent",
-            "entry+latent", "latent+cycle"])
+            "unknown-after-known-parent", "entry+latent", "latent+cycle"])
     def test_first_fault_of_a_model(self, variables, parents, cpts, latent, message):
         with pytest.raises(SpecError, match=f"^{message}$"):
             Cgm(variables=variables, parents=parents, cpts=cpts, latent=frozenset(latent))
+
+    def test_a_parent_listed_twice(self):
+        """B: (A, A) reads rows 0 and 3 of its 4-row CPT; its one parent
+        counts as two edges in the order and in the engine."""
+        A, B, C = (VarId(n, 0) for n in "ABC")
+        parents = {B: (A, A), C: (B,)}
+        m = Cgm(variables=(C, B, A), parents=parents,
+                cpts={A: (0.3,), B: (0.1, 0.5, 0.5, 0.9), C: (0.2, 0.6)})
+        assert m.order == wave_order(m.variables, parents) == (A, B, C)
+        expected = marginal(m, {A: 1, C: 1}) / marginal(m, {C: 1})
+        assert DbnEngine(m).conditional({A: 1}, {C: 1}) == pytest.approx(expected, rel=1e-12)
 
     @pytest.mark.parametrize("sizes, back, message", [
         ([1, 1, 1, 9], {VarId("V0", 2): VarId("V0", 0)},

@@ -1,10 +1,11 @@
 """Deterministic arena for active cyber defence experiments.
 
-Subpackages cover the static scenario model (`netmodel`), the stochastic
-lateral-movement game (`game`), scripted and learning policies (`agents`),
-discrete causal graphical models (`causal`), tactic-level threat detection
-(`detect`), the closed detection/mitigation loop (`loop`), and the command
-line front end (`cli`).
+Modules cover the static scenario model (`netmodel`), the option types the
+command line reads (`config`), the stochastic lateral-movement game
+(`game`), scripted and learning policies (`agents`), discrete causal
+graphical models (`causal`), tactic-level threat detection (`detect`), the
+closed detection/mitigation loop (`loop`), and the command line front end
+(`cli`).
 """
 
 __version__ = "0.1.0"

@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import functools
+import itertools
 import json
 import math
 import os
@@ -260,30 +261,29 @@ def cmd_detect(args) -> list:
     return [*indicators, (args.out, result.to_json() + "\n")]
 
 
-def _load_approver(spec: str):
-    """A picklable factory of fresh approval hooks for `--approve`."""
-    from . import loop  # `loop --parallel` thus loads it before a pool forks
+def _load_approvals(spec: str):
+    """For `--approve`, a picklable factory of an episode's approval decisions,
+    called once per episode so that each starts at the first decision."""
     if spec == "always":
-        return loop.AlwaysApprove
+        return functools.partial(itertools.repeat, True)
     if spec == "never":
-        return loop.NeverApprove
+        return tuple
     if spec.startswith("file:"):
         decisions = typed(parse_json(_read(spec[5:]), "approval file"), [bool], "approvals")
-        return functools.partial(loop.ScriptedApprover, decisions)
+        return functools.partial(tuple, decisions)
     raise ParseError(f"unknown approver '{spec}' (want always, never or file:PATH)")
 
 
-def _run_loop_episode(scenario: netmodel.Scenario, cfg: config.LoopConfig, new_approver,
+def _run_loop_episode(scenario: netmodel.Scenario, cfg: config.LoopConfig, new_approvals,
                       seed: int) -> dict:
-    # a fresh hook per episode: every episode starts at the first decision
     from . import loop  # here too, for workers that start from a fresh import
-    return loop.run_loop(scenario, cfg, seed, approval=new_approver()).to_obj()
+    return loop.run_loop(scenario, cfg, seed, approvals=new_approvals()).to_obj()
 
 
 def cmd_loop(args) -> list:
     scenario = _load_scenario(args)
     dbn = _load_dbn_spec(args.dbn)
-    new_approver = _load_approver(args.approve)
+    new_approvals = _load_approvals(args.approve)
     noise = _parse_noise(args.noise)
     try:
         cfg = config.LoopConfig(autonomy=config.AutonomyLevel(args.autonomy), tau=args.tau,
@@ -293,7 +293,8 @@ def cmd_loop(args) -> list:
         raise ParseError(f"bad loop option: {exc}") from None
 
     seeds = _episode_seeds(args)
-    reports = _map_seeds(_run_loop_episode, (scenario, cfg, new_approver), seeds,
+    from . import loop  # not used here: loaded before a pool forks, workers inherit it
+    reports = _map_seeds(_run_loop_episode, (scenario, cfg, new_approvals), seeds,
                          args.parallel)
     result = reports[0] if args.episodes == 1 else {"version": __version__, "reports": reports}
     return [(args.out, indented_json(result) + "\n"), _summary(

@@ -37,8 +37,9 @@ from __future__ import annotations
 
 import functools
 import random
+from collections.abc import Iterable
 from dataclasses import dataclass
-from typing import NamedTuple, Protocol
+from typing import NamedTuple
 
 import numpy as np
 
@@ -61,35 +62,6 @@ from .game import (
 )
 from .agents import LateralAttacker, hottest_node
 from .netmodel import Scenario
-
-
-class ApprovalHook(Protocol):
-    def approve(self, plan: "InterventionPlan") -> bool: ...
-
-
-class AlwaysApprove:
-    def approve(self, plan) -> bool:
-        return True
-
-
-class NeverApprove:
-    def approve(self, plan) -> bool:
-        return False
-
-
-class ScriptedApprover:
-    """Consumes a fixed list of decisions in proposal order; False when spent."""
-
-    def __init__(self, decisions):
-        self.decisions = list(decisions)
-        self._next = 0
-
-    def approve(self, plan) -> bool:
-        if self._next >= len(self.decisions):
-            return False
-        decision = bool(self.decisions[self._next])
-        self._next += 1
-        return decision
 
 
 @dataclass(frozen=True)
@@ -206,25 +178,24 @@ class LoopDefender:
 
     Each step smooths the last `window` indicator frames under the malign
     model; when the highest tactic posterior reaches tau, an intervention plan
-    is built and, subject to autonomy (and the approval hook at confirm), its
-    mapped action replaces the no-op for that step. Frames the model cannot
-    produce have no posteriors, so they never plan, whatever tau is.
+    is built and, subject to autonomy, its mapped action replaces the no-op
+    for that step. At confirm each plan takes the next of `approvals`, the
+    yes/no decisions in proposal order, and is refused once they run out.
+    Frames the model cannot produce have no posteriors, so they never plan,
+    whatever tau is.
     `frames`, `detections` and `interventions` record what it saw and did.
     """
 
-    def __init__(self, s: Scenario, cfg: LoopConfig, seed: int,
-                 approval: ApprovalHook | None = None):
+    def __init__(self, s: Scenario, cfg: LoopConfig, seed: int, approvals: Iterable[bool] = ()):
         self.cfg = cfg
-        self.approval = approval
+        self.approvals = iter(approvals)
         self.truth = TruthTracker(s.attacker.entry)
         self.noise_rng = random.Random(child_seed(seed, "indicators"))
         self.frames: list[dict] = []
         self.detections: list[dict] = []
         self.interventions: list[dict] = []
-        self._t = 0
 
     def act(self, view: DefenderView, rng) -> DefenderAction:
-        self._t = view.t
         if not self.frames:
             return NOP
         cfg = self.cfg
@@ -248,7 +219,7 @@ class LoopDefender:
         plan = _plan(entry, alpha)
         approved = None
         if self.cfg.autonomy is AutonomyLevel.CONFIRM:
-            approved = self.approval is not None and bool(self.approval.approve(plan))
+            approved = bool(next(self.approvals, False))
         applied = self.cfg.autonomy is AutonomyLevel.AUTO or bool(approved)
         action = map_intervention_to_action(plan, view) if applied else NOP
         self.interventions.append({
@@ -261,14 +232,13 @@ class LoopDefender:
         return action
 
     def observe(self, outcome: StepOutcome) -> None:
-        bits = self.truth.step(self._t, outcome.events)
+        bits = self.truth.step(len(self.frames), outcome.events)  # the step's t
         self.frames.append(apply_noise(bits, self.cfg.emission, self.noise_rng))
 
 
-def run_loop(s: Scenario, cfg: LoopConfig, seed: int,
-             approval: ApprovalHook | None = None) -> LoopReport:
-    """Run one episode under the loop; deterministic given (scenario, cfg, seed)."""
-    defender = LoopDefender(s, cfg, seed, approval)
+def run_loop(s: Scenario, cfg: LoopConfig, seed: int, approvals: Iterable[bool] = ()) -> LoopReport:
+    """Run one episode under the loop; deterministic given its arguments."""
+    defender = LoopDefender(s, cfg, seed, approvals)
     log = run_episode(s, defender, LateralAttacker(s.attacker.spread), seed)
     interventions = defender.interventions
     return LoopReport(

@@ -3,9 +3,11 @@
 import concurrent.futures
 import contextlib
 import io
+import itertools
 import json
 import math
 import os
+import pickle
 import subprocess
 import sys
 from pathlib import Path
@@ -421,11 +423,22 @@ class TestLoop:
             decisions = None
         booleans = isinstance(decisions, list) and all(isinstance(d, bool) for d in decisions)
         try:
-            factory = cli._load_approver(f"file:{path}")
+            factory = cli._load_approvals(f"file:{path}")
         except ParseError:
             assert not booleans
             return
-        assert booleans and factory().decisions == decisions
+        assert booleans and list(factory()) == decisions
+
+    @pytest.mark.parametrize("spec, first", [("always", [True] * 3), ("never", []),
+                                             ("file:decisions.json", [True, False, True])])
+    def test_each_call_of_the_approvals_factory_starts_at_the_first(self, tmp_path,
+                                                                    monkeypatch, spec, first):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "decisions.json").write_text("[true, false, true]")
+        factory = pickle.loads(pickle.dumps(cli._load_approvals(spec)))
+        one, two = iter(factory()), iter(factory())
+        assert list(itertools.islice(one, 3)) == first
+        assert list(itertools.islice(two, 3)) == first
 
     def test_loop_parallel_matches_serial(self, tmp_path):
         serial, parallel = tmp_path / "s.json", tmp_path / "p.json"
@@ -650,6 +663,22 @@ def test_parallel_evaluate_parent_loads_no_engine_module(footprint_inputs):
                      prelude="import os; os.cpu_count = lambda: 2", cwd=footprint_inputs)
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout.splitlines()[-1]) == [POOL_MODULE]
+
+
+def test_parallel_loop_parent_loads_the_loop_before_the_pool(footprint_inputs):
+    """Forked workers then inherit `acdsim.loop` and numpy, not import them each."""
+    prelude = """\
+import concurrent.futures, os
+os.cpu_count = lambda: 2
+init = concurrent.futures.ProcessPoolExecutor.__init__
+def recording_init(self, *args, **kwargs):
+    print("loop loaded:", "acdsim.loop" in sys.modules, file=sys.stderr)
+    init(self, *args, **kwargs)
+concurrent.futures.ProcessPoolExecutor.__init__ = recording_init"""
+    proc = run_fresh(["loop", "--autonomy", "auto", "--seed", "2", "--episodes", "2",
+                      "--parallel", "2", "--out", "r.json"], prelude=prelude, cwd=footprint_inputs)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr.splitlines() == ["loop loaded: True"]
 
 
 @pytest.mark.parametrize("args", [

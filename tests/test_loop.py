@@ -1,6 +1,7 @@
 """Intervention selection, action mapping, and the closed loop."""
 
 import hashlib
+import itertools
 import json
 import os
 import random
@@ -28,13 +29,10 @@ from acdsim.detect import EmissionNoise, extract_indicators
 from acdsim.errors import SpecError
 from acdsim.game import episode_to_jsonl, extract_episode_jsonl, run_episode, verify_replay
 from acdsim.loop import (
-    AlwaysApprove,
     AutonomyLevel,
     InterventionPlan,
     LoopConfig,
     LoopDefender,
-    NeverApprove,
-    ScriptedApprover,
     _plan,
     _window,
     map_intervention_to_action,
@@ -249,15 +247,14 @@ class TestRunLoop:
 
     def test_confirm_never_approve_applies_nothing(self, enterprise):
         cfg = LoopConfig(autonomy=AutonomyLevel.CONFIRM)
-        report = run_loop(enterprise, cfg, seed=3, approval=NeverApprove())
+        report = run_loop(enterprise, cfg, seed=3, approvals=())
         assert report.summary["proposed"] > 0
         assert report.summary["applied"] == 0
         assert all(i["approved"] is False for i in report.interventions)
 
     def test_confirm_approval_discipline(self, enterprise):
         cfg = LoopConfig(autonomy=AutonomyLevel.CONFIRM)
-        report = run_loop(enterprise, cfg, seed=3,
-                          approval=ScriptedApprover([True, False, True]))
+        report = run_loop(enterprise, cfg, seed=3, approvals=[True, False, True])
         assert any(i["applied"] for i in report.interventions)
         for record in report.interventions:
             if record["applied"]:
@@ -268,8 +265,23 @@ class TestRunLoop:
     def test_confirm_always_matches_auto_trajectory(self, enterprise):
         auto = run_loop(enterprise, LoopConfig(autonomy=AutonomyLevel.AUTO), seed=7)
         confirmed = run_loop(enterprise, LoopConfig(autonomy=AutonomyLevel.CONFIRM),
-                             seed=7, approval=AlwaysApprove())
+                             seed=7, approvals=itertools.repeat(True))
         assert episode_to_jsonl(auto.log) == episode_to_jsonl(confirmed.log)
+
+    @pytest.mark.parametrize("autonomy", list(AutonomyLevel), ids=lambda a: a.value)
+    def test_decisions_are_read_only_at_confirm_one_per_proposal(self, enterprise, autonomy):
+        decisions = iter([True] * 100)
+        report = run_loop(enterprise, LoopConfig(autonomy=autonomy), seed=3,
+                          approvals=decisions)
+        proposed = report.summary["proposed"]
+        assert 0 < proposed < 100
+        read = 100 - len(list(decisions))
+        assert read == (proposed if autonomy is AutonomyLevel.CONFIRM else 0)
+
+    def test_confirm_without_approvals_refuses_every_proposal(self, enterprise):
+        report = run_loop(enterprise, LoopConfig(autonomy=AutonomyLevel.CONFIRM), seed=3)
+        assert report.summary["proposed"] > 0
+        assert all(i["approved"] is False for i in report.interventions)
 
     def test_same_seed_identical_reports(self, enterprise):
         cfg = LoopConfig(autonomy=AutonomyLevel.AUTO)
@@ -288,10 +300,8 @@ class TestRunLoop:
         seed = 17
         for autonomy in AutonomyLevel:
             cfg = LoopConfig(autonomy=autonomy)
-            report = run_loop(enterprise, cfg, seed,
-                              approval=ScriptedApprover([True, False]))
-            policy = LoopDefender(enterprise, cfg, seed,
-                                  approval=ScriptedApprover([True, False]))
+            report = run_loop(enterprise, cfg, seed, approvals=[True, False])
+            policy = LoopDefender(enterprise, cfg, seed, approvals=[True, False])
             log = run_episode(enterprise, policy,
                               LateralAttacker(enterprise.attacker.spread), seed)
             assert episode_to_jsonl(log) == episode_to_jsonl(report.log)

@@ -38,10 +38,11 @@ from .netmodel import Scenario
 # ---------------------------------------------------------------------------
 
 class LateralAttacker:
-    """The scripted frontier attacker; stateless and deterministic."""
+    """The scripted frontier attacker: deterministic, one object per distinct attack."""
 
     def __init__(self, spread: int):
         self.spread = spread
+        self._actions: dict[tuple[int, ...], AttackerAction] = {}  # by chosen nodes, ascending
 
     def act(self, view: AttackerView, rng) -> AttackerAction:
         """Pick up to `spread` frontier nodes to attack.
@@ -69,7 +70,11 @@ class LateralAttacker:
             return (group, n)
 
         chosen = sorted(frontier, key=priority)[:self.spread]
-        return AttackerAction(frozenset(chosen))
+        key = tuple(sorted(chosen))  # the same nodes picked in another order: one attack
+        action = self._actions.get(key)
+        if action is None:
+            action = self._actions[key] = AttackerAction(frozenset(chosen))
+        return action
 
     def observe(self, outcome: StepOutcome) -> None:
         pass

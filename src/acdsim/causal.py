@@ -576,19 +576,22 @@ class DbnEngine:
         if weights is None:
             return None
         alpha = self._init * weights[0] if 0 in weights else self._init
-        alphas, scales = [alpha], []
-        for t in range(1, self.T):
-            c = alpha.sum()
-            if c == 0.0:
-                return None
-            nxt = np.matmul(alpha[:, None, :], self._trans[t - 1])[:, 0, :]
-            alpha = (nxt * weights[t] if t in weights else nxt) / c
-            alphas.append(alpha)
-            scales.append(c)
         c = alpha.sum()
         if c == 0.0:
             return None
-        scales.append(c)
+        alphas, scales = [alpha], [c]
+        for t in range(1, self.T):
+            nxt = np.matmul(alpha[:, None, :], self._trans[t - 1])[:, 0, :]
+            alpha = (nxt * weights[t] if t in weights else nxt) / c
+            c = alpha.sum()
+            if c == 0.0 and t in weights:
+                # the product can underflow where the divided one does not
+                alpha = nxt / scales[-1] * weights[t]
+                c = alpha.sum()
+            if c == 0.0:
+                return None
+            alphas.append(alpha)
+            scales.append(c)
         alphas[-1] = alpha / c
         return weights, alphas, scales
 

@@ -148,6 +148,8 @@ class GameState:
     # (frozenset(attacker_known), known_nodes, known_unlocks) of the last
     # attacker view; knowledge changes on few steps, so most views reuse it
     _attacker_maps: tuple | None = field(default=None, init=False, repr=False, compare=False)
+    # an event's fields -> the one `Event` this episode built for them (`_event`)
+    _events: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def target_seen(self) -> int | None:
         target = self.scenario.topology.target_id
@@ -285,6 +287,14 @@ def _check_attacker_action(st: GameState, a: AttackerAction) -> list[int]:
     return attempts
 
 
+def _event(table: dict, *fields) -> Event:
+    """The `Event` of `fields`, in `Event` order, built once per `table`."""
+    event = table.get(fields)
+    if event is None:
+        event = table[fields] = Event(*fields)
+    return event
+
+
 def step(st: GameState, d: DefenderAction, a: AttackerAction) -> tuple[GameState, StepOutcome]:
     """Advance one step; mutates `st` in place and returns it with the outcome.
 
@@ -300,6 +310,7 @@ def step(st: GameState, d: DefenderAction, a: AttackerAction) -> tuple[GameState
     topo = s.topology
     costs = s.costs
     draw = st.rng.random
+    table = st._events
     events: list[Event] = []
     action_cost = 0.0
 
@@ -307,21 +318,21 @@ def step(st: GameState, d: DefenderAction, a: AttackerAction) -> tuple[GameState
     if d.kind == "patch":
         st.defence_now[d.node] = min(1.0, st.defence_now[d.node] + costs.patch_delta)
         action_cost += costs.patch_cost + costs.patch_usability
-        events.append(Event("patch", d.node))
+        events.append(_event(table, "patch", d.node))
     elif d.kind == "restore":
         st.compromised.discard(d.node)
         action_cost += costs.restore_cost + costs.restore_usability
-        events.append(Event("restore", d.node))
+        events.append(_event(table, "restore", d.node))
     elif d.kind == "isolate":
         st.isolation[d.node] = max(st.isolation.get(d.node, 0), d.duration)
-        events.append(Event("isolate", d.node, duration=d.duration))
+        events.append(_event(table, "isolate", d.node, None, (), None, None, d.duration))
     elif d.kind == "scan":
         u = draw()
         truly = d.node in st.compromised
         result = (u < s.alerts.scan_tpr) if truly else (u < s.alerts.scan_fpr)
         st.scan_results[d.node] = (st.t, result)
         action_cost += costs.scan_cost
-        events.append(Event("scan", d.node, result=result))
+        events.append(_event(table, "scan", d.node, None, (), result))
 
     # isolation keeps nodes offline; charge every node-step it is in effect
     action_cost += costs.isolate_cost_per_step * len(st.isolation)
@@ -331,20 +342,20 @@ def step(st: GameState, d: DefenderAction, a: AttackerAction) -> tuple[GameState
     newly: list[int] = []
     for n in attempts:
         if n in st.isolation or n in st.compromised:
-            events.append(Event("attempt", n, outcome=ATTEMPT_SKIPPED))
+            events.append(_event(table, "attempt", n, ATTEMPT_SKIPPED))
             continue
         node = topo.node(n)
         cred_held = bool(st.attacker_creds & node.unlocks)
         p = compromise_probability(s.attacker.strength, node, st.defence_now[n], cred_held)
         success = draw() < p
         alert_u = draw()
-        events.append(Event("attempt", n, outcome=ATTEMPT_SUCCESS if success else ATTEMPT_FAIL))
+        events.append(_event(table, "attempt", n, ATTEMPT_SUCCESS if success else ATTEMPT_FAIL))
         if success:
             newly.append(n)
         threshold = s.alerts.p_alert_success if success else s.alerts.p_alert_fail
         if alert_u < threshold:
             kind = ALERT_ATTEMPT_SUCCESS if success else ALERT_ATTEMPT_FAIL
-            events.append(Event("alert", n, alert_kind=kind))
+            events.append(_event(table, "alert", n, None, (), None, kind))
 
     # (3) loot newly compromised nodes
     st.compromised.update(newly)
@@ -352,7 +363,7 @@ def step(st: GameState, d: DefenderAction, a: AttackerAction) -> tuple[GameState
         creds = topo.node(n).creds_stored
         if creds:
             st.attacker_creds.update(creds)
-            events.append(Event("loot", n, creds=tuple(sorted(creds))))
+            events.append(_event(table, "loot", n, None, tuple(sorted(creds))))
 
     # (4) knowledge growth
     for n in newly:
@@ -361,7 +372,7 @@ def step(st: GameState, d: DefenderAction, a: AttackerAction) -> tuple[GameState
     # (5) false alerts, ascending node id
     for n in topo.node_ids:
         if draw() < s.alerts.p_false_alert:
-            events.append(Event("alert", n, alert_kind=ALERT_FALSE_POSITIVE))
+            events.append(_event(table, "alert", n, None, (), None, ALERT_FALSE_POSITIVE))
     st.last_alerts = tuple(sorted(e.node for e in events if e.kind == "alert"))
 
     # (6) isolation timers

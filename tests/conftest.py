@@ -17,7 +17,15 @@ from dataclasses import asdict
 import pytest
 from hypothesis import strategies as st
 
-from acdsim.agents import META_ACTIONS, LateralAttacker, RandomDefender
+from acdsim.agents import (
+    META_ACTIONS,
+    LateralAttacker,
+    LearningParams,
+    NopDefender,
+    QDefender,
+    RandomDefender,
+    train,
+)
 from acdsim.causal import (
     Cgm,
     DbnEngine,
@@ -27,6 +35,7 @@ from acdsim.causal import (
     emission_var,
     interventional,
 )
+from acdsim.cli import default_scenario_path
 from acdsim.detect import TACTICS, EmissionNoise, IndicatorSequence
 from acdsim.errors import ValidationError
 from acdsim.game import PASS, episode_to_jsonl, run_episode
@@ -224,6 +233,19 @@ class PassingAttacker:
 @pytest.fixture
 def chain3() -> Scenario:
     return load_scenario(json.dumps(chain3_doc()))
+
+
+@pytest.fixture(scope="session")
+def enterprise8_logs() -> dict:
+    """{defender name: the logs of the bundled enterprise8 scenario at seeds
+    0-19} for the nop, the random and a Q defender trained for 50 episodes."""
+    with open(default_scenario_path(), encoding="utf-8") as fh:
+        s = load_scenario(fh.read())
+    table = train(s, LearningParams(episodes=50), 0)[0]
+    defenders = {"nop": NopDefender, "random": RandomDefender, "q": lambda: QDefender(table)}
+    return {name: [run_episode(s, make(), LateralAttacker(s.attacker.spread), seed)
+                   for seed in range(20)]
+            for name, make in defenders.items()}
 
 
 def random_scenario_doc(rng: random.Random, deterministic: bool = False) -> dict:

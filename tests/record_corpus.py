@@ -528,7 +528,12 @@ MALFORMED = [
     ["loop", "--seed", "-1", "--out", "bad.json"],
 ]
 
-CASES = VALID + MALFORMED
+# cases added after the corpus's first record, appended so that no earlier
+# record moves: a benign per-step divisor of about 1e-100, whose product with
+# the next slice's weights underflows unless the filter divides first
+CASES = VALID + MALFORMED + [
+    ["detect", "--log", "one.jsonl", "--noise", "0.2,1e-100"],
+]
 
 
 def run_case(argv: list[str], command: list[str] | None = None) -> tuple[int, str, str]:

@@ -91,6 +91,21 @@ class TestLateralAttacker:
             {0: (1, 2, 3), 1: (0,), 2: (0,), 3: (0,)}, {0}, target_seen=3)
         assert LateralAttacker(2).act(view, None).attempts == {3, 1}
 
+    def test_the_same_nodes_picked_in_another_order_are_one_action(self):
+        attacker = LateralAttacker(2)
+        graph = {0: (1, 2, 3), 1: (0,), 2: (0,), 3: (0,)}
+        first = attacker.act(make_attacker_view(graph, {0}, target_seen=3), None)
+        again = attacker.act(make_attacker_view(graph, {0}, creds=("k",), target_seen=1,
+                                                unlocks={3: ("k",)}), None)
+        assert first is again and first.attempts == {1, 3}
+        assert LateralAttacker(2).act(make_attacker_view(graph, {0}), None) is not first
+
+    @pytest.mark.parametrize("defender", ["nop", "random", "q"])
+    def test_an_episode_builds_each_distinct_attack_once(self, enterprise8_logs, defender):
+        for log in enterprise8_logs[defender]:
+            actions = [rec.attacker for rec in log.steps]
+            assert len({id(a) for a in actions}) == len(set(actions))
+
 
 class TestFeaturize:
     def test_all_quiet(self):

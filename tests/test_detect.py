@@ -7,6 +7,8 @@ import math
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from acdsim.agents import LateralAttacker, NopDefender
 from acdsim import causal
@@ -133,6 +135,22 @@ class TestSequenceLoglik:
         seq = make_sequence([(0, 0, 0)])
         with pytest.raises(SpecError, match="slices"):
             sequence_loglik(m, seq, EmissionNoise())
+
+    @settings(max_examples=80, deadline=None)
+    @given(topology=st.sampled_from(Topology), slices=st.integers(1, 16),
+           rows=st.lists(st.tuples(*[st.integers(0, 1)] * 3), min_size=16, max_size=16),
+           miss=st.floats(0.0, 1.0),
+           false_pos=st.floats(1e-100, 1.0, exclude_max=True))
+    def test_a_benign_loglik_of_normal_frame_likelihoods_is_finite(
+            self, topology, slices, rows, miss, false_pos):
+        """Under the benign model a frame's likelihood is a product of at
+        most three factors, each false_pos or 1 - false_pos, so at least
+        1e-300, a normal float: the forward filter must not underflow to
+        "impossible" on the product of two such small numbers."""
+        benign = benign_model_like(build_topology(DbnSpec(topology, slices)))
+        ll = sequence_loglik(benign, make_sequence(rows[:slices]),
+                             EmissionNoise(miss=miss, false_pos=false_pos))
+        assert math.isfinite(ll)
 
     def test_likelihood_is_proper_distribution(self):
         noise = EmissionNoise()

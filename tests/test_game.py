@@ -476,6 +476,26 @@ def test_isolation_timers_stay_positive_and_views_show_them_all(seed, bundled, l
         assert defender_view(state).isolation == state.isolation
 
 
+@pytest.mark.parametrize("defender", ["nop", "random", "q"])
+def test_an_episode_builds_each_distinct_event_once(enterprise8_logs, defender):
+    """Equal events of one episode are one object: the step reuses the
+    event its episode built first."""
+    for log in enterprise8_logs[defender]:
+        events = [e for rec in log.steps for e in rec.outcome.events]
+        assert len({id(e) for e in events}) == len(set(events))
+
+
+def test_two_episodes_share_no_event():
+    """The events an episode builds are freed with it: a later episode,
+    even of the same seed, builds its own."""
+    s = enterprise8()
+    first, second = (run_episode(s, RandomDefender(), LateralAttacker(s.attacker.spread), 3)
+                     for _ in range(2))
+    ids = [{id(e) for rec in log.steps for e in rec.outcome.events} for log in (first, second)]
+    assert ids[0] and ids[0].isdisjoint(ids[1])
+    assert episode_to_jsonl(first) == episode_to_jsonl(second)
+
+
 class TestPinnedBytes:
     """sha256 of outputs recorded before the game's per-scenario and per-view
     caches went in; a change to any byte of a log or a trained Q-table fails

@@ -1,10 +1,12 @@
 """Shared helpers: the typed reader of JSON input, canonical and indented
-JSON, versioned CSV, digests, and derived RNG stream seeds."""
+JSON, versioned CSV, digests, derived RNG stream seeds, and `left_sum`."""
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
+import operator
 import sys
 from json.encoder import encode_basestring_ascii as _quote  # the C escaper when built
 
@@ -213,6 +215,13 @@ def versioned_csv(header: str, rows) -> str:
 
 def sha256_hex(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+def left_sum(values) -> float:
+    """The floats added left to right from 0.0, as `sum` adds them before
+    CPython 3.12, whose compensated `sum` moves last bits: this gives 0.0
+    for [1e16, 1.0, -1e16] on every Python, and 3.12's `sum` 1.0."""
+    return functools.reduce(operator.add, values, 0.0)
 
 
 def child_seed(seed: int, label: str) -> int:

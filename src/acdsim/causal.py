@@ -22,7 +22,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ._util import at, indented_json, json_object, member, parse_json, typed
+from ._util import at, indented_json, json_object, left_sum, member, parse_json, typed
 from .config import SMOOTH_SLICE_LIMIT, DbnParams, DbnSpec, Topology
 from .errors import (
     EvidenceOrderingError,
@@ -534,17 +534,20 @@ class DbnEngine:
         if len(frames) > self.T:
             raise SpecError(f"{len(frames)} frames for a model of {self.T} slices")
         miss, false_pos = miss + 0.0, false_pos + 0.0
-        out = []
+        out, emit = [], None
         for bits, layout, frame in zip(self.bits, self._frame_layout, frames):
             key = (layout, tuple(frame.items()), miss, false_pos)
             if (lik := self._frame_table.get(key)) is None:
-                # observed bit -> [p(bit | variable = 0), p(bit | variable = 1)]
-                emit = {0: np.array([1.0 - false_pos, miss]), 1: np.array([false_pos, 1.0 - miss])}
+                if emit is None:  # built on the call's first miss
+                    # observed bit -> [p(bit | variable = 0), p(bit | variable = 1)]
+                    emit = {0: np.array([1.0 - false_pos, miss]),
+                            1: np.array([false_pos, 1.0 - miss])}
+                    other = np.zeros(2)
                 observed = dict(layout[1])
                 lik = np.ones((1, bits.shape[1]))
                 for name, bit in frame.items():
                     if name in observed:
-                        lik = lik * emit.get(bit, np.zeros(2))[bits[observed[name]]]
+                        lik = lik * emit.get(bit, other)[bits[observed[name]]]
                 lik.flags.writeable = False
                 self._frame_table[key] = lik
             out.append(lik)
@@ -614,7 +617,7 @@ class DbnEngine:
     def loglik(self, evidence: Assignment, likelihoods=()) -> float:
         """log p(evidence); -inf when the evidence is impossible. Forward only."""
         fwd = self._forward(evidence, likelihoods)
-        return sum(math.log(c) for c in fwd[2]) if fwd is not None else float("-inf")
+        return left_sum(math.log(c) for c in fwd[2]) if fwd is not None else float("-inf")
 
     def posteriors(self, evidence: Assignment,
                    likelihoods=()) -> tuple[np.ndarray, np.ndarray, float]:
@@ -642,7 +645,7 @@ class DbnEngine:
             rows = [(a * b).reshape(-1) @ r for a, b, r in zip(alphas, betas, self._readout)]
             own = np.concatenate([row[n:] / row[0] for row in rows])
         return (np.concatenate([rows[0][1:n] / rows[0][0], own]), alphas[-1],
-                sum(math.log(c) for c in scales))
+                left_sum(math.log(c) for c in scales))
 
     def prediction_vectors(self, target: Assignment, evidence: Assignment,
                            s: int) -> tuple[np.ndarray, np.ndarray]:

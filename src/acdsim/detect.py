@@ -11,16 +11,18 @@ compromise attempt, Y fires on any credential loot. Noise flips each bit
 independently: 1 -> 0 with probability `miss`, 0 -> 1 with `false_pos`, one
 draw per bit in frame order, tactics ordered Z, X, Y. A model's slice count
 is its `DbnEngine`'s: a model the engine refuses raises its TooLargeError,
-and one whose slice count is not the frame count SpecError.
+and one whose slice count is not the frame count SpecError. `classify`
+scores the null model without an engine, to the engine's bits.
 """
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 
 from . import __version__
-from ._util import indented_json, versioned_csv
+from ._util import indented_json, left_sum, versioned_csv
 from .causal import Cgm, DbnEngine, check_smoothing_slices
 from .config import EmissionNoise
 from .errors import SpecError, ZeroEvidenceError
@@ -152,13 +154,46 @@ def benign_model_like(m: Cgm) -> Cgm:
     )
 
 
+def _null_loglik(seq: IndicatorSequence, benign: Cgm, malign: Cgm,
+                 emission: EmissionNoise) -> float | None:
+    """`sequence_loglik(benign, seq, emission)` to the bit, without an engine,
+    if `benign` is `benign_model_like(malign)` and keeps a variable in every
+    slice; else None. Its transitions send every state to the all-off one
+    with factor 1.0, so the engine's filter adds only exact zeros to the
+    scalar c_t = (c_{t-1} * p_t) / c_{t-1}, p_t the frame's likelihood when
+    all is off. For use after `malign`'s engine checked noise and slices."""
+    null = tuple(v for v in malign.variables if v not in malign.latent)
+    observed = [set() for _ in seq.frames]  # per slice, the names of its variables
+    for v in null:
+        if v.slice is not None:
+            observed[v.slice].add(v.name)
+    if (benign.variables != null or benign.latent or not all(observed)
+            or any(benign.parents.get(v) or benign.cpts[v] != (0.0,) for v in null)):
+        return None
+    false_pos = emission.false_pos + 0.0
+    emit = {0: 1.0 - false_pos, 1: false_pos}  # observed bit -> p(bit | off)
+    c, logs = 1.0, []
+    for names, frame in zip(observed, seq.frames):
+        p = 1.0
+        for name, bit in frame.items():  # in frame order, as `frame_likelihoods`
+            if name in names:
+                p *= emit.get(bit, 0.0)
+        # c_0 = p_0; divided first where the product underflows, as `_forward`
+        c = c * p / c or c / c * p
+        if c == 0.0:
+            return float("-inf")
+        logs.append(math.log(c))
+    return left_sum(logs)
+
+
 def classify(seq: IndicatorSequence, benign: Cgm, malign: Cgm,
              emission: EmissionNoise, threshold: float = 0.0) -> DetectionResult:
     """Label a sequence by log-likelihood ratio, with the smoothed posterior
     of every tactic under the malign model as supporting trace, both from one
     filter pass. A sequence the malign model cannot produce has llr -inf (0.0
     if the benign model cannot either) and an empty trace row per frame.
-    More than 16 frames raise TooLargeError before any engine is built."""
+    More than 16 frames raise TooLargeError before any engine is built. The
+    null model `benign_model_like(malign)` needs none; any other, `sequence_loglik`."""
     check_smoothing_slices(len(seq.frames))
     engine = _engine_for(malign, seq)
     trace = [{} for _ in seq.frames]
@@ -171,7 +206,9 @@ def classify(seq: IndicatorSequence, benign: Cgm, malign: Cgm,
         for v, p in zip(engine.outputs, smoothed.tolist()):
             if v.name in TACTICS and v.slice is not None:
                 trace[v.slice][v.name] = p
-    ll_benign = sequence_loglik(benign, seq, emission)
+    ll_benign = _null_loglik(seq, benign, malign, emission)
+    if ll_benign is None:
+        ll_benign = sequence_loglik(benign, seq, emission)
     if ll_malign == float("-inf") and ll_benign == float("-inf"):
         llr = 0.0
     else:

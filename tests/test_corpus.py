@@ -180,6 +180,11 @@ UNRUN = [
     ('causal', 'DbnEngine.posteriors',
      'rows = [(a * b).reshape(-1) @ r for a, b, r in zip(alphas, betas, self._readout)]',
      1, 'library'),
+    ('detect', '_null_loglik', 'return None', 1, 'library'),
+    ('detect', 'classify', 'll_benign = sequence_loglik(benign, seq, emission)', 1, 'library'),
+    ('detect', 'sequence_loglik', 'engine = _engine_for(m, seq)', 1, 'library'),
+    ('detect', 'sequence_loglik',
+     'return engine.loglik({}, engine.frame_likelihoods(seq.frames, *emission))', 1, 'library'),
     ('_util', '_emit',
      'raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")',
      1, 'fault net'),

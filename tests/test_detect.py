@@ -5,6 +5,7 @@ import json
 import itertools
 import math
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -32,6 +33,9 @@ from acdsim.netmodel import load_scenario
 from .conftest import PassingAttacker, chain3_doc, sample_indicator_sequence
 
 ZERO_NOISE = EmissionNoise(miss=0.0, false_pos=0.0)
+# a noise probability: the edges, uniform, or log-uniform down to 1e-300
+NOISE = (st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0)
+         | st.floats(-300.0, 0.0).map(lambda e: 10.0 ** e))
 
 
 def make_sequence(bit_rows) -> IndicatorSequence:
@@ -223,12 +227,12 @@ class TestClassify:
                         - sequence_loglik(benign, seq, EmissionNoise()))
         built.clear()
         result = classify(seq, benign, malign, EmissionNoise())
-        assert len(built) == 2  # one malign, one benign
+        assert built == [malign]  # the null model is scored without one
         assert result.llr == expected_llr
 
     def test_one_filter_pass_per_model(self, models_t4, monkeypatch):
         """The malign model's one pass gives its likelihood and the trace; the
-        benign model is filtered once, by `sequence_loglik`."""
+        null model is scored without a filter pass."""
         benign, malign = models_t4
         calls = []
         forward = causal.DbnEngine._forward
@@ -236,7 +240,7 @@ class TestClassify:
                             calls.append(self.m) or forward(self, *a))
         seq = make_sequence([(1, 0, 1), (0, 0, 0), (1, 1, 1), (0, 1, 0)])
         classify(seq, benign, malign, EmissionNoise())
-        assert calls == [malign, benign]
+        assert calls == [malign]
 
     @pytest.mark.parametrize("call", [
         lambda seq, m: classify(seq, benign_model_like(m), m, EmissionNoise()),
@@ -300,7 +304,7 @@ class TestClassify:
             malign = build_topology(DbnSpec(Topology.CHAIN_A, len(seq.frames)))
             calls.clear()
             classify(seq, benign_model_like(malign), malign, EmissionNoise())
-            (engine, likelihoods), _ = calls  # the malign, then the benign engine
+            (engine, likelihoods), = calls  # the malign engine; the null model needs none
             assert engine.m is malign
             assert len({id(a) for a in likelihoods}) == len(engine._frame_table)
             assert len(engine._frame_table) == len({tuple(f.items()) for f in seq.frames})
@@ -308,6 +312,78 @@ class TestClassify:
             frames += len(seq.frames)
             arrays += len(engine._frame_table)
         assert (logs, frames, arrays) == (88, 1090, 406)
+
+    @settings(max_examples=300, deadline=None)
+    @given(topology=st.sampled_from(Topology), slices=st.integers(1, 16),
+           confounder=st.booleans(),
+           rows=st.lists(st.tuples(*[st.integers(0, 1)] * 3), min_size=16, max_size=16),
+           miss=NOISE, false_pos=NOISE)
+    def test_the_null_model_is_scored_without_an_engine_to_the_same_bits(
+            self, topology, slices, confounder, rows, miss, false_pos):
+        """classify's llr against `benign_model_like(malign)` is the one that
+        `sequence_loglik` gives for the pair, -inf and underflowing products
+        included, and only the malign engine is built."""
+        malign = build_topology(DbnSpec(topology, slices, per_slice_confounder=confounder))
+        self.assert_null_scored_bit_for_bit(malign, make_sequence(rows[:slices]),
+                                            EmissionNoise(miss=miss, false_pos=false_pos))
+
+    @staticmethod
+    def assert_null_scored_bit_for_bit(malign, seq, noise):
+        benign = benign_model_like(malign)
+        ll_malign, ll_benign = (sequence_loglik(m, seq, noise) for m in (malign, benign))
+        expected = 0.0 if ll_malign == ll_benign == float("-inf") else ll_malign - ll_benign
+        built = []
+        init = causal.DbnEngine.__init__
+
+        def counting_init(self, m):
+            built.append(m)
+            init(self, m)
+
+        with mock.patch.object(causal.DbnEngine, "__init__", counting_init):
+            result = classify(seq, benign, malign, noise)
+        assert built == [malign]
+        assert repr(result.llr) == repr(expected)
+
+    def test_a_non_latent_global_is_scored_without_an_engine(self):
+        """The null model keeps a non-latent global, parentless and off, and
+        drops a latent per-slice variable; neither changes the recursion."""
+        G = VarId("G")
+        variables, parents, cpts = [G], {G: ()}, {G: (0.3,)}
+        for t in range(3):
+            Z, X, L = VarId("Z", t), VarId("X", t), VarId("L", t)
+            variables += [Z, X, L]
+            parents.update({Z: (G,), X: (Z,), L: (X,)})
+            cpts.update({Z: (0.1, 0.8), X: (0.05, 0.9), L: (0.2, 0.7)})
+        malign = Cgm(variables=tuple(variables), parents=parents, cpts=cpts,
+                     latent=frozenset(v for v in variables if v.name == "L"))
+        for rows in ([(1, 0, 1), (0, 1, 0), (1, 1, 1)],
+                     [(1, 0, 2), (0, 1, 0), (1, 1, 1)],   # no Y variable: skipped
+                     [(0, 0, 0), (0, 2, 0), (1, 1, 1)]):  # a bit outside 0/1: -inf
+            for noise in (EmissionNoise(), EmissionNoise(miss=0.3, false_pos=1e-170)):
+                self.assert_null_scored_bit_for_bit(malign, make_sequence(rows), noise)
+
+    @pytest.mark.parametrize("latent_slice, error, message", [
+        (1, TooLargeError, "^model slices are not contiguous from 0$"),
+        (2, SpecError, "^model has 2 slices but the sequence has 3 frames$"),
+    ], ids=["middle", "last"])
+    def test_a_slice_of_only_latent_variables_takes_the_engine_route(
+            self, latent_slice, error, message):
+        """The null model of a malign model with a slice of latent variables
+        only lacks that slice, so it is scored by `sequence_loglik`, whose
+        engine refuses it as before."""
+        variables, parents, cpts = [], {}, {}
+        for t in range(3):
+            names = ("L",) if t == latent_slice else ("Z", "X")
+            for name in names:
+                v = VarId(name, t)
+                variables.append(v)
+                parents[v] = ()
+                cpts[v] = (0.4,)
+        malign = Cgm(variables=tuple(variables), parents=parents, cpts=cpts,
+                     latent=frozenset({VarId("L", latent_slice)}))
+        seq = make_sequence([(0, 1, 0)] * 3)
+        with pytest.raises(error, match=message):
+            classify(seq, benign_model_like(malign), malign, EmissionNoise())
 
     @pytest.mark.parametrize("rows, llr", [
         ([(0, 0, 0)] * 4, float("-inf")),

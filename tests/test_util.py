@@ -1,7 +1,8 @@
 """`_util.indented_json` and every JSON file writer that uses it: the text is
 what `json.dumps(obj, sort_keys=True, indent=2)` writes for the same object.
 The typed reader of JSON input: `parse_json` decodes as `json.loads` does,
-and `typed`, `member` and `json_object` keep the house rules."""
+and `typed`, `member` and `json_object` keep the house rules. `left_sum`
+adds floats left to right on every Python."""
 
 import json
 import math
@@ -11,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from acdsim import agents, causal, detect, game, loop, netmodel
-from acdsim._util import indented_json, json_object, member, parse_json, typed
+from acdsim._util import indented_json, json_object, left_sum, member, parse_json, typed
 from acdsim.errors import ParseError
 from acdsim.cli import default_scenario_path, main
 
@@ -58,6 +59,22 @@ class TestIndentedJson:
     def test_non_json_value_raises_type_error(self, value):
         with pytest.raises(TypeError):
             indented_json(value)
+
+
+class TestLeftSum:
+    def test_no_compensation(self):
+        """CPython 3.12's `sum` compensates and gives 1.0 here."""
+        assert repr(left_sum([1e16, 1.0, -1e16])) == "0.0"
+        assert repr(left_sum(x for x in (-0.0,))) == "0.0"
+        assert left_sum([]) == 0.0
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.floats(allow_nan=False, allow_infinity=False), max_size=20))
+    def test_adds_left_to_right_from_zero(self, values):
+        total = 0.0
+        for x in values:
+            total += x
+        assert repr(left_sum(values)) == repr(total)
 
 
 @pytest.fixture(scope="module")

@@ -23,7 +23,7 @@ from importlib import resources
 
 from . import __version__
 from . import agents, config, game, netmodel
-from ._util import indented_json, parse_json, typed, versioned_csv
+from ._util import indented_json, left_sum, parse_json, typed, versioned_csv
 from .errors import AcdError, ParseError, ReplayMismatchError, SpecError, ValidationError
 
 EXIT_OK = 0
@@ -110,7 +110,7 @@ def _parse_noise(text: str) -> config.EmissionNoise:
 
 
 def _mean(values: list) -> float:
-    return sum(values) / len(values) if values else 0.0
+    return left_sum(values) / len(values) if values else 0.0
 
 
 def _episode_seeds(args) -> list[int]:
@@ -168,7 +168,7 @@ def cmd_train(args) -> list:
     outputs = [(args.out, table.save() + "\n")]
     if args.curve:
         outputs.append((args.curve, agents.curve_to_csv(curve)))
-    mean_tail = (sum(curve[-100:]) / min(len(curve), 100)) if curve else 0.0
+    mean_tail = (left_sum(curve[-100:]) / min(len(curve), 100)) if curve else 0.0
     return [*outputs, _summary(episodes=len(curve), keys=len(table.values),
                                mean_return_last_100=mean_tail)]
 

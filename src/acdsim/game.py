@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 from . import __version__
-from ._util import canonical_json, child_seed, json_object, member, parse_json
+from ._util import canonical_json, child_seed, json_object, left_sum, member, parse_json
 from .errors import (
     IllegalActionError,
     ParseError,
@@ -150,6 +150,8 @@ class GameState:
     _attacker_maps: tuple | None = field(default=None, init=False, repr=False, compare=False)
     # an event's fields -> the one `Event` this episode built for them (`_event`)
     _events: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    # (reward, cause, ids of the events) -> the one `StepOutcome` built for them
+    _outcomes: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def target_seen(self) -> int | None:
         target = self.scenario.topology.target_id
@@ -396,7 +398,15 @@ def step(st: GameState, d: DefenderAction, a: AttackerAction) -> tuple[GameState
         cause = HORIZON_REACHED
     st.terminal = cause
 
-    return st, StepOutcome(reward=reward, events=tuple(events), terminal_cause=cause)
+    # the events are this episode's own objects, so their ids stand for them.
+    # 0.0 == -0.0, but a zero reward has one sign per cause in an episode:
+    # the target's loss pays `target_loss_penalty`, and `action_cost` is +0.0
+    # or more, so a zero `survival_bonus - action_cost` has the bonus's sign
+    key = (reward, cause, *map(id, events))
+    outcome = st._outcomes.get(key)
+    if outcome is None:
+        outcome = st._outcomes[key] = StepOutcome(reward, tuple(events), cause)
+    return st, outcome
 
 
 # ---------------------------------------------------------------------------
@@ -420,7 +430,7 @@ class EpisodeLog:
     final: dict
 
     def total_reward(self) -> float:
-        return sum(r.outcome.reward for r in self.steps)
+        return left_sum(r.outcome.reward for r in self.steps)
 
     def time_to_target(self) -> int:
         """Step count until target compromise; episode length when it never fell."""
@@ -438,8 +448,10 @@ def run_episode(s: Scenario, defender, attacker, seed: int,
     def_rng = random.Random(child_seed(seed, "defender"))
     atk_rng = random.Random(child_seed(seed, "attacker"))
     records: list[StepRecord] = []
+    actions: dict[DefenderAction, DefenderAction] = {}  # one object per distinct action
     while st.terminal is None:
         d = defender.act(defender_view(st), def_rng)
+        d = actions.setdefault(d, d)
         a = attacker.act(attacker_view(st), atk_rng)
         t_before = st.t
         st, outcome = step(st, d, a)

@@ -295,6 +295,12 @@ def load_random_scenario(rng: random.Random, deterministic: bool = False) -> Sce
     return load_scenario(json.dumps(random_scenario_doc(rng, deterministic)))
 
 
+def one_object_each(values) -> bool:
+    """Whether `values` holds one object per distinct value."""
+    values = list(values)
+    return len({id(v) for v in values}) == len(set(values))
+
+
 # ---------------------------------------------------------------------------
 # Embedded 4-state / 2-action MDP with a value-iteration oracle
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@
 import dataclasses
 import hashlib
 import json
+import math
 import pickle
 import random
 import re
@@ -71,6 +72,8 @@ from .conftest import (
     PassingAttacker,
     load_random_scenario,
     mutated,
+    one_object_each,
+    random_scenario_doc,
     shortest_hops,
 )
 
@@ -486,14 +489,82 @@ def test_an_episode_builds_each_distinct_event_once(enterprise8_logs, defender):
 
 
 def test_two_episodes_share_no_event():
-    """The events an episode builds are freed with it: a later episode,
-    even of the same seed, builds its own."""
+    """The events and outcomes an episode builds are freed with it: a later
+    episode, even of the same seed, builds its own."""
     s = enterprise8()
     first, second = (run_episode(s, RandomDefender(), LateralAttacker(s.attacker.spread), 3)
                      for _ in range(2))
-    ids = [{id(e) for rec in log.steps for e in rec.outcome.events} for log in (first, second)]
+    ids = [{id(x) for rec in log.steps for x in (rec.outcome, *rec.outcome.events)}
+           for log in (first, second)]
     assert ids[0] and ids[0].isdisjoint(ids[1])
     assert episode_to_jsonl(first) == episode_to_jsonl(second)
+
+
+@pytest.mark.parametrize("defender", ["nop", "random", "q"])
+def test_an_episode_keeps_each_distinct_outcome_and_defender_action_once(
+        enterprise8_logs, defender):
+    """Equal outcomes of one episode are one object, with one events tuple,
+    and equal defender actions are one object, whichever policy chose them."""
+    repeats = 0
+    for log in enterprise8_logs[defender]:
+        outcomes = [rec.outcome for rec in log.steps]
+        assert one_object_each(outcomes)
+        assert len({id(outcome.events) for outcome in outcomes}) == len(set(outcomes))
+        assert one_object_each(rec.defender for rec in log.steps)
+        repeats += len(outcomes) - len(set(outcomes))
+    assert repeats
+
+
+# sha256 of the logs of `test_a_zero_reward_keeps_the_sign_of_the_bonus`,
+# recorded before a step's outcomes were shared
+SIGNED_ZERO_LOGS = {
+    "-0.0": "7d8fc6adb40da5d37357049e853a6fe4af9033530919c76d735513d9b5143f86",
+    "0.0": "5fe0fdcea93d11ba32bdbc8a1f56dc38bcc2539ab6e660838e6d4829bcfc3872",
+}
+
+
+@pytest.mark.parametrize("bonus", [-0.0, 0.0], ids=repr)
+def test_a_zero_reward_keeps_the_sign_of_the_bonus(bonus):
+    """0.0 == -0.0, so one shared outcome could stand for both zeros; but in
+    an episode a zero reward of a step that does not lose the target has the
+    sign of `survival_bonus`, and each is written with it."""
+    with open(default_scenario_path(), encoding="utf-8") as fh:
+        doc = json.load(fh)
+    doc["costs"] = {"survival_bonus": bonus}
+    s = load_scenario(json.dumps(doc))
+    digest = hashlib.sha256()
+    for seed in range(10):
+        log = run_episode(s, RandomDefender(), LateralAttacker(s.attacker.spread), seed)
+        zeros = [rec.outcome.reward for rec in log.steps if rec.outcome.reward == 0.0]
+        assert zeros and {math.copysign(1.0, z) for z in zeros} == {math.copysign(1.0, bonus)}
+        digest.update(episode_to_jsonl(log).encode())
+    assert digest.hexdigest() == SIGNED_ZERO_LOGS[repr(bonus)]
+
+
+def test_total_reward_adds_left_to_right():
+    """As `step` adds up `cumulative_reward`, not as CPython 3.12's
+    compensated `sum` would: [1e16, 1.0, -1e16] gives 0.0 on every Python."""
+    s = load_scenario(json.dumps(chain3_doc()))
+    steps = tuple(StepRecord(t, NOP, PASS, StepOutcome(reward, ()))
+                  for t, reward in enumerate([1e16, 1.0, -1e16]))
+    log = EpisodeLog(s, s.digest, 0, game.__version__, steps, {})
+    assert repr(log.total_reward()) == "0.0"
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2 ** 31), cents=st.lists(st.integers(1, 999), min_size=8, max_size=8))
+def test_total_reward_is_the_final_total_bit_for_bit(seed, cents):
+    """On random scenarios whose costs are not dyadic fractions, so that the
+    order of the additions moves last bits, `total_reward()` equals the
+    `final["total_reward"]` that `step` adds up."""
+    doc = random_scenario_doc(random.Random(seed))
+    names = ("patch_cost", "patch_usability", "restore_cost", "restore_usability",
+             "isolate_cost_per_step", "scan_cost", "survival_bonus")
+    doc["costs"] = {name: k / 100 for name, k in zip(names, cents)}
+    doc["costs"]["target_loss_penalty"] = -cents[-1] / 10
+    s = load_scenario(json.dumps(doc))
+    log = run_episode(s, RandomDefender(), LateralAttacker(s.attacker.spread), seed)
+    assert log.total_reward().hex() == log.final["total_reward"].hex()
 
 
 class TestPinnedBytes:

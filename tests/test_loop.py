@@ -40,7 +40,7 @@ from acdsim.loop import (
 )
 from acdsim.netmodel import load_scenario
 
-from .conftest import select_intervention
+from .conftest import one_object_each, select_intervention
 from .test_agents import make_defender_view
 
 
@@ -230,6 +230,16 @@ class TestRunLoop:
                                 LateralAttacker(enterprise.attacker.spread), seed)
             assert episode_to_jsonl(report.log) == episode_to_jsonl(plain)
             assert report.summary["applied"] == 0
+
+    def test_an_auto_episode_keeps_each_distinct_outcome_and_action_once(self, enterprise):
+        """The loop's defender actions and the outcomes of its steps are
+        shared within the episode as every policy's are."""
+        for seed in (0, 1, 2):
+            log = run_loop(enterprise, LoopConfig(autonomy=AutonomyLevel.AUTO), seed).log
+            outcomes = [rec.outcome for rec in log.steps]
+            actions = [rec.defender for rec in log.steps]
+            assert one_object_each(outcomes) and one_object_each(actions)
+            assert len(set(actions)) < len(actions) and len(set(outcomes)) < len(outcomes)
 
     def test_unreachable_threshold_never_proposes(self, enterprise):
         cfg = LoopConfig(autonomy=AutonomyLevel.AUTO, tau=1.1)

@@ -38,11 +38,10 @@ from .netmodel import Scenario
 # ---------------------------------------------------------------------------
 
 class LateralAttacker:
-    """The scripted frontier attacker: deterministic, one object per distinct attack."""
+    """The scripted frontier attacker: deterministic."""
 
     def __init__(self, spread: int):
         self.spread = spread
-        self._actions: dict[tuple[int, ...], AttackerAction] = {}  # by chosen nodes, ascending
 
     def act(self, view: AttackerView, rng) -> AttackerAction:
         """Pick up to `spread` frontier nodes to attack.
@@ -69,12 +68,7 @@ class LateralAttacker:
                 group = 2
             return (group, n)
 
-        chosen = sorted(frontier, key=priority)[:self.spread]
-        key = tuple(sorted(chosen))  # the same nodes picked in another order: one attack
-        action = self._actions.get(key)
-        if action is None:
-            action = self._actions[key] = AttackerAction(frozenset(chosen))
-        return action
+        return AttackerAction(frozenset(sorted(frontier, key=priority)[:self.spread]))
 
     def observe(self, outcome: StepOutcome) -> None:
         pass

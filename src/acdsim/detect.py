@@ -9,10 +9,11 @@ Indicator mapping: Z fires on the beaconing schedule (step 0 and every fifth
 step while anything is compromised at the start of the step), X fires on any
 compromise attempt, Y fires on any credential loot. Noise flips each bit
 independently: 1 -> 0 with probability `miss`, 0 -> 1 with `false_pos`, one
-draw per bit in frame order, tactics ordered Z, X, Y. A model's slice count
-is its `DbnEngine`'s: a model the engine refuses raises its TooLargeError,
-and one whose slice count is not the frame count SpecError. `classify`
-scores the null model without an engine, to the engine's bits.
+draw per bit in frame order, tactics ordered Z, X, Y. The malign model's
+slice count is its `DbnEngine`'s: a model the engine refuses raises its
+TooLargeError, and one whose slice count is not the frame count SpecError.
+`classify` scores only the null model `benign_model_like(malign)`, without
+an engine, to the bits the engine's filter would give.
 """
 
 from __future__ import annotations
@@ -123,25 +124,6 @@ def sequence_to_csv(seq: IndicatorSequence) -> str:
 # Likelihoods and classification
 # ---------------------------------------------------------------------------
 
-def _engine_for(m: Cgm, seq: IndicatorSequence) -> DbnEngine:
-    """`m`'s engine; SpecError unless it has one slice per frame."""
-    engine = DbnEngine(m)
-    if engine.T != len(seq.frames):
-        raise SpecError(f"model has {engine.T} slices but the sequence has "
-                        f"{len(seq.frames)} frames")
-    return engine
-
-
-def sequence_loglik(m: Cgm, seq: IndicatorSequence, emission: EmissionNoise) -> float:
-    """Exact log p(sequence | model), summing over hidden tactic trajectories.
-
-    Observed bits are emitted from their tactic variables with the stated flip
-    probabilities. Returns -inf for sequences the model cannot produce.
-    """
-    engine = _engine_for(m, seq)
-    return engine.loglik({}, engine.frame_likelihoods(seq.frames, *emission))
-
-
 def benign_model_like(m: Cgm) -> Cgm:
     """Null reference: the same tactic variables clamped inactive, so any
     observed activity is pure false-positive noise."""
@@ -155,11 +137,11 @@ def benign_model_like(m: Cgm) -> Cgm:
 
 
 def _null_loglik(seq: IndicatorSequence, benign: Cgm, malign: Cgm,
-                 emission: EmissionNoise) -> float | None:
-    """`sequence_loglik(benign, seq, emission)` to the bit, without an engine,
-    if `benign` is `benign_model_like(malign)` and keeps a variable in every
-    slice; else None. Its transitions send every state to the all-off one
-    with factor 1.0, so the engine's filter adds only exact zeros to the
+                 emission: EmissionNoise) -> float:
+    """log p(seq | benign) without an engine, to the bit its engine's filter
+    would give; SpecError unless `benign` is `benign_model_like(malign)` and
+    keeps a variable in every slice. Its transitions send every state to the
+    all-off one with factor 1.0, so the filter adds only exact zeros to the
     scalar c_t = (c_{t-1} * p_t) / c_{t-1}, p_t the frame's likelihood when
     all is off. For use after `malign`'s engine checked noise and slices."""
     null = tuple(v for v in malign.variables if v not in malign.latent)
@@ -169,7 +151,8 @@ def _null_loglik(seq: IndicatorSequence, benign: Cgm, malign: Cgm,
             observed[v.slice].add(v.name)
     if (benign.variables != null or benign.latent or not all(observed)
             or any(benign.parents.get(v) or benign.cpts[v] != (0.0,) for v in null)):
-        return None
+        raise SpecError("the benign model must be benign_model_like(malign), and every "
+                        "slice of malign must hold a variable that is not latent")
     false_pos = emission.false_pos + 0.0
     emit = {0: 1.0 - false_pos, 1: false_pos}  # observed bit -> p(bit | off)
     c, logs = 1.0, []
@@ -192,10 +175,14 @@ def classify(seq: IndicatorSequence, benign: Cgm, malign: Cgm,
     of every tactic under the malign model as supporting trace, both from one
     filter pass. A sequence the malign model cannot produce has llr -inf (0.0
     if the benign model cannot either) and an empty trace row per frame.
-    More than 16 frames raise TooLargeError before any engine is built. The
-    null model `benign_model_like(malign)` needs none; any other, `sequence_loglik`."""
+    More than 16 frames raise TooLargeError before any engine is built.
+    `benign` must be the null model `benign_model_like(malign)`, which needs
+    no engine; any other raises SpecError."""
     check_smoothing_slices(len(seq.frames))
-    engine = _engine_for(malign, seq)
+    engine = DbnEngine(malign)
+    if engine.T != len(seq.frames):
+        raise SpecError(f"model has {engine.T} slices but the sequence has "
+                        f"{len(seq.frames)} frames")
     trace = [{} for _ in seq.frames]
     try:
         smoothed, _, ll_malign = engine.posteriors(
@@ -207,8 +194,6 @@ def classify(seq: IndicatorSequence, benign: Cgm, malign: Cgm,
             if v.name in TACTICS and v.slice is not None:
                 trace[v.slice][v.name] = p
     ll_benign = _null_loglik(seq, benign, malign, emission)
-    if ll_benign is None:
-        ll_benign = sequence_loglik(benign, seq, emission)
     if ll_malign == float("-inf") and ll_benign == float("-inf"):
         llr = 0.0
     else:

@@ -268,7 +268,8 @@ def _check_defender_action(st: GameState, d: DefenderAction):
     if d.kind not in DEFENDER_KINDS:
         raise IllegalActionError(f"unknown defender action kind '{d.kind}'")
     if d.kind != "nop":
-        if d.node is None or not st.scenario.topology.has_node(d.node):
+        # `True` and `1.0` equal node 1, but a log would write them as `true` and `1.0`
+        if type(d.node) is not int or not st.scenario.topology.has_node(d.node):
             raise IllegalActionError(f"defender action on unknown node {d.node}")
     if d.kind == "isolate" and d.duration < 1:
         raise IllegalActionError("isolation duration must be >= 1")
@@ -282,7 +283,7 @@ def _check_attacker_action(st: GameState, a: AttackerAction) -> list[int]:
     topo = st.scenario.topology
     attempts = sorted(a.attempts)
     for n in attempts:
-        if not topo.has_node(n):
+        if type(n) is not int or not topo.has_node(n):
             raise IllegalActionError(f"attempt on unknown node {n}")
         if st.compromised.isdisjoint(topo.neighbors(n)):
             raise IllegalActionError(f"attempt on node {n} not adjacent to a compromised node")
@@ -448,11 +449,14 @@ def run_episode(s: Scenario, defender, attacker, seed: int,
     def_rng = random.Random(child_seed(seed, "defender"))
     atk_rng = random.Random(child_seed(seed, "attacker"))
     records: list[StepRecord] = []
-    actions: dict[DefenderAction, DefenderAction] = {}  # one object per distinct action
+    # one object per distinct action of either side: a defender action, a
+    # 3-tuple, never equals an attacker action, a 1-tuple
+    actions: dict = {}
     while st.terminal is None:
         d = defender.act(defender_view(st), def_rng)
         d = actions.setdefault(d, d)
         a = attacker.act(attacker_view(st), atk_rng)
+        a = actions.setdefault(a, a)
         t_before = st.t
         st, outcome = step(st, d, a)
         defender.observe(outcome)

@@ -4,6 +4,9 @@ The oracle helpers here deliberately re-implement the math they check by the
 dumbest route available (full itertools enumeration, literal BFS) so model
 code and test expectations never share a code path. The samplers and the
 passing attacker serve the tests alone; no command runs them.
+`sequence_loglik` scores any model through its `DbnEngine`: the reference
+for the null model's log-likelihood, which `detect.classify` computes
+without an engine.
 """
 
 from __future__ import annotations
@@ -37,7 +40,7 @@ from acdsim.causal import (
 )
 from acdsim.cli import default_scenario_path
 from acdsim.detect import TACTICS, EmissionNoise, IndicatorSequence
-from acdsim.errors import ValidationError
+from acdsim.errors import SpecError, ValidationError
 from acdsim.game import PASS, episode_to_jsonl, run_episode
 from acdsim.loop import InterventionPlan
 from acdsim.netmodel import NetworkTopology, Scenario, load_scenario, scenario_to_obj
@@ -96,6 +99,17 @@ def posterior_dict(engine: DbnEngine, evidence: dict, likelihoods=()) -> dict:
     """`engine.posteriors` as {variable: p(variable = 1 | evidence)}, in
     `engine.outputs` order."""
     return dict(zip(engine.outputs, engine.posteriors(evidence, likelihoods)[0].tolist()))
+
+
+def sequence_loglik(m: Cgm, seq: IndicatorSequence, emission: EmissionNoise) -> float:
+    """Exact log p(sequence | model), summing over hidden tactic trajectories
+    with the model's engine; -inf for sequences the model cannot produce.
+    SpecError unless the model has one slice per frame."""
+    engine = DbnEngine(m)
+    if engine.T != len(seq.frames):
+        raise SpecError(f"model has {engine.T} slices but the sequence has "
+                        f"{len(seq.frames)} frames")
+    return engine.loglik({}, engine.frame_likelihoods(seq.frames, *emission))
 
 
 def sample(m: Cgm, n: int, seed: int) -> list[dict]:

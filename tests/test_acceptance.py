@@ -24,7 +24,6 @@ from acdsim.cli import default_scenario_path, main
 from acdsim.detect import (
     EmissionNoise,
     benign_model_like,
-    sequence_loglik,
 )
 from acdsim.game import (
     TARGET_COMPROMISED,
@@ -47,6 +46,7 @@ from .conftest import (
     random_dag_model,
     sample,
     sample_indicator_sequence,
+    sequence_loglik,
     shortest_hops,
 )
 

@@ -142,8 +142,8 @@ UNRUN = [
     ('config', 'LoopConfig.__post_init__',
      'raise SpecError(f"emission noise must be in [0,1], got {tuple(self.emission)}")',
      1, 'hidden'),
-    ('detect', '_engine_for', 'f"{len(seq.frames)} frames")', 1, 'hidden'),
-    ('detect', '_engine_for',
+    ('detect', 'classify', 'f"{len(seq.frames)} frames")', 1, 'hidden'),
+    ('detect', 'classify',
      'raise SpecError(f"model has {engine.T} slices but the sequence has "', 1, 'hidden'),
     ('game', '_check_defender_action',
      'raise IllegalActionError(f"unknown defender action kind \'{d.kind}\'")', 1, 'hidden'),
@@ -180,11 +180,9 @@ UNRUN = [
     ('causal', 'DbnEngine.posteriors',
      'rows = [(a * b).reshape(-1) @ r for a, b, r in zip(alphas, betas, self._readout)]',
      1, 'library'),
-    ('detect', '_null_loglik', 'return None', 1, 'library'),
-    ('detect', 'classify', 'll_benign = sequence_loglik(benign, seq, emission)', 1, 'library'),
-    ('detect', 'sequence_loglik', 'engine = _engine_for(m, seq)', 1, 'library'),
-    ('detect', 'sequence_loglik',
-     'return engine.loglik({}, engine.frame_likelihoods(seq.frames, *emission))', 1, 'library'),
+    ('detect', '_null_loglik',
+     'raise SpecError("the benign model must be benign_model_like(malign), and every "',
+     1, 'library'),
     ('_util', '_emit',
      'raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")',
      1, 'fault net'),

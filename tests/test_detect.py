@@ -23,16 +23,17 @@ from acdsim.detect import (
     classify,
     extract_indicators,
     ground_truth_bits,
-    sequence_loglik,
     sequence_to_csv,
 )
 from acdsim.errors import SpecError, TooLargeError
 from acdsim.game import NOP, restore, run_episode
 from acdsim.netmodel import load_scenario
 
-from .conftest import PassingAttacker, chain3_doc, sample_indicator_sequence
+from .conftest import PassingAttacker, chain3_doc, sample_indicator_sequence, sequence_loglik
 
 ZERO_NOISE = EmissionNoise(miss=0.0, false_pos=0.0)
+NOT_NULL = (r"^the benign model must be benign_model_like\(malign\), and every "
+            r"slice of malign must hold a variable that is not latent$")
 # a noise probability: the edges, uniform, or log-uniform down to 1e-300
 NOISE = (st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0)
          | st.floats(-300.0, 0.0).map(lambda e: 10.0 ** e))
@@ -196,13 +197,6 @@ class TestClassify:
         assert result.llr == pytest.approx(0.0)
         assert result.label == "benign"
 
-    def test_antisymmetry_under_model_swap(self, models_t4):
-        benign, malign = models_t4
-        seq = make_sequence([(1, 0, 1), (0, 0, 0), (1, 1, 1), (0, 1, 0)])
-        forward = classify(seq, benign, malign, EmissionNoise())
-        swapped = classify(seq, malign, benign, EmissionNoise())
-        assert swapped.llr == pytest.approx(-forward.llr, abs=1e-12)
-
     def test_posterior_trace_in_unit_interval(self, models_t4):
         benign, malign = models_t4
         seq = make_sequence([(1, 1, 0), (0, 1, 1), (0, 0, 0), (1, 0, 0)])
@@ -244,10 +238,8 @@ class TestClassify:
 
     @pytest.mark.parametrize("call", [
         lambda seq, m: classify(seq, benign_model_like(m), m, EmissionNoise()),
-        lambda seq, m: classify(seq, m, build_topology(DbnSpec(Topology.CHAIN_A, 4)),
-                                EmissionNoise()),
         lambda seq, m: sequence_loglik(m, seq, EmissionNoise()),
-    ], ids=["malign", "benign", "sequence_loglik"])
+    ], ids=["malign", "sequence_loglik"])
     def test_a_model_of_another_length_is_refused(self, call):
         """The slice count is the engine's: a model of 3 slices for 4 frames
         is refused with the same SpecError, and a model without slices with
@@ -259,6 +251,24 @@ class TestClassify:
         U = VarId("U")
         with pytest.raises(TooLargeError, match="^model has no time-indexed variables$"):
             call(seq, Cgm(variables=(U,), parents={}, cpts={U: (0.5,)}))
+
+    @pytest.mark.parametrize("benign", [
+        build_topology(DbnSpec(Topology.CHAIN_A, 4)),
+        build_topology(DbnSpec(Topology.CHAIN_A, 3)),
+        Cgm(variables=(VarId("U"),), parents={}, cpts={VarId("U"): (0.5,)}),
+    ], ids=["swapped", "3-slices", "global-only"])
+    def test_a_benign_model_other_than_the_null_model_is_refused(self, benign, monkeypatch):
+        """Only `benign_model_like(malign)` is scored: a swapped pair, a
+        benign model of another length and one without slices are refused
+        with one SpecError, and only the malign engine is built."""
+        malign = benign_model_like(build_topology(DbnSpec(Topology.CHAIN_A, 4)))
+        built = []
+        init = causal.DbnEngine.__init__
+        monkeypatch.setattr(causal.DbnEngine, "__init__",
+                            lambda self, m: built.append(m) or init(self, m))
+        with pytest.raises(SpecError, match=NOT_NULL):
+            classify(make_sequence([(1, 0, 1)] * 4), benign, malign, EmissionNoise())
+        assert built == [malign]
 
     @pytest.mark.parametrize("frames", [4, 16, 17])
     def test_one_posteriors_call_per_classified_log(self, frames, monkeypatch):
@@ -362,15 +372,11 @@ class TestClassify:
             for noise in (EmissionNoise(), EmissionNoise(miss=0.3, false_pos=1e-170)):
                 self.assert_null_scored_bit_for_bit(malign, make_sequence(rows), noise)
 
-    @pytest.mark.parametrize("latent_slice, error, message", [
-        (1, TooLargeError, "^model slices are not contiguous from 0$"),
-        (2, SpecError, "^model has 2 slices but the sequence has 3 frames$"),
-    ], ids=["middle", "last"])
-    def test_a_slice_of_only_latent_variables_takes_the_engine_route(
-            self, latent_slice, error, message):
+    @pytest.mark.parametrize("latent_slice", [1, 2], ids=["middle", "last"])
+    def test_a_slice_of_only_latent_variables_is_refused(self, latent_slice):
         """The null model of a malign model with a slice of latent variables
-        only lacks that slice, so it is scored by `sequence_loglik`, whose
-        engine refuses it as before."""
+        only lacks that slice, so the closed form has no factor for it: the
+        log is refused with the SpecError of any other benign model."""
         variables, parents, cpts = [], {}, {}
         for t in range(3):
             names = ("L",) if t == latent_slice else ("Z", "X")
@@ -382,7 +388,7 @@ class TestClassify:
         malign = Cgm(variables=tuple(variables), parents=parents, cpts=cpts,
                      latent=frozenset({VarId("L", latent_slice)}))
         seq = make_sequence([(0, 1, 0)] * 3)
-        with pytest.raises(error, match=message):
+        with pytest.raises(SpecError, match=NOT_NULL):
             classify(seq, benign_model_like(malign), malign, EmissionNoise())
 
     @pytest.mark.parametrize("rows, llr", [

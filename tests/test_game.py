@@ -2,6 +2,7 @@
 
 import dataclasses
 import hashlib
+import itertools
 import json
 import math
 import pickle
@@ -181,6 +182,15 @@ class TestStep:
         st = init(chain3, seed=0)
         with pytest.raises(IllegalActionError, match="unknown node"):
             step(st, patch(99), PASS)
+
+    @pytest.mark.parametrize("node", [True, 1.0], ids=repr)
+    def test_a_node_that_is_not_an_int_is_illegal(self, chain3, node):
+        """`True == 1 == 1.0`, so node 1 is found under either; but a log
+        would write `true` or `1.0`, which its parser refuses."""
+        with pytest.raises(IllegalActionError, match=f"^defender action on unknown node {node}$"):
+            step(init(chain3, seed=0), patch(node), PASS)
+        with pytest.raises(IllegalActionError, match=f"^attempt on unknown node {node}$"):
+            step(init(chain3, seed=0), NOP, AttackerAction(frozenset({node})))
 
     def test_terminal_state_raises(self, chain3):
         st = init(chain3, seed=3, horizon_override=1)
@@ -504,15 +514,37 @@ def test_two_episodes_share_no_event():
 def test_an_episode_keeps_each_distinct_outcome_and_defender_action_once(
         enterprise8_logs, defender):
     """Equal outcomes of one episode are one object, with one events tuple,
-    and equal defender actions are one object, whichever policy chose them."""
+    and equal defender actions are one object, whichever policy chose them,
+    in a replay of the parsed log too."""
     repeats = 0
     for log in enterprise8_logs[defender]:
-        outcomes = [rec.outcome for rec in log.steps]
-        assert one_object_each(outcomes)
-        assert len({id(outcome.events) for outcome in outcomes}) == len(set(outcomes))
-        assert one_object_each(rec.defender for rec in log.steps)
-        repeats += len(outcomes) - len(set(outcomes))
+        for episode in (log, replay_episode(parse_episode_jsonl(episode_to_jsonl(log)))):
+            outcomes = [rec.outcome for rec in episode.steps]
+            assert one_object_each(outcomes)
+            assert len({id(outcome.events) for outcome in outcomes}) == len(set(outcomes))
+            assert one_object_each(rec.defender for rec in episode.steps)
+            repeats += len(outcomes) - len(set(outcomes))
     assert repeats
+
+
+def test_the_same_nodes_picked_in_another_order_are_one_action():
+    """An attacker that builds a new action at every step, picking the same
+    two nodes in alternate orders, plays one object in its episode."""
+    s = load_scenario(json.dumps({
+        "nodes": [{"id": 0}, {"id": 1}, {"id": 2}, {"id": 3, "target": True}],
+        "edges": [[0, 1], [0, 2], [1, 3]],
+        "attacker": {"spread": 2, "entry": [0]},
+        "horizon": 6,
+    }))
+    picks = itertools.cycle([[1, 2], [2, 1]])
+
+    class Alternating(PassingAttacker):
+        def act(self, view, rng):
+            return AttackerAction(frozenset(next(picks)))
+
+    log = run_episode(s, NopDefender(), Alternating(), 0)
+    assert len(log.steps) == 6
+    assert len({id(rec.attacker) for rec in log.steps}) == 1
 
 
 # sha256 of the logs of `test_a_zero_reward_keeps_the_sign_of_the_bonus`,

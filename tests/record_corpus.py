@@ -179,6 +179,10 @@ DOCS = {
                     "cpts": {"Z@0": [0.5], "X@0": [0.1, 0.9], "Y@0": [0.2, 0.8]}},
     "ab-model.json": {"variables": [{"name": "A"}, {"name": "B"}], "parents": {"B": ["A"]},
                       "cpts": {"A": [0.5], "B": [0.1, 0.9]}},
+    # C -> B -> A declared child first: placing A places B, then C
+    "child-first-model.json": {"variables": [{"name": n} for n in "CBA"],
+                               "parents": {"C": ["B"], "B": ["A"]},
+                               "cpts": {"A": [0.3], "B": [0.2, 0.9], "C": [0.1, 0.6]}},
     **{name: point_masses(parents) for name, (parents, _) in UNSLICED.items()},
     # plan denominators p(do | state) an ulp or two off 1.0
     "plan-den-spec.json": spec(params={"spontaneous": 0, "persistence": 0.9,
@@ -530,9 +534,13 @@ MALFORMED = [
 
 # cases added after the corpus's first record, appended so that no earlier
 # record moves: a benign per-step divisor of about 1e-100, whose product with
-# the next slice's weights underflows unless the filter divides first
+# the next slice's weights underflows unless the filter divides first; models
+# that declare a child before its parent, by enumeration and on the engine
 CASES = VALID + MALFORMED + [
     ["detect", "--log", "one.jsonl", "--noise", "0.2,1e-100"],
+    ["causal", "marginal", "--model", "child-first-model.json", "--query", "C=1"],
+    ["causal", "observational", "--model", "reversed-chain5.json", "--target", "Y@4=1",
+     "--given", "X@0=1"],
 ]
 
 
@@ -584,13 +592,19 @@ def make_files() -> dict[str, str]:
                                      ["causal", "build", "--topology", "chain-a",
                                       "--slices", "2", "--out", "c2.json"],
                                      ["causal", "build", "--topology", "confounded-c",
-                                      "--slices", "8", "--out", "c8.json"]])
+                                      "--slices", "8", "--out", "c8.json"],
+                                     ["causal", "build", "--topology", "chain-a",
+                                      "--slices", "5", "--out", "c5.json"]])
         assert all(case["exit"] == 0 for case in made)
         logs = {name: Path(work, name).read_text(encoding="utf-8")
-                for name in ("s.jsonl", "one.jsonl", "c2.json", "c8.json")}
+                for name in ("s.jsonl", "one.jsonl", "c2.json", "c8.json", "c5.json")}
     files["one.jsonl"], files["c2.json"] = logs["one.jsonl"], logs["c2.json"]
     # confounded-c over 8 slices, its global U not latent
     files["u8.json"] = edited(json.loads(logs["c8.json"]), {("variables", 0, "latent"): False})
+    # chain-a over 5 slices, as `causal build` writes chain5.json, its variables
+    # listed last first, so every parent is declared after its children
+    chain5 = json.loads(logs["c5.json"])
+    files["reversed-chain5.json"] = edited(chain5, {("variables",): chain5["variables"][::-1]})
     lines = logs["s.jsonl"].splitlines()
     for name, line, edits in LOG_EDITS:
         changed = list(lines)

@@ -88,42 +88,55 @@ class Cgm:
         in declaration order, an unknown parent, a CPT of the wrong row
         count, an entry outside [0,1]; an unknown latent; a cycle. `order`
         is by (longest-path depth, declaration index); `DbnEngine` lays out
-        its state bits in it, so it must not change."""
+        its state bits in it, so it must not change.
+
+        A variable whose parents are all placed is placed at its own turn,
+        at depth 1 + their deepest. One with a parent not yet placed (declared
+        later, or itself waiting) waits on it, and placing that parent places
+        the children it releases: Kahn's algorithm on those late edges alone.
+        A variable never placed lies on or below a cycle."""
         index: dict[VarId, int] = {}
         for i, v in enumerate(self.variables):
             if v in index:
                 raise SpecError(f"duplicate variable {v}")
             index[v] = i
-        children: list[list[int]] = [[] for _ in self.variables]
-        waiting = []
+        depth = [0] * len(self.variables)
+        waiting = [1] * len(self.variables)  # its own turn, then each late parent edge
+        late: dict[int, list[int]] = {}  # a variable not yet placed -> children waiting on it
         for i, v in enumerate(self.variables):
             ps = self.parents.get(v, ())
+            d = 0
             for p in ps:
                 j = index.get(p)
                 if j is None:
                     raise SpecError(f"parent {p} of {v} is not a model variable")
-                children[j].append(i)
-            waiting.append(len(ps))
+                if waiting[j]:
+                    late.setdefault(j, []).append(i)
+                    waiting[i] += 1
+                elif d <= depth[j]:
+                    d = depth[j] + 1
             cpt = self.cpts.get(v)
             if cpt is None or len(cpt) != 2 ** len(ps):
                 raise SpecError(f"CPT for {v} must have {2 ** len(ps)} rows")
             for entry in cpt:
                 if not 0.0 <= entry <= 1.0:
                     raise SpecError(f"CPT entry out of [0,1] for {v}: {entry}")
+            depth[i] = d
+            waiting[i] -= 1
+            if late and not waiting[i]:
+                placed = [i]
+                for j in placed:  # `placed` grows while it is walked
+                    d = depth[j] + 1
+                    for c in late.pop(j, ()):
+                        if depth[c] < d:
+                            depth[c] = d
+                        waiting[c] -= 1
+                        if not waiting[c]:
+                            placed.append(c)
         for v in self.latent:
             if v not in index:
                 raise SpecError(f"latent {v} is not a model variable")
-        depth = [0] * len(self.variables)
-        ready = [i for i, n in enumerate(waiting) if n == 0]
-        for i in ready:  # Kahn's algorithm; `ready` grows while it is walked
-            d = depth[i] + 1
-            for c in children[i]:
-                if depth[c] < d:
-                    depth[c] = d
-                waiting[c] -= 1
-                if waiting[c] == 0:
-                    ready.append(c)
-        if len(ready) < len(self.variables):
+        if late:
             raise SpecError("parent relation contains a cycle")
         waves: list[list[VarId]] = [[] for _ in range(max(depth, default=-1) + 1)]
         for v, d in zip(self.variables, depth):

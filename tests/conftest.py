@@ -6,7 +6,9 @@ code and test expectations never share a code path. The samplers and the
 passing attacker serve the tests alone; no command runs them.
 `sequence_loglik` scores any model through its `DbnEngine`: the reference
 for the null model's log-likelihood, which `detect.classify` computes
-without an engine.
+without an engine. `kahn_checked_order` checks a model and orders it as
+`Cgm` did before it placed each variable in its own turn: the reference for
+the first fault and for `order`.
 """
 
 from __future__ import annotations
@@ -110,6 +112,52 @@ def sequence_loglik(m: Cgm, seq: IndicatorSequence, emission: EmissionNoise) -> 
         raise SpecError(f"model has {engine.T} slices but the sequence has "
                         f"{len(seq.frames)} frames")
     return engine.loglik({}, engine.frame_likelihoods(seq.frames, *emission))
+
+
+def kahn_checked_order(variables, parents: dict, cpts: dict, latent=frozenset()) -> tuple:
+    """`Cgm`'s order of a model, or the `SpecError` of its first fault: a
+    walk that checks every variable and lists each parent's children, then
+    Kahn's algorithm over every edge from the parentless variables."""
+    index: dict = {}
+    for i, v in enumerate(variables):
+        if v in index:
+            raise SpecError(f"duplicate variable {v}")
+        index[v] = i
+    children: list[list[int]] = [[] for _ in variables]
+    waiting = []
+    for i, v in enumerate(variables):
+        ps = parents.get(v, ())
+        for p in ps:
+            j = index.get(p)
+            if j is None:
+                raise SpecError(f"parent {p} of {v} is not a model variable")
+            children[j].append(i)
+        waiting.append(len(ps))
+        cpt = cpts.get(v)
+        if cpt is None or len(cpt) != 2 ** len(ps):
+            raise SpecError(f"CPT for {v} must have {2 ** len(ps)} rows")
+        for entry in cpt:
+            if not 0.0 <= entry <= 1.0:
+                raise SpecError(f"CPT entry out of [0,1] for {v}: {entry}")
+    for v in latent:
+        if v not in index:
+            raise SpecError(f"latent {v} is not a model variable")
+    depth = [0] * len(variables)
+    ready = [i for i, n in enumerate(waiting) if n == 0]
+    for i in ready:  # `ready` grows while it is walked
+        d = depth[i] + 1
+        for c in children[i]:
+            if depth[c] < d:
+                depth[c] = d
+            waiting[c] -= 1
+            if waiting[c] == 0:
+                ready.append(c)
+    if len(ready) < len(variables):
+        raise SpecError("parent relation contains a cycle")
+    waves: list[list] = [[] for _ in range(max(depth, default=-1) + 1)]
+    for v, d in zip(variables, depth):
+        waves[d].append(v)
+    return tuple(v for wave in waves for v in wave)
 
 
 def sample(m: Cgm, n: int, seed: int) -> list[dict]:

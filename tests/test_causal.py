@@ -54,6 +54,7 @@ from acdsim.detect import benign_model_like
 from .conftest import (
     json_mutated,
     json_path,
+    kahn_checked_order,
     mutated,
     oracle_conditional,
     oracle_joint,
@@ -717,6 +718,41 @@ def slice_chain(sizes: list[int], back: dict | None = None) -> Cgm:
     return Cgm(variables=variables, parents=parents, cpts=cpts_for(variables, parents))
 
 
+MODEL_FAULTS = ("cycle", "duplicate", "unknown parent", "short CPT", "entry", "unknown latent")
+
+
+@st.composite
+def faulty_models(draw):
+    """(variables, parents, cpts, latent) of a random model in shuffled
+    declaration order, so that parents come late, maybe with a parent listed
+    twice, and either sound or with any combination of `MODEL_FAULTS`; a
+    cycle may be a self-loop."""
+    faults = draw(st.just(frozenset()) | st.frozensets(st.sampled_from(MODEL_FAULTS), min_size=1))
+    variables, parents = draw(parent_relations(cyclic="cycle" in faults))
+    parents = {v: list(ps) for v, ps in parents.items()}
+    listed = [v for v, ps in parents.items() if ps]
+    if listed and draw(st.booleans()):
+        ps = parents[draw(st.sampled_from(listed))]
+        ps.insert(draw(st.integers(0, len(ps))), draw(st.sampled_from(ps)))
+    if "unknown parent" in faults:
+        ps = parents.setdefault(draw(st.sampled_from(variables)), [])
+        ps.insert(draw(st.integers(0, len(ps))), VarId("Q"))
+    cpts = {v: [0.5] * 2 ** len(parents.get(v, ())) for v in variables}
+    if "entry" in faults:
+        rows = cpts[draw(st.sampled_from(variables))]
+        rows[draw(st.integers(0, len(rows) - 1))] = draw(st.sampled_from([-0.5, 1.5, math.nan]))
+    if "short CPT" in faults:
+        rows = cpts[draw(st.sampled_from(variables))]
+        del rows[draw(st.integers(0, len(rows) - 1)):]
+    latent = set(draw(st.lists(st.sampled_from(variables))))
+    if "unknown latent" in faults:
+        latent.add(VarId("L"))
+    if "duplicate" in faults:
+        variables.insert(draw(st.integers(0, len(variables))), draw(st.sampled_from(variables)))
+    return (tuple(variables), {v: tuple(ps) for v, ps in parents.items()},
+            {v: tuple(rows) for v, rows in cpts.items()}, frozenset(latent))
+
+
 class TestOneWalk:
     """A model is checked in the walk that orders it, and an engine's slices
     in the walk that keys their transitions: each reads a variable's parents
@@ -740,6 +776,18 @@ class TestOneWalk:
     def test_first_fault_of_a_model(self, variables, parents, cpts, latent, message):
         with pytest.raises(SpecError, match=f"^{message}$"):
             Cgm(variables=variables, parents=parents, cpts=cpts, latent=frozenset(latent))
+
+    @settings(max_examples=400, deadline=None)
+    @given(faulty_models())
+    def test_first_fault_and_order_match_kahns_walk(self, model):
+        try:
+            order = kahn_checked_order(*model)
+        except SpecError as fault:
+            with pytest.raises(SpecError) as raised:
+                Cgm(*model)
+            assert str(raised.value) == str(fault)
+        else:
+            assert Cgm(*model).order == order
 
     def test_a_parent_listed_twice(self):
         """B: (A, A) reads rows 0 and 3 of its 4-row CPT; its one parent

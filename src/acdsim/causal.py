@@ -728,6 +728,8 @@ def load_model(text: str) -> Cgm:
         v = VarId(member(entry, "name", str, where), member(entry, "slice", int, where, None))
         if not v.name:
             raise ParseError(f"{where}.name must not be empty")
+        if v.slice is not None and v.slice < 0:  # `parse_var` reads no X@-1
+            raise ParseError(f"{where}.slice must be an integer >= 0 or null")
         variables.append(v)
         if member(entry, "latent", bool, where, False):
             latent.add(v)

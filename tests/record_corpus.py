@@ -183,6 +183,8 @@ DOCS = {
     "child-first-model.json": {"variables": [{"name": n} for n in "CBA"],
                                "parents": {"C": ["B"], "B": ["A"]},
                                "cpts": {"A": [0.3], "B": [0.2, 0.9], "C": [0.1, 0.6]}},
+    "negative-slice-model.json": {"variables": [{"name": "X", "slice": -1}], "parents": {},
+                                  "cpts": {"X@-1": [0.5]}},
     **{name: point_masses(parents) for name, (parents, _) in UNSLICED.items()},
     # plan denominators p(do | state) an ulp or two off 1.0
     "plan-den-spec.json": spec(params={"spontaneous": 0, "persistence": 0.9,
@@ -535,12 +537,14 @@ MALFORMED = [
 # cases added after the corpus's first record, appended so that no earlier
 # record moves: a benign per-step divisor of about 1e-100, whose product with
 # the next slice's weights underflows unless the filter divides first; models
-# that declare a child before its parent, by enumeration and on the engine
+# that declare a child before its parent, by enumeration and on the engine; a
+# negative slice, refused where the variable is read
 CASES = VALID + MALFORMED + [
     ["detect", "--log", "one.jsonl", "--noise", "0.2,1e-100"],
     ["causal", "marginal", "--model", "child-first-model.json", "--query", "C=1"],
     ["causal", "observational", "--model", "reversed-chain5.json", "--target", "Y@4=1",
      "--given", "X@0=1"],
+    ["causal", "marginal", "--model", "negative-slice-model.json", "--query", "X=1"],
 ]
 
 

@@ -568,6 +568,19 @@ class TestModelIO:
         with pytest.raises(ParseError, match=rf"^{re.escape(json_path(path))} must be "):
             load_model(json.dumps(doc))
 
+    NEGATIVE = Cgm(variables=(VarId("X", -1),), parents={}, cpts={VarId("X", -1): (0.5,)})
+
+    @pytest.mark.parametrize("text", [
+        json.dumps({"variables": [{"name": "X", "slice": -1}], "parents": {},
+                    "cpts": {"X@-1": [0.5]}}),
+        json.dumps({"variables": [{"name": "X", "slice": -1}], "parents": {}, "cpts": {}}),
+        save_model(NEGATIVE),
+    ], ids=["cpt-key", "no-cpt", "saved"])
+    def test_a_negative_slice_is_refused_where_it_is_read(self, text):
+        with pytest.raises(ParseError,
+                           match=r"^variables\[0\]\.slice must be an integer >= 0 or null$"):
+            load_model(text)
+
     @pytest.mark.parametrize("path,where", [
         (("sloces",), "the document"), (("params", "bogus"), "params")])
     def test_an_unknown_spec_key_is_refused(self, path, where):

@@ -83,28 +83,30 @@ class Cgm:
     order: tuple[VarId, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        """Check the model and set `order` in one walk of the parents, in
-        O(V + E). The first fault raises: a duplicate variable; per variable
-        in declaration order, an unknown parent, a CPT of the wrong row
-        count, an entry outside [0,1]; an unknown latent; a cycle. `order`
-        is by (longest-path depth, declaration index); `DbnEngine` lays out
-        its state bits in it, so it must not change.
+        """Check the model and find each variable's depth in one walk of the
+        parents, in O(V + E), then set `order` by a stable sort on depth. The
+        first fault raises: a duplicate variable; per variable in declaration
+        order, an unknown parent, a CPT of the wrong row count, an entry
+        outside [0,1]; an unknown latent; a cycle. `order` is by
+        (longest-path depth, declaration index); `DbnEngine` lays out its
+        state bits in it, so it must not change.
 
         A variable whose parents are all placed is placed at its own turn,
-        at depth 1 + their deepest. One with a parent not yet placed (declared
-        later, or itself waiting) waits on it, and placing that parent places
-        the children it releases: Kahn's algorithm on those late edges alone.
-        A variable never placed lies on or below a cycle."""
+        at depth 1 + their deepest. One with a parent not yet placed
+        (declared later, or itself waiting) waits on it, and placing that
+        parent places the children it releases: Kahn's algorithm on those
+        late edges alone. A variable never placed lies on or below a cycle."""
+        variables, parents, cpts = self.variables, self.parents, self.cpts
         index: dict[VarId, int] = {}
-        for i, v in enumerate(self.variables):
+        for i, v in enumerate(variables):
             if v in index:
                 raise SpecError(f"duplicate variable {v}")
             index[v] = i
-        depth = [0] * len(self.variables)
-        waiting = [1] * len(self.variables)  # its own turn, then each late parent edge
+        depth = [0] * len(variables)
+        waiting = [1] * len(variables)  # its own turn, then each late parent edge
         late: dict[int, list[int]] = {}  # a variable not yet placed -> children waiting on it
-        for i, v in enumerate(self.variables):
-            ps = self.parents.get(v, ())
+        for i, v in enumerate(variables):
+            ps = parents.get(v, ())
             d = 0
             for p in ps:
                 j = index.get(p)
@@ -115,7 +117,7 @@ class Cgm:
                     waiting[i] += 1
                 elif d <= depth[j]:
                     d = depth[j] + 1
-            cpt = self.cpts.get(v)
+            cpt = cpts.get(v)
             if cpt is None or len(cpt) != 2 ** len(ps):
                 raise SpecError(f"CPT for {v} must have {2 ** len(ps)} rows")
             for entry in cpt:
@@ -138,10 +140,8 @@ class Cgm:
                 raise SpecError(f"latent {v} is not a model variable")
         if late:
             raise SpecError("parent relation contains a cycle")
-        waves: list[list[VarId]] = [[] for _ in range(max(depth, default=-1) + 1)]
-        for v, d in zip(self.variables, depth):
-            waves[d].append(v)
-        object.__setattr__(self, "order", tuple(v for wave in waves for v in wave))
+        by_depth = sorted(range(len(variables)), key=depth.__getitem__)  # stable: ties by index
+        object.__setattr__(self, "order", tuple([variables[i] for i in by_depth]))
 
     def has(self, v: VarId) -> bool:
         return v in self.cpts

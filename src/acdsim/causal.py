@@ -85,11 +85,13 @@ class Cgm:
     def __post_init__(self):
         """Check the model and find each variable's depth in one walk of the
         parents, in O(V + E), then set `order` by a stable sort on depth. The
-        first fault raises: a duplicate variable; per variable in declaration
-        order, an unknown parent, a CPT of the wrong row count, an entry
-        outside [0,1]; an unknown latent; a cycle. `order` is by
-        (longest-path depth, declaration index); `DbnEngine` lays out its
-        state bits in it, so it must not change.
+        first fault raises: per variable in declaration order, a name that
+        is not a non-empty `str`, a slice that is not an `int` >= 0 or None
+        (which `load_model` refuses too), a duplicate; per variable, an
+        unknown parent, a CPT of the wrong row count, an entry outside [0,1];
+        an unknown latent; a cycle. `order` is by (longest-path depth,
+        declaration index); `DbnEngine` lays out its state bits in it, so it
+        must not change.
 
         A variable whose parents are all placed is placed at its own turn,
         at depth 1 + their deepest. One with a parent not yet placed
@@ -99,6 +101,12 @@ class Cgm:
         variables, parents, cpts = self.variables, self.parents, self.cpts
         index: dict[VarId, int] = {}
         for i, v in enumerate(variables):
+            name, at = v
+            if type(name) is not str or not name:
+                raise SpecError(f"variable {i} must have a non-empty str name, got {name!r}")
+            # `True == 1`, but a model file holds a slice as an integer >= 0
+            if at is not None and (type(at) is not int or at < 0):
+                raise SpecError(f"slice of {v} must be an int >= 0 or None, got {at!r}")
             if v in index:
                 raise SpecError(f"duplicate variable {v}")
             index[v] = i

@@ -20,6 +20,7 @@ reproduces it byte for byte.
 from __future__ import annotations
 
 import random
+import weakref
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -148,9 +149,11 @@ class GameState:
     # (frozenset(attacker_known), known_nodes, known_unlocks) of the last
     # attacker view; knowledge changes on few steps, so most views reuse it
     _attacker_maps: tuple | None = field(default=None, init=False, repr=False, compare=False)
-    # an event's fields -> the one `Event` this episode built for them (`_event`)
-    _events: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-    # (reward, cause, ids of the events) -> the one `StepOutcome` built for them
+    # the scenario's tables (`_SHARED`): an event's fields -> the one `Event`
+    # built for them (`_event`), and a checked action -> the one played for it
+    _events: dict = field(default_factory=dict, repr=False, compare=False)
+    _actions: dict = field(default_factory=dict, repr=False, compare=False)
+    # (reward, cause, ids of the events) -> the one `StepOutcome` this episode built
     _outcomes: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def target_seen(self) -> int | None:
@@ -238,6 +241,11 @@ def compromise_probability(strength: float, node: NodeSpec, defence_now: float,
     return min(1.0, max(0.0, p))
 
 
+# scenario -> its (events, actions) tables, shared by its episodes and freed
+# with it; `init` looks them up once per episode, as the lookup hashes it
+_SHARED: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
 def init(s: Scenario, seed: int, horizon_override: int | None = None) -> GameState:
     """Fresh episode state: entry nodes compromised and looted, frontier known."""
     s.validated  # runs validate_scenario once per Scenario object
@@ -251,6 +259,7 @@ def init(s: Scenario, seed: int, horizon_override: int | None = None) -> GameSta
     creds: set[str] = set()
     for n in compromised:
         creds.update(topo.node(n).creds_stored)
+    events, actions = _SHARED.setdefault(s, ({}, {}))
     return GameState(
         scenario=s,
         t=0,
@@ -261,18 +270,22 @@ def init(s: Scenario, seed: int, horizon_override: int | None = None) -> GameSta
         defence_now={n.id: n.defence for n in topo.nodes},
         horizon=horizon_override if horizon_override is not None else s.horizon,
         rng=random.Random(seed),
+        _events=events, _actions=actions,
     )
 
 
 def _check_defender_action(st: GameState, d: DefenderAction):
+    # `True` and `1.0` equal 1, but a log would write them as `true` and
+    # `1.0`, which its reader refuses: a node and a duration are `int`s
     if d.kind not in DEFENDER_KINDS:
         raise IllegalActionError(f"unknown defender action kind '{d.kind}'")
-    if d.kind != "nop":
-        # `True` and `1.0` equal node 1, but a log would write them as `true` and `1.0`
-        if type(d.node) is not int or not st.scenario.topology.has_node(d.node):
-            raise IllegalActionError(f"defender action on unknown node {d.node}")
-    if d.kind == "isolate" and d.duration < 1:
-        raise IllegalActionError("isolation duration must be >= 1")
+    if d.kind == "nop":
+        if d.node is not None and type(d.node) is not int:
+            raise IllegalActionError(f"nop on node {d.node!r}, which is not an int")
+    elif type(d.node) is not int or not st.scenario.topology.has_node(d.node):
+        raise IllegalActionError(f"defender action on unknown node {d.node}")
+    if d.kind == "isolate" and (type(d.duration) is not int or d.duration < 1):
+        raise IllegalActionError(f"isolation duration must be an int >= 1, got {d.duration!r}")
 
 
 def _check_attacker_action(st: GameState, a: AttackerAction) -> list[int]:
@@ -399,7 +412,7 @@ def step(st: GameState, d: DefenderAction, a: AttackerAction) -> tuple[GameState
         cause = HORIZON_REACHED
     st.terminal = cause
 
-    # the events are this episode's own objects, so their ids stand for them.
+    # the events are the scenario's own objects, so their ids stand for them.
     # 0.0 == -0.0, but a zero reward has one sign per cause in an episode:
     # the target's loss pays `target_loss_penalty`, and `action_cost` is +0.0
     # or more, so a zero `survival_bonus - action_cost` has the bonus's sign
@@ -449,16 +462,16 @@ def run_episode(s: Scenario, defender, attacker, seed: int,
     def_rng = random.Random(child_seed(seed, "defender"))
     atk_rng = random.Random(child_seed(seed, "attacker"))
     records: list[StepRecord] = []
-    # one object per distinct action of either side: a defender action, a
-    # 3-tuple, never equals an attacker action, a 1-tuple
-    actions: dict = {}
+    # one object per distinct checked action of either side, per scenario: a
+    # defender action, a 3-tuple, never equals an attacker action, a 1-tuple
+    actions = st._actions
     while st.terminal is None:
         d = defender.act(defender_view(st), def_rng)
-        d = actions.setdefault(d, d)
         a = attacker.act(attacker_view(st), atk_rng)
-        a = actions.setdefault(a, a)
         t_before = st.t
         st, outcome = step(st, d, a)
+        d = actions.setdefault(d, d)
+        a = actions.setdefault(a, a)
         defender.observe(outcome)
         attacker.observe(outcome)
         records.append(StepRecord(t_before, d, a, outcome))

@@ -568,18 +568,37 @@ class TestModelIO:
         with pytest.raises(ParseError, match=rf"^{re.escape(json_path(path))} must be "):
             load_model(json.dumps(doc))
 
-    NEGATIVE = Cgm(variables=(VarId("X", -1),), parents={}, cpts={VarId("X", -1): (0.5,)})
-
     @pytest.mark.parametrize("text", [
         json.dumps({"variables": [{"name": "X", "slice": -1}], "parents": {},
                     "cpts": {"X@-1": [0.5]}}),
         json.dumps({"variables": [{"name": "X", "slice": -1}], "parents": {}, "cpts": {}}),
-        save_model(NEGATIVE),
+        # what `save_model` wrote for such a model when `Cgm` took it
+        json.dumps({"variables": [{"name": "X", "slice": -1, "latent": False}],
+                    "parents": {"X@-1": []}, "cpts": {"X@-1": [0.5]}}),
     ], ids=["cpt-key", "no-cpt", "saved"])
     def test_a_negative_slice_is_refused_where_it_is_read(self, text):
         with pytest.raises(ParseError,
                            match=r"^variables\[0\]\.slice must be an integer >= 0 or null$"):
             load_model(text)
+
+    @pytest.mark.parametrize("variable,refusal,read", [
+        (VarId("X", -1), "slice of X@-1 must be an int >= 0 or None, got -1",
+         "variables[0].slice must be an integer >= 0 or null"),
+        (VarId("X", True), "slice of X@True must be an int >= 0 or None, got True",
+         "variables[0].slice must be an integer"),
+        (VarId(""), "variable 0 must have a non-empty str name, got ''",
+         "variables[0].name must not be empty"),
+    ], ids=["negative", "bool", "empty"])
+    def test_cgm_refuses_a_variable_that_load_model_refuses(self, variable, refusal, read):
+        """`Cgm` builds no model that `save_model` would write and
+        `load_model` refuse, and `load_model` keeps its own message."""
+        model = (variable, VarId("Y", 0))
+        with pytest.raises(SpecError, match=f"^{re.escape(refusal)}$"):
+            Cgm(variables=model, parents={}, cpts=dict.fromkeys(model, (0.5,)))
+        doc = {"variables": [{"name": v.name, "slice": v.slice, "latent": False} for v in model],
+               "parents": {}, "cpts": {}}
+        with pytest.raises(ParseError, match=f"^{re.escape(read)}$"):
+            load_model(json.dumps(doc))
 
     @pytest.mark.parametrize("path,where", [
         (("sloces",), "the document"), (("params", "bogus"), "params")])
@@ -1121,6 +1140,31 @@ def framed_queries(draw):
     miss, false_pos = draw(PROBS), draw(PROBS)
     target = draw(st.sampled_from(slices[-1]))
     return m, hard, frames, miss, false_pos, target
+
+
+class TestPredictionVectors:
+    """Filter, then predict, on a model whose slices differ in size."""
+
+    @pytest.mark.parametrize("s,do,target", [
+        (1, {VarId("Q", 1): 1}, {VarId("P", 2): 1}),
+        (1, {VarId("R", 1): 0}, {VarId("P_obs", 2): 1}),
+        (2, {VarId("P", 2): 1}, {VarId("P_obs", 2): 0}),
+    ])
+    def test_filtered_state_times_the_vectors_is_the_interventional(self, s, do, target):
+        """`three_globals` has slices of 4, 6 and 2 variables, emissions
+        included, so its last slice's state is not its first's. `alpha` is
+        the filtered state at slice s-1, from the model's slices 0..s-1."""
+        m = three_globals()
+        evidence = {v: x for v, x in ((VarId("P_obs", 0), 1), (VarId("Q_obs", 0), 0),
+                                      (VarId("R_obs", 1), 1), (VarId("Q_obs", 1), 0))
+                    if v.slice < s}
+        head = tuple(v for v in m.variables if v.slice is None or v.slice < s)
+        alpha = DbnEngine(Cgm(variables=head, parents=m.parents,
+                              cpts={v: m.cpts[v] for v in head},
+                              latent=m.latent)).posteriors(evidence)[1].reshape(-1)
+        num, den = DbnEngine(do_transform(m, do)).prediction_vectors(target, do, s)
+        assert (alpha @ num) / (alpha @ den) == pytest.approx(
+            interventional(m, target, do, evidence), rel=1e-12)
 
 
 class TestFrameLikelihoods:

@@ -129,6 +129,11 @@ UNRUN_PYTHON = (3, 11)
 UNRUN = [
     ('causal', 'Cgm.__post_init__',
      'raise SpecError(f"latent {v} is not a model variable")', 1, 'hidden'),
+    ('causal', 'Cgm.__post_init__',
+     'raise SpecError(f"slice of {v} must be an int >= 0 or None, got {at!r}")', 1, 'hidden'),
+    ('causal', 'Cgm.__post_init__',
+     'raise SpecError(f"variable {i} must have a non-empty str name, got {name!r}")',
+     1, 'hidden'),
     ('causal', 'DbnEngine._forward', 'return None', 1, 'hidden'),
     ('causal', 'DbnEngine._weights', 'return None', 1, 'hidden'),
     ('causal', 'DbnEngine.frame_likelihoods',
@@ -147,6 +152,8 @@ UNRUN = [
      'raise SpecError(f"model has {engine.T} slices but the sequence has "', 1, 'hidden'),
     ('game', '_check_defender_action',
      'raise IllegalActionError(f"unknown defender action kind \'{d.kind}\'")', 1, 'hidden'),
+    ('game', '_check_defender_action',
+     'raise IllegalActionError(f"nop on node {d.node!r}, which is not an int")', 1, 'hidden'),
     ('game', 'step', 'raise TerminalStateError(f"episode ended: {st.terminal}")', 1, 'hidden'),
     ('netmodel', 'NetworkTopology.neighbors',
      'raise UnknownNodeError(f"no node with id {node_id}")', 1, 'hidden'),

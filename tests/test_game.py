@@ -22,6 +22,7 @@ from acdsim.agents import (
     NopDefender,
     QDefender,
     RandomDefender,
+    evaluate,
     train,
 )
 from acdsim import game
@@ -191,6 +192,27 @@ class TestStep:
             step(init(chain3, seed=0), patch(node), PASS)
         with pytest.raises(IllegalActionError, match=f"^attempt on unknown node {node}$"):
             step(init(chain3, seed=0), NOP, AttackerAction(frozenset({node})))
+
+    @pytest.mark.parametrize("action,message", [
+        (DefenderAction("nop", True), "nop on node True, which is not an int"),
+        (DefenderAction("nop", 2.5), "nop on node 2.5, which is not an int"),
+        (isolate(1, True), "isolation duration must be an int >= 1, got True"),
+        (isolate(1, 1.0), "isolation duration must be an int >= 1, got 1.0"),
+        (isolate(1, 2.5), "isolation duration must be an int >= 1, got 2.5"),
+    ], ids=repr)
+    def test_a_nop_node_or_a_duration_that_is_not_an_int_is_illegal(self, chain3, action,
+                                                                     message):
+        """A log would write it, and its reader refuses `lines[1].def.node`
+        or `lines[1].events[0].duration`."""
+        with pytest.raises(IllegalActionError, match=f"^{re.escape(message)}$"):
+            step(init(chain3, seed=0), action, PASS)
+
+    def test_a_nop_on_an_int_node_is_legal_and_replays(self, chain3):
+        log = run_episode(chain3, game._Recorded([DefenderAction("nop", 7)] * 3),
+                          PassingAttacker(), 0, horizon_override=3)
+        text = episode_to_jsonl(log)
+        assert '"def":{"kind":"nop","node":7}' in text
+        assert verify_replay(text)
 
     def test_terminal_state_raises(self, chain3):
         st = init(chain3, seed=3, horizon_override=1)
@@ -498,16 +520,50 @@ def test_an_episode_builds_each_distinct_event_once(enterprise8_logs, defender):
         assert len({id(e) for e in events}) == len(set(events))
 
 
-def test_two_episodes_share_no_event():
-    """The events and outcomes an episode builds are freed with it: a later
-    episode, even of the same seed, builds its own."""
+def fresh_enterprise8():
+    """The bundled scenario, with no events or actions kept for it yet: an
+    equal scenario that another test holds would find the same tables."""
     s = enterprise8()
-    first, second = (run_episode(s, RandomDefender(), LateralAttacker(s.attacker.spread), 3)
-                     for _ in range(2))
-    ids = [{id(x) for rec in log.steps for x in (rec.outcome, *rec.outcome.events)}
-           for log in (first, second)]
-    assert ids[0] and ids[0].isdisjoint(ids[1])
-    assert episode_to_jsonl(first) == episode_to_jsonl(second)
+    game._SHARED.pop(s, None)
+    return s
+
+
+def test_a_scenarios_episodes_share_events_and_actions_but_no_outcome():
+    """The events and actions of a scenario's episodes are kept with the
+    scenario: a later episode of the same seed plays the same objects and
+    writes the same bytes, whatever ran in between. Outcomes are not kept:
+    it builds its own."""
+    s = fresh_enterprise8()
+
+    def play(seed):
+        return run_episode(s, RandomDefender(), LateralAttacker(s.attacker.spread), seed)
+
+    first = play(3)
+    between = [play(seed) for seed in range(10)]
+    second = play(3)
+    for part in (lambda rec: rec.outcome.events, lambda rec: (rec.defender,),
+                 lambda rec: (rec.attacker,)):
+        ids = [{id(x) for rec in log.steps for x in part(rec)} for log in (first, second)]
+        assert ids[0] and ids[0] == ids[1]
+    outcomes = [{id(rec.outcome) for rec in log.steps} for log in (first, second)]
+    assert outcomes[0].isdisjoint(outcomes[1])
+    assert episode_to_jsonl(first) == episode_to_jsonl(second) == episode_to_jsonl(between[3])
+
+
+def test_a_round_of_training_and_evaluation_keeps_a_few_objects():
+    """400 training and 400 frozen-greedy episodes on the bundled scenario
+    keep 90 events and 42 actions with it, and the 400 evaluation logs hold
+    one object per distinct event, defender action and attack."""
+    s = fresh_enterprise8()
+    table, _ = train(s, LearningParams(episodes=400), 0)
+    logs = evaluate(s, table, 400, 400)
+    events, actions = game._SHARED[s]
+    assert (len(events), len(actions)) == (90, 42)
+    assert sum(type(action) is DefenderAction for action in actions) == 33
+    for part, count in ((lambda rec: rec.outcome.events, 56), (lambda rec: (rec.defender,), 16),
+                        (lambda rec: (rec.attacker,), 6)):
+        kept = [x for log in logs for rec in log.steps for x in part(rec)]
+        assert one_object_each(kept) and len(set(kept)) == count
 
 
 @pytest.mark.parametrize("defender", ["nop", "random", "q"])
@@ -525,6 +581,30 @@ def test_an_episode_keeps_each_distinct_outcome_and_defender_action_once(
             assert one_object_each(rec.defender for rec in episode.steps)
             repeats += len(outcomes) - len(set(outcomes))
     assert repeats
+
+
+@pytest.mark.parametrize("side", ["defender", "attacker"])
+def test_an_action_equal_to_a_kept_one_is_checked_before_it_is_shared(chain3, side):
+    """`patch(True) == patch(1)` and `{1.0} == {1}`, but only the second of
+    each is legal, and a log writes what is played: after the legal action,
+    in the same episode or an earlier one, the illegal one is still refused."""
+    legal, illegal, idle, message = (
+        (patch(1), patch(True), PASS, "^defender action on unknown node True$")
+        if side == "defender" else
+        (AttackerAction(frozenset({1})), AttackerAction(frozenset({1.0})), NOP,
+         "^attempt on unknown node 1.0$"))
+
+    def play(*actions):
+        played = game._Recorded(actions)
+        policies = (played, game._Recorded([idle] * len(actions)))
+        return run_episode(chain3, *(policies if side == "defender" else policies[::-1]), 0,
+                           horizon_override=len(actions))
+
+    with pytest.raises(IllegalActionError, match=message):
+        play(legal, illegal)
+    assert verify_replay(episode_to_jsonl(play(legal)))
+    with pytest.raises(IllegalActionError, match=message):
+        play(illegal)
 
 
 def test_the_same_nodes_picked_in_another_order_are_one_action():

@@ -89,9 +89,9 @@ class Cgm:
         is not a non-empty `str`, a slice that is not an `int` >= 0 or None
         (which `load_model` refuses too), a duplicate; per variable, an
         unknown parent, a CPT of the wrong row count, an entry outside [0,1];
-        an unknown latent; a cycle. `order` is by (longest-path depth,
-        declaration index); `DbnEngine` lays out its state bits in it, so it
-        must not change.
+        a CPT key that is no variable; an unknown latent; a cycle. `order` is
+        by (longest-path depth, declaration index); `DbnEngine` lays out its
+        state bits in it, so it must not change.
 
         A variable whose parents are all placed is placed at its own turn,
         at depth 1 + their deepest. One with a parent not yet placed
@@ -143,6 +143,9 @@ class Cgm:
                         waiting[c] -= 1
                         if not waiting[c]:
                             placed.append(c)
+        if len(cpts) != len(variables):  # each variable has one, so a key names none
+            extra = next(v for v in cpts if v not in index)
+            raise SpecError(f"CPT key {extra} is not a model variable")
         for v in self.latent:
             if v not in index:
                 raise SpecError(f"latent {v} is not a model variable")

@@ -13,7 +13,7 @@ draw per bit in frame order, tactics ordered Z, X, Y. The malign model's
 slice count is its `DbnEngine`'s: a model the engine refuses raises its
 TooLargeError, and one whose slice count is not the frame count SpecError.
 `classify` scores only the null model `benign_model_like(malign)`, without
-an engine, to the bits the engine's filter would give.
+an engine, from the malign engine's `frame_likelihoods` arrays.
 """
 
 from __future__ import annotations
@@ -136,31 +136,23 @@ def benign_model_like(m: Cgm) -> Cgm:
     )
 
 
-def _null_loglik(seq: IndicatorSequence, benign: Cgm, malign: Cgm,
-                 emission: EmissionNoise) -> float:
+def _null_loglik(benign: Cgm, malign: Cgm, likelihoods) -> float:
     """log p(seq | benign) without an engine, to the bit its engine's filter
-    would give; SpecError unless `benign` is `benign_model_like(malign)` and
+    would give, from `likelihoods`, the malign engine's `frame_likelihoods`
+    arrays; SpecError unless `benign` is `benign_model_like(malign)` and
     keeps a variable in every slice. Its transitions send every state to the
     all-off one with factor 1.0, so the filter adds only exact zeros to the
     scalar c_t = (c_{t-1} * p_t) / c_{t-1}, p_t the frame's likelihood when
-    all is off. For use after `malign`'s engine checked noise and slices."""
+    all is off: entry [0, 0] of its array, state 0 having every bit 0."""
     null = tuple(v for v in malign.variables if v not in malign.latent)
-    observed = [set() for _ in seq.frames]  # per slice, the names of its variables
-    for v in null:
-        if v.slice is not None:
-            observed[v.slice].add(v.name)
-    if (benign.variables != null or benign.latent or not all(observed)
+    if (benign.variables != null or benign.latent
+            or not {v.slice for v in null}.issuperset(range(len(likelihoods)))
             or any(benign.parents.get(v) or benign.cpts[v] != (0.0,) for v in null)):
         raise SpecError("the benign model must be benign_model_like(malign), and every "
                         "slice of malign must hold a variable that is not latent")
-    false_pos = emission.false_pos + 0.0
-    emit = {0: 1.0 - false_pos, 1: false_pos}  # observed bit -> p(bit | off)
     c, logs = 1.0, []
-    for names, frame in zip(observed, seq.frames):
-        p = 1.0
-        for name, bit in frame.items():  # in frame order, as `frame_likelihoods`
-            if name in names:
-                p *= emit.get(bit, 0.0)
+    for lik in likelihoods:
+        p = float(lik[0, 0])
         # c_0 = p_0; divided first where the product underflows, as `_forward`
         c = c * p / c or c / c * p
         if c == 0.0:
@@ -172,8 +164,9 @@ def _null_loglik(seq: IndicatorSequence, benign: Cgm, malign: Cgm,
 def classify(seq: IndicatorSequence, benign: Cgm, malign: Cgm,
              emission: EmissionNoise, threshold: float = 0.0) -> DetectionResult:
     """Label a sequence by log-likelihood ratio, with the smoothed posterior
-    of every tactic under the malign model as supporting trace, both from one
-    filter pass. A sequence the malign model cannot produce has llr -inf (0.0
+    of every tactic under the malign model as supporting trace, from one
+    filter pass; it and the null model read one `frame_likelihoods` call's
+    arrays. A sequence the malign model cannot produce has llr -inf (0.0
     if the benign model cannot either) and an empty trace row per frame.
     More than 16 frames raise TooLargeError before any engine is built.
     `benign` must be the null model `benign_model_like(malign)`, which needs
@@ -183,17 +176,17 @@ def classify(seq: IndicatorSequence, benign: Cgm, malign: Cgm,
     if engine.T != len(seq.frames):
         raise SpecError(f"model has {engine.T} slices but the sequence has "
                         f"{len(seq.frames)} frames")
+    likelihoods = engine.frame_likelihoods(seq.frames, *emission)
     trace = [{} for _ in seq.frames]
     try:
-        smoothed, _, ll_malign = engine.posteriors(
-            {}, engine.frame_likelihoods(seq.frames, *emission))
+        smoothed, _, ll_malign = engine.posteriors({}, likelihoods)
     except ZeroEvidenceError:
         ll_malign = float("-inf")
     else:
         for v, p in zip(engine.outputs, smoothed.tolist()):
             if v.name in TACTICS and v.slice is not None:
                 trace[v.slice][v.name] = p
-    ll_benign = _null_loglik(seq, benign, malign, emission)
+    ll_benign = _null_loglik(benign, malign, likelihoods)
     if ll_malign == float("-inf") and ll_benign == float("-inf"):
         llr = 0.0
     else:

@@ -276,7 +276,8 @@ def init(s: Scenario, seed: int, horizon_override: int | None = None) -> GameSta
 
 def _check_defender_action(st: GameState, d: DefenderAction):
     # `True` and `1.0` equal 1, but a log would write them as `true` and
-    # `1.0`, which its reader refuses: a node and a duration are `int`s
+    # `1.0`, which its reader refuses: a node and a duration are `int`s. A log
+    # writes only an isolation's duration, and reads any other action's as 1
     if d.kind not in DEFENDER_KINDS:
         raise IllegalActionError(f"unknown defender action kind '{d.kind}'")
     if d.kind == "nop":
@@ -286,6 +287,8 @@ def _check_defender_action(st: GameState, d: DefenderAction):
         raise IllegalActionError(f"defender action on unknown node {d.node}")
     if d.kind == "isolate" and (type(d.duration) is not int or d.duration < 1):
         raise IllegalActionError(f"isolation duration must be an int >= 1, got {d.duration!r}")
+    if d.kind != "isolate" and (type(d.duration) is not int or d.duration != 1):
+        raise IllegalActionError(f"{d.kind} duration must be the int 1, got {d.duration!r}")
 
 
 def _check_attacker_action(st: GameState, a: AttackerAction) -> list[int]:

@@ -139,6 +139,9 @@ def kahn_checked_order(variables, parents: dict, cpts: dict, latent=frozenset())
         for entry in cpt:
             if not 0.0 <= entry <= 1.0:
                 raise SpecError(f"CPT entry out of [0,1] for {v}: {entry}")
+    for v in cpts:
+        if v not in index:
+            raise SpecError(f"CPT key {v} is not a model variable")
     for v in latent:
         if v not in index:
             raise SpecError(f"latent {v} is not a model variable")

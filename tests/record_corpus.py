@@ -261,6 +261,8 @@ LOG_EDITS = [
     # attempt is on a node next to no compromised one
     ("reward.jsonl", 1, {("reward",): 99.0}),
     ("no-attempts.jsonl", 1, {("atk", "attempts"): []}),
+    # a duration on a patch, which no log writes and the replayed game refuses
+    ("patch-5.jsonl", 1, {("def",): {"kind": "patch", "node": 1, "duration": 5}}),
 ]
 
 LOOP = ["loop", "--seed", "7"]
@@ -538,13 +540,14 @@ MALFORMED = [
 # record moves: a benign per-step divisor of about 1e-100, whose product with
 # the next slice's weights underflows unless the filter divides first; models
 # that declare a child before its parent, by enumeration and on the engine; a
-# negative slice, refused where the variable is read
+# negative slice, refused where the variable is read; a patch with a duration
 CASES = VALID + MALFORMED + [
     ["detect", "--log", "one.jsonl", "--noise", "0.2,1e-100"],
     ["causal", "marginal", "--model", "child-first-model.json", "--query", "C=1"],
     ["causal", "observational", "--model", "reversed-chain5.json", "--target", "Y@4=1",
      "--given", "X@0=1"],
     ["causal", "marginal", "--model", "negative-slice-model.json", "--query", "X=1"],
+    ["replay", "--log", "patch-5.jsonl"],
 ]
 
 

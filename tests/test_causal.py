@@ -9,6 +9,7 @@ import pickle
 import random
 import re
 from dataclasses import replace
+from functools import partial
 
 import numpy as np
 import pytest
@@ -524,7 +525,53 @@ class TestEngineAgreement:
             assert marginal(randomized, {}) == pytest.approx(1.0, abs=1e-9)
 
 
+def with_a_cpt_for_no_variable(make) -> Cgm:
+    """The model `make()` builds, with one more CPT, for a variable it lacks."""
+    m = make()
+    return Cgm(variables=m.variables, parents=m.parents,
+               cpts={**m.cpts, VarId("W", 0): (0.5,)}, latent=m.latent)
+
+
+@st.composite
+def library_models(draw):
+    """A call that builds a model from the library side, as a `partial`:
+    `build_topology` (every topology, with and without a per-slice
+    confounder), `do_transform` or `attach_emissions` of such a model (noise
+    in or out of [0,1]), or `random_dag_model`; sometimes with one more CPT,
+    for a variable the model lacks."""
+    spec = DbnSpec(draw(st.sampled_from(Topology)), draw(st.integers(1, 6)),
+                   per_slice_confounder=draw(st.booleans()))
+    how = draw(st.sampled_from(["build", "do", "emissions", "random"]))
+    if how == "build":
+        make = partial(build_topology, spec)
+    elif how == "do":
+        m = build_topology(spec)
+        free = [v for v in m.variables if v not in m.latent]
+        make = partial(do_transform, m, draw(st.dictionaries(st.sampled_from(free),
+                                                             st.integers(0, 1))))
+    elif how == "emissions":
+        noise = st.floats(0.0, 1.0) | st.sampled_from([-0.0, -0.5, 1.5, math.nan])
+        make = partial(attach_emissions, build_topology(spec), draw(noise), draw(noise))
+    else:
+        make = partial(random_dag_model, random.Random(draw(st.integers(0, 2 ** 32))),
+                       draw(st.integers(1, 8)), draw(st.floats(0.0, 1.0)))
+    return partial(with_a_cpt_for_no_variable, make) if draw(st.booleans()) else make
+
+
 class TestModelIO:
+    @settings(max_examples=300, deadline=None)
+    @given(make=library_models())
+    def test_a_saved_model_loads_back_or_cgm_refused_it(self, make):
+        """What `save_model` writes, `load_model` reads back to the same
+        model: the same `model_to_obj` and the same CPT keys."""
+        try:
+            m = make()
+        except SpecError:
+            return
+        loaded = load_model(save_model(m))
+        assert model_to_obj(loaded) == model_to_obj(m)
+        assert loaded.cpts.keys() == m.cpts.keys()
+
     def test_model_round_trip(self, confounded_example):
         text = save_model(confounded_example)
         loaded = load_model(text)
@@ -598,6 +645,19 @@ class TestModelIO:
         doc = {"variables": [{"name": v.name, "slice": v.slice, "latent": False} for v in model],
                "parents": {}, "cpts": {}}
         with pytest.raises(ParseError, match=f"^{re.escape(read)}$"):
+            load_model(json.dumps(doc))
+
+    def test_a_cpt_key_that_names_no_variable_is_refused(self):
+        """`Cgm` refuses a CPT for a variable it does not declare, which a
+        query could otherwise name and `save_model` would drop; an extra
+        `parents` key is read by nothing and stays allowed. `load_model`
+        refuses such a file first, with its own message."""
+        X, Y = VarId("X"), VarId("Y")
+        with pytest.raises(SpecError, match="^CPT key Y is not a model variable$"):
+            Cgm(variables=(X,), parents={}, cpts={X: (0.5,), Y: (0.3,)})
+        assert Cgm(variables=(X,), parents={Y: (X,)}, cpts={X: (0.5,)}).order == (X,)
+        doc = {"variables": [{"name": "X"}], "parents": {}, "cpts": {"X": [0.5], "Y": [0.3]}}
+        with pytest.raises(ParseError, match="^model 'cpts' names undeclared variable 'Y'$"):
             load_model(json.dumps(doc))
 
     @pytest.mark.parametrize("path,where", [
@@ -750,7 +810,8 @@ def slice_chain(sizes: list[int], back: dict | None = None) -> Cgm:
     return Cgm(variables=variables, parents=parents, cpts=cpts_for(variables, parents))
 
 
-MODEL_FAULTS = ("cycle", "duplicate", "unknown parent", "short CPT", "entry", "unknown latent")
+MODEL_FAULTS = ("cycle", "duplicate", "unknown parent", "short CPT", "entry", "unknown CPT",
+                "unknown latent")
 
 
 @st.composite
@@ -776,6 +837,8 @@ def faulty_models(draw):
     if "short CPT" in faults:
         rows = cpts[draw(st.sampled_from(variables))]
         del rows[draw(st.integers(0, len(rows) - 1)):]
+    if "unknown CPT" in faults:
+        cpts[VarId("C")] = [0.5]
     latent = set(draw(st.lists(st.sampled_from(variables))))
     if "unknown latent" in faults:
         latent.add(VarId("L"))
@@ -803,8 +866,11 @@ class TestOneWalk:
         ((A,), {}, {A: (1.5,)}, (L,), r"CPT entry out of \[0,1\] for A: 1.5"),
         ((A, B), {A: (B,), B: (A,)}, {A: (0.5, 0.5), B: (0.5, 0.5)}, (L,),
          "latent L is not a model variable"),
+        ((A,), {}, {Q: (0.5,), A: (1.5,)}, (), r"CPT entry out of \[0,1\] for A: 1.5"),
+        ((A,), {}, {A: (0.5,), Q: (0.5,)}, (L,), "CPT key Q is not a model variable"),
     ], ids=["duplicate+parent", "parent+short-cpt", "short-cpt+later-parent",
-            "unknown-after-known-parent", "entry+latent", "latent+cycle"])
+            "unknown-after-known-parent", "entry+latent", "latent+cycle", "entry+cpt-key",
+            "cpt-key+latent"])
     def test_first_fault_of_a_model(self, variables, parents, cpts, latent, message):
         with pytest.raises(SpecError, match=f"^{message}$"):
             Cgm(variables=variables, parents=parents, cpts=cpts, latent=frozenset(latent))

@@ -127,6 +127,9 @@ REASONS = {
 # CPython UNRUN_PYTHON numbers them
 UNRUN_PYTHON = (3, 11)
 UNRUN = [
+    ('causal', 'Cgm.__post_init__', 'extra = next(v for v in cpts if v not in index)', 1, 'hidden'),
+    ('causal', 'Cgm.__post_init__',
+     'raise SpecError(f"CPT key {extra} is not a model variable")', 1, 'hidden'),
     ('causal', 'Cgm.__post_init__',
      'raise SpecError(f"latent {v} is not a model variable")', 1, 'hidden'),
     ('causal', 'Cgm.__post_init__',

@@ -327,7 +327,7 @@ class TestClassify:
     @given(topology=st.sampled_from(Topology), slices=st.integers(1, 16),
            confounder=st.booleans(),
            rows=st.lists(st.tuples(*[st.integers(0, 1)] * 3), min_size=16, max_size=16),
-           miss=NOISE, false_pos=NOISE)
+           miss=NOISE, false_pos=NOISE | st.just(-0.0))
     def test_the_null_model_is_scored_without_an_engine_to_the_same_bits(
             self, topology, slices, confounder, rows, miss, false_pos):
         """classify's llr against `benign_model_like(malign)` is the one that
@@ -369,7 +369,8 @@ class TestClassify:
         for rows in ([(1, 0, 1), (0, 1, 0), (1, 1, 1)],
                      [(1, 0, 2), (0, 1, 0), (1, 1, 1)],   # no Y variable: skipped
                      [(0, 0, 0), (0, 2, 0), (1, 1, 1)]):  # a bit outside 0/1: -inf
-            for noise in (EmissionNoise(), EmissionNoise(miss=0.3, false_pos=1e-170)):
+            for noise in (EmissionNoise(), EmissionNoise(miss=0.3, false_pos=1e-170),
+                          EmissionNoise(miss=0.3, false_pos=-0.0)):
                 self.assert_null_scored_bit_for_bit(malign, make_sequence(rows), noise)
 
     @pytest.mark.parametrize("latent_slice", [1, 2], ids=["middle", "last"])

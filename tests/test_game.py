@@ -199,11 +199,16 @@ class TestStep:
         (isolate(1, True), "isolation duration must be an int >= 1, got True"),
         (isolate(1, 1.0), "isolation duration must be an int >= 1, got 1.0"),
         (isolate(1, 2.5), "isolation duration must be an int >= 1, got 2.5"),
+        (DefenderAction("patch", 1, 5), "patch duration must be the int 1, got 5"),
+        (DefenderAction("scan", 1, 0), "scan duration must be the int 1, got 0"),
+        (DefenderAction("nop", None, True), "nop duration must be the int 1, got True"),
+        (DefenderAction("restore", 1, 1.0), "restore duration must be the int 1, got 1.0"),
     ], ids=repr)
-    def test_a_nop_node_or_a_duration_that_is_not_an_int_is_illegal(self, chain3, action,
-                                                                     message):
+    def test_a_node_or_a_duration_that_a_log_cannot_hold_is_illegal(self, chain3, action,
+                                                                    message):
         """A log would write it, and its reader refuses `lines[1].def.node`
-        or `lines[1].events[0].duration`."""
+        or `lines[1].events[0].duration`; or, for a duration on an action other
+        than an isolation, the log writes none, and its reader reads 1."""
         with pytest.raises(IllegalActionError, match=f"^{re.escape(message)}$"):
             step(init(chain3, seed=0), action, PASS)
 
@@ -509,6 +514,40 @@ def test_isolation_timers_stay_positive_and_views_show_them_all(seed, bundled, l
         state, _ = step(state, d, attacker.act(attacker_view(state), rng))
         assert all(k >= 1 for k in state.isolation.values())
         assert defender_view(state).isolation == state.isolation
+
+
+def assert_the_log_reads_back(log):
+    """`episode_to_jsonl` then `parse_episode_jsonl` gives back every record."""
+    assert parse_episode_jsonl(episode_to_jsonl(log)) == log
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2 ** 31))
+def test_a_random_defenders_log_reads_back_to_the_same_records(seed):
+    s = load_random_scenario(random.Random(seed))
+    assert_the_log_reads_back(run_episode(s, RandomDefender(),
+                                          LateralAttacker(s.attacker.spread), seed))
+
+
+# a defender action as a hostile library policy might return it: any kind,
+# node and duration, legal or not
+HOSTILE_ACTIONS = st.builds(DefenderAction, st.sampled_from((*game.DEFENDER_KINDS, "bogus")),
+                            st.none() | st.integers(-1, 3) | st.sampled_from([True, 1.0]),
+                            st.integers(-1, 3) | st.sampled_from([True, 1.0]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2 ** 31), actions=st.lists(HOSTILE_ACTIONS, min_size=1, max_size=8))
+def test_a_hostile_defenders_log_reads_back_or_the_game_refused_it(seed, actions):
+    """On chain3, a defender that plays drawn actions: its log gives back
+    every record, or the game raised IllegalActionError."""
+    s = load_scenario(json.dumps(chain3_doc(strength=0.3)))
+    try:
+        log = run_episode(s, game._Recorded(actions), LateralAttacker(1), seed,
+                          horizon_override=len(actions))
+    except IllegalActionError:
+        return
+    assert_the_log_reads_back(log)
 
 
 @pytest.mark.parametrize("defender", ["nop", "random", "q"])
